@@ -104,7 +104,7 @@ def _cache_dir(args) -> Path | None:
 
 
 def _effective_shards(args) -> int:
-    if getattr(args, "shards", None):
+    if getattr(args, "shards", None) is not None:
         if args.shards < 1:
             raise ValueError("--shards must be positive")
         return args.shards
@@ -570,7 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     shared.add_argument(
         "--shards", type=int, metavar="N",
-        help="worker count for brute-force enumeration (default: cpu count)",
+        help="shard count for brute-force enumeration; worker processes "
+        "are capped at the cpu count (default: cpu count)",
     )
     shared.add_argument(
         "--force", action="store_true",

@@ -20,6 +20,7 @@ demands a zero residual.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import factorial
@@ -87,7 +88,9 @@ def brute_force_rows(
     if shards == 1:
         results = [_descent_histogram_shard(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=shards) as pool:
+        # The shard count fixes the task list; workers stop at the CPU count.
+        workers = min(shards, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_descent_histogram_shard, tasks))
     rows: dict[int, tuple[int, ...]] = {}
     for n_at, n in enumerate(ns):

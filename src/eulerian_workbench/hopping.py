@@ -21,6 +21,13 @@ its descent generating function is t**(peaks + 1) (1 + t)**(n - 1 - 2 peaks)
 
 Tracking inverse descents as well gives each orbit a bivariate generating
 function; no factorization is asserted for it.
+
+The census counts classes by peak count without building them: each class
+has exactly one member with no double descents (P. Branden, "Actions on
+permutations and unimodality of descent polynomials", European J. Combin.
+29 (2008)), so it counts those members in one stream over S_n and checks
+that the class sizes add up to n!. orbit_of keeps the hop closure for
+single orbits.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from math import factorial
 
 from .common import ConsistencyError, GuardRailError
 from .exactnum import BiPoly, UniPoly
-from .perm import Perm, descent_count, enumerate_sn, inverse_descent_count, rank_of
+from .perm import Perm, descent_count, enumerate_sn, inverse_descent_count
 
 PEAK = "peak"
 VALLEY = "valley"
@@ -181,11 +188,21 @@ def orbit_descent_polynomial(orbit: Orbit, mode: str = "univariate"):
 
 
 def orbit_census(n: int, force: bool = False) -> dict[int, int]:
-    """Count hop classes of S_n by peak count.
+    """Count hop classes of S_n by peak count, one class member each.
 
-    Streams S_n in lexicographic order, skipping members of orbits already
-    seen via a rank bitmask. The class counts equal the gamma vector of the
-    descent distribution, which is how they get used in cross-checks.
+    Every class has exactly one member with no double descents (Branden
+    2008): hops keep the peaks and move each free letter between the two
+    slopes of its valley, so exactly one choice puts every free letter on
+    an ascending slope. One stream over S_n counts those members by peak
+    count and builds no class. With the +inf sentinels the first letter is
+    a double descent exactly when w1 > w2, the last letter never is one,
+    and an interior letter b is one exactly when a > b > c; with no double
+    descents every descent starts at a peak, so peaks equal descents.
+
+    Coverage is checked by class size: a class with p peaks has
+    2**(n - 1 - 2p) members, and the classes counted must add up to n!.
+    The class counts equal the gamma vector of the descent distribution,
+    which is how they get used in cross-checks.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -194,30 +211,32 @@ def orbit_census(n: int, force: bool = False) -> dict[int, int]:
             f"an orbit census of S_{n} walks {factorial(n)} permutations; "
             f"pass force (--force) to go past n={CENSUS_GUARD}"
         )
-    total = factorial(n)
-    visited = bytearray((total + 7) // 8)
-    census: dict[int, int] = {}
-    walked = 0
-    for at, w in enumerate(enumerate_sn(n, force=force)):
-        if visited[at >> 3] & (1 << (at & 7)):
+    counts = [0] * (n // 2 + 1)
+    for w in enumerate_sn(n, force=force):
+        if n > 1 and w[0] > w[1]:
             continue
-        free = free_values(w)
-        members = {w}
-        for x in free:
-            members |= {hop(u, x) for u in members}
-        if len(members) != 2 ** len(free):
-            raise ConsistencyError(f"orbit of {w} has unexpected size {len(members)}")
-        for u in members:
-            r = rank_of(u)
-            visited[r >> 3] |= 1 << (r & 7)
-        peaks = len(peak_values(w))
-        census[peaks] = census.get(peaks, 0) + 1
-        walked += len(members)
-    if walked != total:
+        # Two descents in a row put a double descent between them; short of
+        # that, count descents until the word ends.
+        peaks = 0
+        fell = False
+        prev = w[0]
+        for x in w:
+            if prev > x:
+                if fell:
+                    break
+                fell = True
+                peaks += 1
+            else:
+                fell = False
+            prev = x
+        else:
+            counts[peaks] += 1
+    covered = sum(c * 2 ** (n - 1 - 2 * p) for p, c in enumerate(counts))
+    if covered != factorial(n):
         raise ConsistencyError(
-            f"census covered {walked} of {total} permutations"
+            f"census classes cover {covered} of {factorial(n)} permutations"
         )
-    return dict(sorted(census.items()))
+    return {p: c for p, c in enumerate(counts) if c}
 
 
 # ---------------------------------------------------------------------------

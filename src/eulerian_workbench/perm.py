@@ -179,21 +179,6 @@ def descents_via_inversions(w: Perm, side: str = "right") -> int:
 # lexicographic enumeration
 
 
-def rank_of(w: Perm) -> int:
-    """Lexicographic rank within S_n, counting from 0."""
-    n = len(w)
-    seen = 0
-    rank = 0
-    fact = factorial(n - 1) if n else 1
-    for pos, letter in enumerate(w):
-        smaller_used = (seen & ((1 << (letter - 1)) - 1)).bit_count()
-        rank += (letter - 1 - smaller_used) * fact
-        seen |= 1 << (letter - 1)
-        if pos < n - 1:
-            fact //= n - 1 - pos
-    return rank
-
-
 def unrank(n: int, rank: int) -> Perm:
     """The permutation of {1, ..., n} at the given lexicographic rank."""
     if not 0 <= rank < factorial(n):

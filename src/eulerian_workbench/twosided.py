@@ -26,6 +26,7 @@ conjecture under test is that every coefficient is nonnegative for A_n(s, t).
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -112,7 +113,9 @@ def brute_force_tables(
     if shards == 1:
         results = [_pair_histogram_shard(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=shards) as pool:
+        # The shard count fixes the task list; workers stop at the CPU count.
+        workers = min(shards, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_pair_histogram_shard, tasks))
     tables: dict[int, TwoSidedTable] = {}
     for n_at, n in enumerate(ns):

@@ -2,11 +2,12 @@
 
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from eulerian_workbench import cli, verify
+from eulerian_workbench import cli, eulerian, twosided, verify
 from eulerian_workbench.common import CheckReport
 
 from reference_tables import TABLE1, TABLE2
@@ -341,6 +342,49 @@ def test_shard_counts_do_not_change_bytes():
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_nonpositive_shards_exit_2():
+    for command in ("eulerian", "two-sided"):
+        for shards in ("0", "-1"):
+            code, out, err = run_cli(
+                command, "--n", "4", "--source", "brute", "--shards", shards
+            )
+            assert code == 2
+            assert out == ""
+            assert "--shards" in err
+
+
+def test_workers_are_capped_at_cpu_count(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    for module in (eulerian, twosided):
+        monkeypatch.setattr(module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for command in ("eulerian", "two-sided"):
+        brute = (command, "--n-max", "5", "--source", "brute", "--shards")
+        _, serial, _ = run_cli(*brute, "1")
+        for shards in (2, 3, 5):
+            started.clear()
+            code, out, _ = run_cli(*brute, str(shards))
+            assert code == 0
+            assert out == serial
+            assert started == [2]
 
 
 def test_repeat_runs_are_byte_identical():

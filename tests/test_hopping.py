@@ -194,6 +194,7 @@ def test_orbit_polynomials_sum_to_full_distributions():
 
 def test_census_small_values():
     assert orbit_census(1) == {0: 1}
+    assert orbit_census(2) == {0: 1}
     assert orbit_census(3) == {0: 1, 1: 2}
     assert orbit_census(5) == {0: 1, 1: 22, 2: 16}
 
@@ -216,6 +217,21 @@ def test_census_class_sizes_cover_sn():
             seen.update(orbit.members)
             total += orbit.size
         assert total == factorial(n)
+
+
+def test_each_orbit_has_one_member_without_double_descents():
+    for n in range(1, 8):
+        seen = set()
+        for w in enumerate_sn(n):
+            if w in seen:
+                continue
+            orbit = orbit_of(w)
+            seen.update(orbit.members)
+            plain = [
+                u for u in orbit.members if DOUBLE_DESCENT not in classify_letters(u)
+            ]
+            assert len(plain) == 1
+            assert descent_count(plain[0]) == orbit.peak_count
 
 
 def test_census_guard_rail():

@@ -27,7 +27,6 @@ from eulerian_workbench.perm import (
     inversion_count,
     next_permutation,
     parse_permutation,
-    rank_of,
     run_count,
     statistic_profile,
     unrank,
@@ -163,10 +162,25 @@ def test_transposition_index_validation():
 # ranking and enumeration
 
 
+def _rank_of(w):
+    """Lexicographic rank within S_n, counting from 0."""
+    n = len(w)
+    seen = 0
+    rank = 0
+    fact = factorial(n - 1) if n else 1
+    for pos, letter in enumerate(w):
+        smaller_used = (seen & ((1 << (letter - 1)) - 1)).bit_count()
+        rank += (letter - 1 - smaller_used) * fact
+        seen |= 1 << (letter - 1)
+        if pos < n - 1:
+            fact //= n - 1 - pos
+    return rank
+
+
 def test_rank_unrank_round_trip_small():
     for n in (1, 2, 3, 4, 5):
         for rank, w in enumerate(itertools.permutations(range(1, n + 1))):
-            assert rank_of(w) == rank
+            assert _rank_of(w) == rank
             assert unrank(n, rank) == w
 
 
@@ -174,7 +188,7 @@ def test_rank_unrank_round_trip_sparse_large():
     n = 12
     total = factorial(n)
     for rank in (0, 1, total // 7, total // 2, total - 2, total - 1):
-        assert rank_of(unrank(n, rank)) == rank
+        assert _rank_of(unrank(n, rank)) == rank
 
 
 def test_unrank_range_check():
