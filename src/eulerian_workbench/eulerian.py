@@ -14,8 +14,8 @@ equivalently i increasing runs, for 1 <= i <= n. Routes implemented here:
 
 The Eulerian polynomial A_n(t) = sum_i A(n, i) t**i has zero constant term
 and degree n, and its coefficient row is palindromic, so it expands in the
-basis t**i (1 + t)**(n + 1 - 2i); gamma_extract peels that expansion off and
-demands a zero residual.
+basis t**i (1 + t)**(n + 1 - 2i); gamma_extract peels that expansion off in
+integers and demands a zero residual.
 """
 
 from __future__ import annotations
@@ -211,7 +211,12 @@ def gamma_extract(p: UniPoly, n: int) -> GammaVector:
     Requires p palindromic about (n + 1) / 2, that is
     coeff(i) == coeff(n + 1 - i) for all i; the basis spans exactly those
     polynomials with zero constant term, so a nonzero final residual also
-    raises ValueError.
+    raises ValueError. The basis element for i has lowest term t**i, so
+    gamma_i is the t**i coefficient of the residual once the elements below
+    i are subtracted, binomial by binomial, in integers.
+
+    >>> gamma_extract(eulerian_polynomial(5), 5).gammas
+    (1, 22, 16)
     """
     top = n + 1
     if not p.is_palindromic(top):
@@ -222,11 +227,11 @@ def gamma_extract(p: UniPoly, n: int) -> GammaVector:
         g = residual[i]
         gammas.append(g)
         if g:
-            basis = UniPoly.monomial(i, g) * (UniPoly.one() + UniPoly.monomial(1)) ** (
-                top - 2 * i
-            )
-            for e, c in enumerate(basis.coeffs):
-                residual[e] -= c
+            m = top - 2 * i
+            c = 1  # binomial(m, k)
+            for k in range(m + 1):
+                residual[i + k] -= g * c
+                c = c * (m - k) // (k + 1)
     if any(residual):
         raise ValueError("polynomial is outside the span of the gamma basis")
     return GammaVector(n, tuple(gammas))

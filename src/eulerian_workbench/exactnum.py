@@ -1,8 +1,11 @@
 """Exact arithmetic substrate for the workbench.
 
-Counts are plain Python ints (exact at any size). Rationals are
-fractions.Fraction values, which stay in lowest terms with a positive
-denominator after every operation. No floating point appears anywhere.
+Counts are plain Python ints (exact at any size), and every algorithm here
+runs on them: polynomial products, series windows and Sturm chains alike.
+Sturm chains come from a primitive pseudo-remainder sequence whose scales
+are positive integers, so signs survive and no rational is ever formed. The
+one routine on fractions.Fraction values is solve_exact_linear, which no
+module of the package calls. No floating point appears anywhere.
 
 Polynomials come in two shapes:
 
@@ -34,7 +37,6 @@ from typing import Iterable, Mapping
 from .common import ConsistencyError
 
 Count = int
-Ratio = Fraction
 
 
 def binomial(m: int, r: int) -> int:
@@ -454,12 +456,12 @@ def solve_exact_linear(rows: list[list[Fraction]], n_unknowns: int) -> list[Frac
 # ---------------------------------------------------------------------------
 # Sturm sequences
 
-# Chain elements are primitive integer coefficient lists. Scaling is always
-# by a positive rational: Sturm counting depends on signs, so a negative or
+# Chain elements are primitive integer coefficient lists. Every scale applied
+# is a positive integer: Sturm counting depends on signs, so a negative or
 # zero scale would corrupt the count.
 
 
-def _trim(cs: list) -> list:
+def _trim(cs: list[int]) -> list[int]:
     while cs and cs[-1] == 0:
         cs.pop()
     return cs
@@ -469,56 +471,58 @@ def _derivative_list(cs: list[int]) -> list[int]:
     return [i * c for i, c in enumerate(cs)][1:]
 
 
-def _primitive(cs: list) -> list[int]:
+def _primitive(cs: list[int]) -> list[int]:
     cs = _trim(list(cs))
-    if not cs:
-        return []
-    denom = 1
-    for c in cs:
-        if isinstance(c, Fraction):
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in cs]
-    content = 0
-    for c in ints:
-        content = gcd(content, abs(c))
-    return [c // content for c in ints]
+    content = gcd(*cs)
+    return [c // content for c in cs] if content > 1 else cs
 
 
-def _frac_remainder(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of |lc(b)|**k * a on division by b, for some k >= 0.
+
+    Each elimination step scales a by |lc(b)| instead of lc(b), so the result
+    is a positive multiple of the rational remainder and keeps its signs.
+    """
     a = _trim(list(a))
     db, lead = len(b) - 1, b[-1]
-    while a and len(a) - 1 >= db:
-        factor = a[-1] / lead
+    scale, sign = abs(lead), _sign(lead)
+    while len(a) > db:
+        factor = sign * a[-1]
         shift = len(a) - 1 - db
+        a = [scale * c for c in a]
         for i, c in enumerate(b):
             a[i + shift] -= factor * c
-        a = _trim(a)
+        _trim(a)
     return a
 
 
 def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd of two integer polynomials (Euclid over the rationals)."""
-    fa = [Fraction(c) for c in _trim(list(a))]
-    fb = [Fraction(c) for c in _trim(list(b))]
-    while fb:
-        fa, fb = fb, _frac_remainder(fa, fb)
-    return _primitive(fa)
+    """Primitive gcd of two integer polynomials (primitive remainder sequence)."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return a
 
 
 def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
-    """Quotient a / b when the division is exact."""
-    fa = [Fraction(c) for c in a]
-    fb = [Fraction(c) for c in b]
-    q = [Fraction(0)] * (len(fa) - len(fb) + 1)
-    db, lead = len(fb) - 1, fb[-1]
-    while _trim(fa) and len(fa) - 1 >= db:
-        shift = len(fa) - 1 - db
-        factor = fa[-1] / lead
+    """Primitive part of a / b for a primitive divisor b of a.
+
+    By Gauss's lemma the quotient has integer coefficients, so every step of
+    the long division is an exact integer division; one that is not, or a
+    nonzero remainder, raises ConsistencyError.
+    """
+    a = list(a)
+    db, lead = len(b) - 1, b[-1]
+    q = [0] * (len(a) - db)
+    while len(_trim(a)) > db:
+        shift = len(a) - 1 - db
+        factor, rem = divmod(a[-1], lead)
+        if rem:
+            raise ConsistencyError("expected an exact polynomial division")
         q[shift] = factor
-        for i, c in enumerate(fb):
-            fa[i + shift] -= factor * c
-        fa = _trim(fa)
-    if _trim(fa):
+        for i, c in enumerate(b):
+            a[i + shift] -= factor * c
+    if a:
         raise ConsistencyError("expected an exact polynomial division")
     return _primitive(q)
 
@@ -529,10 +533,7 @@ def _sturm_chain(cs: list[int]) -> list[list[int]]:
     if deriv:
         chain.append(_primitive(deriv))
     while len(chain[-1]) > 1:
-        rem = _frac_remainder(
-            [Fraction(c) for c in chain[-2]],
-            [Fraction(c) for c in chain[-1]],
-        )
+        rem = _pseudo_remainder(chain[-2], chain[-1])
         if not rem:
             break
         chain.append(_primitive([-c for c in rem]))
@@ -550,22 +551,27 @@ def sturm_negative_root_count(p: UniPoly) -> tuple[int, bool]:
     Returns (count, all_distinct) where all_distinct is True exactly when p
     has no repeated complex root (gcd(p, p') is constant). The count is of
     distinct roots, taken on the squarefree part, so multiplicities do not
-    inflate it.
+    inflate it. All arithmetic is on integers.
+
+    >>> sturm_negative_root_count(UniPoly.from_coeffs([2, 3, 1]))  # (t+1)(t+2)
+    (2, True)
+    >>> sturm_negative_root_count(UniPoly.from_coeffs([0, 1, 2, 1]))  # t(t+1)^2
+    (1, False)
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has no root count")
     cs = list(p.coeffs)
     g = _int_poly_gcd(cs, _derivative_list(cs))
     all_distinct = len(g) == 1
-    shift = 0
-    while cs[shift] == 0:
-        shift += 1
+    shift = next(e for e, c in enumerate(cs) if c)
     cs = cs[shift:]
     if len(cs) == 1:
         return (0, all_distinct)
-    g2 = _int_poly_gcd(cs, _derivative_list(cs))
-    if len(g2) > 1:
-        cs = _exact_quotient(cs, g2)
+    if shift:
+        # the gcd above includes the stripped power of t
+        g = _int_poly_gcd(cs, _derivative_list(cs))
+    if len(g) > 1:
+        cs = _exact_quotient(cs, g)
     chain = _sturm_chain(cs)
     at_minus_inf = [_sign(c[-1]) * (-1 if (len(c) - 1) % 2 else 1) for c in chain]
     at_zero = [_sign(c[0]) for c in chain]

@@ -20,8 +20,9 @@ expands uniquely in the basis
     (s t)**i (s + t)**j (1 + s t)**(n + 1 - j - 2 i),  i >= 1, j >= 0,
     2 i + j <= n + 1,
 
-and gessel_solve finds that expansion by exact rational elimination. The
-conjecture under test is that every coefficient is nonnegative for A_n(s, t).
+and gessel_solve finds that expansion by a triangular peel in integers. The
+verdict under test is that every coefficient is nonnegative for A_n(s, t),
+Gessel's conjecture, proved by Z. Lin (Electron. J. Combin. 23, 2016).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 
 from .common import CheckReport, ConsistencyError, GuardRailError
@@ -38,7 +38,6 @@ from .exactnum import (
     binomial,
     geometric_power_window,
     series_product_bivariate,
-    solve_exact_linear,
 )
 from .perm import enumerate_sn
 
@@ -351,37 +350,54 @@ def gessel_basis_element(n: int, i: int, j: int) -> BiPoly:
 
 
 def gessel_solve(p: BiPoly, n: int) -> GesselExpansion:
-    """Expand p in the Gessel basis by exact elimination.
+    """Expand p in the Gessel basis by a triangular integer peel.
 
     Preconditions: p is symmetric under swapping s and t and palindromic
-    under the reciprocal at n + 1 (both checked). The basis must determine
-    the coefficients uniquely and integrally, and the reconstruction must
-    reproduce p exactly; failures of those raise ConsistencyError.
+    under the reciprocal at n + 1 (both checked; ValueError otherwise).
+
+    The element for (i, j) has binomial(j, a) binomial(m, c) at
+    s**(i+a+c) t**(i+j-a+c), m = n + 1 - j - 2i, so every t exponent in it
+    is at least i, and t**i appears only in s**(i+j) t**i, with coefficient
+    1. Walking the indices with i ascending, gamma_(i,j) is therefore that
+    coefficient of the residual once the earlier elements are subtracted:
+    the coefficients come out as integers with no elimination. A nonzero
+    final residual, meaning p lies outside the span, raises
+    ConsistencyError, and so does a rebuild from gessel_basis_element
+    products that fails to reproduce p.
+
+    >>> e = gessel_solve(two_sided_polynomial(4), 4)
+    >>> e.gammas, e.nonnegative
+    ({(1, 0): 1, (2, 0): 7, (2, 1): 1}, True)
     """
     if p != p.swap_vars():
         raise ValueError("polynomial is not symmetric in s and t")
     if p != p.reciprocal(n + 1):
         raise ValueError(f"polynomial is not palindromic about ({n + 1}, {n + 1})")
-    indices = gessel_basis_indices(n)
-    basis = [gessel_basis_element(n, i, j) for i, j in indices]
-    monomials = {(a, b) for q in basis for a, b, _ in q.terms}
-    monomials.update((a, b) for a, b, _ in p.terms)
-    rows = []
-    for a, b in sorted(monomials):
-        row = [Fraction(q.coeff(a, b)) for q in basis]
-        row.append(Fraction(p.coeff(a, b)))
-        rows.append(row)
-    solution = solve_exact_linear(rows, len(indices))
-    for (i, j), value in zip(indices, solution):
-        if value.denominator != 1:
-            raise ConsistencyError(
-                f"coefficient for (i={i}, j={j}) is not an integer: {value}"
-            )
-    gammas = {idx: int(value) for idx, value in zip(indices, solution)}
-    rebuilt = BiPoly()
-    for idx, q in zip(indices, basis):
-        rebuilt = rebuilt + gammas[idx] * q
-    if rebuilt != p:
+    size = n + 2
+    residual = [[0] * size for _ in range(size)]
+    for a, b, c in p.terms:
+        residual[a][b] = c
+    gammas: dict[tuple[int, int], int] = {}
+    for i, j in gessel_basis_indices(n):  # i ascending
+        g = gammas[(i, j)] = residual[i + j][i]
+        if not g:
+            continue
+        m = n + 1 - j - 2 * i
+        ca = 1  # binomial(j, a)
+        for a in range(j + 1):
+            cc = g * ca  # g * binomial(j, a) * binomial(m, c)
+            for c in range(m + 1):
+                residual[i + a + c][i + j - a + c] -= cc
+                cc = cc * (m - c) // (c + 1)
+            ca = ca * (j - a) // (a + 1)
+    if any(any(row) for row in residual):
+        raise ConsistencyError("polynomial is outside the span of the Gessel basis")
+    rebuilt: dict[tuple[int, int], int] = {}
+    for (i, j), g in gammas.items():
+        if g:
+            for a, b, c in gessel_basis_element(n, i, j).terms:
+                rebuilt[(a, b)] = rebuilt.get((a, b), 0) + g * c
+    if BiPoly.from_dict(rebuilt) != p:
         raise ConsistencyError("basis reconstruction does not match the input")
     nonnegative = all(v >= 0 for v in gammas.values())
     # zero coefficients carry no information; keep the expansion sparse
@@ -413,13 +429,3 @@ def table_from_obj(obj: dict) -> TwoSidedTable:
     if len(entries) != n or any(len(row) != n for row in entries):
         raise ValueError(f"array for n={n} is not {n} by {n}")
     return TwoSidedTable(n, entries)
-
-
-def expansion_from_obj(obj: dict) -> GesselExpansion | None:
-    if "gamma" not in obj:
-        return None
-    gammas: dict[tuple[int, int], int] = {}
-    for key, value in obj["gamma"].items():
-        i, j = key.strip("()").split(",")
-        gammas[(int(i), int(j))] = int(value)
-    return GesselExpansion(int(obj["n"]), gammas, bool(obj["gessel_nonnegative"]))

@@ -3,6 +3,8 @@
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerian_workbench.common import ConsistencyError, GuardRailError
 from eulerian_workbench.eulerian import (
@@ -165,6 +167,19 @@ def test_gamma_allows_negative_entries():
     assert not gv.nonnegative
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_gamma_round_trips_random_vectors(data):
+    # the basis comes from UniPoly products, not from the peel's binomials
+    n = data.draw(st.integers(min_value=1, max_value=12))
+    size = n // 2 + n % 2
+    gammas = data.draw(st.lists(st.integers(-1000, 1000), min_size=size, max_size=size))
+    p = UniPoly()
+    for i, g in enumerate(gammas, start=1):
+        p = p + g * (UniPoly.monomial(i) * UniPoly.from_coeffs([1, 1]) ** (n + 1 - 2 * i))
+    assert gamma_extract(p, n).gammas == tuple(gammas)
+
+
 def test_gamma_evaluation_identity_to_n_40():
     table = table_from_recurrence(40)
     for n in range(1, 41):
@@ -176,7 +191,7 @@ def test_gamma_evaluation_identity_to_n_40():
 
 
 def test_row_polynomials_have_distinct_negative_roots():
-    for n in range(1, 11):
+    for n in range(1, 31):
         p = eulerian_polynomial(n)
         shifted = UniPoly.from_coeffs(p.coeffs[1:])
         assert sturm_negative_root_count(shifted) == (n - 1, True)

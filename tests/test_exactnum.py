@@ -1,6 +1,7 @@
 """Polynomials, series windows, the exact solver, and Sturm counting."""
 
 import doctest
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -272,3 +273,24 @@ def test_sturm_triple_root():
 def test_sturm_no_negative_roots():
     count, distinct = sturm_negative_root_count(UniPoly.from_coeffs([1, -2, 1]))
     assert count == 0
+
+
+@given(
+    st.integers(min_value=0, max_value=3),
+    st.lists(
+        st.tuples(st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=3)),
+        max_size=5,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_sturm_matches_factored_oracle(z, factors):
+    # p = t^z prod (t + a)^m has roots -a, so its negative roots are the
+    # distinct positive a; multiplicities gather per root, 0 included
+    p = UniPoly.monomial(z)
+    multiplicity = Counter({0: z})
+    for a, m in factors:
+        p = p * UniPoly.from_coeffs([a, 1]) ** m
+        multiplicity[-a] += m
+    count, distinct = sturm_negative_root_count(p)
+    assert count == len({a for a, _ in factors if a > 0})
+    assert distinct == all(v <= 1 for v in multiplicity.values())

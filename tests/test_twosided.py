@@ -3,15 +3,17 @@
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerian_workbench.common import ConsistencyError, GuardRailError
 from eulerian_workbench.eulerian import table_from_recurrence
 from eulerian_workbench.exactnum import BiPoly
 from eulerian_workbench.twosided import (
+    GesselExpansion,
     TwoSidedTable,
     check_symmetries,
     diagonal_monotonicity_probe,
-    expansion_from_obj,
     gessel_basis_element,
     gessel_basis_indices,
     gessel_solve,
@@ -27,6 +29,17 @@ from eulerian_workbench.twosided import (
 )
 
 from reference_tables import GESSEL_4, GESSEL_5, TABLE2
+
+
+def _expansion_from_obj(obj: dict) -> GesselExpansion | None:
+    """Read back the gamma part of table_to_obj's output."""
+    if "gamma" not in obj:
+        return None
+    gammas: dict[tuple[int, int], int] = {}
+    for key, value in obj["gamma"].items():
+        i, j = key.strip("()").split(",")
+        gammas[(int(i), int(j))] = int(value)
+    return GesselExpansion(int(obj["n"]), gammas, bool(obj["gessel_nonnegative"]))
 
 
 def test_recurrence_reproduces_reference_arrays():
@@ -232,6 +245,37 @@ def test_gessel_nonnegative_through_n_14():
         assert all(v > 0 for v in expansion.gammas.values())
 
 
+def test_gessel_nonnegative_through_n_30():
+    tables = two_sided_from_recurrence(30)
+    for n in range(1, 31):
+        p = polynomial_from_table(tables[n - 1])
+        expansion = gessel_solve(p, n)
+        assert expansion.nonnegative, f"negative coefficient at n={n}"
+        rebuilt = BiPoly()
+        for (i, j), g in expansion.gammas.items():
+            rebuilt = rebuilt + g * gessel_basis_element(n, i, j)
+        assert rebuilt == p
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_gessel_round_trips_random_coefficients(data):
+    # the basis comes from BiPoly products, not from the peel's binomials
+    n = data.draw(st.integers(min_value=1, max_value=9))
+    indices = gessel_basis_indices(n)
+    coeffs = data.draw(
+        st.lists(st.integers(-1000, 1000), min_size=len(indices), max_size=len(indices))
+    )
+    st_mono = BiPoly.monomial(1, 1)
+    s_plus_t = BiPoly.monomial(1, 0) + BiPoly.monomial(0, 1)
+    p = BiPoly()
+    for (i, j), g in zip(indices, coeffs):
+        p = p + g * (st_mono**i * s_plus_t**j * (BiPoly.one() + st_mono) ** (n + 1 - j - 2 * i))
+    expansion = gessel_solve(p, n)
+    assert expansion.gammas == {idx: g for idx, g in zip(indices, coeffs) if g}
+    assert expansion.nonnegative == all(g >= 0 for g in coeffs)
+
+
 def test_gessel_reconstruction_is_exact():
     for n in range(1, 9):
         p = two_sided_polynomial(n)
@@ -255,7 +299,7 @@ def test_table_json_round_trip():
     assert obj["gamma"] == {"(1,0)": "1", "(2,0)": "7", "(2,1)": "1"}
     assert obj["gessel_nonnegative"] is True
     assert table_from_obj(obj).entries == table.entries
-    back = expansion_from_obj(obj)
+    back = _expansion_from_obj(obj)
     assert back is not None
     assert back.gammas == expansion.gammas
     assert back.nonnegative
@@ -265,7 +309,7 @@ def test_table_json_without_expansion():
     table = two_sided_from_recurrence(2)[1]
     obj = table_to_obj(table)
     assert "gamma" not in obj
-    assert expansion_from_obj(obj) is None
+    assert _expansion_from_obj(obj) is None
     assert table_from_obj(obj).entries == table.entries
 
 
