@@ -22,12 +22,16 @@ binomial(rows + n - 1 - ides(w), n) * binomial(columns + n - 1 - des(w), n).
 
 The oracles enumerate every placement within an explicit budget and raise
 GuardRailError past it; they exist to cross-check the closed forms, not to
-scale.
+scale. They stream placements from itertools and standardize each with one
+stable sort, building no dataclass per placement and sharing no code with
+the S_n walk in perm; assignment_to_barred and grid_placement_to_permutation
+standardize single placements through the dataclasses.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -110,11 +114,12 @@ def oracle_barred_census(n: int, k: int) -> dict[Perm, int]:
         raise GuardRailError(
             f"{k}**{n} assignments exceed the census budget {BARRED_CENSUS_BUDGET}"
         )
-    census: dict[Perm, int] = {}
-    for boxes in itertools.product(range(1, k + 1), repeat=n):
-        w = assignment_to_barred(BoxAssignment(n, k, boxes)).underlying
-        census[w] = census.get(w, 0) + 1
-    return census
+    # Reading the boxes left to right is one stable sort of the balls by box.
+    balls = range(1, n + 1)
+    return dict(Counter(
+        tuple(sorted(balls, key=((0,) + boxes).__getitem__))
+        for boxes in itertools.product(range(1, k + 1), repeat=n)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -248,20 +253,16 @@ def oracle_two_sided_census(n: int, columns: int, rows: int) -> dict[Perm, int]:
         raise GuardRailError(
             f"{total} grid placements exceed the census budget {GRID_CENSUS_BUDGET}"
         )
-    cell_list = [
-        (col, row) for col in range(1, columns + 1) for row in range(1, rows + 1)
-    ]
-    census: dict[Perm, int] = {}
-    for multiset in itertools.combinations_with_replacement(cell_list, n):
-        counts: dict[tuple[int, int], int] = {}
-        for cell in multiset:
-            counts[cell] = counts.get(cell, 0) + 1
-        placement = GridPlacement(
-            columns, rows, tuple(sorted((c, r, m) for (c, r), m in counts.items()))
-        )
-        w = grid_placement_to_permutation(placement).underlying
-        census[w] = census.get(w, 0) + 1
-    return census
+    # Cells in (column, row) order, each named by its (row, column) rank. A
+    # multiset then lists its balls by column rank with copies adjacent, and
+    # a stable sort of the positions by cell name lists them by row rank;
+    # w(column rank) = row rank inverts that sort.
+    by_row = [row * columns + col for col in range(columns) for row in range(rows)]
+    positions = range(1, n + 1)
+    return dict(Counter(
+        inverse(sorted(positions, key=((0,) + multiset).__getitem__))
+        for multiset in itertools.combinations_with_replacement(by_row, n)
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 A(n, i) counts permutations of {1, ..., n} with exactly i - 1 descents,
 equivalently i increasing runs, for 1 <= i <= n. Routes implemented here:
 
-- brute force: stream S_n (optionally sharded across processes) and
-  histogram descents;
+- brute force: count descents over S_n on the shared walk in perm
+  (optionally sharded across processes);
 - the two-term recurrence
   A(n, i) = i * A(n - 1, i) + (n + 1 - i) * A(n - 1, i - 1);
 - the power-sum series: A_n(t) / (1 - t)**(n + 1) has t**k coefficient k**n;
@@ -20,17 +20,13 @@ integers and demands a zero residual.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import factorial
 
-from .common import CheckReport, ConsistencyError, GuardRailError
+from .common import CheckReport, ConsistencyError
 from .exactnum import UniPoly, binomial, geometric_power_window, series_product
-from .perm import enumerate_sn
-
-# 11! is the intended brute-force ceiling; 12! needs an explicit override.
-BRUTE_FORCE_GUARD = 11
+# bench/test_bench.py reads eulerian.enumerate_sn, so the name stays bound here.
+from .perm import descent_kernel, enumerate_sn, histogram  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -52,54 +48,12 @@ class EulerianTable:
         return row[i - 1]
 
 
-def _check_brute_rail(n: int, force: bool) -> None:
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > BRUTE_FORCE_GUARD and not force:
-        raise GuardRailError(
-            f"brute force over S_{n} means {factorial(n)} permutations; "
-            f"pass force (--force) to go past n={BRUTE_FORCE_GUARD}"
-        )
-
-
-def _descent_histogram_shard(task: tuple[int, int, int, bool]) -> list[int]:
-    n, index, total, force = task
-    hist = [0] * n
-    for w in enumerate_sn(n, shard=(index, total), force=force):
-        d = 0
-        prev = w[0]
-        for x in w[1:]:
-            if prev > x:
-                d += 1
-            prev = x
-        hist[d] += 1
-    return hist
-
-
 def brute_force_rows(
     ns: list[int], shards: int = 1, force: bool = False
 ) -> dict[int, tuple[int, ...]]:
     """Brute-force descent histograms for several n with one worker pool."""
-    for n in ns:
-        _check_brute_rail(n, force)
-    if shards < 1:
-        raise ValueError("shards must be positive")
-    tasks = [(n, index, shards, force) for n in ns for index in range(shards)]
-    if shards == 1:
-        results = [_descent_histogram_shard(task) for task in tasks]
-    else:
-        # The shard count fixes the task list; workers stop at the CPU count.
-        workers = min(shards, os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_descent_histogram_shard, tasks))
-    rows: dict[int, tuple[int, ...]] = {}
-    for n_at, n in enumerate(ns):
-        merged = [0] * n
-        for index in range(shards):
-            for i, c in enumerate(results[n_at * shards + index]):
-                merged[i] += c
-        rows[n] = tuple(merged)
-    return rows
+    counts = histogram(ns, descent_kernel, shards, force, pool=ProcessPoolExecutor)
+    return {n: tuple(counts[n][d] for d in range(n)) for n in ns}
 
 
 def table_brute_force(n: int, shards: int = 1, force: bool = False) -> tuple[int, ...]:

@@ -35,16 +35,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .common import ConsistencyError, GuardRailError
+from .common import ConsistencyError
 from .exactnum import BiPoly, UniPoly
-from .perm import Perm, descent_count, enumerate_sn, inverse_descent_count
+from .perm import Perm, census_kernel, descent_count, histogram, inverse_descent_count
 
 PEAK = "peak"
 VALLEY = "valley"
 DOUBLE_ASCENT = "double_ascent"
 DOUBLE_DESCENT = "double_descent"
-
-CENSUS_GUARD = 11
 
 
 def classify_letters(w: Perm) -> tuple[str, ...]:
@@ -194,49 +192,22 @@ def orbit_census(n: int, force: bool = False) -> dict[int, int]:
     2008): hops keep the peaks and move each free letter between the two
     slopes of its valley, so exactly one choice puts every free letter on
     an ascending slope. One stream over S_n counts those members by peak
-    count and builds no class. With the +inf sentinels the first letter is
-    a double descent exactly when w1 > w2, the last letter never is one,
-    and an interior letter b is one exactly when a > b > c; with no double
-    descents every descent starts at a peak, so peaks equal descents.
+    count and builds no class; perm.census_kernel tells those members
+    apart and counts their peaks.
 
     Coverage is checked by class size: a class with p peaks has
     2**(n - 1 - 2p) members, and the classes counted must add up to n!.
     The class counts equal the gamma vector of the descent distribution,
     which is how they get used in cross-checks.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > CENSUS_GUARD and not force:
-        raise GuardRailError(
-            f"an orbit census of S_{n} walks {factorial(n)} permutations; "
-            f"pass force (--force) to go past n={CENSUS_GUARD}"
-        )
-    counts = [0] * (n // 2 + 1)
-    for w in enumerate_sn(n, force=force):
-        if n > 1 and w[0] > w[1]:
-            continue
-        # Two descents in a row put a double descent between them; short of
-        # that, count descents until the word ends.
-        peaks = 0
-        fell = False
-        prev = w[0]
-        for x in w:
-            if prev > x:
-                if fell:
-                    break
-                fell = True
-                peaks += 1
-            else:
-                fell = False
-            prev = x
-        else:
-            counts[peaks] += 1
-    covered = sum(c * 2 ** (n - 1 - 2 * p) for p, c in enumerate(counts))
+    counts = histogram([n], census_kernel, force=force)[n]
+    del counts[None]  # members with a double descent
+    covered = sum(c * 2 ** (n - 1 - 2 * p) for p, c in counts.items())
     if covered != factorial(n):
         raise ConsistencyError(
             f"census classes cover {covered} of {factorial(n)} permutations"
         )
-    return {p: c for p, c in enumerate(counts) if c}
+    return {p: counts[p] for p in sorted(counts)}
 
 
 # ---------------------------------------------------------------------------

@@ -8,23 +8,39 @@ Text form: a compact digit string for n <= 9 ("5624713") and comma-separated
 letters otherwise ("10,3,1,2,..."); parsing validates bijectivity.
 
 Descents sit at positions r with w(r) > w(r+1), so a permutation with i - 1
-descents has i increasing runs. Full enumeration streams in lexicographic
-order and can be split into contiguous shard blocks for parallel counting.
+descents has i increasing runs.
+
+Every brute-force route walks S_n here. enumerate_sn streams S_n in
+lexicographic order, whole or as one of several contiguous shard blocks; a
+block is cut into runs that share a fixed prefix of max(0, n - 7) letters,
+each run being itertools.permutations over the sorted remaining letters, so
+the walk itself runs in C. histogram counts one statistic over S_n block by
+block, in a process pool when there is more than one shard, and merges the
+counts exactly. Its kernels (des, the pair (ides, des) and the peaks of
+permutations with no double descents) are module-level functions of the
+word alone, so they pickle by name. One guard rail, BRUTE_FORCE_GUARD,
+covers every walk: past it, force is required.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+from collections import Counter
+from collections.abc import Callable, Hashable, Iterator
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import factorial
-from typing import Iterator
 
 from .common import GuardRailError
 
 Perm = tuple[int, ...]
 
-# 12! is 479 million permutations; anything past that needs an explicit override.
-FULL_STREAM_GUARD = 12
+# 11! is 39.9 million permutations; walking past it needs an explicit override.
+BRUTE_FORCE_GUARD = 11
+
+# Shard blocks run through itertools.permutations on the last SUFFIX letters.
+SUFFIX = 7
 
 
 def check_permutation(letters) -> Perm:
@@ -136,47 +152,19 @@ def statistic_profile(w: Perm) -> StatProfile:
     )
 
 
-def compose_simple_transposition(w: Perm, r: int, side: str) -> Perm:
-    """Compose w with the adjacent transposition swapping r and r + 1.
-
-    side "right" applies the transposition first, so positions r and r + 1
-    of w swap. side "left" applies it last, so the letters r and r + 1 swap
-    wherever they sit.
-
-    >>> compose_simple_transposition((2, 1, 3), 2, "right")
-    (2, 3, 1)
-    >>> compose_simple_transposition((2, 1, 3), 2, "left")
-    (3, 1, 2)
-    """
-    n = len(w)
-    if not 1 <= r <= n - 1:
-        raise ValueError(f"transposition index must be in 1..{n - 1}")
-    if side == "right":
-        out = list(w)
-        out[r - 1], out[r] = out[r], out[r - 1]
-        return tuple(out)
-    if side == "left":
-        swap = {r: r + 1, r + 1: r}
-        return tuple(swap.get(x, x) for x in w)
-    raise ValueError("side must be 'left' or 'right'")
-
-
-def descents_via_inversions(w: Perm, side: str = "right") -> int:
-    """Count r where composing with the transposition at r lowers inv.
-
-    With side "right" this equals descent_count(w); with side "left" it
-    equals descent_count(inverse(w)).
-    """
-    base = inversion_count(w)
-    return sum(
-        1
-        for r in range(1, len(w))
-        if inversion_count(compose_simple_transposition(w, r, side)) < base
-    )
-
-
 # ---------------------------------------------------------------------------
 # lexicographic enumeration
+
+
+def check_guard(n: int, force: bool) -> None:
+    """Refuse a walk over S_n past the guard rail unless forced."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n > BRUTE_FORCE_GUARD and not force:
+        raise GuardRailError(
+            f"walking S_{n} means {factorial(n)} permutations; "
+            f"pass force (--force) to go past n={BRUTE_FORCE_GUARD}"
+        )
 
 
 def unrank(n: int, rank: int) -> Perm:
@@ -194,54 +182,140 @@ def unrank(n: int, rank: int) -> Perm:
     return tuple(out)
 
 
-def next_permutation(letters: list[int]) -> bool:
-    """Advance letters to the lexicographic successor in place.
-
-    Returns False when letters is already the last arrangement.
-    """
-    i = len(letters) - 2
-    while i >= 0 and letters[i] >= letters[i + 1]:
-        i -= 1
-    if i < 0:
-        return False
-    j = len(letters) - 1
-    while letters[j] <= letters[i]:
-        j -= 1
-    letters[i], letters[j] = letters[j], letters[i]
-    letters[i + 1 :] = reversed(letters[i + 1 :])
-    return True
-
-
 def enumerate_sn(n: int, shard: tuple[int, int] | None = None, force: bool = False) -> Iterator[Perm]:
     """Stream S_n in lexicographic order, optionally one shard block.
 
-    shard (index, total) selects the index-th of total contiguous blocks;
-    block sizes differ by at most one and concatenating all blocks in index
-    order reproduces the full stream. n above the guard rail requires force.
+    shard (index, total) selects the permutations of lexicographic rank
+    index * n! // total up to (index + 1) * n! // total; concatenating all
+    blocks in index order reproduces the full stream. n above the guard
+    rail requires force.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > FULL_STREAM_GUARD and not force:
-        raise GuardRailError(
-            f"enumerating S_{n} means {factorial(n)} permutations; "
-            f"pass force (--force) to go past n={FULL_STREAM_GUARD}"
-        )
+    check_guard(n, force)
     if shard is None:
-        return (tuple(w) for w in itertools.permutations(range(1, n + 1)))
+        shard = (0, 1)
     index, total = shard
     if total < 1 or not 0 <= index < total:
         raise ValueError(f"bad shard {shard}")
     fact = factorial(n)
     start = index * fact // total
     stop = (index + 1) * fact // total
-    return _shard_stream(n, start, stop)
+    if start == 0 and stop == fact:
+        return itertools.permutations(range(1, n + 1))
+    return itertools.chain.from_iterable(_prefix_runs(n, start, stop))
 
 
-def _shard_stream(n: int, start: int, stop: int) -> Iterator[Perm]:
-    if start >= stop:
-        return
-    letters = list(unrank(n, start))
-    for _ in range(stop - start):
-        yield tuple(letters)
-        if not next_permutation(letters):
-            break
+def _prefix_runs(n: int, start: int, stop: int) -> Iterator[Iterator[Perm]]:
+    """The block of ranks [start, stop) as runs that share a prefix.
+
+    Prefixes of k letters come in lexicographic order, and each covers
+    (n - k)! consecutive ranks; only the first and last run can be partial.
+    """
+    k = max(0, n - SUFFIX)
+    run = factorial(n - k)
+    first, last = start // run, (stop - 1) // run
+    letters = range(1, n + 1)
+    prefixes = itertools.islice(itertools.permutations(letters, k), first, last + 1)
+    for at, prefix in enumerate(prefixes, start=first):
+        rest = [x for x in letters if x not in prefix]
+        words = map(prefix.__add__, itertools.permutations(rest))
+        lo = start - at * run if at == first else 0
+        hi = stop - at * run if at == last else run
+        yield itertools.islice(words, lo, hi) if lo or hi < run else words
+
+
+# ---------------------------------------------------------------------------
+# histograms over S_n
+#
+# The kernels are brute force's own code: the closed forms in boxes and the
+# hop checks count with descent_count and friends, so a slip in one route
+# cannot hide in the other.
+
+
+def descent_kernel(w: Perm) -> int:
+    """des(w)."""
+    des = 0
+    prev = w[0]
+    for x in w:
+        if prev > x:
+            des += 1
+        prev = x
+    return des
+
+
+def pair_kernel(w: Perm) -> tuple[int, int]:
+    """(ides(w), des(w)); ides counts letters x with x + 1 left of x."""
+    at = [0] * (len(w) + 1)  # at[x] is the position of letter x; at[0] stays 0
+    des = 0
+    prev = w[0]
+    for pos, x in enumerate(w):
+        at[x] = pos
+        if prev > x:
+            des += 1
+        prev = x
+    ides = 0
+    prev = 0
+    for pos in at:
+        if prev > pos:
+            ides += 1
+        prev = pos
+    return ides, des
+
+
+def census_kernel(w: Perm) -> int | None:
+    """Peak count of w if no letter is a double descent, else None.
+
+    With +inf sentinels at both ends, the first letter is a double descent
+    exactly when w1 > w2, an interior b when a > b > c, and the last letter
+    never. With none of them every descent starts at a peak, so the peak
+    count is the descent count.
+    """
+    prev = w[0]
+    if len(w) > 1 and prev > w[1]:
+        return None  # w1 sits between +inf and a smaller w2
+    peaks = 0
+    fell = False
+    for x in w:
+        if prev > x:
+            if fell:
+                return None  # the letter before x falls on both sides
+            fell = True
+            peaks += 1
+        else:
+            fell = False
+        prev = x
+    return peaks
+
+
+def histogram(
+    ns: list[int],
+    kernel: Callable[[Perm], Hashable],
+    shards: int = 1,
+    force: bool = False,
+    pool: Callable[..., ProcessPoolExecutor] = ProcessPoolExecutor,
+) -> dict[int, Counter]:
+    """Count kernel(w) over S_n for each n in ns, from shards blocks each.
+
+    One shard counts in this process; more run in pool(max_workers=...),
+    with the workers capped at the CPU count, so the shard count fixes the
+    blocks but not the number of processes. Counts merge exactly, so the
+    result does not depend on shards.
+    """
+    for n in ns:
+        check_guard(n, force)
+    if shards < 1:
+        raise ValueError("shards must be positive")
+    tasks = [(kernel, n, index, shards, force) for n in ns for index in range(shards)]
+    if shards == 1:
+        counts = list(map(_count_block, tasks))
+    else:
+        with pool(max_workers=min(shards, os.cpu_count() or 1)) as workers:
+            counts = list(workers.map(_count_block, tasks))
+    return {
+        n: sum(counts[at * shards : (at + 1) * shards], Counter())
+        for at, n in enumerate(ns)
+    }
+
+
+def _count_block(task: tuple) -> Counter:
+    kernel, n, index, total, force = task
+    return Counter(map(kernel, enumerate_sn(n, shard=(index, total), force=force)))

@@ -3,7 +3,8 @@
 A(n, i, j) counts permutations of {1, ..., n} with i - 1 inverse descents
 and j - 1 descents. Routes implemented here:
 
-- brute force over S_n (optionally sharded) histogramming both statistics;
+- brute force over S_n (optionally sharded) histogramming both statistics
+  on the shared walk in perm;
 - a four-term recurrence producing n * A(n, i, j) from row n - 1, with the
   divisibility by n asserted on every entry;
 - the grid series: A_n(s, t) / ((1 - s)**(n+1) (1 - t)**(n+1)) has
@@ -27,21 +28,17 @@ Gessel's conjecture, proved by Z. Lin (Electron. J. Combin. 23, 2016).
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import factorial
 
-from .common import CheckReport, ConsistencyError, GuardRailError
+from .common import CheckReport, ConsistencyError
 from .exactnum import (
     BiPoly,
     binomial,
     geometric_power_window,
     series_product_bivariate,
 )
-from .perm import enumerate_sn
-
-BRUTE_FORCE_GUARD = 11
+from .perm import histogram, pair_kernel
 
 
 @dataclass(frozen=True)
@@ -67,65 +64,17 @@ class TwoSidedTable:
         return tuple(sum(col) for col in zip(*self.entries))
 
 
-def _check_brute_rail(n: int, force: bool) -> None:
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > BRUTE_FORCE_GUARD and not force:
-        raise GuardRailError(
-            f"brute force over S_{n} means {factorial(n)} permutations; "
-            f"pass force (--force) to go past n={BRUTE_FORCE_GUARD}"
-        )
-
-
-def _pair_histogram_shard(task: tuple[int, int, int, bool]) -> list[int]:
-    n, index, total, force = task
-    hist = [0] * (n * n)
-    inv = [0] * n
-    for w in enumerate_sn(n, shard=(index, total), force=force):
-        des = 0
-        prev = w[0]
-        for x in w[1:]:
-            if prev > x:
-                des += 1
-            prev = x
-        for pos, letter in enumerate(w, start=1):
-            inv[letter - 1] = pos
-        ides = 0
-        prev = inv[0]
-        for x in inv[1:]:
-            if prev > x:
-                ides += 1
-            prev = x
-        hist[ides * n + des] += 1
-    return hist
-
-
 def brute_force_tables(
     ns: list[int], shards: int = 1, force: bool = False
 ) -> dict[int, TwoSidedTable]:
     """Brute-force (ides, des) histograms for several n with one pool."""
-    for n in ns:
-        _check_brute_rail(n, force)
-    if shards < 1:
-        raise ValueError("shards must be positive")
-    tasks = [(n, index, shards, force) for n in ns for index in range(shards)]
-    if shards == 1:
-        results = [_pair_histogram_shard(task) for task in tasks]
-    else:
-        # The shard count fixes the task list; workers stop at the CPU count.
-        workers = min(shards, os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_pair_histogram_shard, tasks))
-    tables: dict[int, TwoSidedTable] = {}
-    for n_at, n in enumerate(ns):
-        merged = [0] * (n * n)
-        for index in range(shards):
-            for i, c in enumerate(results[n_at * shards + index]):
-                merged[i] += c
-        tables[n] = TwoSidedTable(
-            n, tuple(tuple(merged[i * n : (i + 1) * n]) for i in range(n))
+    counts = histogram(ns, pair_kernel, shards, force, pool=ProcessPoolExecutor)
+    return {
+        n: TwoSidedTable(
+            n, tuple(tuple(counts[n][i, j] for j in range(n)) for i in range(n))
         )
-    return tables
+        for n in ns
+    }
 
 
 def two_sided_brute_force(n: int, shards: int = 1, force: bool = False) -> TwoSidedTable:

@@ -1,6 +1,7 @@
 """Balls-in-boxes oracles against the closed-form counts."""
 
 import itertools
+from collections import Counter
 from math import comb
 
 import pytest
@@ -222,6 +223,30 @@ def test_grid_placements_standardize_bijectively():
         seen.add((barred.underlying, barred.column_blocks, barred.row_blocks))
         count += 1
     assert len(seen) == count == comb(4 + 2, 3)
+
+
+def test_streamed_censuses_match_the_dataclass_route():
+    # every placement with n <= 4, standardized one at a time through the
+    # dataclasses, against the streaming oracles
+    for n in range(1, 5):
+        for k in range(4):
+            expected = Counter(
+                assignment_to_barred(BoxAssignment(n, k, boxes)).underlying
+                for boxes in itertools.product(range(1, k + 1), repeat=n)
+            )
+            assert oracle_barred_census(n, k) == expected
+        for columns in range(4):
+            for rows in range(4):
+                cells = [(c, r) for c in range(1, columns + 1) for r in range(1, rows + 1)]
+                expected = Counter()
+                for chosen in itertools.combinations_with_replacement(cells, n):
+                    g = GridPlacement.from_triples(
+                        [(c, r, chosen.count((c, r))) for c, r in set(chosen)],
+                        columns=columns,
+                        rows=rows,
+                    )
+                    expected[grid_placement_to_permutation(g).underlying] += 1
+                assert oracle_two_sided_census(n, columns, rows) == expected
 
 
 def test_grid_census_budget():

@@ -11,7 +11,6 @@ from eulerian_workbench.common import GuardRailError
 from eulerian_workbench.eulerian import eulerian_polynomial, gamma_extract
 from eulerian_workbench.exactnum import BiPoly, UniPoly
 from eulerian_workbench.hopping import (
-    CENSUS_GUARD,
     DOUBLE_ASCENT,
     DOUBLE_DESCENT,
     PEAK,
@@ -27,7 +26,7 @@ from eulerian_workbench.hopping import (
     peak_values,
     valley_values,
 )
-from eulerian_workbench.perm import descent_count, enumerate_sn, identity
+from eulerian_workbench.perm import BRUTE_FORCE_GUARD, descent_count, enumerate_sn, identity
 from eulerian_workbench.twosided import two_sided_polynomial
 
 GOLDEN = (8, 6, 3, 2, 4, 7, 1, 5, 9)
@@ -236,7 +235,7 @@ def test_each_orbit_has_one_member_without_double_descents():
 
 def test_census_guard_rail():
     with pytest.raises(GuardRailError):
-        orbit_census(CENSUS_GUARD + 1)
+        orbit_census(BRUTE_FORCE_GUARD + 1)
 
 
 # ---------------------------------------------------------------------------

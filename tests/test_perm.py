@@ -11,26 +11,28 @@ from hypothesis import strategies as st
 
 from eulerian_workbench import perm
 from eulerian_workbench.common import GuardRailError
+from eulerian_workbench.eulerian import brute_force_rows
 from eulerian_workbench.perm import (
-    FULL_STREAM_GUARD,
+    BRUTE_FORCE_GUARD,
+    Perm,
     ascent_count,
+    census_kernel,
     check_permutation,
-    compose_simple_transposition,
     descent_count,
-    descents_via_inversions,
     enumerate_sn,
     excedance_count,
     format_permutation,
+    histogram,
     identity,
     inverse,
     inverse_descent_count,
     inversion_count,
-    next_permutation,
     parse_permutation,
     run_count,
     statistic_profile,
     unrank,
 )
+from eulerian_workbench.twosided import brute_force_tables
 
 
 def test_module_doctests():
@@ -136,6 +138,45 @@ def test_equidistribution_over_s5():
     assert des_hist == {0: 1, 1: 26, 2: 66, 3: 26, 4: 1}
 
 
+def compose_simple_transposition(w: Perm, r: int, side: str) -> Perm:
+    """Compose w with the adjacent transposition swapping r and r + 1.
+
+    side "right" applies the transposition first, so positions r and r + 1
+    of w swap. side "left" applies it last, so the letters r and r + 1 swap
+    wherever they sit.
+    """
+    n = len(w)
+    if not 1 <= r <= n - 1:
+        raise ValueError(f"transposition index must be in 1..{n - 1}")
+    if side == "right":
+        out = list(w)
+        out[r - 1], out[r] = out[r], out[r - 1]
+        return tuple(out)
+    if side == "left":
+        swap = {r: r + 1, r + 1: r}
+        return tuple(swap.get(x, x) for x in w)
+    raise ValueError("side must be 'left' or 'right'")
+
+
+def descents_via_inversions(w: Perm, side: str = "right") -> int:
+    """Count r where composing with the transposition at r lowers inv.
+
+    With side "right" this equals descent_count(w); with side "left" it
+    equals descent_count(inverse(w)).
+    """
+    base = inversion_count(w)
+    return sum(
+        1
+        for r in range(1, len(w))
+        if inversion_count(compose_simple_transposition(w, r, side)) < base
+    )
+
+
+def test_compose_simple_transposition_worked_examples():
+    assert compose_simple_transposition((2, 1, 3), 2, "right") == (2, 3, 1)
+    assert compose_simple_transposition((2, 1, 3), 2, "left") == (3, 1, 2)
+
+
 def test_transpositions_move_one_inversion():
     for w in enumerate_sn(5):
         for r in range(1, 5):
@@ -198,12 +239,58 @@ def test_unrank_range_check():
         unrank(3, -1)
 
 
+def _next_permutation(letters: list[int]) -> bool:
+    """Advance letters to the lexicographic successor in place.
+
+    Returns False when letters is already the last arrangement.
+    """
+    i = len(letters) - 2
+    while i >= 0 and letters[i] >= letters[i + 1]:
+        i -= 1
+    if i < 0:
+        return False
+    j = len(letters) - 1
+    while letters[j] <= letters[i]:
+        j -= 1
+    letters[i], letters[j] = letters[j], letters[i]
+    letters[i + 1 :] = reversed(letters[i + 1 :])
+    return True
+
+
 def test_next_permutation_walks_lex_order():
     letters = [1, 2, 3]
     seen = [tuple(letters)]
-    while next_permutation(letters):
+    while _next_permutation(letters):
         seen.append(tuple(letters))
     assert seen == list(itertools.permutations([1, 2, 3]))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_shard_blocks_follow_the_successor_walk(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    total = data.draw(st.integers(1, 12), label="total")
+    index = data.draw(st.integers(0, total - 1), label="index")
+    start = index * factorial(n) // total
+    stop = (index + 1) * factorial(n) // total
+    expected = []
+    if start < stop:
+        letters = list(unrank(n, start))
+        expected.append(tuple(letters))
+        while len(expected) < stop - start and _next_permutation(letters):
+            expected.append(tuple(letters))
+    assert list(enumerate_sn(n, shard=(index, total))) == expected
+
+
+def test_shard_counts_give_identical_tables():
+    ns = list(range(1, 9))
+    rows = brute_force_rows(ns)
+    tables = brute_force_tables(ns)
+    census = histogram(ns, census_kernel)
+    for shards in (2, 3, 7, 8):
+        assert brute_force_rows(ns, shards=shards) == rows
+        assert brute_force_tables(ns, shards=shards) == tables
+        assert histogram(ns, census_kernel, shards=shards) == census
 
 
 def test_enumeration_matches_itertools():
@@ -232,7 +319,7 @@ def test_shard_validation():
 
 
 def test_full_stream_guard_rail():
-    big = FULL_STREAM_GUARD + 1
+    big = BRUTE_FORCE_GUARD + 1
     with pytest.raises(GuardRailError):
         enumerate_sn(big)
     with pytest.raises(GuardRailError):
