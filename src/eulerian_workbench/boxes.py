@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .common import GuardRailError
 from .exactnum import binomial
@@ -41,7 +41,6 @@ from .perm import (
     Perm,
     check_permutation,
     descent_count,
-    format_permutation,
     inverse,
     inverse_descent_count,
 )
@@ -263,24 +262,3 @@ def oracle_two_sided_census(n: int, columns: int, rows: int) -> dict[Perm, int]:
         inverse(sorted(positions, key=((0,) + multiset).__getitem__))
         for multiset in itertools.combinations_with_replacement(by_row, n)
     ))
-
-
-# ---------------------------------------------------------------------------
-# census serialization
-
-
-def census_to_obj(census: Mapping[Perm, int]) -> dict[str, str]:
-    """JSON form: permutation text to decimal count, keys in lex order."""
-    return {
-        format_permutation(w): str(census[w]) for w in sorted(census)
-    }
-
-
-def census_to_csv(census: Mapping[Perm, int]) -> str:
-    lines = ["permutation,count"]
-    for w in sorted(census):
-        text = format_permutation(w)
-        if "," in text:
-            text = f'"{text}"'
-        lines.append(f"{text},{census[w]}")
-    return "\n".join(lines) + "\n"

@@ -3,16 +3,36 @@
 Subcommands: stats, eulerian, two-sided, gamma, gessel, orbit, orbits,
 series, verify. Data goes to stdout; progress, warnings, and timings go to
 stderr. Output is deterministic: the same invocation produces the same
-bytes, whatever the shard count.
+bytes, whatever the shard count. Brute-force runs default to one
+in-process shard while the largest n walks S_n as a single run
+(n <= perm.SUFFIX) and to the cpu count above that.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 guard rail.
 
 All numbers inside JSON payloads are decimal strings so the schema never
 changes shape when entries outgrow native integers.
 
-The cache directory (--cache or $EULERIAN_WORKBENCH_CACHE) stores verified
-recurrence tables as JSON with a checksum; entries failing the checksum or
-the row-sum revalidation are rejected with a warning and recomputed.
+The tables behind eulerian, two-sided, gamma and gessel come from one
+provider, _tables. Each entry is rendered to decimal text at most once per
+invocation, and that text feeds the cache and every output format.
+
+The cache directory (--cache or $EULERIAN_WORKBENCH_CACHE) keeps one file
+per table, {kind}-n{n}.json, holding the line
+
+    {"schema": 2, "sha256": "<hex>", "payload": <payload>}
+
+where <payload> is the table's JSON object ({"n": ..., "A": ...}) in
+canonical form and the checksum covers exactly those bytes, so a load
+hashes what it read. A loaded entry must carry schema 2, match its
+checksum, hold decimal strings (0|[1-9][0-9]*) of the right shape and pass
+revalidation: a row sums to n!, is palindromic and unimodal, and satisfies
+Worpitzky's identity at k = 2 and 3; an array sums to n!, is symmetric
+under transpose and under 180-degree rotation, its row and column
+marginals agree and pass the row check, and it satisfies the two-sided
+Worpitzky identity at (k, l) = (2, 3). Anything else is rejected with a
+warning naming the reason and recomputed. Entries are written through a
+temporary file with a fresh random name in the cache directory and renamed
+into place.
 """
 
 from __future__ import annotations
@@ -23,8 +43,10 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import time
+from functools import cached_property
 from math import factorial
 from pathlib import Path
 
@@ -37,9 +59,10 @@ from .exactnum import (
     series_product,
     series_product_bivariate,
 )
-from .perm import format_permutation, parse_permutation, statistic_profile
+from .perm import SUFFIX, format_permutation, parse_permutation, statistic_profile
 
 CACHE_ENV = "EULERIAN_WORKBENCH_CACHE"
+CACHE_SCHEMA = 2
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -48,73 +71,49 @@ EXIT_GUARD = 3
 
 
 # ---------------------------------------------------------------------------
-# cache
+# tables
 
 
-def _canonical(payload) -> bytes:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+class Table:
+    """One n of a table kind ("eulerian" or "twosided"): integers and text.
 
+    value is the Eulerian row (a tuple of ints) or the TwoSidedTable; obj is
+    the JSON object {"n": ..., "A": ...} whose "A" holds the same entries as
+    decimal strings. One of the two is given and the other derived on first
+    use: a computed table renders its text once, and a cache hit keeps only
+    its text, the integers being parsed again only where a command needs
+    them (gamma, gessel).
+    """
 
-def cache_store(cache_dir: Path, kind: str, n: int, payload: dict) -> None:
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    body = {
-        "payload": payload,
-        "sha256": hashlib.sha256(_canonical(payload)).hexdigest(),
-    }
-    path = cache_dir / f"{kind}-n{n}.json"
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(body, indent=2) + "\n")
-    os.replace(tmp, path)
+    def __init__(self, kind: str, n: int, value=None, obj: dict | None = None):
+        self.kind = kind
+        self.n = n
+        if value is not None:
+            self.value = value
+        if obj is not None:
+            self.obj = obj
 
+    @cached_property
+    def obj(self) -> dict:
+        if self.kind == "twosided":
+            return twosided.table_to_obj(self.value)
+        return eulerian.row_to_obj(self.n, self.value)
 
-def cache_load(cache_dir: Path, kind: str, n: int):
-    """Load a verified table, or None (with a stderr warning) if unusable."""
-    path = cache_dir / f"{kind}-n{n}.json"
-    if not path.exists():
-        return None
-    try:
-        body = json.loads(path.read_text())
-        payload = body["payload"]
-        if hashlib.sha256(_canonical(payload)).hexdigest() != body["sha256"]:
-            raise ValueError("checksum mismatch")
-        if kind == "eulerian":
-            n_got, row, _ = eulerian.row_from_obj(payload)
-            if n_got != n or sum(row) != factorial(n):
-                raise ValueError("row fails revalidation")
-            return row
-        if kind == "twosided":
-            table = twosided.table_from_obj(payload)
-            if table.n != n or table.total() != factorial(n):
-                raise ValueError("array fails revalidation")
-            return table
-        raise ValueError(f"unknown cache kind {kind}")
-    except Exception as exc:
-        print(
-            f"warning: cache entry {path} rejected ({exc}); recomputing",
-            file=sys.stderr,
-        )
-        return None
+    @cached_property
+    def value(self):
+        if self.kind == "twosided":
+            return twosided.table_from_obj(self.obj)
+        return eulerian.row_from_obj(self.obj)[1]
 
+    @property
+    def text(self) -> list:
+        return self.obj["A"]
 
-def _cache_dir(args) -> Path | None:
-    if getattr(args, "cache", None):
-        return Path(args.cache)
-    env = os.environ.get(CACHE_ENV)
-    return Path(env) if env else None
-
-
-def _effective_shards(args) -> int:
-    if getattr(args, "shards", None) is not None:
-        if args.shards < 1:
-            raise ValueError("--shards must be positive")
-        return args.shards
-    if getattr(args, "source", "recurrence") == "brute":
-        return os.cpu_count() or 1
-    return 1
-
-
-# ---------------------------------------------------------------------------
-# table providers
+    def width(self) -> int:
+        """Digits of the widest entry."""
+        if self.kind == "twosided":
+            return max(len(c) for row in self.text for c in row)
+        return max(map(len, self.text))
 
 
 def _requested_ns(args) -> list[int]:
@@ -127,52 +126,160 @@ def _requested_ns(args) -> list[int]:
     return list(range(1, args.n_max + 1))
 
 
-def _eulerian_rows(args, ns: list[int]) -> list[tuple[int, tuple[int, ...]]]:
-    if args.source == "brute":
-        rows = eulerian.brute_force_rows(
-            ns, shards=_effective_shards(args), force=args.force
-        )
-        return [(n, rows[n]) for n in ns]
-    cache_dir = _cache_dir(args)
-    out: dict[int, tuple[int, ...]] = {}
-    missing = []
-    for n in ns:
-        row = cache_load(cache_dir, "eulerian", n) if cache_dir else None
-        if row is None:
-            missing.append(n)
-        else:
-            out[n] = row
-    if missing:
-        table = eulerian.table_from_recurrence(max(missing))
-        for n in missing:
-            out[n] = table.row(n)
-            if cache_dir:
-                cache_store(cache_dir, "eulerian", n, eulerian.row_to_obj(n, out[n]))
-    return [(n, out[n]) for n in ns]
+def _effective_shards(args, n_top: int) -> int:
+    """--shards, else one in-process shard while S_n is a single run."""
+    if args.shards is not None:
+        if args.shards < 1:
+            raise ValueError("--shards must be positive")
+        return args.shards
+    return (os.cpu_count() or 1) if n_top > SUFFIX else 1
 
 
-def _two_sided_tables(args, ns: list[int]) -> list[twosided.TwoSidedTable]:
+def _tables(args, kind: str) -> list[Table]:
+    """Tables of kind "eulerian" or "twosided" for the requested ns.
+
+    Brute force never touches the cache. Otherwise every n is a cache hit
+    or comes from one recurrence run up to the largest missing n, and is
+    stored back when a cache directory is set.
+    """
+    ns = _requested_ns(args)
     if args.source == "brute":
-        tables = twosided.brute_force_tables(
-            ns, shards=_effective_shards(args), force=args.force
+        brute = (
+            eulerian.brute_force_rows if kind == "eulerian"
+            else twosided.brute_force_tables
         )
-        return [tables[n] for n in ns]
+        found = brute(ns, shards=_effective_shards(args, max(ns)), force=args.force)
+        return [Table(kind, n, found[n]) for n in ns]
     cache_dir = _cache_dir(args)
-    out: dict[int, twosided.TwoSidedTable] = {}
-    missing = []
+    out: dict[int, Table] = {}
     for n in ns:
-        table = cache_load(cache_dir, "twosided", n) if cache_dir else None
-        if table is None:
-            missing.append(n)
-        else:
-            out[n] = table
+        hit = cache_load(cache_dir, kind, n) if cache_dir else None
+        if hit is not None:
+            out[n] = hit
+    missing = [n for n in ns if n not in out]
     if missing:
-        computed = twosided.two_sided_from_recurrence(max(missing))
+        if kind == "eulerian":
+            computed = eulerian.table_from_recurrence(max(missing)).rows
+        else:
+            computed = twosided.two_sided_from_recurrence(max(missing))
         for n in missing:
-            out[n] = computed[n - 1]
+            table = out[n] = Table(kind, n, computed[n - 1])
             if cache_dir:
-                cache_store(cache_dir, "twosided", n, twosided.table_to_obj(out[n]))
+                cache_store(cache_dir, kind, n, table.obj)
     return [out[n] for n in ns]
+
+
+# ---------------------------------------------------------------------------
+# cache
+
+_HEADER = re.compile(rb'\{"schema": (\d+), "sha256": "([0-9a-f]{64})", "payload": ')
+_DECIMAL = re.compile(r"0|[1-9][0-9]*")
+
+
+def _cache_dir(args) -> Path | None:
+    if getattr(args, "cache", None):
+        return Path(args.cache)
+    env = os.environ.get(CACHE_ENV)
+    return Path(env) if env else None
+
+
+def cache_store(cache_dir: Path, kind: str, n: int, payload: dict) -> None:
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    digest = hashlib.sha256(body).hexdigest()
+    head = f'{{"schema": {CACHE_SCHEMA}, "sha256": "{digest}", "payload": '
+    # a fresh random name, created exclusively, so concurrent writers never
+    # share a temporary file; "x" mode keeps the umask's permissions
+    tmp = cache_dir / f".{kind}-n{n}-{os.urandom(8).hex()}.tmp"
+    f = open(tmp, "xb")
+    try:
+        with f:
+            f.write(head.encode() + body + b"}\n")
+        os.replace(tmp, cache_dir / f"{kind}-n{n}.json")
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def cache_load(cache_dir: Path, kind: str, n: int) -> Table | None:
+    """Load a verified table, or None (with a stderr warning) if unusable."""
+    path = cache_dir / f"{kind}-n{n}.json"
+    if not path.exists():
+        return None
+    try:
+        data = path.read_bytes()
+        head = _HEADER.match(data)
+        if head is None:
+            raise ValueError(f"no schema {CACHE_SCHEMA} header; old format or damaged")
+        if int(head[1]) != CACHE_SCHEMA:
+            raise ValueError(f"unknown schema version {int(head[1])}")
+        body = data[head.end():]
+        body = body[:-1] if body.endswith(b"\n") else body
+        if not body.endswith(b"}"):
+            raise ValueError("truncated entry")
+        body = body[:-1]
+        if hashlib.sha256(body).hexdigest() != head[2].decode():
+            raise ValueError("checksum mismatch")
+        return _revalidated(kind, n, json.loads(body))
+    except Exception as exc:
+        print(
+            f"warning: cache entry {path} rejected ({exc}); recomputing",
+            file=sys.stderr,
+        )
+        return None
+
+
+def _revalidated(kind: str, n: int, payload: dict) -> Table:
+    """The Table a checksummed payload holds, once its entries prove sound."""
+    if payload.get("n") != str(n):
+        raise ValueError(f"entry is not for n={n}")
+    # stored with sorted keys; the JSON output puts "n" first
+    obj = {"n": payload["n"], "A": payload["A"]}
+    if kind == "eulerian":
+        _check_decimals(obj["A"])
+        _, row, _ = eulerian.row_from_obj(obj)
+        _check_row(n, row)
+        return Table(kind, n, obj=obj)
+    if kind == "twosided":
+        for text in obj["A"]:
+            _check_decimals(text)
+        table = twosided.table_from_obj(obj)
+        _check_array(table)
+        return Table(kind, n, obj=obj)
+    raise ValueError(f"unknown cache kind {kind}")
+
+
+def _check_decimals(text) -> None:
+    if not isinstance(text, list) or not all(map(_DECIMAL.fullmatch, text)):
+        raise ValueError("entries are not decimal strings")
+
+
+def _check_row(n: int, row: tuple[int, ...]) -> None:
+    """Row n of the Eulerian triangle: sum, palindrome, unimodality, Worpitzky."""
+    half = row[: (n + 1) // 2]
+    if (
+        sum(row) != factorial(n)
+        or row != row[::-1]
+        or any(a > b for a, b in zip(half, half[1:]))
+    ):
+        raise ValueError("row fails revalidation")
+    for k in (2, 3):
+        eulerian.worpitzky_identity(n, k, row)
+
+
+def _check_array(table: twosided.TwoSidedTable) -> None:
+    """Array n: total, symmetries, Eulerian marginals, a Worpitzky grid sum."""
+    entries = table.entries
+    marginal = table.row_marginal()
+    if (
+        table.total() != factorial(table.n)
+        or entries != tuple(zip(*entries))
+        or entries != tuple(row[::-1] for row in reversed(entries))
+        or marginal != table.column_marginal()
+    ):
+        raise ValueError("array fails revalidation")
+    _check_row(table.n, marginal)
+    twosided.worpitzky_grid_identity(table.n, 2, 3, table)
 
 
 # ---------------------------------------------------------------------------
@@ -184,46 +291,51 @@ def _emit_json(payload) -> None:
 
 
 def _emit_csv(rows: list[list[str]]) -> None:
+    """Write rows exactly as csv.writer(lineterminator="\n") would.
+
+    A row is joined directly unless a field holds a delimiter, a quote or a
+    line break, or the row is one empty field; only those rows go through
+    csv.writer.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
+    for row in rows:
+        line = ",".join(row)
+        if (
+            line.count(",") + 1 != len(row)
+            or not line
+            or '"' in line
+            or "\r" in line
+            or "\n" in line
+        ):
+            writer.writerow(row)
+        else:
+            buf.write(line)
+            buf.write("\n")
     sys.stdout.write(buf.getvalue())
 
 
-def _triangle_text(rows: list[tuple[int, tuple[int, ...]]], corner: str) -> str:
-    n_top = max(n for n, _ in rows)
-    width = max(len(str(c)) for _, row in rows for c in row)
-    width = max(width, len(corner), len(str(n_top)))
-    lines = [
-        "  ".join(
-            [corner.ljust(width)] + [str(i).rjust(width) for i in range(1, n_top + 1)]
-        ).rstrip()
-    ]
-    for n, row in rows:
-        lines.append(
-            "  ".join(
-                [str(n).ljust(width)] + [str(c).rjust(width) for c in row]
-            ).rstrip()
-        )
-    return "\n".join(lines)
+def _aligned(label: str, cells, width: int) -> str:
+    return "  ".join([label.ljust(width)] + [c.rjust(width) for c in cells]).rstrip()
 
 
-def _square_text(table: twosided.TwoSidedTable) -> str:
+def _print_triangle(rows: list[Table], corner: str) -> None:
+    """Print the rows right-aligned in one width, a line at a time."""
+    n_top = max(t.n for t in rows)
+    width = max(max(t.width() for t in rows), len(corner), len(str(n_top)))
+    print(_aligned(corner, [str(i) for i in range(1, n_top + 1)], width))
+    for t in rows:
+        print(_aligned(str(t.n), t.text, width))
+
+
+def _square_text(table: Table) -> str:
     n = table.n
-    width = max(len(str(c)) for row in table.entries for c in row)
-    width = max(width, len("i\\j"), len(str(n)))
-    lines = [f"n={n}"]
-    lines.append(
-        "  ".join(
-            ["i\\j".ljust(width)] + [str(j).rjust(width) for j in range(1, n + 1)]
-        ).rstrip()
+    width = max(table.width(), len("i\\j"), len(str(n)))
+    header = [str(j) for j in range(1, n + 1)]
+    lines = [f"n={n}", _aligned("i\\j", header, width)]
+    lines.extend(
+        _aligned(str(i), row, width) for i, row in enumerate(table.text, start=1)
     )
-    for i, row in enumerate(table.entries, start=1):
-        lines.append(
-            "  ".join(
-                [str(i).ljust(width)] + [str(c).rjust(width) for c in row]
-            ).rstrip()
-        )
     return "\n".join(lines)
 
 
@@ -244,14 +356,6 @@ def report_to_obj(suite: str, checks: list[CheckReport]) -> dict:
         ],
         "status": "pass" if all(c.ok for c in checks) else "fail",
     }
-
-
-def report_from_obj(obj: dict) -> tuple[str, list[CheckReport]]:
-    checks = [
-        CheckReport(c["status"] == "pass", c["description"], c.get("detail", ""))
-        for c in obj["checks"]
-    ]
-    return obj["suite"], checks
 
 
 # ---------------------------------------------------------------------------
@@ -300,24 +404,24 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_eulerian(args) -> int:
-    rows = _eulerian_rows(args, _requested_ns(args))
+    rows = _tables(args, "eulerian")
     if args.format == "json":
-        _emit_json(_single_or_list([eulerian.row_to_obj(n, row) for n, row in rows]))
+        _emit_json(_single_or_list([t.obj for t in rows]))
     elif args.format == "csv":
-        n_top = max(n for n, _ in rows)
+        n_top = max(t.n for t in rows)
         out = [["n\\i"] + [str(i) for i in range(1, n_top + 1)]]
-        for n, row in rows:
-            out.append([str(n)] + [str(c) for c in row] + [""] * (n_top - n))
+        for t in rows:
+            out.append([str(t.n)] + t.text + [""] * (n_top - t.n))
         _emit_csv(out)
     else:
-        print(_triangle_text(rows, "n\\i"))
+        _print_triangle(rows, "n\\i")
     return EXIT_OK
 
 
 def _cmd_two_sided(args) -> int:
-    tables = _two_sided_tables(args, _requested_ns(args))
+    tables = _tables(args, "twosided")
     if args.format == "json":
-        _emit_json(_single_or_list([twosided.table_to_obj(t) for t in tables]))
+        _emit_json(_single_or_list([t.obj for t in tables]))
     elif args.format == "csv":
         out: list[list[str]] = []
         for at, t in enumerate(tables):
@@ -325,8 +429,8 @@ def _cmd_two_sided(args) -> int:
                 out.append([])
             out.append([f"n={t.n}"])
             out.append(["i\\j"] + [str(j) for j in range(1, t.n + 1)])
-            for i, row in enumerate(t.entries, start=1):
-                out.append([str(i)] + [str(c) for c in row])
+            for i, row in enumerate(t.text, start=1):
+                out.append([str(i)] + row)
         _emit_csv(out)
     else:
         print("\n\n".join(_square_text(t) for t in tables))
@@ -334,39 +438,51 @@ def _cmd_two_sided(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
-    rows = _eulerian_rows(args, _requested_ns(args))
-    enriched = []
-    for n, row in rows:
-        gv = eulerian.gamma_extract(UniPoly.from_coeffs((0,) + row), n)
-        enriched.append((n, row, gv.gammas))
+    rows = _tables(args, "eulerian")
+    enriched = [
+        (t, eulerian.gamma_extract(UniPoly.from_coeffs((0,) + t.value), t.n).gammas)
+        for t in rows
+    ]
     if args.format == "json":
         _emit_json(
             _single_or_list(
-                [eulerian.row_to_obj(n, row, gamma) for n, row, gamma in enriched]
+                [{**t.obj, "gamma": [str(g) for g in gamma]} for t, gamma in enriched]
             )
         )
     elif args.format == "csv":
-        top = max((len(g) for _, _, g in enriched), default=0)
+        top = max((len(g) for _, g in enriched), default=0)
         out = [["n\\i"] + [str(i) for i in range(1, top + 1)]]
-        for n, _, gamma in enriched:
-            out.append([str(n)] + [str(g) for g in gamma] + [""] * (top - len(gamma)))
+        for t, gamma in enriched:
+            out.append([str(t.n)] + [str(g) for g in gamma] + [""] * (top - len(gamma)))
         _emit_csv(out)
     else:
-        for n, _, gamma in enriched:
+        for t, gamma in enriched:
             body = ", ".join(str(g) for g in gamma)
-            print(f"n={n}: gamma = [{body}]")
+            print(f"n={t.n}: gamma = [{body}]")
     return EXIT_OK
 
 
 def _cmd_gessel(args) -> int:
-    tables = _two_sided_tables(args, _requested_ns(args))
+    tables = _tables(args, "twosided")
     expanded = [
-        (t, twosided.gessel_solve(twosided.polynomial_from_table(t), t.n))
+        (t, twosided.gessel_solve(twosided.polynomial_from_table(t.value), t.n))
         for t in tables
     ]
     if args.format == "json":
         _emit_json(
-            _single_or_list([twosided.table_to_obj(t, e) for t, e in expanded])
+            _single_or_list(
+                [
+                    {
+                        **t.obj,
+                        "gamma": {
+                            f"({i},{j})": str(e.gammas[(i, j)])
+                            for i, j in sorted(e.gammas)
+                        },
+                        "gessel_nonnegative": e.nonnegative,
+                    }
+                    for t, e in expanded
+                ]
+            )
         )
     elif args.format == "csv":
         out = [["n", "i", "j", "gamma"]]
@@ -571,7 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--shards", type=int, metavar="N",
         help="shard count for brute-force enumeration; worker processes "
-        "are capped at the cpu count (default: cpu count)",
+        f"are capped at the cpu count (default: 1 up to n={SUFFIX}, else the cpu count)",
     )
     shared.add_argument(
         "--force", action="store_true",

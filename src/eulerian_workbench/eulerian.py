@@ -116,7 +116,8 @@ def worpitzky_identity(n: int, k: int, row: tuple[int, ...] | None = None) -> in
         raise ValueError("k must be nonnegative")
     if row is None:
         row = table_from_recurrence(n).row(n)
-    value = sum(row[i - 1] * binomial(k + n - i, n) for i in range(1, n + 1))
+    # binomial(k + n - i, n) vanishes for i > k, so only i <= min(n, k) count.
+    value = sum(row[i - 1] * binomial(k + n - i, n) for i in range(1, min(n, k) + 1))
     if value != k**n:
         raise ConsistencyError(
             f"Worpitzky sum at n={n}, k={k} gave {value}, expected {k**n}"

