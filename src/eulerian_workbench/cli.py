@@ -52,17 +52,22 @@ from pathlib import Path
 
 from . import eulerian, hopping, twosided, verify
 from .common import CheckReport, ConsistencyError, GuardRailError
-from .exactnum import (
-    UniPoly,
-    binomial,
-    geometric_power_window,
-    series_product,
-    series_product_bivariate,
+from .exactnum import binomial
+from .perm import (
+    SUFFIX,
+    descent_count,
+    format_permutation,
+    inverse_descent_count,
+    parse_permutation,
+    statistic_profile,
 )
-from .perm import SUFFIX, format_permutation, parse_permutation, statistic_profile
 
 CACHE_ENV = "EULERIAN_WORKBENCH_CACHE"
 CACHE_SCHEMA = 2
+
+# Entries a series window may hold without --force: K + 1 for --terms K, or
+# (K + 1)**2 with --bivariate.
+SERIES_WINDOW_BUDGET = 10**6
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -103,7 +108,7 @@ class Table:
     def value(self):
         if self.kind == "twosided":
             return twosided.table_from_obj(self.obj)
-        return eulerian.row_from_obj(self.obj)[1]
+        return eulerian.row_from_obj(self.obj)
 
     @property
     def text(self) -> list:
@@ -237,7 +242,7 @@ def _revalidated(kind: str, n: int, payload: dict) -> Table:
     obj = {"n": payload["n"], "A": payload["A"]}
     if kind == "eulerian":
         _check_decimals(obj["A"])
-        _, row, _ = eulerian.row_from_obj(obj)
+        row = eulerian.row_from_obj(obj)
         _check_row(n, row)
         return Table(kind, n, obj=obj)
     if kind == "twosided":
@@ -440,7 +445,7 @@ def _cmd_two_sided(args) -> int:
 def _cmd_gamma(args) -> int:
     rows = _tables(args, "eulerian")
     enriched = [
-        (t, eulerian.gamma_extract(UniPoly.from_coeffs((0,) + t.value), t.n).gammas)
+        (t, eulerian.gamma_extract(eulerian.polynomial_from_row(t.value), t.n).gammas)
         for t in rows
     ]
     if args.format == "json":
@@ -505,14 +510,9 @@ def _cmd_orbit(args) -> int:
     orbit = hopping.orbit_of(w)
     uni = hopping.orbit_descent_polynomial(orbit)
     bi = hopping.orbit_descent_polynomial(orbit, "bivariate")
-    kinds = hopping.classify_letters(w)
-    peaks = [x for x, k in zip(w, kinds) if k == hopping.PEAK]
-    valleys = [x for x, k in zip(w, kinds) if k == hopping.VALLEY]
-    free = [
-        x
-        for x, k in zip(w, kinds)
-        if k in (hopping.DOUBLE_ASCENT, hopping.DOUBLE_DESCENT)
-    ]
+    peaks = hopping.peak_values(w)
+    valleys = hopping.valley_values(w)
+    free = hopping.free_values(w)
     uni_text = hopping.factored_univariate(orbit)
     bi_text = hopping.factored_bivariate(bi) or str(bi)
     if args.format == "json":
@@ -532,8 +532,6 @@ def _cmd_orbit(args) -> int:
         )
     elif args.format == "csv":
         out = [["member", "des", "ides"]]
-        from .perm import descent_count, inverse_descent_count
-
         for member in orbit.members:
             out.append(
                 [
@@ -577,18 +575,27 @@ def _cmd_orbits(args) -> int:
     return EXIT_OK
 
 
+def _check_series_budget(terms: int, bivariate: bool, force: bool) -> None:
+    """Refuse a series window past SERIES_WINDOW_BUDGET entries unless forced."""
+    entries = (terms + 1) ** 2 if bivariate else terms + 1
+    if entries > SERIES_WINDOW_BUDGET and not force:
+        raise GuardRailError(
+            f"a window of {entries} entries exceeds the series budget "
+            f"{SERIES_WINDOW_BUDGET}; pass --force to go past it"
+        )
+
+
 def _cmd_series(args) -> int:
     n, terms = args.n, args.terms
     if n is None or n < 1:
         raise ValueError("--n must be at least 1")
     if terms < 0:
         raise ValueError("--terms must be nonnegative")
+    _check_series_budget(terms, args.bivariate, args.force)
     if args.bivariate:
-        poly = twosided.two_sided_polynomial(n)
-        window = geometric_power_window(n + 1, terms)
-        grid = series_product_bivariate(poly, window, window)
+        grid = twosided.grid_window(twosided.two_sided_from_recurrence(n)[n - 1], terms)
         ok = all(
-            grid.coeffs[k][l] == binomial(k * l + n - 1, n)
+            grid[k][l] == binomial(k * l + n - 1, n)
             for k in range(terms + 1)
             for l in range(terms + 1)
         )
@@ -597,39 +604,38 @@ def _cmd_series(args) -> int:
                 {
                     "n": str(n),
                     "kind": "grid",
-                    "grid": [[str(c) for c in row] for row in grid.coeffs],
+                    "grid": [[str(c) for c in row] for row in grid],
                     "matches_closed_form": ok,
                 }
             )
         elif args.format == "csv":
             out = [["k\\l"] + [str(l) for l in range(terms + 1)]]
             for k in range(terms + 1):
-                out.append([str(k)] + [str(c) for c in grid.coeffs[k]])
+                out.append([str(k)] + [str(c) for c in grid[k]])
             _emit_csv(out)
         else:
-            for row in grid.coeffs:
+            for row in grid:
                 print(" ".join(str(c) for c in row))
             status = "match" if ok else "MISMATCH against"
             print(f"entries {status} binomial(kl+{n - 1},{n}) for k,l <= {terms}")
     else:
-        poly = eulerian.eulerian_polynomial(n)
-        window = series_product(poly, geometric_power_window(n + 1, terms))
-        ok = all(c == k**n for k, c in enumerate(window.coeffs))
+        window = eulerian.power_sum_window(eulerian.table_from_recurrence(n).row(n), terms)
+        ok = all(c == k**n for k, c in enumerate(window))
         if args.format == "json":
             _emit_json(
                 {
                     "n": str(n),
                     "kind": "power-sum",
-                    "coefficients": [str(c) for c in window.coeffs],
+                    "coefficients": [str(c) for c in window],
                     "matches_closed_form": ok,
                 }
             )
         elif args.format == "csv":
             out = [["k", "coefficient"]]
-            out.extend([str(k), str(c)] for k, c in enumerate(window.coeffs))
+            out.extend([str(k), str(c)] for k, c in enumerate(window))
             _emit_csv(out)
         else:
-            print(" ".join(str(c) for c in window.coeffs))
+            print(" ".join(str(c) for c in window))
             status = "match" if ok else "MISMATCH against"
             print(f"coefficients {status} k^{n} for 0 <= k <= {terms}")
     return EXIT_OK if ok else EXIT_VERIFICATION

@@ -12,6 +12,9 @@ equivalently i increasing runs, for 1 <= i <= n. Routes implemented here:
 - the derivative recurrence
   A_n(t) = n t A_{n-1}(t) + t (1 - t) A'_{n-1}(t).
 
+The checks take the rows they check, so a caller builds its table once;
+power_sum_window is the one series window, for the check and the CLI alike.
+
 The Eulerian polynomial A_n(t) = sum_i A(n, i) t**i has zero constant term
 and degree n, and its coefficient row is palindromic, so it expands in the
 basis t**i (1 + t)**(n + 1 - 2i); gamma_extract peels that expansion off in
@@ -40,12 +43,6 @@ class EulerianTable:
         if not 1 <= n <= self.n_max:
             raise ValueError(f"row {n} not in table")
         return self.rows[n - 1]
-
-    def entry(self, n: int, i: int) -> int:
-        row = self.row(n)
-        if not 1 <= i <= n:
-            return 0
-        return row[i - 1]
 
 
 def brute_force_rows(
@@ -76,29 +73,36 @@ def table_from_recurrence(n_max: int) -> EulerianTable:
     return EulerianTable(n_max, tuple(rows))
 
 
-def eulerian_polynomial(
-    n: int, source: str = "recurrence", shards: int = 1, force: bool = False
-) -> UniPoly:
-    """A_n(t): zero constant term, degree n."""
-    if source == "recurrence":
-        row = table_from_recurrence(n).row(n)
-    elif source == "brute":
-        row = table_brute_force(n, shards=shards, force=force)
-    else:
-        raise ValueError("source must be 'recurrence' or 'brute'")
+def polynomial_from_row(row: tuple[int, ...]) -> UniPoly:
+    """A_n(t) for row n of the triangle: zero constant term, degree n."""
     return UniPoly.from_coeffs((0,) + row)
 
 
-def verify_power_sum_series(n: int, terms: int, source: str = "recurrence") -> CheckReport:
-    """Check that A_n(t) / (1 - t)**(n + 1) starts 0**n, 1**n, 2**n, ...
+def eulerian_polynomial(n: int) -> UniPoly:
+    """A_n(t) from the recurrence."""
+    return polynomial_from_row(table_from_recurrence(n).row(n))
 
-    Multiplies A_n(t) into the window of 1/(1 - t)**(n + 1) and compares
-    coefficient k with k**n for 0 <= k <= terms.
+
+def power_sum_window(row: tuple[int, ...], terms: int) -> tuple[int, ...]:
+    """Coefficients 0..terms of A_n(t) / (1 - t)**(n + 1), n = len(row).
+
+    >>> power_sum_window((1, 4, 1), 4)
+    (0, 1, 8, 27, 64)
     """
-    poly = eulerian_polynomial(n, source=source)
-    window = series_product(poly, geometric_power_window(n + 1, terms))
+    n = len(row)
+    window = geometric_power_window(n + 1, terms)
+    return series_product(polynomial_from_row(row), window).coeffs
+
+
+def verify_power_sum_series(row: tuple[int, ...], terms: int) -> CheckReport:
+    """Check that row n's power-sum window starts 0**n, 1**n, 2**n, ...
+
+    Compares coefficient k of power_sum_window(row, terms) with k**n for
+    0 <= k <= terms.
+    """
+    n = len(row)
     description = f"A_{n}(t)/(1-t)^{n + 1} matches k^{n} for 0 <= k <= {terms}"
-    for k, value in enumerate(window.coeffs):
+    for k, value in enumerate(power_sum_window(row, terms)):
         if value != k**n:
             return CheckReport(
                 False, description, f"coefficient {k} is {value}, expected {k**n}"
@@ -125,15 +129,20 @@ def worpitzky_identity(n: int, k: int, row: tuple[int, ...] | None = None) -> in
     return value
 
 
-def verify_polynomial_recurrence(n: int, source: str = "recurrence") -> CheckReport:
-    """Check A_n(t) = n t A_{n-1}(t) + t (1 - t) A'_{n-1}(t)."""
+def verify_polynomial_recurrence(
+    prev_row: tuple[int, ...], row: tuple[int, ...]
+) -> CheckReport:
+    """Check A_n(t) = n t A_{n-1}(t) + t (1 - t) A'_{n-1}(t) on rows n - 1 and n."""
+    n = len(row)
     if n < 2:
         raise ValueError("the derivative recurrence needs n >= 2")
+    if len(prev_row) != n - 1:
+        raise ValueError(f"row {len(prev_row)} does not precede row {n}")
     t = UniPoly.monomial(1)
     one = UniPoly.one()
-    prev = eulerian_polynomial(n - 1, source=source)
+    prev = polynomial_from_row(prev_row)
     rhs = n * t * prev + t * (one - t) * prev.derivative()
-    lhs = eulerian_polynomial(n, source=source)
+    lhs = polynomial_from_row(row)
     description = f"derivative recurrence reproduces A_{n}(t)"
     if lhs == rhs:
         return CheckReport(True, description)
@@ -204,17 +213,13 @@ def check_unimodality(row: tuple[int, ...]) -> bool:
 # JSON schema
 
 
-def row_to_obj(n: int, row: tuple[int, ...], gamma: tuple[int, ...] | None = None) -> dict:
-    obj: dict = {"n": str(n), "A": [str(c) for c in row]}
-    if gamma is not None:
-        obj["gamma"] = [str(g) for g in gamma]
-    return obj
+def row_to_obj(n: int, row: tuple[int, ...]) -> dict:
+    return {"n": str(n), "A": [str(c) for c in row]}
 
 
-def row_from_obj(obj: dict) -> tuple[int, tuple[int, ...], tuple[int, ...] | None]:
+def row_from_obj(obj: dict) -> tuple[int, ...]:
     n = int(obj["n"])
     row = tuple(int(c) for c in obj["A"])
-    gamma = tuple(int(g) for g in obj["gamma"]) if "gamma" in obj else None
     if len(row) != n:
         raise ValueError(f"row for n={n} has {len(row)} entries")
-    return n, row, gamma
+    return row

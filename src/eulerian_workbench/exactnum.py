@@ -36,9 +36,6 @@ from typing import Iterable, Mapping
 
 from .common import ConsistencyError
 
-Count = int
-
-
 def binomial(m: int, r: int) -> int:
     """Binomial coefficient, 0 whenever the arguments fall out of range.
 
@@ -140,12 +137,6 @@ class UniPoly:
     def derivative(self) -> "UniPoly":
         return UniPoly.from_coeffs(i * c for i, c in enumerate(self.coeffs) if i)
 
-    def evaluate(self, x):
-        value = 0
-        for c in reversed(self.coeffs):
-            value = value * x + c
-        return value
-
     def is_palindromic(self, top: int) -> bool:
         """True when coeff(i) == coeff(top - i) for every 0 <= i <= top."""
         if self.degree > top:
@@ -157,18 +148,6 @@ class UniPoly:
             "var": "t",
             "terms": [[e, str(c)] for e, c in enumerate(self.coeffs) if c],
         }
-
-    @staticmethod
-    def from_obj(obj: Mapping) -> "UniPoly":
-        if obj.get("var") != "t":
-            raise ValueError("expected a univariate polynomial in t")
-        out: dict[int, int] = {}
-        for exp, coeff in obj["terms"]:
-            out[int(exp)] = out.get(int(exp), 0) + int(coeff)
-        if not out:
-            return UniPoly()
-        size = max(out) + 1
-        return UniPoly.from_coeffs(out.get(e, 0) for e in range(size))
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -284,12 +263,6 @@ class BiPoly:
             raise ValueError(f"exponent above {top} has no reciprocal image")
         return BiPoly(tuple(sorted((top - a, top - b, c) for a, b, c in self.terms)))
 
-    def degrees(self) -> tuple[int, int]:
-        """(max s exponent, max t exponent); (-1, -1) for the zero polynomial."""
-        if not self.terms:
-            return (-1, -1)
-        return (max(a for a, _, _ in self.terms), max(b for _, b, _ in self.terms))
-
     def divide_exact(self, divisor: "BiPoly") -> "BiPoly | None":
         """Exact quotient self / divisor, or None when it does not divide.
 
@@ -324,16 +297,6 @@ class BiPoly:
             "var": "st",
             "terms": [[a, b, str(c)] for a, b, c in self.terms],
         }
-
-    @staticmethod
-    def from_obj(obj: Mapping) -> "BiPoly":
-        if obj.get("var") != "st":
-            raise ValueError("expected a bivariate polynomial in s and t")
-        out: dict[tuple[int, int], int] = {}
-        for a, b, coeff in obj["terms"]:
-            key = (int(a), int(b))
-            out[key] = out.get(key, 0) + int(coeff)
-        return BiPoly.from_dict(out)
 
     def __str__(self) -> str:
         if self.is_zero():

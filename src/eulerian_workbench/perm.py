@@ -78,10 +78,6 @@ def format_permutation(w: Perm) -> str:
     return ",".join(str(x) for x in w)
 
 
-def identity(n: int) -> Perm:
-    return tuple(range(1, n + 1))
-
-
 def inverse(w: Perm) -> Perm:
     out = [0] * len(w)
     for pos, letter in enumerate(w, start=1):

@@ -14,6 +14,9 @@ and j - 1 descents. Routes implemented here:
       = sum_{i,j} A(n, i, j) binomial(k + n - i, n) binomial(l + n - j, n);
 - the bivariate derivative recurrence for n A_n(s, t) from A_{n-1}(s, t).
 
+The checks take the arrays they check, so a caller builds its tables once;
+grid_window is the one grid series window, for the check and the CLI alike.
+
 The distribution is symmetric in the two statistics and palindromic under
 (i, j) -> (n + 1 - i, n + 1 - j). Any polynomial with those symmetries
 expands uniquely in the basis
@@ -127,27 +130,28 @@ def polynomial_from_table(table: TwoSidedTable) -> BiPoly:
     )
 
 
-def two_sided_polynomial(
-    n: int, source: str = "recurrence", shards: int = 1, force: bool = False
-) -> BiPoly:
-    """A_n(s, t) with s tracking inverse descents and t descents."""
-    if source == "recurrence":
-        table = two_sided_from_recurrence(n)[n - 1]
-    elif source == "brute":
-        table = two_sided_brute_force(n, shards=shards, force=force)
-    else:
-        raise ValueError("source must be 'recurrence' or 'brute'")
-    return polynomial_from_table(table)
+def two_sided_polynomial(n: int) -> BiPoly:
+    """A_n(s, t) from the recurrence, s tracking inverse descents and t descents."""
+    return polynomial_from_table(two_sided_from_recurrence(n)[n - 1])
 
 
-def verify_grid_series(n: int, terms: int, source: str = "recurrence") -> CheckReport:
-    """Check the double series of A_n(s, t) / ((1-s)(1-t))**(n+1).
+def grid_window(table: TwoSidedTable, terms: int) -> tuple[tuple[int, ...], ...]:
+    """Entries (k, l), k, l <= terms, of A_n(s, t) / ((1-s)(1-t))**(n+1).
+
+    >>> grid_window(TwoSidedTable(2, ((1, 0), (0, 1))), 2)
+    ((0, 0, 0), (0, 1, 3), (0, 3, 10))
+    """
+    window = geometric_power_window(table.n + 1, terms)
+    return series_product_bivariate(polynomial_from_table(table), window, window).coeffs
+
+
+def verify_grid_series(table: TwoSidedTable, terms: int) -> CheckReport:
+    """Check the grid window of the table's array.
 
     Entry (k, l) must equal binomial(k l + n - 1, n) for k, l <= terms.
     """
-    poly = two_sided_polynomial(n, source=source)
-    window = geometric_power_window(n + 1, terms)
-    grid = series_product_bivariate(poly, window, window)
+    n = table.n
+    grid = grid_window(table, terms)
     description = (
         f"A_{n}(s,t)/((1-s)(1-t))^{n + 1} matches binomial(kl+{n - 1},{n}) "
         f"for k,l <= {terms}"
@@ -155,11 +159,11 @@ def verify_grid_series(n: int, terms: int, source: str = "recurrence") -> CheckR
     for k in range(terms + 1):
         for l in range(terms + 1):
             expected = binomial(k * l + n - 1, n)
-            if grid.coeffs[k][l] != expected:
+            if grid[k][l] != expected:
                 return CheckReport(
                     False,
                     description,
-                    f"entry ({k},{l}) is {grid.coeffs[k][l]}, expected {expected}",
+                    f"entry ({k},{l}) is {grid[k][l]}, expected {expected}",
                 )
     return CheckReport(True, description)
 
@@ -187,22 +191,27 @@ def worpitzky_grid_identity(
     return value
 
 
-def verify_bivariate_recurrence(n: int, source: str = "recurrence") -> CheckReport:
+def verify_bivariate_recurrence(
+    prev_table: TwoSidedTable, table: TwoSidedTable
+) -> CheckReport:
     """Check the derivative recurrence giving n A_n(s, t) from A_{n-1}."""
+    n = table.n
     if n < 2:
         raise ValueError("the derivative recurrence needs n >= 2")
+    if prev_table.n != n - 1:
+        raise ValueError(f"array {prev_table.n} does not precede array {n}")
     s = BiPoly.monomial(1, 0)
     t = BiPoly.monomial(0, 1)
     one = BiPoly.one()
     st = s * t
-    prev = two_sided_polynomial(n - 1, source=source)
+    prev = polynomial_from_table(prev_table)
     rhs = (
         (n * n * st + (n - 1) * (one - s) * (one - t)) * prev
         + n * st * (one - s) * prev.partial_derivative("s")
         + n * st * (one - t) * prev.partial_derivative("t")
         + st * (one - s) * (one - t) * prev.partial_derivative("s").partial_derivative("t")
     )
-    lhs = n * two_sided_polynomial(n, source=source)
+    lhs = n * polynomial_from_table(table)
     description = f"bivariate derivative recurrence reproduces {n} * A_{n}(s,t)"
     if lhs == rhs:
         return CheckReport(True, description)
@@ -359,18 +368,11 @@ def gessel_solve(p: BiPoly, n: int) -> GesselExpansion:
 # JSON schema
 
 
-def table_to_obj(table: TwoSidedTable, expansion: GesselExpansion | None = None) -> dict:
-    obj: dict = {
+def table_to_obj(table: TwoSidedTable) -> dict:
+    return {
         "n": str(table.n),
         "A": [[str(c) for c in row] for row in table.entries],
     }
-    if expansion is not None:
-        obj["gamma"] = {
-            f"({i},{j})": str(expansion.gammas[(i, j)])
-            for i, j in sorted(expansion.gammas)
-        }
-        obj["gessel_nonnegative"] = expansion.nonnegative
-    return obj
 
 
 def table_from_obj(obj: dict) -> TwoSidedTable:

@@ -5,6 +5,10 @@ Each suite returns CheckReport records. Bounds come from SuiteBounds; a
 bound left as None falls back to the per-check desk-scale default, and
 expensive enumerations additionally cap themselves so that a large n_max
 aimed at the cheap checks cannot silently start a week-long walk.
+
+Each suite builds each table it checks once (one recurrence run up to its
+largest n, one brute-force call over all its brute-force n) and hands every
+check the rows and arrays it needs.
 """
 
 from __future__ import annotations
@@ -48,13 +52,12 @@ def suite_eulerian(bounds: SuiteBounds) -> list[CheckReport]:
     n_brute = _bound(bounds.n_max, 9, cap=9)
     k_max = _bound(bounds.k_max, 8)
     terms = _bound(bounds.terms, 12)
-    table = eulerian.table_from_recurrence(n_max)
+    # row 4 feeds the Worpitzky spot value whatever n_max is
+    table = eulerian.table_from_recurrence(max(n_max, 4))
+    brute = eulerian.brute_force_rows(list(range(1, n_brute + 1)))
     checks = []
 
-    bad = []
-    for n in range(1, n_brute + 1):
-        if eulerian.table_brute_force(n) != table.row(n):
-            bad.append(f"n={n}")
+    bad = [f"n={n}" for n in range(1, n_brute + 1) if brute[n] != table.row(n)]
     checks.append(
         _all_pass([], bad, f"brute force and recurrence rows agree for n <= {n_brute}")
     )
@@ -85,7 +88,7 @@ def suite_eulerian(bounds: SuiteBounds) -> list[CheckReport]:
                 eulerian.worpitzky_identity(n, k, row=table.row(n))
             except Exception as exc:  # ConsistencyError carries the mismatch
                 bad.append(str(exc))
-    spot = eulerian.worpitzky_identity(4, 3)
+    spot = eulerian.worpitzky_identity(4, 3, table.row(4))
     checks.append(
         _all_pass(
             [f"spot value 3^4 = {spot}"],
@@ -96,7 +99,7 @@ def suite_eulerian(bounds: SuiteBounds) -> list[CheckReport]:
 
     bad = []
     for n in range(1, min(n_max, 8) + 1):
-        report = eulerian.verify_power_sum_series(n, terms)
+        report = eulerian.verify_power_sum_series(table.row(n), terms)
         if not report.ok:
             bad.append(f"n={n}: {report.detail}")
     checks.append(
@@ -110,7 +113,7 @@ def suite_eulerian(bounds: SuiteBounds) -> list[CheckReport]:
 
     bad = []
     for n in range(2, n_max + 1):
-        report = eulerian.verify_polynomial_recurrence(n)
+        report = eulerian.verify_polynomial_recurrence(table.row(n - 1), table.row(n))
         if not report.ok:
             bad.append(f"n={n}: {report.detail}")
     checks.append(
@@ -119,7 +122,7 @@ def suite_eulerian(bounds: SuiteBounds) -> list[CheckReport]:
 
     bad = []
     for n in range(1, n_max + 1):
-        gv = eulerian.gamma_extract(eulerian.eulerian_polynomial(n), n)
+        gv = eulerian.gamma_extract(eulerian.polynomial_from_row(table.row(n)), n)
         if not gv.nonnegative:
             bad.append(f"n={n}: {gv.gammas}")
         if sum(g * 2 ** (n + 1 - 2 * i) for i, g in enumerate(gv.gammas, start=1)) != factorial(n):
@@ -160,12 +163,14 @@ def suite_twosided(bounds: SuiteBounds) -> list[CheckReport]:
     terms = _bound(bounds.terms, 5)
     tables = twosided.two_sided_from_recurrence(n_max)
     uni = eulerian.table_from_recurrence(n_max)
+    brute = twosided.brute_force_tables(list(range(1, n_brute + 1)))
     checks = []
 
-    bad = []
-    for n in range(1, n_brute + 1):
-        if twosided.two_sided_brute_force(n).entries != tables[n - 1].entries:
-            bad.append(f"n={n}")
+    bad = [
+        f"n={n}"
+        for n in range(1, n_brute + 1)
+        if brute[n].entries != tables[n - 1].entries
+    ]
     checks.append(
         _all_pass([], bad, f"brute force and recurrence arrays agree for n <= {n_brute}")
     )
@@ -196,7 +201,7 @@ def suite_twosided(bounds: SuiteBounds) -> list[CheckReport]:
 
     bad = []
     for n in range(1, min(n_max, 6) + 1):
-        report = twosided.verify_grid_series(n, terms)
+        report = twosided.verify_grid_series(tables[n - 1], terms)
         if not report.ok:
             bad.append(f"n={n}: {report.detail}")
     checks.append(
@@ -227,7 +232,7 @@ def suite_twosided(bounds: SuiteBounds) -> list[CheckReport]:
 
     bad = []
     for n in range(2, n_max + 1):
-        report = twosided.verify_bivariate_recurrence(n)
+        report = twosided.verify_bivariate_recurrence(tables[n - 2], tables[n - 1])
         if not report.ok:
             bad.append(f"n={n}: {report.detail}")
     checks.append(
@@ -373,6 +378,8 @@ def suite_hopping(bounds: SuiteBounds) -> list[CheckReport]:
     n_small = _bound(bounds.n_max, 6, cap=6)
     n_mid = _bound(bounds.n_max, 7, cap=7)
     n_census = _bound(bounds.n_max, 9, cap=9)
+    triangle = eulerian.table_from_recurrence(n_census)
+    tables = twosided.two_sided_from_recurrence(n_mid)
     checks = []
 
     bad = []
@@ -418,14 +425,11 @@ def suite_hopping(bounds: SuiteBounds) -> list[CheckReport]:
         )
     )
 
+    orbits = {n: _orbits(n) for n in range(1, n_mid + 1)}
+
     bad = []
     for n in range(1, n_small + 1):
-        seen: set[Perm] = set()
-        for w in enumerate_sn(n):
-            if w in seen:
-                continue
-            orbit = hopping.orbit_of(w)
-            seen.update(orbit.members)
+        for orbit in orbits[n]:
             peak_sets = {tuple(sorted(hopping.peak_values(u))) for u in orbit.members}
             valley_sets = {
                 tuple(sorted(hopping.valley_values(u))) for u in orbit.members
@@ -434,7 +438,9 @@ def suite_hopping(bounds: SuiteBounds) -> list[CheckReport]:
                 tuple(sorted(hopping.free_values(u))) for u in orbit.members
             }
             if len(peak_sets) != 1 or len(valley_sets) != 1 or len(free_sets) != 1:
-                bad.append(f"classification varies over orbit of {w}")
+                bad.append(
+                    f"classification varies over orbit of {orbit.representative}"
+                )
     checks.append(
         _all_pass(
             [],
@@ -447,17 +453,12 @@ def suite_hopping(bounds: SuiteBounds) -> list[CheckReport]:
     for n in range(1, n_mid + 1):
         uni_total = UniPoly()
         bi_total = BiPoly()
-        seen = set()
-        for w in enumerate_sn(n):
-            if w in seen:
-                continue
-            orbit = hopping.orbit_of(w)
-            seen.update(orbit.members)
+        for orbit in orbits[n]:
             uni_total = uni_total + hopping.orbit_descent_polynomial(orbit)
             bi_total = bi_total + hopping.orbit_descent_polynomial(orbit, "bivariate")
-        if uni_total != eulerian.eulerian_polynomial(n):
+        if uni_total != eulerian.polynomial_from_row(triangle.row(n)):
             bad.append(f"univariate orbit sum fails at n={n}")
-        if bi_total != twosided.two_sided_polynomial(n):
+        if bi_total != twosided.polynomial_from_table(tables[n - 1]):
             bad.append(f"bivariate orbit sum fails at n={n}")
     checks.append(
         _all_pass(
@@ -470,7 +471,7 @@ def suite_hopping(bounds: SuiteBounds) -> list[CheckReport]:
     bad = []
     for n in range(1, n_census + 1):
         census = hopping.orbit_census(n)
-        gv = eulerian.gamma_extract(eulerian.eulerian_polynomial(n), n)
+        gv = eulerian.gamma_extract(eulerian.polynomial_from_row(triangle.row(n)), n)
         expected = {
             i - 1: g for i, g in enumerate(gv.gammas, start=1) if g
         }
@@ -505,17 +506,29 @@ def suite_hopping(bounds: SuiteBounds) -> list[CheckReport]:
     return checks
 
 
+def _orbits(n: int) -> list[hopping.Orbit]:
+    """The hop classes of S_n, each built once, from its least member."""
+    seen: set[Perm] = set()
+    out = []
+    for w in enumerate_sn(n):
+        if w not in seen:
+            orbit = hopping.orbit_of(w)
+            seen.update(orbit.members)
+            out.append(orbit)
+    return out
+
+
 # ---------------------------------------------------------------------------
 
 
 def suite_gessel(bounds: SuiteBounds) -> list[CheckReport]:
     n_max = _bound(bounds.n_max, 12)
+    tables = twosided.two_sided_from_recurrence(n_max)
     checks = []
     bad = []
     worst = None
     for n in range(1, n_max + 1):
-        poly = twosided.two_sided_polynomial(n)
-        expansion = twosided.gessel_solve(poly, n)
+        expansion = twosided.gessel_solve(twosided.polynomial_from_table(tables[n - 1]), n)
         if not expansion.nonnegative:
             negative = {k: v for k, v in expansion.gammas.items() if v < 0}
             bad.append(f"n={n}: negative coefficients {negative}")

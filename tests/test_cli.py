@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import threading
 from contextlib import redirect_stderr, redirect_stdout
@@ -202,6 +203,21 @@ def test_series_bivariate():
     assert obj["kind"] == "grid"
     assert obj["grid"][2][3] == "21"  # binomial(2*3 + 1, 2)
     assert obj["matches_closed_form"] is True
+
+
+def test_series_window_budget():
+    budget = cli.SERIES_WINDOW_BUDGET
+    side = math.isqrt(budget)  # (side + 1)**2 entries is past the budget
+    # the guard decides before any window or table is built
+    for argv in (("--terms", str(budget)), ("--terms", str(side), "--bivariate"),
+                 ("--terms", str(10**12), "--bivariate")):
+        code, out, err = run_cli("series", "--n", "3", *argv)
+        assert code == 3
+        assert out == ""
+        assert "--force" in err
+    cli._check_series_budget(budget - 1, False, False)
+    cli._check_series_budget(side - 1, True, False)
+    cli._check_series_budget(10**12, True, True)
 
 
 def test_verify_text_and_exit():

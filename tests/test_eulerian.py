@@ -61,8 +61,6 @@ def test_table_rows_validate():
         table.row(4)
     with pytest.raises(ValueError):
         table.row(0)
-    assert table.entry(3, 2) == 4
-    assert table.entry(3, 7) == 0
 
 
 def test_row_structure_to_n_40():
@@ -85,7 +83,7 @@ def test_polynomials_match_reference_rows():
     assert eulerian_polynomial(4).coeffs == (0, 1, 11, 11, 1)
     assert eulerian_polynomial(5).coeffs == (0, 1, 26, 66, 26, 1)
     assert eulerian_polynomial(1).coeffs == (0, 1)
-    assert eulerian_polynomial(4, source="brute") == eulerian_polynomial(4)
+    assert table_brute_force(4) == table_from_recurrence(4).row(4)
 
 
 def test_power_sum_window_small():
@@ -99,7 +97,7 @@ def test_power_sum_window_linear():
 
 
 def test_power_sum_report_wide():
-    report = verify_power_sum_series(8, 20)
+    report = verify_power_sum_series(table_from_recurrence(8).row(8), 20)
     assert report.ok, report.detail
     assert report.status == "pass"
 
@@ -124,8 +122,9 @@ def test_worpitzky_rejects_corrupt_row():
 
 
 def test_polynomial_recurrence_reports():
+    table = table_from_recurrence(20)
     for n in (2, 4, 20):
-        report = verify_polynomial_recurrence(n)
+        report = verify_polynomial_recurrence(table.row(n - 1), table.row(n))
         assert report.ok, report.detail
 
 
@@ -203,16 +202,6 @@ def test_row_polynomials_have_distinct_negative_roots():
 
 def test_row_json_round_trip():
     row = TABLE1[5]
-    obj = row_to_obj(5, row, GAMMA_ROW_5)
-    assert obj == {
-        "n": "5",
-        "A": ["1", "26", "66", "26", "1"],
-        "gamma": ["1", "22", "16"],
-    }
-    assert row_from_obj(obj) == (5, row, GAMMA_ROW_5)
-
-
-def test_row_json_without_gamma():
-    obj = row_to_obj(2, TABLE1[2])
-    assert "gamma" not in obj
-    assert row_from_obj(obj) == (2, TABLE1[2], None)
+    obj = row_to_obj(5, row)
+    assert obj == {"n": "5", "A": ["1", "26", "66", "26", "1"]}
+    assert row_from_obj(obj) == row

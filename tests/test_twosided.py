@@ -10,7 +10,6 @@ from eulerian_workbench.common import ConsistencyError, GuardRailError
 from eulerian_workbench.eulerian import table_from_recurrence
 from eulerian_workbench.exactnum import BiPoly
 from eulerian_workbench.twosided import (
-    GesselExpansion,
     TwoSidedTable,
     check_symmetries,
     diagonal_monotonicity_probe,
@@ -29,17 +28,6 @@ from eulerian_workbench.twosided import (
 )
 
 from reference_tables import GESSEL_4, GESSEL_5, TABLE2
-
-
-def _expansion_from_obj(obj: dict) -> GesselExpansion | None:
-    """Read back the gamma part of table_to_obj's output."""
-    if "gamma" not in obj:
-        return None
-    gammas: dict[tuple[int, int], int] = {}
-    for key, value in obj["gamma"].items():
-        i, j = key.strip("()").split(",")
-        gammas[(int(i), int(j))] = int(value)
-    return GesselExpansion(int(obj["n"]), gammas, bool(obj["gessel_nonnegative"]))
 
 
 def test_recurrence_reproduces_reference_arrays():
@@ -108,22 +96,24 @@ def test_polynomial_support():
     }
     assert two_sided_polynomial(1) == BiPoly.monomial(1, 1)
     assert two_sided_polynomial(3).as_dict() == {(1, 1): 1, (2, 2): 4, (3, 3): 1}
-    assert two_sided_polynomial(5, source="brute") == two_sided_polynomial(5)
+    assert two_sided_brute_force(5).entries == two_sided_from_recurrence(5)[4].entries
 
 
 def test_grid_series_small_entries():
-    report = verify_grid_series(1, 5)
+    tables = two_sided_from_recurrence(4)
+    report = verify_grid_series(tables[0], 5)
     assert report.ok, report.detail
     # n=1 window entry (2,3) is binomial(6,1)
     assert comb(2 * 3 + 0, 1) == 6
-    report = verify_grid_series(4, 5)
+    report = verify_grid_series(tables[3], 5)
     assert report.ok, report.detail
     assert comb(2 * 2 + 3, 4) == 35
 
 
 def test_grid_series_window_wide():
+    tables = two_sided_from_recurrence(7)
     for n in range(1, 8):
-        report = verify_grid_series(n, 6)
+        report = verify_grid_series(tables[n - 1], 6)
         assert report.ok, report.detail
 
 
@@ -152,8 +142,9 @@ def test_grid_worpitzky_rejects_corrupt_table():
 
 
 def test_bivariate_recurrence_reports():
+    tables = two_sided_from_recurrence(15)
     for n in (2, 5, 15):
-        report = verify_bivariate_recurrence(n)
+        report = verify_bivariate_recurrence(tables[n - 2], tables[n - 1])
         assert report.ok, report.detail
 
 
@@ -292,24 +283,10 @@ def test_gessel_reconstruction_is_exact():
 
 def test_table_json_round_trip():
     table = two_sided_from_recurrence(4)[3]
-    expansion = gessel_solve(polynomial_from_table(table), 4)
-    obj = table_to_obj(table, expansion)
+    obj = table_to_obj(table)
     assert obj["n"] == "4"
     assert obj["A"][1] == ["0", "10", "1", "0"]
-    assert obj["gamma"] == {"(1,0)": "1", "(2,0)": "7", "(2,1)": "1"}
-    assert obj["gessel_nonnegative"] is True
-    assert table_from_obj(obj).entries == table.entries
-    back = _expansion_from_obj(obj)
-    assert back is not None
-    assert back.gammas == expansion.gammas
-    assert back.nonnegative
-
-
-def test_table_json_without_expansion():
-    table = two_sided_from_recurrence(2)[1]
-    obj = table_to_obj(table)
-    assert "gamma" not in obj
-    assert _expansion_from_obj(obj) is None
+    assert set(obj) == {"n", "A"}
     assert table_from_obj(obj).entries == table.entries
 
 
