@@ -5,7 +5,7 @@ series, verify. Data goes to stdout; progress, warnings, and timings go to
 stderr. Output is deterministic: the same invocation produces the same
 bytes, whatever the shard count. Brute-force runs default to one
 in-process shard while the largest n walks S_n as a single run
-(n <= perm.SUFFIX) and to the cpu count above that.
+(n <= perm.SUFFIX) and to the CPUs this process may use above that.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 guard rail.
 
@@ -60,6 +60,7 @@ from .perm import (
     inverse_descent_count,
     parse_permutation,
     statistic_profile,
+    usable_cpus,
 )
 
 CACHE_ENV = "EULERIAN_WORKBENCH_CACHE"
@@ -68,6 +69,12 @@ CACHE_SCHEMA = 2
 # Entries a series window may hold without --force: K + 1 for --terms K, or
 # (K + 1)**2 with --bivariate.
 SERIES_WINDOW_BUDGET = 10**6
+# Work a series call may do without --force, counted in coefficient products
+# weighted by n, since every operand grows about linearly with n: the
+# window's n (K + 1) products plus the recurrence's n**2 entries, or
+# n**2 (K + 1)**2 and n**3 for the two-sided arrays. Calls at this bound
+# took 0.2 to 5.5 s on a 2-vCPU host.
+SERIES_WORK_BUDGET = 2 * 10**8
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -137,7 +144,7 @@ def _effective_shards(args, n_top: int) -> int:
         if args.shards < 1:
             raise ValueError("--shards must be positive")
         return args.shards
-    return (os.cpu_count() or 1) if n_top > SUFFIX else 1
+    return usable_cpus() if n_top > SUFFIX else 1
 
 
 def _tables(args, kind: str) -> list[Table]:
@@ -507,6 +514,7 @@ def _cmd_gessel(args) -> int:
 
 def _cmd_orbit(args) -> int:
     w = parse_permutation(args.permutation)
+    hopping.check_orbit_budget(w, args.force)
     orbit = hopping.orbit_of(w)
     uni = hopping.orbit_descent_polynomial(orbit)
     bi = hopping.orbit_descent_polynomial(orbit, "bivariate")
@@ -575,13 +583,22 @@ def _cmd_orbits(args) -> int:
     return EXIT_OK
 
 
-def _check_series_budget(terms: int, bivariate: bool, force: bool) -> None:
-    """Refuse a series window past SERIES_WINDOW_BUDGET entries unless forced."""
+def _check_series_budget(n: int, terms: int, bivariate: bool, force: bool) -> None:
+    """Refuse a series call past either budget unless forced."""
+    if force:
+        return
     entries = (terms + 1) ** 2 if bivariate else terms + 1
-    if entries > SERIES_WINDOW_BUDGET and not force:
+    if entries > SERIES_WINDOW_BUDGET:
         raise GuardRailError(
             f"a window of {entries} entries exceeds the series budget "
             f"{SERIES_WINDOW_BUDGET}; pass --force to go past it"
+        )
+    work = n ** (3 if bivariate else 2) * (entries + n)
+    if work > SERIES_WORK_BUDGET:
+        raise GuardRailError(
+            f"n={n} with a window of {entries} entries means about {work} "
+            f"weighted products, past the series budget {SERIES_WORK_BUDGET}; "
+            "pass --force to go past it"
         )
 
 
@@ -591,7 +608,7 @@ def _cmd_series(args) -> int:
         raise ValueError("--n must be at least 1")
     if terms < 0:
         raise ValueError("--terms must be nonnegative")
-    _check_series_budget(terms, args.bivariate, args.force)
+    _check_series_budget(n, terms, args.bivariate, args.force)
     if args.bivariate:
         grid = twosided.grid_window(twosided.two_sided_from_recurrence(n)[n - 1], terms)
         ok = all(
@@ -693,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--shards", type=int, metavar="N",
         help="shard count for brute-force enumeration; worker processes "
-        f"are capped at the cpu count (default: 1 up to n={SUFFIX}, else the cpu count)",
+        f"are capped at the usable CPUs (default: 1 up to n={SUFFIX}, else the usable CPUs)",
     )
     shared.add_argument(
         "--force", action="store_true",

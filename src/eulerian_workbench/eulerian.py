@@ -65,11 +65,13 @@ def table_from_recurrence(n_max: int) -> EulerianTable:
     rows: list[tuple[int, ...]] = [(1,)]
     for n in range(2, n_max + 1):
         prev = rows[-1]
-
-        def a(i: int) -> int:
-            return prev[i - 1] if 1 <= i <= n - 1 else 0
-
-        rows.append(tuple(i * a(i) + (n + 1 - i) * a(i - 1) for i in range(1, n + 1)))
+        # A(n - 1, i) and A(n - 1, i - 1) side by side, 0 past either end
+        rows.append(
+            tuple(
+                i * a + (n + 1 - i) * b
+                for i, a, b in zip(range(1, n + 1), prev + (0,), (0,) + prev)
+            )
+        )
     return EulerianTable(n_max, tuple(rows))
 
 

@@ -12,14 +12,18 @@ descents has i increasing runs.
 
 Every brute-force route walks S_n here. enumerate_sn streams S_n in
 lexicographic order, whole or as one of several contiguous shard blocks; a
-block is cut into runs that share a fixed prefix of max(0, n - 7) letters,
-each run being itertools.permutations over the sorted remaining letters, so
-the walk itself runs in C. histogram counts one statistic over S_n block by
-block, in a process pool when there is more than one shard, and merges the
-counts exactly. Its kernels (des, the pair (ides, des) and the peaks of
-permutations with no double descents) are module-level functions of the
-word alone, so they pickle by name. One guard rail, BRUTE_FORCE_GUARD,
-covers every walk: past it, force is required.
+block is cut into runs that share a fixed prefix of k = max(0, n - 7)
+letters. A run is a slice of itertools.permutations over one word, the
+prefix followed by the remaining letters in increasing order: that iterator
+keeps the word's first k letters in place for its first (n - k)! steps,
+permuting the rest in lexicographic order, so every word of the walk comes
+straight from C. histogram counts one statistic over S_n block by block, in
+a process pool when there is more than one shard, with the workers capped
+at the CPUs this process may use, and merges the counts exactly. Its
+kernels (des, the pair (ides, des) and the peaks of permutations with no
+double descents) are module-level functions of the word alone, so they
+pickle by name. One guard rail, BRUTE_FORCE_GUARD, covers every walk: past
+it, force is required.
 """
 
 from __future__ import annotations
@@ -205,6 +209,8 @@ def _prefix_runs(n: int, start: int, stop: int) -> Iterator[Iterator[Perm]]:
 
     Prefixes of k letters come in lexicographic order, and each covers
     (n - k)! consecutive ranks; only the first and last run can be partial.
+    A run is the first (n - k)! permutations of the prefix followed by the
+    sorted remaining letters, cut to the ranks in the block.
     """
     k = max(0, n - SUFFIX)
     run = factorial(n - k)
@@ -212,11 +218,10 @@ def _prefix_runs(n: int, start: int, stop: int) -> Iterator[Iterator[Perm]]:
     letters = range(1, n + 1)
     prefixes = itertools.islice(itertools.permutations(letters, k), first, last + 1)
     for at, prefix in enumerate(prefixes, start=first):
-        rest = [x for x in letters if x not in prefix]
-        words = map(prefix.__add__, itertools.permutations(rest))
+        word = prefix + tuple(x for x in letters if x not in prefix)
         lo = start - at * run if at == first else 0
         hi = stop - at * run if at == last else run
-        yield itertools.islice(words, lo, hi) if lo or hi < run else words
+        yield itertools.islice(itertools.permutations(word), lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +247,11 @@ def pair_kernel(w: Perm) -> tuple[int, int]:
     """(ides(w), des(w)); ides counts letters x with x + 1 left of x."""
     at = [0] * (len(w) + 1)  # at[x] is the position of letter x; at[0] stays 0
     des = 0
+    pos = 0
     prev = w[0]
-    for pos, x in enumerate(w):
+    for x in w:
         at[x] = pos
+        pos += 1
         if prev > x:
             des += 1
         prev = x
@@ -282,6 +289,17 @@ def census_kernel(w: Perm) -> int | None:
     return peaks
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS keeps one.
+
+    os.cpu_count() counts the host's CPUs even when taskset or a cpuset
+    confines the process to fewer.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def histogram(
     ns: list[int],
     kernel: Callable[[Perm], Hashable],
@@ -292,7 +310,7 @@ def histogram(
     """Count kernel(w) over S_n for each n in ns, from shards blocks each.
 
     One shard counts in this process; more run in pool(max_workers=...),
-    with the workers capped at the CPU count, so the shard count fixes the
+    with the workers capped at usable_cpus(), so the shard count fixes the
     blocks but not the number of processes. Counts merge exactly, so the
     result does not depend on shards.
     """
@@ -304,7 +322,7 @@ def histogram(
     if shards == 1:
         counts = list(map(_count_block, tasks))
     else:
-        with pool(max_workers=min(shards, os.cpu_count() or 1)) as workers:
+        with pool(max_workers=min(shards, usable_cpus())) as workers:
             counts = list(workers.map(_count_block, tasks))
     return {
         n: sum(counts[at * shards : (at + 1) * shards], Counter())

@@ -94,30 +94,50 @@ def two_sided_from_recurrence(n_max: int) -> list[TwoSidedTable]:
         raise ValueError("n_max must be at least 1")
     tables = [TwoSidedTable(1, ((1,),))]
     for n in range(2, n_max + 1):
-        prev = tables[-1]
+        tables.append(TwoSidedTable(n, _two_sided_step(tables[-1].entries, n)))
+    return tables
 
-        def a(i: int, j: int) -> int:
-            return prev.entry(i, j)
 
-        grid = []
-        for i in range(1, n + 1):
-            row = []
-            for j in range(1, n + 1):
-                total = (
-                    (i * j + n - 1) * a(i, j)
-                    + (1 - n + j * (n + 1 - i)) * a(i - 1, j)
-                    + (1 - n + i * (n + 1 - j)) * a(i, j - 1)
-                    + (n - 1 + (n + 1 - i) * (n + 1 - j)) * a(i - 1, j - 1)
+def _two_sided_step(
+    prev: tuple[tuple[int, ...], ...], n: int
+) -> tuple[tuple[int, ...], ...]:
+    """The array for n from the (n - 1)-by-(n - 1) array before it.
+
+    n A(n, i, j) = (i j + n - 1) A(n - 1, i, j)
+                 + (j (n + 1 - i) - n + 1) A(n - 1, i - 1, j)
+                 + (i (n + 1 - j) - n + 1) A(n - 1, i, j - 1)
+                 + ((n + 1 - i) (n + 1 - j) + n - 1) A(n - 1, i - 1, j - 1),
+
+    read off prev framed in zeros (a[i][j] is A(n - 1, i, j), 0 outside
+    1..n - 1). Every entry is computed and its sum checked for divisibility
+    by n on its own.
+    """
+    m = n - 1
+    zero = (0,) * (n + 1)
+    a = [zero] + [(0,) + row + (0,) for row in prev] + [zero]
+    js = range(1, n + 1)
+    grid = []
+    for i in js:
+        up, here = a[i - 1], a[i]
+        ri = n + 1 - i
+        row = []
+        for j, h, left, u, corner in zip(js, here[1:], here, up[1:], up):
+            rj = n + 1 - j
+            total = (
+                (i * j + m) * h
+                + (j * ri - m) * u
+                + (i * rj - m) * left
+                + (ri * rj + m) * corner
+            )
+            q, r = divmod(total, n)
+            if r:
+                raise ConsistencyError(
+                    f"recurrence sum {total} at (n={n}, i={i}, j={j}) "
+                    f"is not divisible by {n}"
                 )
-                if total % n:
-                    raise ConsistencyError(
-                        f"recurrence sum {total} at (n={n}, i={i}, j={j}) "
-                        f"is not divisible by {n}"
-                    )
-                row.append(total // n)
-            grid.append(tuple(row))
-        tables.append(TwoSidedTable(n, tuple(grid)))
-    return tables[:n_max]
+            row.append(q)
+        grid.append(tuple(row))
+    return tuple(grid)
 
 
 def polynomial_from_table(table: TwoSidedTable) -> BiPoly:

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eulerian_workbench import cli, eulerian, twosided, verify
-from eulerian_workbench.common import CheckReport
+from eulerian_workbench import cli, eulerian, hopping, perm, twosided, verify
+from eulerian_workbench.common import CheckReport, GuardRailError
 
 from reference_tables import TABLE1, TABLE2
 
@@ -215,9 +215,45 @@ def test_series_window_budget():
         assert code == 3
         assert out == ""
         assert "--force" in err
-    cli._check_series_budget(budget - 1, False, False)
-    cli._check_series_budget(side - 1, True, False)
-    cli._check_series_budget(10**12, True, True)
+    cli._check_series_budget(3, budget - 1, False, False)
+    cli._check_series_budget(3, side - 1, True, False)
+    cli._check_series_budget(3, 10**12, True, True)
+
+
+def test_series_work_budget_counts_n():
+    # windows inside the entry budget whose work n makes too large; the
+    # guard decides before the recurrence or the window is built
+    for argv in (("--n", "15", "--terms", "999", "--bivariate"),
+                 ("--n", "300", "--terms", "9999"),
+                 ("--n", str(10**6), "--terms", "0"),
+                 ("--n", str(10**6), "--terms", "0", "--bivariate")):
+        code, out, err = run_cli("series", *argv)
+        assert code == 3
+        assert out == ""
+        assert "--force" in err
+    for n, terms, bivariate in ((5, 999, True), (300, 1900, False),
+                                (580, 0, False), (118, 0, True)):
+        cli._check_series_budget(n, terms, bivariate, False)
+    cli._check_series_budget(10**6, 0, True, True)
+
+
+def test_orbit_budget_is_decided_before_building(monkeypatch):
+    fits = tuple(range(1, 16))  # 14 free letters: 2**14 members of 15 letters
+    past = tuple(range(1, 17))  # 2**15 members of 16 letters
+    hopping.check_orbit_budget(fits, force=False)
+    with pytest.raises(GuardRailError):
+        hopping.check_orbit_budget(past, force=False)
+    hopping.check_orbit_budget(past, force=True)
+
+    def never(w):
+        raise AssertionError("an over-budget orbit was built")
+
+    monkeypatch.setattr(hopping, "orbit_of", never)
+    for word in (past, tuple(range(1, 41))):
+        code, out, err = run_cli("orbit", ",".join(map(str, word)))
+        assert code == 3
+        assert out == ""
+        assert "--force" in err
 
 
 def test_verify_text_and_exit():
@@ -503,8 +539,8 @@ def test_nonpositive_shards_exit_2():
 
 
 @pytest.fixture
-def started_pools(monkeypatch):
-    """Swap in a recording process pool on a 2-cpu host; returns the pool sizes."""
+def recording_pools(monkeypatch):
+    """Swap in a recording process pool; returns the pool sizes."""
     started = []
 
     class RecordingPool:
@@ -524,8 +560,16 @@ def started_pools(monkeypatch):
 
     for module in (eulerian, twosided):
         monkeypatch.setattr(module, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     return started
+
+
+@pytest.fixture
+def started_pools(recording_pools, monkeypatch):
+    """The recording pool on a 2-cpu host; returns the pool sizes."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for module in (perm, cli):
+        monkeypatch.setattr(module, "usable_cpus", lambda: 2)
+    return recording_pools
 
 
 def test_workers_are_capped_at_cpu_count(started_pools):
@@ -539,6 +583,29 @@ def test_workers_are_capped_at_cpu_count(started_pools):
             assert code == 0
             assert out == serial
             assert started == [2]
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this OS"
+)
+def test_workers_follow_the_affinity_set(recording_pools):
+    started = recording_pools
+    saved = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(saved)})
+    try:
+        assert perm.usable_cpus() == 1
+        for command in ("eulerian", "two-sided"):
+            brute = (command, "--n-max", "8", "--source", "brute", "--format", "csv")
+            _, serial, _ = run_cli(*brute, "--shards", "1")
+            for shards, pools in ((None, []), (4, [1])):
+                started.clear()
+                extra = () if shards is None else ("--shards", str(shards))
+                code, out, _ = run_cli(*brute, *extra)
+                assert code == 0
+                assert out == serial
+                assert started == pools
+    finally:
+        os.sched_setaffinity(0, saved)
 
 
 def test_repeat_runs_are_byte_identical():

@@ -1,6 +1,6 @@
 """The univariate engine: tables, series, identities, gamma vectors."""
 
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +33,16 @@ def test_recurrence_reproduces_reference_table():
     table = table_from_recurrence(8)
     for n, row in TABLE1.items():
         assert table.row(n) == row
+
+
+def test_recurrence_rows_match_the_alternating_sum_to_n_60():
+    table = table_from_recurrence(60)
+    for n in range(1, 61):
+        closed = tuple(
+            sum((-1) ** a * comb(n + 1, a) * (i - a) ** n for a in range(i))
+            for i in range(1, n + 1)
+        )
+        assert table.row(n) == closed
 
 
 def test_brute_force_reproduces_reference_table():

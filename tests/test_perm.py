@@ -281,6 +281,23 @@ def test_shard_blocks_follow_the_successor_walk(data):
     assert list(enumerate_sn(n, shard=(index, total))) == expected
 
 
+@pytest.mark.parametrize("n,total", [(9, 5), (9, 7), (10, 3), (10, 13)])
+def test_shard_blocks_of_several_runs_start_and_end_on_their_ranks(n, total):
+    # prefixes of 2 letters at n = 9 and 3 at n = 10; most cuts fall inside a run
+    fact = factorial(n)
+    for index in range(total):
+        start = index * fact // total
+        stop = (index + 1) * fact // total
+        block = enumerate_sn(n, shard=(index, total))
+        first = next(block)
+        count, last = 1, first
+        for count, last in enumerate(block, start=2):
+            pass
+        assert count == stop - start
+        assert first == unrank(n, start)
+        assert last == unrank(n, stop - 1)
+
+
 def test_shard_counts_give_identical_tables():
     ns = list(range(1, 9))
     rows = brute_force_rows(ns)

@@ -11,6 +11,7 @@ from eulerian_workbench.eulerian import table_from_recurrence
 from eulerian_workbench.exactnum import BiPoly
 from eulerian_workbench.twosided import (
     TwoSidedTable,
+    _two_sided_step,
     check_symmetries,
     diagonal_monotonicity_probe,
     gessel_basis_element,
@@ -34,6 +35,38 @@ def test_recurrence_reproduces_reference_arrays():
     tables = two_sided_from_recurrence(8)
     for n, entries in TABLE2.items():
         assert tables[n - 1].entries == entries
+
+
+def test_recurrence_matches_the_double_alternating_sum_to_n_12():
+    tables = two_sided_from_recurrence(12)
+    for n in range(1, 13):
+        closed = tuple(
+            tuple(
+                sum(
+                    (-1) ** (a + b)
+                    * comb(n + 1, a)
+                    * comb(n + 1, b)
+                    * comb((i - a) * (j - b) + n - 1, n)
+                    for a in range(i)
+                    for b in range(j)
+                )
+                for j in range(1, n + 1)
+            )
+            for i in range(1, n + 1)
+        )
+        assert tables[n - 1].entries == closed
+
+
+def test_recurrence_step_names_the_entry_a_corrupt_array_breaks():
+    prev = two_sided_from_recurrence(6)[5].entries
+    assert _two_sided_step(prev, 7) == two_sided_from_recurrence(7)[6].entries
+    # A(6, 2, 3) + 1 moves the sum at (7, 2, 3) by 2 * 3 + 6 = 12, not 0 mod 7
+    bad = [list(row) for row in prev]
+    bad[1][2] += 1
+    with pytest.raises(
+        ConsistencyError, match=r"at \(n=7, i=2, j=3\) is not divisible by 7$"
+    ):
+        _two_sided_step(tuple(map(tuple, bad)), 7)
 
 
 def test_brute_force_reproduces_reference_arrays():
