@@ -10,11 +10,17 @@ in-process shard while the largest n walks S_n as a single run
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 guard rail.
 
 All numbers inside JSON payloads are decimal strings so the schema never
-changes shape when entries outgrow native integers.
+changes shape when entries outgrow native integers. One writer, _json_text,
+produces both JSON layouts byte for byte as the json module would: indented
+for stdout and canonical (sorted keys, no spaces) for the cache. It writes
+a list of digit strings with one join.
 
 The tables behind eulerian, two-sided, gamma and gessel come from one
-provider, _tables. Each entry is rendered to decimal text at most once per
-invocation, and that text feeds the cache and every output format.
+provider, _tables, behind one work budget shared with series (WORK_BUDGET,
+decided from the arguments before any table is built). Each entry is
+rendered to decimal text at most once per invocation, and only the first
+half of a palindromic row at all; that text feeds the cache and every
+output format.
 
 The cache directory (--cache or $EULERIAN_WORKBENCH_CACHE) keeps one file
 per table, {kind}-n{n}.json, holding the line
@@ -25,14 +31,17 @@ where <payload> is the table's JSON object ({"n": ..., "A": ...}) in
 canonical form and the checksum covers exactly those bytes, so a load
 hashes what it read. A loaded entry must carry schema 2, match its
 checksum, hold decimal strings (0|[1-9][0-9]*) of the right shape and pass
-revalidation: a row sums to n!, is palindromic and unimodal, and satisfies
-Worpitzky's identity at k = 2 and 3; an array sums to n!, is symmetric
-under transpose and under 180-degree rotation, its row and column
-marginals agree and pass the row check, and it satisfies the two-sided
-Worpitzky identity at (k, l) = (2, 3). Anything else is rejected with a
-warning naming the reason and recomputed. Entries are written through a
-temporary file with a fresh random name in the cache directory and renamed
-into place.
+revalidation, in that order. For a row, the first half of its text must
+be decimal and the whole text must have n entries and read the same
+reversed, all before anything is parsed; only the first half is then
+parsed, and the row is mirrored from it. The integer row sums to n!, is
+palindromic and unimodal, and satisfies Worpitzky's identity at k = 2 and
+3. An array sums to n!, is symmetric under transpose and under 180-degree
+rotation, its row and column marginals agree and pass the row check, and
+it satisfies the two-sided Worpitzky identity at (k, l) = (2, 3).
+Anything else is rejected with a warning naming the reason and
+recomputed. Entries are written through a temporary file with a fresh
+random name in the cache directory and renamed into place.
 """
 
 from __future__ import annotations
@@ -47,6 +56,7 @@ import re
 import sys
 import time
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from math import factorial
 from pathlib import Path
 
@@ -69,12 +79,14 @@ CACHE_SCHEMA = 2
 # Entries a series window may hold without --force: K + 1 for --terms K, or
 # (K + 1)**2 with --bivariate.
 SERIES_WINDOW_BUDGET = 10**6
-# Work a series call may do without --force, counted in coefficient products
-# weighted by n, since every operand grows about linearly with n: the
-# window's n (K + 1) products plus the recurrence's n**2 entries, or
-# n**2 (K + 1)**2 and n**3 for the two-sided arrays. Calls at this bound
+# Work a series or table call may do without --force, counted in
+# coefficient products weighted by n, since every operand grows about
+# linearly with n. The recurrences up to n make n**2 products one-sided and
+# n**3 two-sided; a series window adds n (K + 1), or n**2 (K + 1)**2 for the
+# grid; gamma's peel adds n**2 / 4 per row and Gessel's peel and rebuild
+# about n**4 / 10 per array (counted at n = 10..50). Calls at this bound
 # took 0.2 to 5.5 s on a 2-vCPU host.
-SERIES_WORK_BUDGET = 2 * 10**8
+WORK_BUDGET = 2 * 10**8
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -91,17 +103,14 @@ class Table:
 
     value is the Eulerian row (a tuple of ints) or the TwoSidedTable; obj is
     the JSON object {"n": ..., "A": ...} whose "A" holds the same entries as
-    decimal strings. One of the two is given and the other derived on first
-    use: a computed table renders its text once, and a cache hit keeps only
-    its text, the integers being parsed again only where a command needs
-    them (gamma, gessel).
+    decimal strings. A cache hit keeps the text it was read from; a computed
+    table renders its text on first use, once.
     """
 
-    def __init__(self, kind: str, n: int, value=None, obj: dict | None = None):
+    def __init__(self, kind: str, n: int, value, obj: dict | None = None):
         self.kind = kind
         self.n = n
-        if value is not None:
-            self.value = value
+        self.value = value
         if obj is not None:
             self.obj = obj
 
@@ -110,12 +119,6 @@ class Table:
         if self.kind == "twosided":
             return twosided.table_to_obj(self.value)
         return eulerian.row_to_obj(self.n, self.value)
-
-    @cached_property
-    def value(self):
-        if self.kind == "twosided":
-            return twosided.table_from_obj(self.obj)
-        return eulerian.row_from_obj(self.obj)
 
     @property
     def text(self) -> list:
@@ -128,14 +131,37 @@ class Table:
         return max(map(len, self.text))
 
 
-def _requested_ns(args) -> list[int]:
+def _requested_ns(args) -> range:
     if args.n is not None:
         if args.n < 1:
             raise ValueError("--n must be at least 1")
-        return [args.n]
+        return range(args.n, args.n + 1)
     if args.n_max < 1:
         raise ValueError("--n-max must be at least 1")
-    return list(range(1, args.n_max + 1))
+    return range(1, args.n_max + 1)
+
+
+def _check_table_budget(command: str, ns: range, force: bool) -> None:
+    """Refuse a table command past WORK_BUDGET unless forced.
+
+    Counts the recurrence up to the largest n, and for gamma and gessel the
+    expansion of every requested n, as WORK_BUDGET describes; it decides
+    from the arguments alone, before any table is built.
+    """
+    if force:
+        return
+    top = ns[-1]
+    work = top ** (3 if command in ("eulerian", "gamma") else 4)
+    if work <= WORK_BUDGET:  # else top may be huge: no sum over ns
+        if command == "gamma":
+            work += sum(n**3 // 4 for n in ns)
+        elif command == "gessel":
+            work += sum(n**5 // 10 for n in ns)
+    if work > WORK_BUDGET:
+        raise GuardRailError(
+            f"{command} up to n={top} means about {work} weighted products, "
+            f"past the work budget {WORK_BUDGET}; pass --force to go past it"
+        )
 
 
 def _effective_shards(args, n_top: int) -> int:
@@ -155,12 +181,13 @@ def _tables(args, kind: str) -> list[Table]:
     stored back when a cache directory is set.
     """
     ns = _requested_ns(args)
+    _check_table_budget(args.command, ns, args.force)
     if args.source == "brute":
         brute = (
             eulerian.brute_force_rows if kind == "eulerian"
             else twosided.brute_force_tables
         )
-        found = brute(ns, shards=_effective_shards(args, max(ns)), force=args.force)
+        found = brute(ns, shards=_effective_shards(args, ns[-1]), force=args.force)
         return [Table(kind, n, found[n]) for n in ns]
     cache_dir = _cache_dir(args)
     out: dict[int, Table] = {}
@@ -185,7 +212,6 @@ def _tables(args, kind: str) -> list[Table]:
 # cache
 
 _HEADER = re.compile(rb'\{"schema": (\d+), "sha256": "([0-9a-f]{64})", "payload": ')
-_DECIMAL = re.compile(r"0|[1-9][0-9]*")
 
 
 def _cache_dir(args) -> Path | None:
@@ -197,7 +223,7 @@ def _cache_dir(args) -> Path | None:
 
 def cache_store(cache_dir: Path, kind: str, n: int, payload: dict) -> None:
     cache_dir.mkdir(parents=True, exist_ok=True)
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    body = _json_text(payload).encode()
     digest = hashlib.sha256(body).hexdigest()
     head = f'{{"schema": {CACHE_SCHEMA}, "sha256": "{digest}", "payload": '
     # a fresh random name, created exclusively, so concurrent writers never
@@ -248,21 +274,34 @@ def _revalidated(kind: str, n: int, payload: dict) -> Table:
     # stored with sorted keys; the JSON output puts "n" first
     obj = {"n": payload["n"], "A": payload["A"]}
     if kind == "eulerian":
-        _check_decimals(obj["A"])
-        row = eulerian.row_from_obj(obj)
+        # row_from_obj checks that the second half mirrors the first
+        _check_decimals(obj["A"], (n + 1) // 2)
+        try:
+            row = eulerian.row_from_obj(obj)
+        except ValueError as exc:  # wrong length, or text that is no palindrome
+            raise ValueError(f"row fails revalidation: {exc}") from None
         _check_row(n, row)
-        return Table(kind, n, obj=obj)
+        return Table(kind, n, row, obj)
     if kind == "twosided":
         for text in obj["A"]:
             _check_decimals(text)
         table = twosided.table_from_obj(obj)
         _check_array(table)
-        return Table(kind, n, obj=obj)
+        return Table(kind, n, table, obj)
     raise ValueError(f"unknown cache kind {kind}")
 
 
-def _check_decimals(text) -> None:
-    if not isinstance(text, list) or not all(map(_DECIMAL.fullmatch, text)):
+def _check_decimals(text, count: int | None = None) -> None:
+    """Raise unless text is a list whose first count entries (all of them
+    by default) are decimal strings, 0|[1-9][0-9]*."""
+    if not isinstance(text, list):
+        raise ValueError("entries are not decimal strings")
+    head = text[:count]
+    if (
+        not _only_digits(head)
+        or "" in head
+        or any(s[0] == "0" and len(s) > 1 for s in head)
+    ):
         raise ValueError("entries are not decimal strings")
 
 
@@ -298,8 +337,59 @@ def _check_array(table: twosided.TwoSidedTable) -> None:
 # emitters
 
 
+def _only_digits(items) -> bool:
+    """True when every item is a string of ASCII digits or empty.
+
+    One join and one bytes scan, both at C speed, decide it for the whole
+    list.
+    """
+    try:
+        joined = "".join(items)
+    except TypeError:  # an item that is not a string
+        return False
+    return not joined or (joined.isascii() and joined.encode().isdigit())
+
+
+def _json_text(obj, indent: int | None = None, level: int = 0) -> str:
+    """obj as json.dumps(obj, indent=indent) writes it, for dicts with string
+    keys, lists, strings and scalars; indent None means the canonical
+    compact form, json.dumps(obj, sort_keys=True, separators=(",", ":")).
+
+    A list of digit strings, the shape of every table payload, is written
+    with one join, since such strings need no escaping. Any other string
+    goes through the JSON module's C escaper and any other scalar through
+    json.dumps.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if not isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    if indent is None:
+        sep, key_sep, open_, close = ",", ":", "", ""
+    else:
+        open_ = "\n" + " " * (indent * (level + 1))
+        close = "\n" + " " * (indent * level)
+        sep, key_sep = "," + open_, ": "
+    if isinstance(obj, dict):
+        items = obj.items() if indent is not None else sorted(obj.items())
+        body = sep.join(
+            f"{encode_basestring_ascii(key)}{key_sep}"
+            f"{_json_text(value, indent, level + 1)}"
+            for key, value in items
+        )
+        return f"{{{open_}{body}{close}}}"
+    if _only_digits(obj):
+        quoted = f'"{sep}"'.join(obj)
+        body = f'"{quoted}"'
+    else:
+        body = sep.join(_json_text(item, indent, level + 1) for item in obj)
+    return f"[{open_}{body}{close}]"
+
+
 def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
+    print(_json_text(payload, indent=2))
 
 
 def _emit_csv(rows: list[list[str]]) -> None:
@@ -594,10 +684,10 @@ def _check_series_budget(n: int, terms: int, bivariate: bool, force: bool) -> No
             f"{SERIES_WINDOW_BUDGET}; pass --force to go past it"
         )
     work = n ** (3 if bivariate else 2) * (entries + n)
-    if work > SERIES_WORK_BUDGET:
+    if work > WORK_BUDGET:
         raise GuardRailError(
             f"n={n} with a window of {entries} entries means about {work} "
-            f"weighted products, past the series budget {SERIES_WORK_BUDGET}; "
+            f"weighted products, past the work budget {WORK_BUDGET}; "
             "pass --force to go past it"
         )
 

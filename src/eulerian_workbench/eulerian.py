@@ -216,12 +216,28 @@ def check_unimodality(row: tuple[int, ...]) -> bool:
 
 
 def row_to_obj(n: int, row: tuple[int, ...]) -> dict:
-    return {"n": str(n), "A": [str(c) for c in row]}
+    """Row n as {"n": ..., "A": [...]}, each mirrored pair rendered once.
+
+    A row of the triangle is palindromic, so only its first ceil(n/2)
+    entries go through str() and the rest mirror them; a row that is not
+    palindromic raises ConsistencyError.
+    """
+    if row != row[::-1]:
+        raise ConsistencyError(f"row {n} is not palindromic")
+    half = [str(c) for c in row[: (len(row) + 1) // 2]]
+    return {"n": str(n), "A": half + half[: len(row) // 2][::-1]}
 
 
 def row_from_obj(obj: dict) -> tuple[int, ...]:
+    """The row obj holds, parsing only the half a palindrome determines.
+
+    Raises ValueError unless "A" has n entries and reads the same reversed.
+    """
     n = int(obj["n"])
-    row = tuple(int(c) for c in obj["A"])
-    if len(row) != n:
-        raise ValueError(f"row for n={n} has {len(row)} entries")
-    return row
+    text = obj["A"]
+    if len(text) != n:
+        raise ValueError(f"row for n={n} has {len(text)} entries")
+    if text != text[::-1]:
+        raise ValueError(f"row for n={n} is not palindromic")
+    half = [int(c) for c in text[: (n + 1) // 2]]
+    return tuple(half + half[: n // 2][::-1])

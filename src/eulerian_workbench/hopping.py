@@ -102,9 +102,10 @@ def hop(w: Perm, x: int) -> Perm:
     """
     letters = list(w)
     at = letters.index(x)
-    kinds = classify_letters(w)
-    kind = kinds[at]
-    if kind == DOUBLE_DESCENT:
+    # x's kind from its two neighbours, with the +inf sentinels at the ends
+    left_larger = at == 0 or letters[at - 1] > x
+    right_larger = at == len(letters) - 1 or letters[at + 1] > x
+    if left_larger and not right_larger:  # double descent
         # Land immediately before the nearest larger letter to the right;
         # the +inf sentinel catches the case where none exists.
         target = next(
@@ -112,12 +113,12 @@ def hop(w: Perm, x: int) -> Perm:
         )
         letters.pop(at)
         letters.insert(target - 1, x)
-    elif kind == DOUBLE_ASCENT:
+    elif right_larger and not left_larger:  # double ascent
         target = next((q for q in range(at - 1, -1, -1) if letters[q] > x), -1)
         letters.pop(at)
         letters.insert(target + 1, x)
     else:
-        raise ValueError(f"letter {x} is a {kind}, not free")
+        raise ValueError(f"letter {x} is a {classify_letters(w)[at]}, not free")
     return tuple(letters)
 
 

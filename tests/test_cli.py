@@ -237,6 +237,53 @@ def test_series_work_budget_counts_n():
     cli._check_series_budget(10**6, 0, True, True)
 
 
+# the largest n each table command may take without --force, alone and as a
+# listing up to n (--n, --n-max)
+TABLE_BUDGET_EDGES = {
+    "eulerian": (584, 584),
+    "two-sided": (118, 118),
+    "gamma": (542, 233),
+    "gessel": (70, 47),
+}
+
+
+def _table_ns(n, listing):
+    return range(1, n + 1) if listing else range(n, n + 1)
+
+
+def test_table_budget_edges():
+    for command, edges in TABLE_BUDGET_EDGES.items():
+        for listing, top in enumerate(edges):
+            cli._check_table_budget(command, _table_ns(top, listing), False)
+            with pytest.raises(GuardRailError, match="--force"):
+                cli._check_table_budget(command, _table_ns(top + 1, listing), False)
+            cli._check_table_budget(command, _table_ns(10**6, listing), True)
+
+
+def test_table_budget_allows_every_documented_invocation():
+    # the bench's cli-cache commands, the README's and the largest in tests/
+    for command, n_max in (("eulerian", 300), ("two-sided", 40), ("gamma", 60),
+                           ("gessel", 10), ("gessel", 20), ("two-sided", 8)):
+        cli._check_table_budget(command, range(1, n_max + 1), False)
+
+
+def test_table_budget_is_decided_before_building(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("an over-budget table was built")
+
+    for module, name in ((eulerian, "table_from_recurrence"), (eulerian, "brute_force_rows"),
+                         (twosided, "two_sided_from_recurrence"), (twosided, "brute_force_tables")):
+        monkeypatch.setattr(module, name, never)
+    for command, (single, listing) in TABLE_BUDGET_EDGES.items():
+        for argv in (("--n", str(single + 1)), ("--n-max", str(listing + 1)),
+                     ("--n", str(10**12)), ("--n-max", str(10**12)),
+                     ("--n", "3000", "--source", "brute")):
+            code, out, err = run_cli(command, *argv)
+            assert code == 3
+            assert out == ""
+            assert "--force" in err
+
+
 def test_orbit_budget_is_decided_before_building(monkeypatch):
     fits = tuple(range(1, 16))  # 14 free letters: 2**14 members of 15 letters
     past = tuple(range(1, 17))  # 2**15 members of 16 letters
@@ -446,8 +493,34 @@ def test_cache_rejects_non_decimal_entries(tmp_path):
         cli.cache_store(cache, "eulerian", 4, {"n": "4", "A": forged})
         code, out, err = run_cli("eulerian", "--n", "4", "--cache", str(cache), "--format", "csv")
         assert code == 0
-        assert "rejected" in err and "decimal" in err
+        # the reason itself: this test's name puts "decimal" in the path
+        assert "rejected (entries are not decimal strings)" in err
         assert out.splitlines()[1] == "4,1,11,11,1"
+
+
+def test_cache_rejects_palindromic_text_that_int_would_read(tmp_path):
+    # int() reads each of these as 11, so only the decimal check stops them
+    cache = tmp_path / "cache"
+    for forged in ("1_1", " 11", "011", "", "\u0661\u0661", "\uff11\uff11", "11\n"):
+        cli.cache_store(cache, "eulerian", 4, {"n": "4", "A": ["1", forged, forged, "1"]})
+        code, out, err = run_cli("eulerian", "--n", "4", "--cache", str(cache), "--format", "csv")
+        assert code == 0
+        assert "rejected (entries are not decimal strings)" in err
+        assert out.splitlines()[1] == "4,1,11,11,1"
+
+
+def test_cache_rejects_a_second_half_that_differs_from_the_first(tmp_path):
+    cache = tmp_path / "cache"
+    # the true row 6 is 1 57 302 302 57 1; a load parses only the first half
+    asymmetric = "is not palindromic"
+    for second, reason in ((["302", "58", "1"], asymmetric), (["302", "057", "1"], asymmetric),
+                           (["302", "57", "+1"], asymmetric), (["302", "57"], "has 5 entries")):
+        cli.cache_store(cache, "eulerian", 6, {"n": "6", "A": ["1", "57", "302"] + second})
+        code, out, err = run_cli("eulerian", "--n", "6", "--cache", str(cache), "--format", "csv")
+        assert code == 0
+        assert f"rejected (row fails revalidation: row for n=6 {reason})" in err
+        assert out.splitlines()[1] == "6,1,57,302,302,57,1"
+        assert run_cli("eulerian", "--n", "6", "--cache", str(cache))[2] == ""
 
 
 def test_cache_rejects_old_format_and_unknown_schema(tmp_path):
@@ -472,7 +545,8 @@ def test_cache_rejects_old_format_and_unknown_schema(tmp_path):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_cache_survives_any_single_byte_mutation(tmp_path_factory, data):
-    command, n = data.draw(st.sampled_from([("eulerian", 5), ("two-sided", 3)]))
+    # n = 9 has a second half of four entries, which a load mirrors
+    command, n = data.draw(st.sampled_from([("eulerian", 5), ("eulerian", 9), ("two-sided", 3)]))
     kind = "eulerian" if command == "eulerian" else "twosided"
     argv = (command, "--n", str(n), "--format", "json")
     _, want, _ = run_cli(*argv)
@@ -658,6 +732,42 @@ def test_table_stdout_is_pinned_uncached_cold_and_warm(tmp_path, command, fmt):
         assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[command, fmt]
 
 
+# the same pins at the sizes the bench's cli-cache workload runs, frozen from
+# the release before the half-row text path
+LARGE_TABLE_DIGESTS = {
+    ("eulerian", "text"): "e068423a111f696f64f86bca28d4378fa5548dd90a23a1fc7dc70bf4056a90b2",
+    ("eulerian", "json"): "2978061a770d9fac6c2b668838410c8edb2897ec5f657c89418ff872d00becae",
+    ("eulerian", "csv"): "5dd594e9ed7085708216854c5837726959f22d71c3998e7e1ea77d23b0df6753",
+    ("two-sided", "text"): "9268b720fe58a6794a1ee24a84acd3b0e9c103d4692c8fc44d78679a141a61d4",
+    ("two-sided", "json"): "3c101b7d91812403c0b6a9c3d543c4dd784b7ec37321950f7213709c002342cb",
+    ("two-sided", "csv"): "8eb1869fcbf3d762831c70a36937419ae473f436f9d2eb9bb3e3af5c93435c8a",
+}
+LARGE_TABLE_N_MAX = {"eulerian": "300", "two-sided": "40"}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(LARGE_TABLE_DIGESTS))
+def test_large_table_stdout_is_pinned_uncached_cold_and_warm(tmp_path, command, fmt):
+    argv = (command, "--n-max", LARGE_TABLE_N_MAX[command], "--format", fmt)
+    runs = [run_cli(*argv)] + [run_cli(*argv, "--cache", str(tmp_path)) for _ in range(2)]
+    for code, out, err in runs:
+        assert code == 0
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == LARGE_TABLE_DIGESTS[command, fmt]
+
+
+def test_cache_file_bytes_are_pinned(tmp_path):
+    # sha256 of the stored entries, frozen from the release before the writer
+    run_cli("eulerian", "--n-max", "300", "--cache", str(tmp_path))
+    run_cli("two-sided", "--n", "12", "--cache", str(tmp_path))
+    for name, size, digest in (
+        ("eulerian-n300.json", 156194, "3fedd4b1fa7f0b93a9b239efd6a631688b51604a41a9b2e2228107db927681cd"),
+        ("twosided-n12.json", 1065, "9b6dc349913475bce3c972e62ec9246254e2a42a6c03f60ff538c4ff929aed5b"),
+    ):
+        data = (tmp_path / name).read_bytes()
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_stats_csv_quotes_long_words():
     code, out, _ = run_cli("stats", "10,9,8,7,6,5,4,3,2,1", "5624713", "--format", "csv")
     assert code == 0
@@ -680,3 +790,35 @@ def test_emit_csv_matches_csv_writer(rows):
     with redirect_stdout(got):
         cli._emit_csv(rows)
     assert got.getvalue() == want.getvalue()
+
+
+JSON_TEXT = st.text(
+    alphabet=st.sampled_from(list('0123456789a "\\/\x00\x1f\t\n\x7f\u00e9\u00b2\u0661\u2028\ud800\U0001f600')),
+    max_size=6,
+)
+JSON_DIGITS = st.text(alphabet=st.sampled_from(list("0123456789")), max_size=8)
+JSON_VALUES = st.recursive(
+    st.one_of(JSON_TEXT, JSON_DIGITS, st.booleans(), st.none(), st.integers()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(JSON_DIGITS, max_size=6),
+        st.dictionaries(JSON_TEXT, inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json_text(value, indent=2) == json.dumps(value, indent=2)
+    assert cli._json_text(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def test_json_writer_on_table_payloads():
+    rows = eulerian.table_from_recurrence(30).rows
+    payloads = [eulerian.row_to_obj(n, row) for n, row in enumerate(rows, start=1)]
+    payloads += [twosided.table_to_obj(t) for t in twosided.two_sided_from_recurrence(9)]
+    for value in (payloads, payloads[-1], {"n": "1", "A": [[]]}, [[], {}, [[]]]):
+        assert cli._json_text(value, indent=2) == json.dumps(value, indent=2)
+        assert cli._json_text(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))

@@ -83,6 +83,21 @@ def test_hop_rejects_non_free_letters():
         hop((1, 3, 2), 4)  # absent
 
 
+def test_hop_accepts_exactly_the_free_letters():
+    # hop decides from two neighbours; classify_letters reads the whole word
+    for n in range(1, 7):
+        for w in enumerate_sn(n):
+            kinds = classify_letters(w)
+            for x, kind in zip(w, kinds):
+                if kind in (DOUBLE_ASCENT, DOUBLE_DESCENT):
+                    assert descent_count(hop(w, x)) - descent_count(w) == (
+                        1 if kind == DOUBLE_ASCENT else -1
+                    )
+                else:
+                    with pytest.raises(ValueError, match=f"letter {x} is a {kind}, not free"):
+                        hop(w, x)
+
+
 def test_hop_is_an_involution_and_commutes():
     for n in range(1, 7):
         for w in enumerate_sn(n):
