@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .common import GuardRailError
+from .common import check_budget
 from .exactnum import binomial
 from .perm import (
     Perm,
@@ -109,10 +109,7 @@ def oracle_barred_census(n: int, k: int) -> dict[Perm, int]:
     """Enumerate all k**n assignments and histogram the underlying words."""
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
-    if k**n > BARRED_CENSUS_BUDGET:
-        raise GuardRailError(
-            f"{k}**{n} assignments exceed the census budget {BARRED_CENSUS_BUDGET}"
-        )
+    check_budget(f"assignments of {n} balls to {k} boxes", k**n, BARRED_CENSUS_BUDGET)
     # Reading the boxes left to right is one stable sort of the balls by box.
     balls = range(1, n + 1)
     return dict(Counter(
@@ -247,11 +244,11 @@ def oracle_two_sided_census(n: int, columns: int, rows: int) -> dict[Perm, int]:
     """Enumerate all multisets of n cells and histogram the standardizations."""
     if n < 1 or columns < 0 or rows < 0:
         raise ValueError("need n >= 1 and nonnegative grid dimensions")
-    total = binomial(columns * rows + n - 1, n)
-    if total > GRID_CENSUS_BUDGET:
-        raise GuardRailError(
-            f"{total} grid placements exceed the census budget {GRID_CENSUS_BUDGET}"
-        )
+    check_budget(
+        f"placements of {n} balls in a {columns}x{rows} grid",
+        binomial(columns * rows + n - 1, n),
+        GRID_CENSUS_BUDGET,
+    )
     # Cells in (column, row) order, each named by its (row, column) rank. A
     # multiset then lists its balls by column rank with copies adjacent, and
     # a stable sort of the positions by cell name lists them by row rank;

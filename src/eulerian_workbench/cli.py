@@ -9,6 +9,15 @@ in-process shard while the largest n walks S_n as a single run
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 guard rail.
 
+Each flag goes only to the subcommands it acts on: --format to all of
+them, --force to the seven guarded ones (all but stats and verify), and
+--n/--n-max, --source, --cache and --shards to the four table commands;
+any other flag exits 2. The parser checks counts: --n, --n-max and --shards
+at least 1, series --terms at least 0. Every guard rail and work budget is
+decided from the arguments before any work, through common.check_budget,
+which --force lifts; Python's limit on int-to-str conversion is held the
+same way but cannot be lifted.
+
 All numbers inside JSON payloads are decimal strings so the schema never
 changes shape when entries outgrow native integers. One writer, _json_text,
 produces both JSON layouts byte for byte as the json module would: indented
@@ -16,11 +25,10 @@ for stdout and canonical (sorted keys, no spaces) for the cache. It writes
 a list of digit strings with one join.
 
 The tables behind eulerian, two-sided, gamma and gessel come from one
-provider, _tables, behind one work budget shared with series (WORK_BUDGET,
-decided from the arguments before any table is built). Each entry is
-rendered to decimal text at most once per invocation, and only the first
-half of a palindromic row at all; that text feeds the cache and every
-output format.
+provider, _tables, behind one work budget shared with series (WORK_BUDGET).
+Each entry is rendered to decimal text at most once per invocation, and
+only the first half of a palindromic row at all; that text feeds the cache
+and every output format.
 
 The cache directory (--cache or $EULERIAN_WORKBENCH_CACHE) keeps one file
 per table, {kind}-n{n}.json, holding the line
@@ -51,6 +59,7 @@ import csv
 import hashlib
 import io
 import json
+import operator
 import os
 import re
 import sys
@@ -61,7 +70,7 @@ from math import factorial
 from pathlib import Path
 
 from . import eulerian, hopping, twosided, verify
-from .common import CheckReport, ConsistencyError, GuardRailError
+from .common import CheckReport, ConsistencyError, GuardRailError, check_budget
 from .exactnum import binomial
 from .perm import (
     SUFFIX,
@@ -131,25 +140,15 @@ class Table:
         return max(map(len, self.text))
 
 
-def _requested_ns(args) -> range:
-    if args.n is not None:
-        if args.n < 1:
-            raise ValueError("--n must be at least 1")
-        return range(args.n, args.n + 1)
-    if args.n_max < 1:
-        raise ValueError("--n-max must be at least 1")
-    return range(1, args.n_max + 1)
-
-
 def _check_table_budget(command: str, ns: range, force: bool) -> None:
-    """Refuse a table command past WORK_BUDGET unless forced.
+    """Refuse a table command past WORK_BUDGET unless forced, and past
+    Python's int-to-str limit in any case.
 
     Counts the recurrence up to the largest n, and for gamma and gessel the
     expansion of every requested n, as WORK_BUDGET describes; it decides
-    from the arguments alone, before any table is built.
+    from the arguments alone, before any table is built. Every entry is
+    below n!, so that is the number the limit is held against.
     """
-    if force:
-        return
     top = ns[-1]
     work = top ** (3 if command in ("eulerian", "gamma") else 4)
     if work <= WORK_BUDGET:  # else top may be huge: no sum over ns
@@ -157,37 +156,50 @@ def _check_table_budget(command: str, ns: range, force: bool) -> None:
             work += sum(n**3 // 4 for n in ns)
         elif command == "gessel":
             work += sum(n**5 // 10 for n in ns)
-    if work > WORK_BUDGET:
-        raise GuardRailError(
-            f"{command} up to n={top} means about {work} weighted products, "
-            f"past the work budget {WORK_BUDGET}; pass --force to go past it"
-        )
+    check_budget(f"weighted products for {command} up to n={top}", work, WORK_BUDGET, force)
+    _check_printable(command, top, operator.mul)
 
 
-def _effective_shards(args, n_top: int) -> int:
-    """--shards, else one in-process shard while S_n is a single run."""
-    if args.shards is not None:
-        if args.shards < 1:
-            raise ValueError("--shards must be positive")
-        return args.shards
-    return usable_cpus() if n_top > SUFFIX else 1
+def _check_printable(command: str, n: int, step) -> None:
+    """Refuse, with no override, a call whose largest printed number would
+    pass Python's limit on int-to-str conversion (none when it is 0).
+
+    step(value, i) gives the bound on the numbers printed at size i from the
+    one at i - 1, starting from 1. The budget is the largest size whose
+    bound stays below 10**limit. The walk stops at n or just past the
+    budget: at most n small products, far below the work it guards.
+    """
+    # Python 3.10 releases before 3.10.7 have no limit to read
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    bound, value = 10**limit, 1
+    for i in range(1, n + 1):
+        value = step(value, i)
+        if value >= bound:
+            check_budget(
+                f"n for {command} under Python's {limit}-digit limit on "
+                "int-to-str conversion", n, i - 1,
+            )
 
 
 def _tables(args, kind: str) -> list[Table]:
     """Tables of kind "eulerian" or "twosided" for the requested ns.
 
-    Brute force never touches the cache. Otherwise every n is a cache hit
-    or comes from one recurrence run up to the largest missing n, and is
+    Brute force never touches the cache; it runs --shards blocks, else one
+    in-process shard while S_n is a single run. Otherwise every n is a cache
+    hit or comes from one recurrence run up to the largest missing n, and is
     stored back when a cache directory is set.
     """
-    ns = _requested_ns(args)
+    ns = range(args.n, args.n + 1) if args.n else range(1, args.n_max + 1)
     _check_table_budget(args.command, ns, args.force)
     if args.source == "brute":
         brute = (
             eulerian.brute_force_rows if kind == "eulerian"
             else twosided.brute_force_tables
         )
-        found = brute(ns, shards=_effective_shards(args, ns[-1]), force=args.force)
+        shards = args.shards or (usable_cpus() if ns[-1] > SUFFIX else 1)
+        found = brute(ns, shards=shards, force=args.force)
         return [Table(kind, n, found[n]) for n in ns]
     cache_dir = _cache_dir(args)
     out: dict[int, Table] = {}
@@ -215,7 +227,7 @@ _HEADER = re.compile(rb'\{"schema": (\d+), "sha256": "([0-9a-f]{64})", "payload"
 
 
 def _cache_dir(args) -> Path | None:
-    if getattr(args, "cache", None):
+    if args.cache:
         return Path(args.cache)
     env = os.environ.get(CACHE_ENV)
     return Path(env) if env else None
@@ -652,8 +664,6 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
-    if args.n is None or args.n < 1:
-        raise ValueError("--n must be at least 1")
     census = hopping.orbit_census(args.n, force=args.force)
     if args.format == "json":
         _emit_json(
@@ -674,30 +684,25 @@ def _cmd_orbits(args) -> int:
 
 
 def _check_series_budget(n: int, terms: int, bivariate: bool, force: bool) -> None:
-    """Refuse a series call past either budget unless forced."""
-    if force:
-        return
+    """Refuse a series call past either budget unless forced, and past
+    Python's int-to-str limit in any case: the largest number printed is
+    terms**n, or binomial(terms**2 + n - 1, n) with bivariate (1 at most for
+    terms below 2)."""
     entries = (terms + 1) ** 2 if bivariate else terms + 1
-    if entries > SERIES_WINDOW_BUDGET:
-        raise GuardRailError(
-            f"a window of {entries} entries exceeds the series budget "
-            f"{SERIES_WINDOW_BUDGET}; pass --force to go past it"
-        )
+    check_budget("entries in the series window", entries, SERIES_WINDOW_BUDGET, force)
     work = n ** (3 if bivariate else 2) * (entries + n)
-    if work > WORK_BUDGET:
-        raise GuardRailError(
-            f"n={n} with a window of {entries} entries means about {work} "
-            f"weighted products, past the work budget {WORK_BUDGET}; "
-            "pass --force to go past it"
-        )
+    check_budget(f"weighted products for series at n={n}", work, WORK_BUDGET, force)
+    cells = terms * terms
+    _check_printable(
+        "series",
+        n if terms > 1 else 0,
+        (lambda value, i: value * (cells + i - 1) // i) if bivariate
+        else (lambda value, i: value * terms),
+    )
 
 
 def _cmd_series(args) -> int:
     n, terms = args.n, args.terms
-    if n is None or n < 1:
-        raise ValueError("--n must be at least 1")
-    if terms < 0:
-        raise ValueError("--terms must be nonnegative")
     _check_series_budget(n, terms, args.bivariate, args.force)
     if args.bivariate:
         grid = twosided.grid_window(twosided.two_sided_from_recurrence(n)[n - 1], terms)
@@ -778,6 +783,19 @@ def _cmd_verify(args) -> int:
 # parser
 
 
+def _at_least(k: int):
+    """The argparse type of an int no smaller than k."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < k:
+            raise argparse.ArgumentTypeError(f"must be at least {k}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its invalid-value message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eulerian-workbench",
@@ -787,79 +805,65 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    positive = _at_least(1)
 
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument(
         "--format", choices=["text", "csv", "json"], default="text",
         help="output format (default text)",
     )
-    shared.add_argument(
+    guarded = argparse.ArgumentParser(add_help=False, parents=[formatted])
+    guarded.add_argument(
+        "--force", action="store_true",
+        help="lift the guard rails and work budgets (not Python's limit on "
+        "int-to-str conversion)",
+    )
+    tables = argparse.ArgumentParser(add_help=False, parents=[guarded])
+    group = tables.add_mutually_exclusive_group(required=True)
+    group.add_argument("--n", type=positive, help="single n")
+    group.add_argument("--n-max", type=positive, dest="n_max", help="all n up to this")
+    tables.add_argument("--source", choices=["recurrence", "brute"], default="recurrence")
+    tables.add_argument(
         "--cache", metavar="DIR",
         help=f"table cache directory (default ${CACHE_ENV})",
     )
-    shared.add_argument(
-        "--shards", type=int, metavar="N",
+    tables.add_argument(
+        "--shards", type=positive, metavar="N",
         help="shard count for brute-force enumeration; worker processes "
         f"are capped at the usable CPUs (default: 1 up to n={SUFFIX}, else the usable CPUs)",
     )
-    shared.add_argument(
-        "--force", action="store_true",
-        help="override the enumeration guard rails",
-    )
 
-    def add_range(p, require=True):
-        group = p.add_mutually_exclusive_group(required=require)
-        group.add_argument("--n", type=int, help="single n")
-        group.add_argument("--n-max", type=int, dest="n_max", help="all n up to this")
-        p.set_defaults(n=None, n_max=None)
-
-    p = sub.add_parser("stats", parents=[shared], help="statistics of permutations")
+    p = sub.add_parser("stats", parents=[formatted], help="statistics of permutations")
     p.add_argument("permutation", nargs="+", help="one-line notation")
     p.set_defaults(handler=_cmd_stats)
 
-    p = sub.add_parser("eulerian", parents=[shared], help="Eulerian triangle rows")
-    add_range(p)
-    p.add_argument("--source", choices=["recurrence", "brute"], default="recurrence")
-    p.set_defaults(handler=_cmd_eulerian)
+    for name, handler, text in (
+        ("eulerian", _cmd_eulerian, "Eulerian triangle rows"),
+        ("two-sided", _cmd_two_sided, "two-sided Eulerian arrays"),
+        ("gamma", _cmd_gamma, "gamma vectors of rows"),
+        ("gessel", _cmd_gessel, "Gessel-basis expansions and the verdict"),
+    ):
+        sub.add_parser(name, parents=[tables], help=text).set_defaults(handler=handler)
 
-    p = sub.add_parser(
-        "two-sided", parents=[shared], help="two-sided Eulerian arrays"
-    )
-    add_range(p)
-    p.add_argument("--source", choices=["recurrence", "brute"], default="recurrence")
-    p.set_defaults(handler=_cmd_two_sided)
-
-    p = sub.add_parser("gamma", parents=[shared], help="gamma vectors of rows")
-    add_range(p)
-    p.add_argument("--source", choices=["recurrence", "brute"], default="recurrence")
-    p.set_defaults(handler=_cmd_gamma)
-
-    p = sub.add_parser(
-        "gessel", parents=[shared], help="Gessel-basis expansions and the verdict"
-    )
-    add_range(p)
-    p.add_argument("--source", choices=["recurrence", "brute"], default="recurrence")
-    p.set_defaults(handler=_cmd_gessel)
-
-    p = sub.add_parser("orbit", parents=[shared], help="hop orbit of a permutation")
+    p = sub.add_parser("orbit", parents=[guarded], help="hop orbit of a permutation")
     p.add_argument("permutation", help="one-line notation")
     p.set_defaults(handler=_cmd_orbit)
 
-    p = sub.add_parser("orbits", parents=[shared], help="orbit census by peak count")
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("orbits", parents=[guarded], help="orbit census by peak count")
+    p.add_argument("--n", type=positive, required=True)
     p.set_defaults(handler=_cmd_orbits)
 
     p = sub.add_parser(
-        "series", parents=[shared], help="series windows of the closed products"
+        "series", parents=[guarded], help="series windows of the closed products"
     )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--terms", type=int, default=10, metavar="K")
+    p.add_argument("--n", type=positive, required=True)
+    p.add_argument("--terms", type=_at_least(0), default=10, metavar="K")
     p.add_argument(
         "--bivariate", action="store_true", help="use the two-variable grid window"
     )
     p.set_defaults(handler=_cmd_series)
 
-    p = sub.add_parser("verify", parents=[shared], help="run a verification suite")
+    p = sub.add_parser("verify", parents=[formatted], help="run a verification suite")
     p.add_argument(
         "--suite",
         choices=["all"] + verify.SUITE_ORDER,

@@ -263,35 +263,6 @@ class BiPoly:
             raise ValueError(f"exponent above {top} has no reciprocal image")
         return BiPoly(tuple(sorted((top - a, top - b, c) for a, b, c in self.terms)))
 
-    def divide_exact(self, divisor: "BiPoly") -> "BiPoly | None":
-        """Exact quotient self / divisor, or None when it does not divide.
-
-        Plain multivariate division on the lexicographic monomial order; the
-        divisors used here are monomials and two-term binomials, for which
-        this terminates quickly.
-        """
-        if divisor.is_zero():
-            raise ValueError("division by zero polynomial")
-        la, lb, lc = divisor.terms[-1]
-        rest = divisor.terms[:-1]
-        rem = self.as_dict()
-        quotient: dict[tuple[int, int], int] = {}
-        while rem:
-            a, b = max(rem)
-            c = rem.pop((a, b))
-            if a < la or b < lb or c % lc:
-                return None
-            qa, qb, qc = a - la, b - lb, c // lc
-            quotient[(qa, qb)] = quotient.get((qa, qb), 0) + qc
-            for ra, rb, rc in rest:
-                key = (qa + ra, qb + rb)
-                val = rem.get(key, 0) - qc * rc
-                if val:
-                    rem[key] = val
-                else:
-                    rem.pop(key, None)
-        return BiPoly.from_dict(quotient)
-
     def to_obj(self) -> dict:
         return {
             "var": "st",

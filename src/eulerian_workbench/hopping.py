@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .common import ConsistencyError, GuardRailError
+from .common import ConsistencyError, check_budget
 from .exactnum import BiPoly, UniPoly
 from .perm import Perm, census_kernel, descent_count, histogram, inverse_descent_count
 
@@ -129,11 +129,7 @@ def check_orbit_budget(w: Perm, force: bool) -> None:
     so its size is known before any hop is made.
     """
     letters = 2 ** len(free_values(w)) * len(w)
-    if letters > ORBIT_LETTER_BUDGET and not force:
-        raise GuardRailError(
-            f"the orbit of this word holds {letters} letters, past the orbit "
-            f"budget {ORBIT_LETTER_BUDGET}; pass force (--force) to build it"
-        )
+    check_budget("letters in this word's orbit", letters, ORBIT_LETTER_BUDGET, force)
 
 
 @dataclass(frozen=True)
@@ -246,31 +242,34 @@ def factored_univariate(orbit: Orbit) -> str:
 def factored_bivariate(p: BiPoly) -> str | None:
     """Factor p as s^a t^b (1+s)^c (1+t)^d (1+st)^e if possible, else None.
 
-    Orbit generating functions observed so far always factor this way, but
-    nothing guarantees it, so callers must tolerate None.
+    Such a factorization is unique, and its exponents can be read off p: a
+    and b are the least exponents of s and t, S = a + c + e and T = b + d + e
+    the largest, and the coefficients sum to 2**(c + d + e). The product
+    they name is expanded and compared with p. Orbit generating functions
+    observed so far always factor this way, but nothing guarantees it, so
+    callers must tolerate None.
     """
-    if p.is_zero():
+    total = sum(coeff for _, _, coeff in p.terms)
+    if total < 1 or total & (total - 1):
         return None
     a = min(s_exp for s_exp, _, _ in p.terms)
     b = min(t_exp for _, t_exp, _ in p.terms)
-    rest = BiPoly(tuple((s_exp - a, t_exp - b, c) for s_exp, t_exp, c in p.terms))
-    counts = []
-    for name, base in (
-        ("(1+s)", BiPoly.one() + BiPoly.monomial(1, 0)),
-        ("(1+t)", BiPoly.one() + BiPoly.monomial(0, 1)),
-        ("(1+st)", BiPoly.one() + BiPoly.monomial(1, 1)),
-    ):
-        count = 0
-        while True:
-            quotient = rest.divide_exact(base)
-            if quotient is None:
-                break
-            rest = quotient
-            count += 1
-        counts.append((name, count))
-    if rest != BiPoly.one():
+    s_span = max(s_exp for s_exp, _, _ in p.terms) - a
+    t_span = max(t_exp for _, t_exp, _ in p.terms) - b
+    e = s_span + t_span - (total.bit_length() - 1)
+    c, d = s_span - e, t_span - e
+    if min(c, d, e) < 0:
         return None
-    return _factored_text([("s", a), ("t", b)] + counts)
+    one = BiPoly.one()
+    product = (
+        BiPoly.monomial(a, b)
+        * (one + BiPoly.monomial(1, 0)) ** c
+        * (one + BiPoly.monomial(0, 1)) ** d
+        * (one + BiPoly.monomial(1, 1)) ** e
+    )
+    if product != p:
+        return None
+    return _factored_text([("s", a), ("t", b), ("(1+s)", c), ("(1+t)", d), ("(1+st)", e)])
 
 
 def _factored_text(factors: list[tuple[str, int]], sep: str = " ") -> str:

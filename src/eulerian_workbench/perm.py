@@ -36,7 +36,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import factorial
 
-from .common import GuardRailError
+from .common import check_budget
 
 Perm = tuple[int, ...]
 
@@ -160,11 +160,7 @@ def check_guard(n: int, force: bool) -> None:
     """Refuse a walk over S_n past the guard rail unless forced."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > BRUTE_FORCE_GUARD and not force:
-        raise GuardRailError(
-            f"walking S_{n} means {factorial(n)} permutations; "
-            f"pass force (--force) to go past n={BRUTE_FORCE_GUARD}"
-        )
+    check_budget("n for a walk over S_n", n, BRUTE_FORCE_GUARD, force)
 
 
 def unrank(n: int, rank: int) -> Perm:

@@ -113,6 +113,9 @@ def test_barred_counts_sum_to_powers():
 def test_barred_census_budget():
     with pytest.raises(GuardRailError):
         oracle_barred_census(12, 9)
+    # a count past Python's int-to-str limit is named by its size, no override offered
+    with pytest.raises(GuardRailError, match=r"about 2\*\*332192, past the budget 100000000$"):
+        oracle_barred_census(10**5, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +258,8 @@ def test_streamed_censuses_match_the_dataclass_route():
 def test_grid_census_budget():
     with pytest.raises(GuardRailError):
         oracle_two_sided_census(10, 40, 40)
+    with pytest.raises(GuardRailError, match="past the budget 10000000$"):
+        oracle_two_sided_census(10**4, 100, 100)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import sys
 import threading
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -251,13 +252,72 @@ def _table_ns(n, listing):
     return range(1, n + 1) if listing else range(n, n + 1)
 
 
-def test_table_budget_edges():
+@pytest.fixture
+def int_str_limit():
+    """Python's default 4300-digit limit on int-to-str conversion, then the
+    limit the run had."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
+
+
+# the largest n whose n! has at most 4300 digits: every table entry is below n!
+PRINTABLE_TABLE_N = 1558
+
+
+def test_table_budget_edges(int_str_limit):
     for command, edges in TABLE_BUDGET_EDGES.items():
         for listing, top in enumerate(edges):
             cli._check_table_budget(command, _table_ns(top, listing), False)
             with pytest.raises(GuardRailError, match="--force"):
                 cli._check_table_budget(command, _table_ns(top + 1, listing), False)
-            cli._check_table_budget(command, _table_ns(10**6, listing), True)
+            cli._check_table_budget(command, _table_ns(PRINTABLE_TABLE_N, listing), True)
+
+
+def test_int_str_limit_is_decided_before_building(int_str_limit, monkeypatch):
+    assert math.factorial(PRINTABLE_TABLE_N) < 10**int_str_limit <= math.factorial(PRINTABLE_TABLE_N + 1)
+
+    def never(*args, **kwargs):
+        raise AssertionError("an unprintable table was built")
+
+    for module, name in ((eulerian, "table_from_recurrence"), (eulerian, "brute_force_rows"),
+                         (twosided, "two_sided_from_recurrence"), (twosided, "brute_force_tables")):
+        monkeypatch.setattr(module, name, never)
+    for command in TABLE_BUDGET_EDGES:
+        for listing in (0, 1):
+            for top in (PRINTABLE_TABLE_N + 1, 10**12):
+                with pytest.raises(GuardRailError, match=f"budget {PRINTABLE_TABLE_N}$"):
+                    cli._check_table_budget(command, _table_ns(top, listing), True)
+        code, out, err = run_cli(command, "--n", str(PRINTABLE_TABLE_N + 1), "--force")
+        assert code == 3
+        assert out == ""
+        assert "int-to-str" in err and "--force" not in err
+    # no limit, no refusal
+    sys.set_int_max_str_digits(0)
+    cli._check_table_budget("gessel", range(1, 10**12 + 1), True)
+    cli._check_series_budget(10**5, 10**5, False, True)
+
+
+def test_series_int_str_limit(int_str_limit):
+    bound = 10**int_str_limit
+    # the largest printed number is terms**n, or binomial(terms**2 + n - 1, n)
+    cli._check_series_budget(int_str_limit - 1, 10, False, True)
+    with pytest.raises(GuardRailError, match="int-to-str"):
+        cli._check_series_budget(int_str_limit, 10, False, True)
+    for terms in (100, 1000):
+        cells = terms * terms
+        top, past = 0, 2 * int_str_limit  # bisect on math.comb
+        while past - top > 1:
+            mid = (top + past) // 2
+            top, past = (mid, past) if math.comb(cells + mid - 1, mid) < bound else (top, mid)
+        cli._check_series_budget(top, terms, True, True)
+        with pytest.raises(GuardRailError, match=f"budget {top}$"):
+            cli._check_series_budget(top + 1, terms, True, True)
+    # terms below 2 print nothing past 1
+    for bivariate in (False, True):
+        for terms in (0, 1):
+            cli._check_series_budget(10**6, terms, bivariate, True)
 
 
 def test_table_budget_allows_every_documented_invocation():
@@ -276,7 +336,7 @@ def test_table_budget_is_decided_before_building(monkeypatch):
         monkeypatch.setattr(module, name, never)
     for command, (single, listing) in TABLE_BUDGET_EDGES.items():
         for argv in (("--n", str(single + 1)), ("--n-max", str(listing + 1)),
-                     ("--n", str(10**12)), ("--n-max", str(10**12)),
+                     ("--n", str(10**12)), ("--n-max", str(10**12)), ("--n", str(10**4000)),
                      ("--n", "3000", "--source", "brute")):
             code, out, err = run_cli(command, *argv)
             assert code == 3
@@ -370,6 +430,149 @@ def test_help_exits_zero():
     code, out, _ = run_cli("--help")
     assert code == 0
     assert "eulerian-workbench" in out
+
+
+def test_dropped_flags_exit_2():
+    # each flag is taken only by the subcommands it acts on
+    for argv in (("verify", "--shards", "8"), ("stats", "312", "--cache", "d", "--force"),
+                 ("orbits", "--n", "11", "--shards", "4"), ("series", "--n", "3", "--cache", "d"),
+                 ("orbit", "312", "--shards", "2"), ("verify", "--force")):
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over generated argv
+
+TABLE_COMMANDS = ("eulerian", "two-sided", "gamma", "gessel")
+SMALL_WORDS = st.integers(1, 6).flatmap(
+    lambda n: st.permutations(range(1, n + 1)).map(lambda w: "".join(map(str, w)))
+)
+BAD_WORD_LIST = ("1232", "0", "21a", "13", "", "1,,2", "-1")
+BAD_WORDS = st.sampled_from(BAD_WORD_LIST)
+# flags a subcommand does not take
+DROPPED = {
+    "stats": [("--cache", "d"), ("--shards", "2"), ("--force",)],
+    "verify": [("--cache", "d"), ("--shards", "2"), ("--force",)],
+    "orbit": [("--cache", "d"), ("--shards", "2")],
+    "orbits": [("--cache", "d"), ("--shards", "2")],
+    "series": [("--cache", "d"), ("--shards", "2")],
+}
+
+
+@st.composite
+def cli_cases(draw):
+    """(argv, the exit code its inputs require, a verify suite to break).
+
+    Only small inputs run for real. Over-budget inputs (large n, long
+    windows, big orbits, S_n past the guard) never come with --force, and
+    the test runs them with every builder patched to raise.
+    """
+    command = draw(st.sampled_from(["stats", *TABLE_COMMANDS, "orbit", "orbits", "series", "verify"]))
+    argv, usage, over, broken = [command], False, False, None
+
+    if command == "stats":
+        words = draw(st.lists(st.one_of(SMALL_WORDS, BAD_WORDS), min_size=1, max_size=3))
+        argv += words
+        usage = any(w in BAD_WORD_LIST for w in words)
+    elif command in TABLE_COMMANDS:
+        brute = draw(st.booleans())
+        n = draw(st.one_of(st.integers(-2, 6), st.sampled_from([12] if brute else [1000, 10**12])))
+        argv += [draw(st.sampled_from(["--n", "--n-max"])), str(n)]
+        usage, over = n < 1, n > 6
+        if brute:
+            argv += ["--source", "brute"]
+        if draw(st.booleans()):
+            shards = draw(st.integers(-1, 3))
+            argv += ["--shards", str(shards)]
+            usage = usage or shards < 1
+        if not over and draw(st.booleans()):
+            argv.append("--force")
+    elif command == "orbit":
+        kind = draw(st.sampled_from(["small", "bad", "big"]))
+        if kind == "big":  # 2**(m - 1) members of m letters: past 2**18 letters
+            argv.append(",".join(map(str, range(1, draw(st.integers(16, 20)) + 1))))
+        else:
+            argv.append(draw(SMALL_WORDS if kind == "small" else BAD_WORDS))
+        usage, over = kind == "bad", kind == "big"
+        if not over and draw(st.booleans()):
+            argv.append("--force")
+    elif command == "orbits":
+        n = draw(st.one_of(st.integers(-1, 7), st.just(12)))
+        argv += ["--n", str(n)]
+        usage, over = n < 1, n > 11
+        if not over and draw(st.booleans()):
+            argv.append("--force")
+    elif command == "series":
+        n = draw(st.one_of(st.integers(-1, 5), st.just(10**6)))
+        terms = draw(st.one_of(st.integers(-1, 5), st.just(10**6)))
+        argv += ["--n", str(n), "--terms", str(terms)]
+        if draw(st.booleans()):
+            argv.append("--bivariate")
+        usage, over = n < 1 or terms < 0, n > 5 or terms > 5
+        if not over and draw(st.booleans()):
+            argv.append("--force")
+    else:
+        suite = draw(st.sampled_from(verify.SUITE_ORDER))
+        argv += ["--suite", suite, "--n-max", str(draw(st.integers(1, 4)))]
+        if draw(st.booleans()):
+            broken = suite
+    if command in DROPPED and draw(st.integers(0, 3)) == 0:
+        argv += draw(st.sampled_from(DROPPED[command]))
+        usage = True
+    fmt = draw(st.sampled_from([None, "text", "json", "csv", "xml"]))
+    if fmt is not None:
+        argv += ["--format", fmt]
+        usage = usage or fmt == "xml"
+    code = 2 if usage else 3 if over else 1 if broken else 0
+    return argv, code, broken
+
+
+class InlinePool:
+    """Stands in for the process pool: maps in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cli_cases())
+def test_exit_codes_follow_the_inputs(case):
+    argv, want, broken = case
+
+    def never(*args, **kwargs):
+        raise AssertionError("over-budget work was started")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (eulerian, twosided):
+            patch.setattr(module, "ProcessPoolExecutor", InlinePool)
+        if want == 3:
+            for module, name in ((eulerian, "table_from_recurrence"),
+                                 (twosided, "two_sided_from_recurrence"),
+                                 (hopping, "orbit_of"), (perm, "_count_block")):
+                patch.setattr(module, name, never)
+        if broken:
+            patch.setitem(verify.SUITES, broken,
+                          lambda bounds: [CheckReport(False, "injected failure")])
+        code, out, _ = run_cli(*argv)
+    assert code == want
+    if code in (2, 3):
+        assert out == ""
+    elif code == 1:
+        assert "fail" in out.lower()
+    else:
+        assert out
 
 
 # ---------------------------------------------------------------------------
@@ -617,20 +820,11 @@ def recording_pools(monkeypatch):
     """Swap in a recording process pool; returns the pool sizes."""
     started = []
 
-    class RecordingPool:
+    class RecordingPool(InlinePool):
         """Stands in for the process pool: records its size, maps in-process."""
 
         def __init__(self, max_workers):
             started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
 
     for module in (eulerian, twosided):
         monkeypatch.setattr(module, "ProcessPoolExecutor", RecordingPool)

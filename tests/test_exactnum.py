@@ -112,14 +112,6 @@ def test_bipoly_reciprocal():
         BiPoly.monomial(5, 0).reciprocal(4)
 
 
-def test_bipoly_exact_division():
-    one_st = BiPoly.one() + BiPoly.monomial(1, 1)
-    s = BiPoly.monomial(1, 0)
-    p = s * one_st**3
-    assert p.divide_exact(one_st) == s * one_st**2
-    assert p.divide_exact(BiPoly.one() + BiPoly.monomial(0, 1)) is None
-
-
 def test_bipoly_partial_derivatives():
     p = BiPoly.from_dict({(2, 1): 3})
     assert p.partial_derivative("s") == BiPoly.from_dict({(1, 1): 6})

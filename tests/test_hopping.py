@@ -269,3 +269,9 @@ def test_factored_bivariate_forms():
     assert factored_bivariate(BiPoly.monomial(2, 2)) == "s^2 t^2"
     # an irreducible sum that is none of the recognized factors
     assert factored_bivariate(one + BiPoly.monomial(2, 0)) is None
+    # exponents that read off as nonnegative but name another product
+    assert factored_bivariate(BiPoly.monomial(1, 0) + BiPoly.monomial(0, 1)) is None
+    # a coefficient sum that is no positive power of two
+    assert factored_bivariate(one - BiPoly.monomial(1, 1)) is None
+    assert factored_bivariate(BiPoly.monomial(0, 0, 3)) is None
+    assert factored_bivariate(BiPoly()) is None
