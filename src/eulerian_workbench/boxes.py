@@ -33,7 +33,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from math import lgamma, log, log2
+from typing import Callable, Iterable, Iterator
 
 from .common import check_budget
 from .exactnum import binomial
@@ -109,13 +110,33 @@ def oracle_barred_census(n: int, k: int) -> dict[Perm, int]:
     """Enumerate all k**n assignments and histogram the underlying words."""
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
-    check_budget(f"assignments of {n} balls to {k} boxes", k**n, BARRED_CENSUS_BUDGET)
+    # k**n is k for k <= 1, so only k >= 2 needs n factors
+    size = _census_size(itertools.repeat((k, 1), n if k > 1 else 1), lambda: n * log2(k))
+    check_budget(f"assignments of {n} balls to {k} boxes", size, BARRED_CENSUS_BUDGET)
     # Reading the boxes left to right is one stable sort of the balls by box.
     balls = range(1, n + 1)
     return dict(Counter(
         tuple(sorted(balls, key=((0,) + boxes).__getitem__))
         for boxes in itertools.product(range(1, k + 1), repeat=n)
     ))
+
+
+def _census_size(factors: Iterable[tuple[int, int]], log2_size: Callable[[], float]) -> int:
+    """The number of placements a census would walk, by an early-exit product.
+
+    The size is the product of a / b over factors, in order, each running
+    product an exact integer no smaller than the last. The product stops
+    once it passes 64 bits, far past both census budgets: check_budget names
+    a refused count that large by its bit length alone, so a power of two
+    of the bit length log2_size() gives stands in for the exact size, which
+    can run to millions of digits.
+    """
+    size = 1
+    for a, b in factors:
+        size = size * a // b
+        if size.bit_length() > 64:
+            return 1 << int(log2_size())
+    return size
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +265,14 @@ def oracle_two_sided_census(n: int, columns: int, rows: int) -> dict[Perm, int]:
     """Enumerate all multisets of n cells and histogram the standardizations."""
     if n < 1 or columns < 0 or rows < 0:
         raise ValueError("need n >= 1 and nonnegative grid dimensions")
-    check_budget(
-        f"placements of {n} balls in a {columns}x{rows} grid",
-        binomial(columns * rows + n - 1, n),
-        GRID_CENSUS_BUDGET,
+    # binomial(m, n) with m = cells + n - 1, over its shorter side r: no cells, no placements
+    cells = columns * rows
+    m, r = cells + n - 1, min(n, cells - 1)
+    size = _census_size(
+        ((m - r + i, i) for i in range(1, r + 1)) if cells else [(0, 1)],
+        lambda: (lgamma(m + 1) - lgamma(r + 1) - lgamma(m - r + 1)) / log(2),
     )
+    check_budget(f"placements of {n} balls in a {columns}x{rows} grid", size, GRID_CENSUS_BUDGET)
     # Cells in (column, row) order, each named by its (row, column) rank. A
     # multiset then lists its balls by column rank with copies adjacent, and
     # a stable sort of the positions by cell name lists them by row rank;

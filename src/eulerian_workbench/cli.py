@@ -869,10 +869,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["all"] + verify.SUITE_ORDER,
         default="all",
     )
-    p.add_argument("--n-max", type=int, dest="n_max", help="size bound for the checks")
-    p.add_argument("--k", type=int, help="grid bound for Worpitzky-style checks")
-    p.add_argument("--l", type=int, help="second grid bound")
-    p.add_argument("--terms", type=int, help="series window size")
+    p.add_argument("--n-max", type=positive, dest="n_max", help="size bound for the checks")
+    p.add_argument("--k", type=positive, help="grid bound for Worpitzky-style checks")
+    p.add_argument("--l", type=positive, help="second grid bound")
+    p.add_argument("--terms", type=positive, help="series window size")
     p.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -21,9 +21,11 @@ straight from C. histogram counts one statistic over S_n block by block, in
 a process pool when there is more than one shard, with the workers capped
 at the CPUs this process may use, and merges the counts exactly. Its
 kernels (des, the pair (ides, des) and the peaks of permutations with no
-double descents) are module-level functions of the word alone, so they
-pickle by name. One guard rail, BRUTE_FORCE_GUARD, covers every walk: past
-it, force is required.
+double descents) are block kernels: each takes one shard block and n, runs
+one loop over the block's words, computes each word's statistic from that
+word's own letters, tallies it into a list or an n x n grid and returns the
+counts. They are module-level, so they pickle by name. One guard rail,
+BRUTE_FORCE_GUARD, covers every walk: past it, force is required.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import itertools
 import os
 from collections import Counter
-from collections.abc import Callable, Hashable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import factorial
@@ -228,61 +230,77 @@ def _prefix_runs(n: int, start: int, stop: int) -> Iterator[Iterator[Perm]]:
 # cannot hide in the other.
 
 
-def descent_kernel(w: Perm) -> int:
-    """des(w)."""
-    des = 0
-    prev = w[0]
-    for x in w:
-        if prev > x:
-            des += 1
-        prev = x
-    return des
+def descent_kernel(block: Iterable[Perm], n: int) -> Counter:
+    """Counts of des(w) over the words w of block, a block of S_n."""
+    tally = [0] * n
+    for w in block:
+        des = 0
+        prev = w[0]
+        for x in w:
+            if prev > x:
+                des += 1
+            prev = x
+        tally[des] += 1
+    return Counter({d: c for d, c in enumerate(tally) if c})
 
 
-def pair_kernel(w: Perm) -> tuple[int, int]:
-    """(ides(w), des(w)); ides counts letters x with x + 1 left of x."""
-    at = [0] * (len(w) + 1)  # at[x] is the position of letter x; at[0] stays 0
-    des = 0
-    pos = 0
-    prev = w[0]
-    for x in w:
-        at[x] = pos
-        pos += 1
-        if prev > x:
-            des += 1
-        prev = x
-    ides = 0
-    prev = 0
-    for pos in at:
-        if prev > pos:
-            ides += 1
-        prev = pos
-    return ides, des
+def pair_kernel(block: Iterable[Perm], n: int) -> Counter:
+    """Counts of (ides(w), des(w)) over the words w of block, a block of S_n.
 
-
-def census_kernel(w: Perm) -> int | None:
-    """Peak count of w if no letter is a double descent, else None.
-
-    With +inf sentinels at both ends, the first letter is a double descent
-    exactly when w1 > w2, an interior b when a > b > c, and the last letter
-    never. With none of them every descent starts at a peak, so the peak
-    count is the descent count.
+    One pass per word: x is an inverse descent exactly when x + 1 stands
+    left of x, that is when x + 1 has already been seen.
     """
-    prev = w[0]
-    if len(w) > 1 and prev > w[1]:
-        return None  # w1 sits between +inf and a smaller w2
-    peaks = 0
-    fell = False
-    for x in w:
-        if prev > x:
-            if fell:
-                return None  # the letter before x falls on both sides
-            fell = True
-            peaks += 1
+    grid = [[0] * n for _ in range(n)]
+    blank = [False] * (n + 2)  # seen[n + 1] stays False: n has no successor
+    for w in block:
+        seen = blank[:]
+        ides = des = prev = 0
+        for x in w:
+            if seen[x + 1]:
+                ides += 1
+            if prev > x:
+                des += 1
+            seen[x] = True
+            prev = x
+        grid[ides][des] += 1
+    return Counter(
+        {(i, d): c for i, row in enumerate(grid) for d, c in enumerate(row) if c}
+    )
+
+
+def census_kernel(block: Iterable[Perm], n: int) -> Counter:
+    """Counts of peak counts over the words of block with no double descent.
+
+    Words with a double descent are counted under the key None. With +inf
+    sentinels at both ends, the first letter is a double descent exactly
+    when w1 > w2, an interior b when a > b > c, and the last letter never.
+    With none of them every descent starts at a peak, so the peak count is
+    the descent count. The walk starts from the left sentinel, n + 1, whose
+    fall into w1 is counted once too many and makes w1 > w2 a second fall
+    in a row.
+    """
+    tally = [0] * n
+    doubled = 0
+    for w in block:
+        peaks = -1  # the sentinel's fall into w1
+        fell = False
+        prev = n + 1
+        for x in w:
+            if prev > x:
+                if fell:  # the letter before x falls on both sides
+                    doubled += 1
+                    break
+                fell = True
+                peaks += 1
+            else:
+                fell = False
+            prev = x
         else:
-            fell = False
-        prev = x
-    return peaks
+            tally[peaks] += 1
+    counts = Counter({p: c for p, c in enumerate(tally) if c})
+    if doubled:
+        counts[None] = doubled
+    return counts
 
 
 def usable_cpus() -> int:
@@ -298,17 +316,19 @@ def usable_cpus() -> int:
 
 def histogram(
     ns: list[int],
-    kernel: Callable[[Perm], Hashable],
+    kernel: Callable[[Iterable[Perm], int], Counter],
     shards: int = 1,
     force: bool = False,
     pool: Callable[..., ProcessPoolExecutor] = ProcessPoolExecutor,
 ) -> dict[int, Counter]:
-    """Count kernel(w) over S_n for each n in ns, from shards blocks each.
+    """Count a statistic over S_n for each n in ns, from shards blocks each.
 
-    One shard counts in this process; more run in pool(max_workers=...),
-    with the workers capped at usable_cpus(), so the shard count fixes the
-    blocks but not the number of processes. Counts merge exactly, so the
-    result does not depend on shards.
+    kernel(block, n) returns the Counter of its statistic over the words of
+    one shard block of S_n (see _count_block). One shard counts in this
+    process; more run in pool(max_workers=...), with the workers capped at
+    usable_cpus(), so the shard count fixes the blocks but not the number
+    of processes. Counts merge exactly, so the result does not depend on
+    shards.
     """
     for n in ns:
         check_guard(n, force)
@@ -327,5 +347,6 @@ def histogram(
 
 
 def _count_block(task: tuple) -> Counter:
+    """The kernel's counts over one shard block of S_n, walked by enumerate_sn."""
     kernel, n, index, total, force = task
-    return Counter(map(kernel, enumerate_sn(n, shard=(index, total), force=force)))
+    return kernel(enumerate_sn(n, shard=(index, total), force=force), n)

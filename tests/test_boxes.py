@@ -1,6 +1,7 @@
 """Balls-in-boxes oracles against the closed-form counts."""
 
 import itertools
+import time
 from collections import Counter
 from math import comb
 
@@ -116,6 +117,19 @@ def test_barred_census_budget():
     # a count past Python's int-to-str limit is named by its size, no override offered
     with pytest.raises(GuardRailError, match=r"about 2\*\*332192, past the budget 100000000$"):
         oracle_barred_census(10**5, 10)
+
+
+def test_census_budgets_decide_without_the_full_count():
+    # k**n and binomial(cells + n - 1, n) here run to millions of digits
+    start = time.perf_counter()
+    with pytest.raises(GuardRailError, match=r"about 2\*\*33219280, past the budget 100000000$"):
+        oracle_barred_census(10**7, 10)
+    with pytest.raises(GuardRailError, match=r"about 2\*\*114074, past the budget 10000000$"):
+        oracle_two_sided_census(10**7, 100, 100)
+    # a count that fits in 64 bits is named exactly
+    with pytest.raises(GuardRailError, match=r": 10000001, past the budget 10000000$"):
+        oracle_two_sided_census(10**7, 2, 1)
+    assert time.perf_counter() - start < 0.5
 
 
 # ---------------------------------------------------------------------------

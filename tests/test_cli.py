@@ -416,6 +416,10 @@ def test_usage_errors_exit_two():
     assert "not a permutation" in err
     code, _, err = run_cli("eulerian", "--n", "0")
     assert code == 2
+    for flag in ("--n-max", "--k", "--l", "--terms"):
+        code, out, err = run_cli("verify", "--suite", "eulerian", flag, "-3")
+        assert (code, out) == (2, "")
+        assert "must be at least 1" in err
 
 
 def test_guard_rails_exit_three():
@@ -516,7 +520,13 @@ def cli_cases(draw):
             argv.append("--force")
     else:
         suite = draw(st.sampled_from(verify.SUITE_ORDER))
-        argv += ["--suite", suite, "--n-max", str(draw(st.integers(1, 4)))]
+        n = draw(st.integers(-2, 4))
+        argv += ["--suite", suite, "--n-max", str(n)]
+        usage = n < 1
+        for flag in draw(st.lists(st.sampled_from(["--k", "--l", "--terms"]), max_size=2, unique=True)):
+            value = draw(st.integers(-1, 3))
+            argv += [flag, str(value)]
+            usage = usage or value < 1
         if draw(st.booleans()):
             broken = suite
     if command in DROPPED and draw(st.integers(0, 3)) == 0:

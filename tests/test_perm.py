@@ -3,15 +3,17 @@
 import doctest
 import itertools
 import random
+from collections import Counter
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulerian_workbench import perm
 from eulerian_workbench.common import GuardRailError
 from eulerian_workbench.eulerian import brute_force_rows
+from eulerian_workbench.hopping import DOUBLE_DESCENT, PEAK, classify_letters
 from eulerian_workbench.perm import (
     BRUTE_FORCE_GUARD,
     Perm,
@@ -19,6 +21,7 @@ from eulerian_workbench.perm import (
     census_kernel,
     check_permutation,
     descent_count,
+    descent_kernel,
     enumerate_sn,
     excedance_count,
     format_permutation,
@@ -26,6 +29,7 @@ from eulerian_workbench.perm import (
     inverse,
     inverse_descent_count,
     inversion_count,
+    pair_kernel,
     parse_permutation,
     run_count,
     statistic_profile,
@@ -296,6 +300,27 @@ def test_shard_blocks_of_several_runs_start_and_end_on_their_ranks(n, total):
         assert count == stop - start
         assert first == unrank(n, start)
         assert last == unrank(n, stop - 1)
+
+
+@given(n=st.integers(1, 8), total=st.integers(1, 60), pick=st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None)
+@example(n=1, total=1, pick=0)
+@example(n=1, total=3, pick=1)  # empty block
+@example(n=2, total=2, pick=1)
+@example(n=3, total=10, pick=7)  # empty block
+def test_block_kernels_match_per_word_statistics(n, total, pick):
+    index = pick % total
+    words = list(enumerate_sn(n, shard=(index, total)))
+    des, pair, census = Counter(), Counter(), Counter()
+    for w in words:
+        des[descent_count(w)] += 1
+        pair[inverse_descent_count(w), descent_count(w)] += 1
+        kinds = classify_letters(w)
+        census[None if DOUBLE_DESCENT in kinds else kinds.count(PEAK)] += 1
+    for kernel, want in ((descent_kernel, des), (pair_kernel, pair), (census_kernel, census)):
+        got = kernel(enumerate_sn(n, shard=(index, total)), n)
+        assert type(got) is Counter
+        assert dict(got) == dict(want), kernel.__name__
 
 
 def test_shard_counts_give_identical_tables():
