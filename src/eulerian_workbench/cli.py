@@ -4,8 +4,8 @@ Subcommands: stats, eulerian, two-sided, gamma, gessel, orbit, orbits,
 series, verify. Data goes to stdout; progress, warnings, and timings go to
 stderr. Output is deterministic: the same invocation produces the same
 bytes, whatever the shard count. Brute-force runs default to one
-in-process shard while the largest n walks S_n as a single run
-(n <= perm.SUFFIX) and to the CPUs this process may use above that.
+in-process shard while the largest n walks at most one prefix run of
+S_n (n <= perm.SUFFIX) and to the CPUs this process may use above that.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 guard rail.
 
@@ -187,9 +187,9 @@ def _tables(args, kind: str) -> list[Table]:
     """Tables of kind "eulerian" or "twosided" for the requested ns.
 
     Brute force never touches the cache; it runs --shards blocks, else one
-    in-process shard while S_n is a single run. Otherwise every n is a cache
-    hit or comes from one recurrence run up to the largest missing n, and is
-    stored back when a cache directory is set.
+    in-process shard while S_n is at most one prefix run. Otherwise every n
+    is a cache hit or comes from one recurrence run up to the largest
+    missing n, and is stored back when a cache directory is set.
     """
     ns = range(args.n, args.n + 1) if args.n else range(1, args.n_max + 1)
     _check_table_budget(args.command, ns, args.force)

@@ -210,10 +210,12 @@ def orbit_census(n: int, force: bool = False) -> dict[int, int]:
     2008): hops keep the peaks and move each free letter between the two
     slopes of its valley, so exactly one choice puts every free letter on
     an ascending slope. One stream over S_n counts those members by peak
-    count and builds no class: perm.census_kernel, a block kernel, runs
-    one loop over each shard block, tells those members apart by their own
-    letters and tallies their peaks, and every word with a double descent
-    under the key None, which is dropped here.
+    count and builds no class: perm.census_kernel, a block kernel, reads
+    each shard block run by run. It scans the run's shared prefix once; a
+    prefix with a double descent sends the whole run under the key None
+    unwalked, and otherwise it walks the 7-letter tails, tells those
+    members apart by their own letters and tallies their peaks, with every
+    word that has a double descent under None too. None is dropped here.
 
     Coverage is checked by class size: a class with p peaks has
     2**(n - 1 - 2p) members, and the classes counted must add up to n!.

@@ -11,29 +11,35 @@ Descents sit at positions r with w(r) > w(r+1), so a permutation with i - 1
 descents has i increasing runs.
 
 Every brute-force route walks S_n here. enumerate_sn streams S_n in
-lexicographic order, whole or as one of several contiguous shard blocks; a
-block is cut into runs that share a fixed prefix of k = max(0, n - 7)
-letters. A run is a slice of itertools.permutations over one word, the
-prefix followed by the remaining letters in increasing order: that iterator
-keeps the word's first k letters in place for its first (n - k)! steps,
-permuting the rest in lexicographic order, so every word of the walk comes
-straight from C. histogram counts one statistic over S_n block by block, in
-a process pool when there is more than one shard, with the workers capped
-at the CPUs this process may use, and merges the counts exactly. Its
-kernels (des, the pair (ides, des) and the peaks of permutations with no
-double descents) are block kernels: each takes one shard block and n, runs
-one loop over the block's words, computes each word's statistic from that
-word's own letters, tallies it into a list or an n x n grid and returns the
-counts. They are module-level, so they pickle by name. One guard rail,
-BRUTE_FORCE_GUARD, covers every walk: past it, force is required.
+lexicographic order, whole or as one of several contiguous shard blocks,
+and returns a Block: an itertools.chain whose words come straight from C,
+which can also give the block as runs (prefix, rest, lo, hi). A run's
+words share their first n - 7 letters (the whole word below n = 7) and
+are itertools.permutations(prefix + rest)[lo:hi]: that iterator keeps the
+prefix in place for its first 7! steps while it permutes rest, the other
+letters in increasing order, lexicographically. histogram counts one
+statistic over S_n block by block, in a process pool when there is more
+than one shard, with the workers capped at the CPUs this process may use,
+and merges the counts exactly. Its kernels (des, the pair (ides, des) and
+the peaks of permutations with no double descents) are block kernels:
+each takes one shard block and n and works run by run. It scans the run's
+prefix once, then walks only the 7-letter tails, computing each word's
+statistic from that word's own letters with the comparisons written out,
+and adds the run's small tally at the prefix's own count. The one shared
+table is the inverse of each 7-letter tail pattern, built on first use,
+from which pair_kernel reads whether x + 1 stands left of x when both sit
+in the tail. The kernels are module-level, so they pickle by name. One
+guard rail, BRUTE_FORCE_GUARD, covers every walk: past it, force is
+required.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import factorial
@@ -45,7 +51,7 @@ Perm = tuple[int, ...]
 # 11! is 39.9 million permutations; walking past it needs an explicit override.
 BRUTE_FORCE_GUARD = 11
 
-# Shard blocks run through itertools.permutations on the last SUFFIX letters.
+# Runs walk itertools.permutations over their last SUFFIX letters, the tail.
 SUFFIX = 7
 
 
@@ -165,28 +171,14 @@ def check_guard(n: int, force: bool) -> None:
     check_budget("n for a walk over S_n", n, BRUTE_FORCE_GUARD, force)
 
 
-def unrank(n: int, rank: int) -> Perm:
-    """The permutation of {1, ..., n} at the given lexicographic rank."""
-    if not 0 <= rank < factorial(n):
-        raise ValueError(f"rank {rank} out of range for n={n}")
-    pool = list(range(1, n + 1))
-    out = []
-    fact = factorial(n - 1)
-    for remaining in range(n - 1, -1, -1):
-        digit, rank = divmod(rank, fact)
-        out.append(pool.pop(digit))
-        if remaining:
-            fact //= remaining
-    return tuple(out)
-
-
-def enumerate_sn(n: int, shard: tuple[int, int] | None = None, force: bool = False) -> Iterator[Perm]:
+def enumerate_sn(n: int, shard: tuple[int, int] | None = None, force: bool = False) -> Block:
     """Stream S_n in lexicographic order, optionally one shard block.
 
     shard (index, total) selects the permutations of lexicographic rank
     index * n! // total up to (index + 1) * n! // total; concatenating all
     blocks in index order reproduces the full stream. n above the guard
-    rail requires force.
+    rail requires force. The Block returned iterates the words and also
+    gives the block's runs (see Block.runs).
     """
     check_guard(n, force)
     if shard is None:
@@ -198,28 +190,50 @@ def enumerate_sn(n: int, shard: tuple[int, int] | None = None, force: bool = Fal
     start = index * fact // total
     stop = (index + 1) * fact // total
     if start == 0 and stop == fact:
-        return itertools.permutations(range(1, n + 1))
-    return itertools.chain.from_iterable(_prefix_runs(n, start, stop))
+        block = Block(itertools.permutations(range(1, n + 1)))
+    else:
+        block = Block.from_iterable(
+            itertools.islice(itertools.permutations(prefix + rest), lo, hi)
+            for prefix, rest, lo, hi in _prefix_runs(n, start, stop)
+        )
+    block.n, block.start, block.stop = n, start, stop
+    return block
 
 
-def _prefix_runs(n: int, start: int, stop: int) -> Iterator[Iterator[Perm]]:
-    """The block of ranks [start, stop) as runs that share a prefix.
+class Block(itertools.chain):
+    """The words of S_n of lexicographic rank start up to stop, from C.
 
-    Prefixes of k letters come in lexicographic order, and each covers
-    (n - k)! consecutive ranks; only the first and last run can be partial.
-    A run is the first (n - k)! permutations of the prefix followed by the
-    sorted remaining letters, cut to the ranks in the block.
+    runs() gives the same block as runs of words that share a prefix.
     """
-    k = max(0, n - SUFFIX)
+
+    __slots__ = ("n", "start", "stop")
+
+    def runs(self) -> Iterator[tuple[Perm, Perm, int, int]]:
+        return _prefix_runs(self.n, self.start, self.stop)
+
+
+def _prefix_runs(n: int, start: int, stop: int) -> Iterator[tuple[Perm, Perm, int, int]]:
+    """The ranks [start, stop) of S_n as runs (prefix, rest, lo, hi).
+
+    A run's words are itertools.permutations(prefix + rest)[lo:hi]: rest is
+    the letters missing from prefix in increasing order, and that iterator
+    keeps the prefix in place for its first len(rest)! steps, permuting
+    rest in lexicographic order. The prefix has n - SUFFIX letters, so the
+    tail rest has exactly SUFFIX; below SUFFIX letters the prefix is the
+    whole word and rest is empty. Prefixes come in lexicographic order and
+    each covers len(rest)! consecutive ranks; only the first and last run
+    can be partial.
+    """
+    k = n - SUFFIX if n >= SUFFIX else n
     run = factorial(n - k)
     first, last = start // run, (stop - 1) // run
     letters = range(1, n + 1)
     prefixes = itertools.islice(itertools.permutations(letters, k), first, last + 1)
     for at, prefix in enumerate(prefixes, start=first):
-        word = prefix + tuple(x for x in letters if x not in prefix)
+        rest = tuple(x for x in letters if x not in prefix)
         lo = start - at * run if at == first else 0
         hi = stop - at * run if at == last else run
-        yield itertools.islice(itertools.permutations(word), lo, hi)
+        yield prefix, rest, lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -228,75 +242,134 @@ def _prefix_runs(n: int, start: int, stop: int) -> Iterator[Iterator[Perm]]:
 # The kernels are brute force's own code: the closed forms in boxes and the
 # hop checks count with descent_count and friends, so a slip in one route
 # cannot hide in the other.
+#
+# Each kernel scans a run's prefix once, then walks its tail words
+# a..g with the comparisons written out: z > a across the boundary, z being
+# the prefix's last letter, and the six adjacent pairs a > b ... f > g. The
+# tail counts go into a small per-run list or grid, added at the prefix's
+# own counts. Only nonzero slots are added: a slot past the statistic's
+# range, such as seven tail descents at n = 7 where no letter precedes the
+# tail, is always empty.
 
 
-def descent_kernel(block: Iterable[Perm], n: int) -> Counter:
+@functools.cache
+def _tail_inverses() -> tuple[Perm, ...]:
+    """The inverse of each SUFFIX-letter pattern, in lexicographic order.
+
+    Entry r is the inverse of the r-th permutation of range(SUFFIX): it
+    gives the tail position of the j-th smallest tail letter, for the r-th
+    word that permutations(rest) yields whatever the letters of rest.
+    """
+    return tuple(
+        tuple(sorted(range(SUFFIX), key=p.__getitem__))
+        for p in itertools.permutations(range(SUFFIX))
+    )
+
+
+def descent_kernel(block: Block, n: int) -> Counter:
     """Counts of des(w) over the words w of block, a block of S_n."""
     tally = [0] * n
-    for w in block:
-        des = 0
-        prev = w[0]
-        for x in w:
-            if prev > x:
-                des += 1
-            prev = x
-        tally[des] += 1
+    for prefix, rest, lo, hi in block.runs():
+        des = sum(1 for y, z in zip(prefix, prefix[1:]) if y > z)
+        if not rest:
+            tally[des] += hi - lo
+            continue
+        z = prefix[-1] if prefix else 0
+        local = [0] * (SUFFIX + 1)
+        for a, b, c, d, e, f, g in itertools.islice(itertools.permutations(rest), lo, hi):
+            local[(z > a) + (a > b) + (b > c) + (c > d) + (d > e) + (e > f) + (f > g)] += 1
+        for t, count in enumerate(local):
+            if count:
+                tally[des + t] += count
     return Counter({d: c for d, c in enumerate(tally) if c})
 
 
-def pair_kernel(block: Iterable[Perm], n: int) -> Counter:
+def pair_kernel(block: Block, n: int) -> Counter:
     """Counts of (ides(w), des(w)) over the words w of block, a block of S_n.
 
-    One pass per word: x is an inverse descent exactly when x + 1 stands
-    left of x, that is when x + 1 has already been seen.
+    x is an inverse descent when x + 1 stands left of x. The prefix settles
+    that for every x whose successor is in the prefix, since the prefix
+    stands left of every tail letter. When x and x + 1 both sit in the
+    tail they are neighbours in rest, at some j and j + 1, and the tail
+    word's inverse pattern q tells: q[j + 1] < q[j]. The masks m0 ... m5
+    mark which neighbours in rest differ by one.
     """
     grid = [[0] * n for _ in range(n)]
-    blank = [False] * (n + 2)  # seen[n + 1] stays False: n has no successor
-    for w in block:
-        seen = blank[:]
-        ides = des = prev = 0
-        for x in w:
-            if seen[x + 1]:
-                ides += 1
-            if prev > x:
-                des += 1
-            seen[x] = True
-            prev = x
-        grid[ides][des] += 1
+    for prefix, rest, lo, hi in block.runs():
+        at = {x: r for r, x in enumerate(prefix)}  # a tail letter stands at n
+        ides = sum(1 for x in range(1, n) if x + 1 in at and at[x + 1] < at.get(x, n))
+        des = sum(1 for y, z in zip(prefix, prefix[1:]) if y > z)
+        if not rest:
+            grid[ides][des] += hi - lo
+            continue
+        z = prefix[-1] if prefix else 0
+        m0, m1, m2, m3, m4, m5 = (y + 1 == x for y, x in zip(rest, rest[1:]))
+        local = [[0] * (SUFFIX + 1) for _ in range(SUFFIX)]
+        tails = zip(
+            itertools.islice(itertools.permutations(rest), lo, hi),
+            itertools.islice(_tail_inverses(), lo, hi),
+        )
+        for (a, b, c, d, e, f, g), (q0, q1, q2, q3, q4, q5, q6) in tails:
+            local[
+                (m0 and q1 < q0) + (m1 and q2 < q1) + (m2 and q3 < q2)
+                + (m3 and q4 < q3) + (m4 and q5 < q4) + (m5 and q6 < q5)
+            ][(z > a) + (a > b) + (b > c) + (c > d) + (d > e) + (e > f) + (f > g)] += 1
+        for i, row in enumerate(local):
+            for t, count in enumerate(row):
+                if count:
+                    grid[ides + i][des + t] += count
     return Counter(
         {(i, d): c for i, row in enumerate(grid) for d, c in enumerate(row) if c}
     )
 
 
-def census_kernel(block: Iterable[Perm], n: int) -> Counter:
+def census_kernel(block: Block, n: int) -> Counter:
     """Counts of peak counts over the words of block with no double descent.
 
     Words with a double descent are counted under the key None. With +inf
     sentinels at both ends, the first letter is a double descent exactly
     when w1 > w2, an interior b when a > b > c, and the last letter never.
     With none of them every descent starts at a peak, so the peak count is
-    the descent count. The walk starts from the left sentinel, n + 1, whose
-    fall into w1 is counted once too many and makes w1 > w2 a second fall
-    in a row.
+    the descent count. The prefix scan starts from the left sentinel,
+    n + 1, whose fall into w1 is counted once too many and makes w1 > w2 a
+    second fall in a row. A prefix with a double descent puts its whole run
+    under None, unwalked. Otherwise a tail word has one exactly where three
+    consecutive letters of y, z, a, ..., g fall, y being the letter before
+    z: the sentinel when the prefix is one letter, and 0 (no fall into the
+    sentinel z) when it is empty.
     """
     tally = [0] * n
     doubled = 0
-    for w in block:
+    for prefix, rest, lo, hi in block.runs():
         peaks = -1  # the sentinel's fall into w1
         fell = False
-        prev = n + 1
-        for x in w:
-            if prev > x:
+        y, z = 0, n + 1  # z is the sentinel until the prefix has a letter
+        for x in prefix:
+            if z > x:
                 if fell:  # the letter before x falls on both sides
-                    doubled += 1
+                    peaks = None
                     break
                 fell = True
                 peaks += 1
             else:
                 fell = False
-            prev = x
+            y, z = z, x
+        if peaks is None:
+            doubled += hi - lo
+        elif not rest:
+            tally[peaks] += hi - lo
         else:
-            tally[peaks] += 1
+            local = [0] * (SUFFIX + 1)
+            for a, b, c, d, e, f, g in itertools.islice(itertools.permutations(rest), lo, hi):
+                if not (
+                    y > z > a or z > a > b or a > b > c or b > c > d
+                    or c > d > e or d > e > f or e > f > g
+                ):
+                    local[(z > a) + (a > b) + (b > c) + (c > d) + (d > e) + (e > f) + (f > g)] += 1
+            for t, count in enumerate(local):
+                if count:
+                    tally[peaks + t] += count
+            doubled += hi - lo - sum(local)
     counts = Counter({p: c for p, c in enumerate(tally) if c})
     if doubled:
         counts[None] = doubled
@@ -316,7 +389,7 @@ def usable_cpus() -> int:
 
 def histogram(
     ns: list[int],
-    kernel: Callable[[Iterable[Perm], int], Counter],
+    kernel: Callable[[Block, int], Counter],
     shards: int = 1,
     force: bool = False,
     pool: Callable[..., ProcessPoolExecutor] = ProcessPoolExecutor,
@@ -324,7 +397,8 @@ def histogram(
     """Count a statistic over S_n for each n in ns, from shards blocks each.
 
     kernel(block, n) returns the Counter of its statistic over the words of
-    one shard block of S_n (see _count_block). One shard counts in this
+    one shard block of S_n, reading the block run by run: each run's prefix
+    once, then its tail words (see _count_block). One shard counts in this
     process; more run in pool(max_workers=...), with the workers capped at
     usable_cpus(), so the shard count fixes the blocks but not the number
     of processes. Counts merge exactly, so the result does not depend on
@@ -347,6 +421,10 @@ def histogram(
 
 
 def _count_block(task: tuple) -> Counter:
-    """The kernel's counts over one shard block of S_n, walked by enumerate_sn."""
+    """The kernel's counts over one shard block of S_n.
+
+    enumerate_sn gives the block; the kernel reads its runs, so it walks
+    the tails of the same lexicographic walk that the block streams.
+    """
     kernel, n, index, total, force = task
     return kernel(enumerate_sn(n, shard=(index, total), force=force), n)

@@ -30,12 +30,18 @@ class SuiteBounds:
     l_max: int | None = None
     terms: int | None = None
 
+    def __post_init__(self):
+        for name in ("n_max", "k_max", "l_max", "terms"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+
 
 def _bound(value: int | None, default: int, cap: int | None = None) -> int:
     out = default if value is None else value
     if cap is not None:
         out = min(out, cap)
-    return max(out, 1)
+    return out
 
 
 def _all_pass(ok_detail: list[str], bad_detail: list[str], description: str) -> CheckReport:

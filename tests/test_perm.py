@@ -33,7 +33,6 @@ from eulerian_workbench.perm import (
     parse_permutation,
     run_count,
     statistic_profile,
-    unrank,
 )
 from eulerian_workbench.twosided import brute_force_tables
 
@@ -221,6 +220,21 @@ def _rank_of(w):
     return rank
 
 
+def unrank(n: int, rank: int) -> Perm:
+    """The permutation of {1, ..., n} at the given lexicographic rank."""
+    if not 0 <= rank < factorial(n):
+        raise ValueError(f"rank {rank} out of range for n={n}")
+    pool = list(range(1, n + 1))
+    out = []
+    fact = factorial(n - 1)
+    for remaining in range(n - 1, -1, -1):
+        digit, rank = divmod(rank, fact)
+        out.append(pool.pop(digit))
+        if remaining:
+            fact //= remaining
+    return tuple(out)
+
+
 def test_rank_unrank_round_trip_small():
     for n in (1, 2, 3, 4, 5):
         for rank, w in enumerate(itertools.permutations(range(1, n + 1))):
@@ -302,6 +316,25 @@ def test_shard_blocks_of_several_runs_start_and_end_on_their_ranks(n, total):
         assert last == unrank(n, stop - 1)
 
 
+def _per_word_counts(words):
+    """des, (ides, des) and census counts of words, one word at a time."""
+    des, pair, census = Counter(), Counter(), Counter()
+    for w in words:
+        des[descent_count(w)] += 1
+        pair[inverse_descent_count(w), descent_count(w)] += 1
+        kinds = classify_letters(w)
+        census[None if DOUBLE_DESCENT in kinds else kinds.count(PEAK)] += 1
+    return des, pair, census
+
+
+def _check_block_kernels(n, index, total):
+    wanted = _per_word_counts(enumerate_sn(n, shard=(index, total)))
+    for kernel, want in zip((descent_kernel, pair_kernel, census_kernel), wanted):
+        got = kernel(enumerate_sn(n, shard=(index, total)), n)
+        assert type(got) is Counter
+        assert dict(got) == dict(want), kernel.__name__
+
+
 @given(n=st.integers(1, 8), total=st.integers(1, 60), pick=st.integers(0, 10**6))
 @settings(max_examples=80, deadline=None)
 @example(n=1, total=1, pick=0)
@@ -309,18 +342,38 @@ def test_shard_blocks_of_several_runs_start_and_end_on_their_ranks(n, total):
 @example(n=2, total=2, pick=1)
 @example(n=3, total=10, pick=7)  # empty block
 def test_block_kernels_match_per_word_statistics(n, total, pick):
-    index = pick % total
-    words = list(enumerate_sn(n, shard=(index, total)))
-    des, pair, census = Counter(), Counter(), Counter()
-    for w in words:
-        des[descent_count(w)] += 1
-        pair[inverse_descent_count(w), descent_count(w)] += 1
-        kinds = classify_letters(w)
-        census[None if DOUBLE_DESCENT in kinds else kinds.count(PEAK)] += 1
-    for kernel, want in ((descent_kernel, des), (pair_kernel, pair), (census_kernel, census)):
-        got = kernel(enumerate_sn(n, shard=(index, total)), n)
-        assert type(got) is Counter
-        assert dict(got) == dict(want), kernel.__name__
+    _check_block_kernels(n, pick % total, total)
+
+
+@pytest.mark.parametrize(
+    "n,index,total",
+    [(9, index, 13) for index in range(13)] + [(10, 0, 13), (10, 12, 13)],
+)
+def test_block_kernels_match_per_word_statistics_past_one_prefix_letter(n, index, total):
+    # prefixes of 2 letters at n = 9 and 3 at n = 10; 13 blocks cut runs of 7!
+    # in the middle. At n = 10 every prefix of the first block starts with 1,
+    # so census_kernel walks each run, and every prefix of the last starts
+    # with 10, a double descent, so it counts each run without a walk.
+    _check_block_kernels(n, index, total)
+
+
+@pytest.mark.parametrize(
+    "n,total", [(1, 1), (3, 4), (6, 5), (7, 1), (7, 3), (8, 1), (8, 7), (9, 13)]
+)
+def test_block_runs_spell_the_words_the_block_streams(n, total):
+    for index in range(total):
+        block = enumerate_sn(n, shard=(index, total))
+        spelled = [
+            prefix + tail
+            for prefix, rest, lo, hi in block.runs()
+            for tail in itertools.islice(itertools.permutations(rest), lo, hi)
+        ]
+        assert spelled == list(block)
+        for prefix, rest, lo, hi in block.runs():
+            assert len(rest) in (0, perm.SUFFIX)
+            assert len(prefix) + len(rest) == n
+            assert rest == tuple(sorted(rest))
+            assert 0 <= lo < hi <= factorial(len(rest))
 
 
 def test_shard_counts_give_identical_tables():

@@ -2,6 +2,8 @@
 
 from collections import Counter
 
+import pytest
+
 from eulerian_workbench import eulerian, twosided, verify
 
 BUILDERS = (
@@ -44,3 +46,12 @@ def test_each_suite_builds_each_table_once(monkeypatch):
         ("hopping", "two_sided_from_recurrence"),
         ("gessel", "two_sided_from_recurrence"),
     }
+
+
+@pytest.mark.parametrize("name", ["n_max", "k_max", "l_max", "terms"])
+@pytest.mark.parametrize("value", [-3, 0])
+def test_bounds_below_one_are_refused(name, value):
+    # the parser's wording: a library caller gets no silently raised bound
+    with pytest.raises(ValueError, match=f"{name} must be at least 1, got {value}"):
+        verify.SuiteBounds(**{name: value})
+    assert getattr(verify.SuiteBounds(**{name: 1}), name) == 1
