@@ -276,10 +276,11 @@ def oracle_two_sided_census(n: int, columns: int, rows: int) -> dict[Perm, int]:
     # Cells in (column, row) order, each named by its (row, column) rank. A
     # multiset then lists its balls by column rank with copies adjacent, and
     # a stable sort of the positions by cell name lists them by row rank;
-    # w(column rank) = row rank inverts that sort.
+    # w(column rank) = row rank inverts that sort, once per distinct sort.
     by_row = [row * columns + col for col in range(columns) for row in range(rows)]
     positions = range(1, n + 1)
-    return dict(Counter(
-        inverse(sorted(positions, key=((0,) + multiset).__getitem__))
+    sorts = Counter(
+        tuple(sorted(positions, key=((0,) + multiset).__getitem__))
         for multiset in itertools.combinations_with_replacement(by_row, n)
-    ))
+    )
+    return {inverse(s): count for s, count in sorts.items()}

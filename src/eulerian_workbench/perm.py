@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import os
 from collections import Counter
 from collections.abc import Callable, Iterator
@@ -103,7 +104,7 @@ def descent_count(w: Perm) -> int:
     >>> descent_count((5, 6, 2, 4, 7, 1, 3))
     2
     """
-    return sum(1 for a, b in zip(w, w[1:]) if a > b)
+    return sum(map(operator.gt, w, w[1:]))
 
 
 def ascent_count(w: Perm) -> int:

@@ -5,6 +5,8 @@ import itertools
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerian_workbench import hopping
 from eulerian_workbench.common import GuardRailError
@@ -15,6 +17,7 @@ from eulerian_workbench.hopping import (
     DOUBLE_DESCENT,
     PEAK,
     VALLEY,
+    class_polynomial,
     classify_letters,
     factored_bivariate,
     factored_univariate,
@@ -66,6 +69,80 @@ def test_descents_split_into_peaks_and_double_descents():
             assert descent_count(w) == kinds.count(PEAK) + kinds.count(
                 DOUBLE_DESCENT
             )
+
+
+# ---------------------------------------------------------------------------
+# the one-pass letter classes and the slice hop against per-letter references
+
+
+def _classify_reference(w):
+    """Each letter's kind from its own two neighbours, +inf past both ends."""
+    n = len(w)
+    kinds = []
+    for at, x in enumerate(w):
+        left_larger = at == 0 or w[at - 1] > x
+        right_larger = at == n - 1 or w[at + 1] > x
+        if left_larger and right_larger:
+            kinds.append(VALLEY)
+        elif left_larger:
+            kinds.append(DOUBLE_DESCENT)
+        elif right_larger:
+            kinds.append(DOUBLE_ASCENT)
+        else:
+            kinds.append(PEAK)
+    return tuple(kinds)
+
+
+def _hop_reference(w, x):
+    """Pop the free letter x and insert it beside the nearest larger letter
+    on its valley's other slope."""
+    letters = list(w)
+    at = letters.index(x)
+    left_larger = at == 0 or letters[at - 1] > x
+    right_larger = at == len(letters) - 1 or letters[at + 1] > x
+    if left_larger and not right_larger:  # double descent
+        target = next(
+            (q for q in range(at + 1, len(letters)) if letters[q] > x), len(letters)
+        )
+        letters.pop(at)
+        letters.insert(target - 1, x)
+    elif right_larger and not left_larger:  # double ascent
+        target = next((q for q in range(at - 1, -1, -1) if letters[q] > x), -1)
+        letters.pop(at)
+        letters.insert(target + 1, x)
+    else:
+        raise ValueError(f"letter {x} is not free")
+    return tuple(letters)
+
+
+def _check_against_references(w):
+    kinds = _classify_reference(w)
+    assert classify_letters(w) == kinds
+    assert peak_values(w) == tuple(x for x, k in zip(w, kinds) if k == PEAK)
+    assert valley_values(w) == tuple(x for x, k in zip(w, kinds) if k == VALLEY)
+    free = tuple(x for x, k in zip(w, kinds) if k in (DOUBLE_ASCENT, DOUBLE_DESCENT))
+    assert free_values(w) == free
+    for x in free:
+        assert hop(w, x) == _hop_reference(w, x)
+
+
+def test_classes_and_hops_match_references_through_n8():
+    for n in range(1, 9):
+        for w in enumerate_sn(n):
+            _check_against_references(w)
+
+
+@given(st.integers(1, 40).flatmap(lambda n: st.permutations(range(1, n + 1))))
+@settings(max_examples=300, deadline=None)
+def test_classes_and_hops_match_references_to_n40(letters):
+    _check_against_references(tuple(letters))
+
+
+def test_class_polynomial_is_the_product_form():
+    for p in range(21):
+        for m in range(21):
+            product = UniPoly.monomial(p + 1) * (UniPoly.one() + UniPoly.monomial(1)) ** m
+            assert class_polynomial(m + 1 + 2 * p, p) == product
 
 
 def test_hop_worked_examples():

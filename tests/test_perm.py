@@ -7,7 +7,7 @@ from collections import Counter
 from math import factorial
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from eulerian_workbench import perm
@@ -336,7 +336,13 @@ def _check_block_kernels(n, index, total):
 
 
 @given(n=st.integers(1, 8), total=st.integers(1, 60), pick=st.integers(0, 10**6))
-@settings(max_examples=80, deadline=None)
+# No shrink phase: each example walks a block of up to 8! words through the
+# per-word reference, so shrinking a failure would take minutes.
+@settings(
+    max_examples=80,
+    deadline=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target),
+)
 @example(n=1, total=1, pick=0)
 @example(n=1, total=3, pick=1)  # empty block
 @example(n=2, total=2, pick=1)
