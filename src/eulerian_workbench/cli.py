@@ -26,47 +26,36 @@ a list of digit strings with one join.
 
 The tables behind eulerian, two-sided, gamma and gessel come from one
 provider, _tables, behind one work budget shared with series (WORK_BUDGET).
-Each entry is rendered to decimal text at most once per invocation, and
-only the first half of a palindromic row at all; that text feeds the cache
-and every output format.
+Unless --source brute is given, one recurrence run up to the largest n
+builds the tables, cache or no cache. Each entry is rendered to decimal
+text at most once per invocation, and only the first half of a palindromic
+row at all; that text feeds the cache and every output format.
 
 The cache directory (--cache or $EULERIAN_WORKBENCH_CACHE) keeps one file
-per table, {kind}-n{n}.json, holding the line
-
-    {"schema": 2, "sha256": "<hex>", "payload": <payload>}
-
-where <payload> is the table's JSON object ({"n": ..., "A": ...}) in
-canonical form and the checksum covers exactly those bytes, so a load
-hashes what it read. A loaded entry must carry schema 2, match its
-checksum, hold decimal strings (0|[1-9][0-9]*) of the right shape and pass
-revalidation, in that order. For a row, the first half of its text must
-be decimal and the whole text must have n entries and read the same
-reversed, all before anything is parsed; only the first half is then
-parsed, and the row is mirrored from it. The integer row sums to n!, is
-palindromic and unimodal, and satisfies Worpitzky's identity at k = 2 and
-3. An array sums to n!, is symmetric under transpose and under 180-degree
-rotation, its row and column marginals agree and pass the row check, and
-it satisfies the two-sided Worpitzky identity at (k, l) = (2, 3).
-Anything else is rejected with a warning naming the reason and
-recomputed. Entries are written through a temporary file with a fresh
-random name in the cache directory and renamed into place.
+per table, {kind}-n{n}.json, holding the table's JSON object in canonical
+form and a newline, e.g. {"A":["1","4","1"],"n":"3"}. An entry is used
+only when its text is decimal (0|[1-9][0-9]*) and of the right shape, a
+row's text reads the same reversed, and its parsed entries equal the
+recurrence's. A hit lends only its text: it saves the rendering, not the
+recurrence, so it is no faster than recomputing. Any other entry is
+rejected with a warning naming the reason and rewritten. Entries are
+written through a temporary file with a fresh random name in the cache
+directory and renamed into place; a directory that cannot be written costs
+one warning and changes no output.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import operator
 import os
-import re
 import sys
 import time
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from math import factorial
 from pathlib import Path
 
 from . import eulerian, hopping, twosided, verify
@@ -83,7 +72,6 @@ from .perm import (
 )
 
 CACHE_ENV = "EULERIAN_WORKBENCH_CACHE"
-CACHE_SCHEMA = 2
 
 # Entries a series window may hold without --force: K + 1 for --terms K, or
 # (K + 1)**2 with --bivariate.
@@ -112,8 +100,8 @@ class Table:
 
     value is the Eulerian row (a tuple of ints) or the TwoSidedTable; obj is
     the JSON object {"n": ..., "A": ...} whose "A" holds the same entries as
-    decimal strings. A cache hit keeps the text it was read from; a computed
-    table renders its text on first use, once.
+    decimal strings. A table pinned to a cache entry takes the entry's text;
+    any other renders its text on first use, once.
     """
 
     def __init__(self, kind: str, n: int, value, obj: dict | None = None):
@@ -187,9 +175,9 @@ def _tables(args, kind: str) -> list[Table]:
     """Tables of kind "eulerian" or "twosided" for the requested ns.
 
     Brute force never touches the cache; it runs --shards blocks, else one
-    in-process shard while S_n is at most one prefix run. Otherwise every n
-    is a cache hit or comes from one recurrence run up to the largest
-    missing n, and is stored back when a cache directory is set.
+    in-process shard while S_n is at most one prefix run. Otherwise one
+    recurrence run up to the largest n gives every table, and a cache
+    entry lends its text only when its entries equal the recurrence's.
     """
     ns = range(args.n, args.n + 1) if args.n else range(1, args.n_max + 1)
     _check_table_budget(args.command, ns, args.force)
@@ -201,29 +189,19 @@ def _tables(args, kind: str) -> list[Table]:
         shards = args.shards or (usable_cpus() if ns[-1] > SUFFIX else 1)
         found = brute(ns, shards=shards, force=args.force)
         return [Table(kind, n, found[n]) for n in ns]
+    if kind == "eulerian":
+        computed = eulerian.table_from_recurrence(ns[-1]).rows
+    else:
+        computed = twosided.two_sided_from_recurrence(ns[-1])
+    tables = [Table(kind, n, computed[n - 1]) for n in ns]
     cache_dir = _cache_dir(args)
-    out: dict[int, Table] = {}
-    for n in ns:
-        hit = cache_load(cache_dir, kind, n) if cache_dir else None
-        if hit is not None:
-            out[n] = hit
-    missing = [n for n in ns if n not in out]
-    if missing:
-        if kind == "eulerian":
-            computed = eulerian.table_from_recurrence(max(missing)).rows
-        else:
-            computed = twosided.two_sided_from_recurrence(max(missing))
-        for n in missing:
-            table = out[n] = Table(kind, n, computed[n - 1])
-            if cache_dir:
-                cache_store(cache_dir, kind, n, table.obj)
-    return [out[n] for n in ns]
+    if cache_dir:
+        _pin_to_cache(cache_dir, tables)
+    return tables
 
 
 # ---------------------------------------------------------------------------
 # cache
-
-_HEADER = re.compile(rb'\{"schema": (\d+), "sha256": "([0-9a-f]{64})", "payload": ')
 
 
 def _cache_dir(args) -> Path | None:
@@ -233,18 +211,43 @@ def _cache_dir(args) -> Path | None:
     return Path(env) if env else None
 
 
+def _pin_to_cache(cache_dir: Path, tables: list[Table]) -> None:
+    """Give each table the text of an entry holding exactly its entries, and
+    rewrite every other entry; stop at the first store that fails."""
+    for table in tables:
+        kind, n = table.kind, table.n
+        hit = cache_load(cache_dir, kind, n)
+        if hit is not None and hit.value == table.value:
+            table.obj = hit.obj
+            continue
+        if hit is not None:
+            noun = "array" if kind == "twosided" else "row"
+            _warn_rejected(cache_dir, kind, n, f"{noun} fails revalidation")
+        try:
+            cache_store(cache_dir, kind, n, table.obj)
+        except OSError as exc:
+            print(
+                f"warning: cache directory {cache_dir} cannot be written ({exc}); "
+                "tables not stored",
+                file=sys.stderr,
+            )
+            return
+
+
+def _warn_rejected(cache_dir: Path, kind: str, n: int, reason) -> None:
+    path = cache_dir / f"{kind}-n{n}.json"
+    print(f"warning: cache entry {path} rejected ({reason}); rewriting", file=sys.stderr)
+
+
 def cache_store(cache_dir: Path, kind: str, n: int, payload: dict) -> None:
     cache_dir.mkdir(parents=True, exist_ok=True)
-    body = _json_text(payload).encode()
-    digest = hashlib.sha256(body).hexdigest()
-    head = f'{{"schema": {CACHE_SCHEMA}, "sha256": "{digest}", "payload": '
     # a fresh random name, created exclusively, so concurrent writers never
     # share a temporary file; "x" mode keeps the umask's permissions
     tmp = cache_dir / f".{kind}-n{n}-{os.urandom(8).hex()}.tmp"
     f = open(tmp, "xb")
     try:
         with f:
-            f.write(head.encode() + body + b"}\n")
+            f.write(_json_text(payload).encode() + b"\n")
         os.replace(tmp, cache_dir / f"{kind}-n{n}.json")
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -252,55 +255,35 @@ def cache_store(cache_dir: Path, kind: str, n: int, payload: dict) -> None:
 
 
 def cache_load(cache_dir: Path, kind: str, n: int) -> Table | None:
-    """Load a verified table, or None (with a stderr warning) if unusable."""
+    """The table an entry holds, or None if there is none or (with a
+    warning) its text is not a table for n; _pin_to_cache then compares it
+    with the recurrence's.
+
+    A row's text must read the same reversed, checked before anything is
+    parsed, and only its first half is parsed.
+    """
     path = cache_dir / f"{kind}-n{n}.json"
-    if not path.exists():
-        return None
     try:
-        data = path.read_bytes()
-        head = _HEADER.match(data)
-        if head is None:
-            raise ValueError(f"no schema {CACHE_SCHEMA} header; old format or damaged")
-        if int(head[1]) != CACHE_SCHEMA:
-            raise ValueError(f"unknown schema version {int(head[1])}")
-        body = data[head.end():]
-        body = body[:-1] if body.endswith(b"\n") else body
-        if not body.endswith(b"}"):
-            raise ValueError("truncated entry")
-        body = body[:-1]
-        if hashlib.sha256(body).hexdigest() != head[2].decode():
-            raise ValueError("checksum mismatch")
-        return _revalidated(kind, n, json.loads(body))
-    except Exception as exc:
-        print(
-            f"warning: cache entry {path} rejected ({exc}); recomputing",
-            file=sys.stderr,
-        )
-        return None
-
-
-def _revalidated(kind: str, n: int, payload: dict) -> Table:
-    """The Table a checksummed payload holds, once its entries prove sound."""
-    if payload.get("n") != str(n):
-        raise ValueError(f"entry is not for n={n}")
-    # stored with sorted keys; the JSON output puts "n" first
-    obj = {"n": payload["n"], "A": payload["A"]}
-    if kind == "eulerian":
+        if not path.exists():
+            return None
+        payload = json.loads(path.read_bytes())
+        if payload.get("n") != str(n):
+            raise ValueError(f"entry is not for n={n}")
+        # stored with sorted keys; the JSON output puts "n" first
+        obj = {"n": payload["n"], "A": payload["A"]}
+        if kind == "twosided":
+            for text in obj["A"]:
+                _check_decimals(text)
+            return Table(kind, n, twosided.table_from_obj(obj), obj)
         # row_from_obj checks that the second half mirrors the first
         _check_decimals(obj["A"], (n + 1) // 2)
         try:
-            row = eulerian.row_from_obj(obj)
+            return Table(kind, n, eulerian.row_from_obj(obj), obj)
         except ValueError as exc:  # wrong length, or text that is no palindrome
             raise ValueError(f"row fails revalidation: {exc}") from None
-        _check_row(n, row)
-        return Table(kind, n, row, obj)
-    if kind == "twosided":
-        for text in obj["A"]:
-            _check_decimals(text)
-        table = twosided.table_from_obj(obj)
-        _check_array(table)
-        return Table(kind, n, table, obj)
-    raise ValueError(f"unknown cache kind {kind}")
+    except Exception as exc:
+        _warn_rejected(cache_dir, kind, n, exc)
+        return None
 
 
 def _check_decimals(text, count: int | None = None) -> None:
@@ -315,34 +298,6 @@ def _check_decimals(text, count: int | None = None) -> None:
         or any(s[0] == "0" and len(s) > 1 for s in head)
     ):
         raise ValueError("entries are not decimal strings")
-
-
-def _check_row(n: int, row: tuple[int, ...]) -> None:
-    """Row n of the Eulerian triangle: sum, palindrome, unimodality, Worpitzky."""
-    half = row[: (n + 1) // 2]
-    if (
-        sum(row) != factorial(n)
-        or row != row[::-1]
-        or any(a > b for a, b in zip(half, half[1:]))
-    ):
-        raise ValueError("row fails revalidation")
-    for k in (2, 3):
-        eulerian.worpitzky_identity(n, k, row)
-
-
-def _check_array(table: twosided.TwoSidedTable) -> None:
-    """Array n: total, symmetries, Eulerian marginals, a Worpitzky grid sum."""
-    entries = table.entries
-    marginal = table.row_marginal()
-    if (
-        table.total() != factorial(table.n)
-        or entries != tuple(zip(*entries))
-        or entries != tuple(row[::-1] for row in reversed(entries))
-        or marginal != table.column_marginal()
-    ):
-        raise ValueError("array fails revalidation")
-    _check_row(table.n, marginal)
-    twosided.worpitzky_grid_identity(table.n, 2, 3, table)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import threading
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from eulerian_workbench import cli, eulerian, hopping, perm, twosided, verify
@@ -608,13 +608,13 @@ def test_cache_rejects_corruption(tmp_path):
     run_cli("two-sided", "--n", "5", "--cache", str(cache), "--format", "json")
     path = cache / "twosided-n5.json"
     body = json.loads(path.read_text())
-    body["payload"]["A"][1][1] = "999"
+    body["A"][1][1] = "999"
     path.write_text(json.dumps(body))
     code, out, err = run_cli(
         "two-sided", "--n", "5", "--cache", str(cache), "--format", "json"
     )
     assert code == 0
-    assert "rejected" in err and "checksum" in err
+    assert "rejected (array fails revalidation" in err
     got = tuple(tuple(int(c) for c in row) for row in json.loads(out)["A"])
     assert got == TABLE2[5]
 
@@ -642,12 +642,7 @@ def test_cache_entry_layout(tmp_path):
     umask = os.umask(0)
     os.umask(umask)
     assert (cache / "eulerian-n3.json").stat().st_mode & 0o777 == 0o666 & ~umask
-    data = (cache / "eulerian-n3.json").read_bytes()
-    payload = b'{"A":["1","4","1"],"n":"3"}'
-    digest = hashlib.sha256(payload).hexdigest()
-    assert data == b'{"schema": 2, "sha256": "%s", "payload": %s}\n' % (
-        digest.encode(), payload
-    )
+    assert (cache / "eulerian-n3.json").read_bytes() == b'{"A":["1","4","1"],"n":"3"}\n'
 
 
 def test_concurrent_cache_writers_never_share_a_temporary_file(tmp_path):
@@ -737,19 +732,21 @@ def test_cache_rejects_a_second_half_that_differs_from_the_first(tmp_path):
 
 
 def test_cache_rejects_old_format_and_unknown_schema(tmp_path):
+    # the layouts before the bare payload line: a checksummed object, then a
+    # line with a schema header, whatever its version
     cache = tmp_path / "cache"
     path = cache / "eulerian-n4.json"
     run_cli("eulerian", "--n", "4", "--cache", str(cache))
     payload = {"n": "4", "A": ["1", "11", "11", "1"]}
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    old = {"payload": payload, "sha256": hashlib.sha256(canonical).hexdigest()}
-    newer = path.read_bytes().replace(b'"schema": 2', b'"schema": 3')
-    for data, reason in ((json.dumps(old, indent=2) + "\n", "old format"),
-                         (newer.decode(), "unknown schema version 3")):
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(canonical.encode()).hexdigest()
+    old = json.dumps({"payload": payload, "sha256": digest}, indent=2) + "\n"
+    headed = [f'{{"schema": {v}, "sha256": "{digest}", "payload": {canonical}}}\n' for v in (2, 3)]
+    for data in [old] + headed:
         path.write_text(data)
         code, out, err = run_cli("eulerian", "--n", "4", "--cache", str(cache), "--format", "csv")
         assert code == 0
-        assert "rejected" in err and reason in err
+        assert "rejected (entry is not for n=4)" in err
         assert out.splitlines()[1] == "4,1,11,11,1"
         # the recomputed entry replaced the rejected one
         assert run_cli("eulerian", "--n", "4", "--cache", str(cache))[2] == ""
@@ -775,6 +772,90 @@ def test_cache_survives_any_single_byte_mutation(tmp_path_factory, data):
     assert code == 0
     assert out == want
     assert err == "" or ("rejected" in err and err.startswith("warning: "))
+
+
+def _assert_rejected_then_rewritten(argv, cache):
+    """The forged entry in cache prints what no cache does, with one warning,
+    and the entry written in its place loads silently."""
+    _, want, _ = run_cli(*argv)
+    code, out, err = run_cli(*argv, "--cache", str(cache))
+    assert (code, out) == (0, want)
+    assert err.count("\n") == 1 and "rejected" in err
+    assert run_cli(*argv, "--cache", str(cache)) == (0, want, "")
+
+
+def test_cache_rejects_a_forged_middle_that_keeps_the_row_invariants(tmp_path):
+    # the true row 9 moved by +1, -2, +1 in its middle: still summing to 9!,
+    # palindromic and unimodal
+    row = list(eulerian.table_from_recurrence(9).row(9))
+    assert row[3:6] == [88234, 156190, 88234]
+    row[3:6] = [88235, 156188, 88235]
+    cli.cache_store(tmp_path, "eulerian", 9, {"n": "9", "A": [str(a) for a in row]})
+    _assert_rejected_then_rewritten(("eulerian", "--n", "9"), tmp_path)
+
+
+def test_cache_rejects_a_forged_array_that_keeps_the_array_invariants(tmp_path):
+    # +1 on the diagonal at 3..6 and -1 at (3,4), (4,3), (5,6), (6,5) keeps
+    # the total, the marginals and both symmetries of the true array n = 8
+    entries = [list(row) for row in twosided.two_sided_from_recurrence(8)[7].entries]
+    for i in (3, 4, 5, 6):
+        entries[i - 1][i - 1] += 1
+    for i, j in ((3, 4), (4, 3), (5, 6), (6, 5)):
+        entries[i - 1][j - 1] -= 1
+    forged = [[str(a) for a in row] for row in entries]
+    cli.cache_store(tmp_path, "twosided", 8, {"n": "8", "A": forged})
+    _assert_rejected_then_rewritten(("two-sided", "--n", "8"), tmp_path)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cache_rejects_any_row_moved_by_mirrored_pairs(tmp_path_factory, data):
+    # a mirrored pair, or the middle of an odd row, moved one way and another
+    # the other way, weighted so that the row keeps its sum and palindromy
+    n = data.draw(st.integers(3, 12))
+    row = list(eulerian.table_from_recurrence(n).row(n))
+    up, down = data.draw(st.lists(st.integers(0, (n - 1) // 2), min_size=2, max_size=2, unique=True))
+
+    def size(i):  # entries in the mirrored pair of position i
+        return 1 if 2 * i == n - 1 else 2
+
+    assume(row[down] >= size(up))  # no entry goes negative
+    d = data.draw(st.integers(1, row[down] // size(up)))
+    for i, step in ((up, d * size(down)), (down, -d * size(up))):
+        row[i] += step
+        row[n - 1 - i] = row[i]
+    assert sum(row) == math.factorial(n) and row == row[::-1]
+    cache = tmp_path_factory.mktemp("cache")
+    cli.cache_store(cache, "eulerian", n, {"n": str(n), "A": [str(a) for a in row]})
+    _assert_rejected_then_rewritten(("eulerian", "--n", str(n)), cache)
+
+
+@pytest.mark.parametrize("under", ["", "c"])
+def test_unwritable_cache_path_warns_once_and_prints_as_uncached(tmp_path, under):
+    # a path at or under a regular file cannot be a directory, even for root
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ("eulerian", "--n-max", "4")
+    _, want, _ = run_cli(*argv)
+    code, out, err = run_cli(*argv, "--cache", str(blocker / under))
+    assert (code, out) == (0, want)
+    assert err.count("\n") == 1 and err.startswith("warning: ") and "cannot be written" in err
+
+
+@pytest.mark.parametrize("command", ["eulerian", "gamma", "two-sided", "gessel"])
+def test_table_command_runs_one_recurrence_cold_or_warm(tmp_path, monkeypatch, command):
+    calls = []
+    for module, name in ((eulerian, "table_from_recurrence"), (twosided, "two_sided_from_recurrence")):
+        def counted(n_max, build=getattr(module, name)):
+            calls.append(n_max)
+            return build(n_max)
+
+        monkeypatch.setattr(module, name, counted)
+    argv = (command, "--n-max", "6")
+    for cache in ((), ("--cache", str(tmp_path)), ("--cache", str(tmp_path))):
+        calls.clear()
+        assert run_cli(*argv, *cache)[0] == 0
+        assert calls == [6]
 
 
 def test_cache_env_variable(tmp_path, monkeypatch):
@@ -960,12 +1041,13 @@ def test_large_table_stdout_is_pinned_uncached_cold_and_warm(tmp_path, command, 
 
 
 def test_cache_file_bytes_are_pinned(tmp_path):
-    # sha256 of the stored entries, frozen from the release before the writer
+    # sha256 of the stored entries: each is the payload frozen from the
+    # release before the writer, and a newline
     run_cli("eulerian", "--n-max", "300", "--cache", str(tmp_path))
     run_cli("two-sided", "--n", "12", "--cache", str(tmp_path))
     for name, size, digest in (
-        ("eulerian-n300.json", 156194, "3fedd4b1fa7f0b93a9b239efd6a631688b51604a41a9b2e2228107db927681cd"),
-        ("twosided-n12.json", 1065, "9b6dc349913475bce3c972e62ec9246254e2a42a6c03f60ff538c4ff929aed5b"),
+        ("eulerian-n300.json", 156090, "e8acec63106d4de44cac62c42ab98459d14a90e9696612bcd37bdb81a09da6ed"),
+        ("twosided-n12.json", 961, "b0617b0f99b8d2128720af5ddeb5d317f41c4ab3b4e46ee06720fd456d5aec52"),
     ):
         data = (tmp_path / name).read_bytes()
         assert len(data) == size
