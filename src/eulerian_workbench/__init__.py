@@ -1,6 +1,6 @@
 """Exact workbench for Eulerian and two-sided Eulerian numbers.
 
-Everything is integer or rational arithmetic; no floats are used anywhere.
+Everything is integer arithmetic; no floats are used anywhere.
 The same quantities are computed by independent routes (direct enumeration,
 recurrences, balls-in-boxes counting, series windows) so results can be
 cross-checked rather than trusted.

@@ -29,19 +29,17 @@ provider, _tables, behind one work budget shared with series (WORK_BUDGET).
 Unless --source brute is given, one recurrence run up to the largest n
 builds the tables, cache or no cache. Each entry is rendered to decimal
 text at most once per invocation, and only the first half of a palindromic
-row at all; that text feeds the cache and every output format.
+row at all; that text feeds the cache and every output format, so stdout
+never depends on the cache.
 
 The cache directory (--cache or $EULERIAN_WORKBENCH_CACHE) keeps one file
 per table, {kind}-n{n}.json, holding the table's JSON object in canonical
-form and a newline, e.g. {"A":["1","4","1"],"n":"3"}. An entry is used
-only when its text is decimal (0|[1-9][0-9]*) and of the right shape, a
-row's text reads the same reversed, and its parsed entries equal the
-recurrence's. A hit lends only its text: it saves the rendering, not the
-recurrence, so it is no faster than recomputing. Any other entry is
-rejected with a warning naming the reason and rewritten. Entries are
-written through a temporary file with a fresh random name in the cache
-directory and renamed into place; a directory that cannot be written costs
-one warning and changes no output.
+form and a newline, e.g. {"A":["1","4","1"],"n":"3"}. Nothing is parsed
+from it: an entry is valid only when it holds exactly the bytes of the
+recomputed table's line. Any other entry, a FIFO or a device among them
+(opened without blocking, never read), is rejected with one warning and
+rewritten: through a temporary file with a fresh random name, renamed into
+place. A directory that cannot be written costs one warning.
 """
 
 from __future__ import annotations
@@ -52,6 +50,7 @@ import io
 import json
 import operator
 import os
+import stat
 import sys
 import time
 from functools import cached_property
@@ -100,16 +99,13 @@ class Table:
 
     value is the Eulerian row (a tuple of ints) or the TwoSidedTable; obj is
     the JSON object {"n": ..., "A": ...} whose "A" holds the same entries as
-    decimal strings. A table pinned to a cache entry takes the entry's text;
-    any other renders its text on first use, once.
+    decimal strings, rendered on first use, once.
     """
 
-    def __init__(self, kind: str, n: int, value, obj: dict | None = None):
+    def __init__(self, kind: str, n: int, value):
         self.kind = kind
         self.n = n
         self.value = value
-        if obj is not None:
-            self.obj = obj
 
     @cached_property
     def obj(self) -> dict:
@@ -176,8 +172,8 @@ def _tables(args, kind: str) -> list[Table]:
 
     Brute force never touches the cache; it runs --shards blocks, else one
     in-process shard while S_n is at most one prefix run. Otherwise one
-    recurrence run up to the largest n gives every table, and a cache
-    entry lends its text only when its entries equal the recurrence's.
+    recurrence run up to the largest n gives every table; the cache only stores
+    their bytes.
     """
     ns = range(args.n, args.n + 1) if args.n else range(1, args.n_max + 1)
     _check_table_budget(args.command, ns, args.force)
@@ -205,26 +201,26 @@ def _tables(args, kind: str) -> list[Table]:
 
 
 def _cache_dir(args) -> Path | None:
-    if args.cache:
-        return Path(args.cache)
-    env = os.environ.get(CACHE_ENV)
-    return Path(env) if env else None
+    cache = args.cache or os.environ.get(CACHE_ENV)
+    return Path(cache) if cache else None
 
 
 def _pin_to_cache(cache_dir: Path, tables: list[Table]) -> None:
-    """Give each table the text of an entry holding exactly its entries, and
-    rewrite every other entry; stop at the first store that fails."""
+    """Store each table's line unless its entry holds exactly those bytes,
+    warning before replacing any other entry; stop at the first store that
+    fails."""
     for table in tables:
         kind, n = table.kind, table.n
-        hit = cache_load(cache_dir, kind, n)
-        if hit is not None and hit.value == table.value:
-            table.obj = hit.obj
+        line = _json_text(table.obj).encode() + b"\n"
+        entry = cache_load(cache_dir, kind, n)
+        if entry == line:
             continue
-        if hit is not None:
-            noun = "array" if kind == "twosided" else "row"
-            _warn_rejected(cache_dir, kind, n, f"{noun} fails revalidation")
+        if entry is not None:
+            path = cache_dir / f"{kind}-n{n}.json"
+            print(f"warning: cache entry {path} rejected (not the recomputed table); rewriting",
+                  file=sys.stderr)
         try:
-            cache_store(cache_dir, kind, n, table.obj)
+            cache_store(cache_dir, kind, n, line)
         except OSError as exc:
             print(
                 f"warning: cache directory {cache_dir} cannot be written ({exc}); "
@@ -234,12 +230,7 @@ def _pin_to_cache(cache_dir: Path, tables: list[Table]) -> None:
             return
 
 
-def _warn_rejected(cache_dir: Path, kind: str, n: int, reason) -> None:
-    path = cache_dir / f"{kind}-n{n}.json"
-    print(f"warning: cache entry {path} rejected ({reason}); rewriting", file=sys.stderr)
-
-
-def cache_store(cache_dir: Path, kind: str, n: int, payload: dict) -> None:
+def cache_store(cache_dir: Path, kind: str, n: int, line: bytes) -> None:
     cache_dir.mkdir(parents=True, exist_ok=True)
     # a fresh random name, created exclusively, so concurrent writers never
     # share a temporary file; "x" mode keeps the umask's permissions
@@ -247,57 +238,29 @@ def cache_store(cache_dir: Path, kind: str, n: int, payload: dict) -> None:
     f = open(tmp, "xb")
     try:
         with f:
-            f.write(_json_text(payload).encode() + b"\n")
+            f.write(line)
         os.replace(tmp, cache_dir / f"{kind}-n{n}.json")
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def cache_load(cache_dir: Path, kind: str, n: int) -> Table | None:
-    """The table an entry holds, or None if there is none or (with a
-    warning) its text is not a table for n; _pin_to_cache then compares it
-    with the recurrence's.
+def cache_load(cache_dir: Path, kind: str, n: int) -> bytes | None:
+    """The bytes of the entry for kind and n, or None when there is none.
 
-    A row's text must read the same reversed, checked before anything is
-    parsed, and only its first half is parsed.
+    The entry is opened without blocking and read only if it is a regular
+    file; any other entry (a FIFO, a device, a directory, one that cannot be
+    opened) reads as b"", which matches no table.
     """
-    path = cache_dir / f"{kind}-n{n}.json"
     try:
-        if not path.exists():
-            return None
-        payload = json.loads(path.read_bytes())
-        if payload.get("n") != str(n):
-            raise ValueError(f"entry is not for n={n}")
-        # stored with sorted keys; the JSON output puts "n" first
-        obj = {"n": payload["n"], "A": payload["A"]}
-        if kind == "twosided":
-            for text in obj["A"]:
-                _check_decimals(text)
-            return Table(kind, n, twosided.table_from_obj(obj), obj)
-        # row_from_obj checks that the second half mirrors the first
-        _check_decimals(obj["A"], (n + 1) // 2)
-        try:
-            return Table(kind, n, eulerian.row_from_obj(obj), obj)
-        except ValueError as exc:  # wrong length, or text that is no palindrome
-            raise ValueError(f"row fails revalidation: {exc}") from None
-    except Exception as exc:
-        _warn_rejected(cache_dir, kind, n, exc)
+        f = open(cache_dir / f"{kind}-n{n}.json", "rb",
+                 opener=lambda path, flags: os.open(path, flags | os.O_NONBLOCK))
+    except (FileNotFoundError, NotADirectoryError):
         return None
-
-
-def _check_decimals(text, count: int | None = None) -> None:
-    """Raise unless text is a list whose first count entries (all of them
-    by default) are decimal strings, 0|[1-9][0-9]*."""
-    if not isinstance(text, list):
-        raise ValueError("entries are not decimal strings")
-    head = text[:count]
-    if (
-        not _only_digits(head)
-        or "" in head
-        or any(s[0] == "0" and len(s) > 1 for s in head)
-    ):
-        raise ValueError("entries are not decimal strings")
+    except OSError:  # a directory, or not readable
+        return b""
+    with f:
+        return f.read() if stat.S_ISREG(os.fstat(f.fileno()).st_mode) else b""
 
 
 # ---------------------------------------------------------------------------

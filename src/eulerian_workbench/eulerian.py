@@ -226,18 +226,3 @@ def row_to_obj(n: int, row: tuple[int, ...]) -> dict:
         raise ConsistencyError(f"row {n} is not palindromic")
     half = [str(c) for c in row[: (len(row) + 1) // 2]]
     return {"n": str(n), "A": half + half[: len(row) // 2][::-1]}
-
-
-def row_from_obj(obj: dict) -> tuple[int, ...]:
-    """The row obj holds, parsing only the half a palindrome determines.
-
-    Raises ValueError unless "A" has n entries and reads the same reversed.
-    """
-    n = int(obj["n"])
-    text = obj["A"]
-    if len(text) != n:
-        raise ValueError(f"row for n={n} has {len(text)} entries")
-    if text != text[::-1]:
-        raise ValueError(f"row for n={n} is not palindromic")
-    half = [int(c) for c in text[: (n + 1) // 2]]
-    return tuple(half + half[: n // 2][::-1])

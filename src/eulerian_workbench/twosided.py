@@ -393,11 +393,3 @@ def table_to_obj(table: TwoSidedTable) -> dict:
         "n": str(table.n),
         "A": [[str(c) for c in row] for row in table.entries],
     }
-
-
-def table_from_obj(obj: dict) -> TwoSidedTable:
-    n = int(obj["n"])
-    entries = tuple(tuple(int(c) for c in row) for row in obj["A"])
-    if len(entries) != n or any(len(row) != n for row in entries):
-        raise ValueError(f"array for n={n} is not {n} by {n}")
-    return TwoSidedTable(n, entries)

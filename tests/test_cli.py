@@ -6,9 +6,12 @@ import io
 import json
 import math
 import os
+import resource
+import subprocess
 import sys
 import threading
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -603,6 +606,11 @@ def test_cache_store_and_hit(tmp_path):
     assert err == ""
 
 
+def _entry(payload) -> bytes:
+    """payload as a cache entry: canonical JSON and a newline."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+
+
 def test_cache_rejects_corruption(tmp_path):
     cache = tmp_path / "cache"
     run_cli("two-sided", "--n", "5", "--cache", str(cache), "--format", "json")
@@ -614,23 +622,9 @@ def test_cache_rejects_corruption(tmp_path):
         "two-sided", "--n", "5", "--cache", str(cache), "--format", "json"
     )
     assert code == 0
-    assert "rejected (array fails revalidation" in err
+    assert "rejected (not the recomputed table)" in err
     got = tuple(tuple(int(c) for c in row) for row in json.loads(out)["A"])
     assert got == TABLE2[5]
-
-
-def test_cache_rejects_wrong_row_sum(tmp_path):
-    cache = tmp_path / "cache"
-    run_cli("eulerian", "--n", "4", "--cache", str(cache))
-    path = cache / "eulerian-n4.json"
-    payload = {"n": "4", "A": ["1", "11", "12", "1"]}
-    cli.cache_store(cache, "eulerian", 4, payload)
-    code, out, err = run_cli(
-        "eulerian", "--n", "4", "--cache", str(cache), "--format", "csv"
-    )
-    assert code == 0
-    assert "rejected" in err
-    assert out.splitlines()[1] == "4,1,11,11,1"
 
 
 def test_cache_entry_layout(tmp_path):
@@ -647,13 +641,13 @@ def test_cache_entry_layout(tmp_path):
 
 def test_concurrent_cache_writers_never_share_a_temporary_file(tmp_path):
     cache = tmp_path / "cache"
-    payload = {"n": "6", "A": ["1", "57", "302", "302", "57", "1"]}
+    line = _entry({"n": "6", "A": ["1", "57", "302", "302", "57", "1"]})
     errors = []
 
     def store():
         try:
             for _ in range(25):
-                cli.cache_store(cache, "eulerian", 6, payload)
+                cli.cache_store(cache, "eulerian", 6, line)
         except Exception as exc:  # collected and asserted below
             errors.append(exc)
 
@@ -665,113 +659,84 @@ def test_concurrent_cache_writers_never_share_a_temporary_file(tmp_path):
     assert not any(w.is_alive() for w in writers)
     assert errors == []
     assert [p.name for p in cache.iterdir()] == ["eulerian-n6.json"]
-    err = io.StringIO()
-    with redirect_stderr(err):
-        table = cli.cache_load(cache, "eulerian", 6)
-    assert err.getvalue() == ""
-    assert table.value == TABLE1[6]
+    assert cli.cache_load(cache, "eulerian", 6) == line
+    assert run_cli("eulerian", "--n", "6", "--cache", str(cache))[2] == ""
 
 
 def test_cache_rejects_forged_row_with_valid_checksum(tmp_path):
     cache = tmp_path / "cache"
     # sums to 5! but is neither palindromic nor unimodal
-    cli.cache_store(cache, "eulerian", 5, {"n": "5", "A": ["2", "25", "66", "26", "1"]})
+    cli.cache_store(cache, "eulerian", 5, _entry({"n": "5", "A": ["2", "25", "66", "26", "1"]}))
     code, out, err = run_cli("eulerian", "--n", "5", "--cache", str(cache), "--format", "csv")
     assert code == 0
-    assert "rejected" in err and "revalidation" in err
+    assert "rejected (not the recomputed table)" in err
     assert out.splitlines()[1] == "5,1,26,66,26,1"
 
 
-def test_cache_rejects_asymmetric_array_with_right_total(tmp_path):
-    cache = tmp_path / "cache"
-    # the true array with a 3-cycle minus the identity added to its middle
-    # block: total and marginals unchanged, symmetry broken
-    forged = [["1", "0", "0", "0"], ["0", "9", "2", "0"], ["0", "1", "9", "1"], ["0", "1", "0", "0"]]
-    cli.cache_store(cache, "twosided", 4, {"n": "4", "A": forged})
-    code, out, err = run_cli("two-sided", "--n", "4", "--cache", str(cache), "--format", "json")
-    assert code == 0
-    assert "rejected" in err and "revalidation" in err
-    got = tuple(tuple(int(c) for c in row) for row in json.loads(out)["A"])
-    assert got == TABLE2[4]
+def _forged_row_9():
+    # the true row 9 moved by +1, -2, +1 in its middle: still summing to 9!,
+    # palindromic and unimodal
+    row = list(eulerian.table_from_recurrence(9).row(9))
+    assert row[3:6] == [88234, 156190, 88234]
+    row[3:6] = [88235, 156188, 88235]
+    return [str(a) for a in row]
 
 
-def test_cache_rejects_non_decimal_entries(tmp_path):
-    cache = tmp_path / "cache"
-    for forged in (["1", "+11", "11", "1"], ["1", "011", "11", "1"], ["1", " 11", "11", "1"]):
-        cli.cache_store(cache, "eulerian", 4, {"n": "4", "A": forged})
-        code, out, err = run_cli("eulerian", "--n", "4", "--cache", str(cache), "--format", "csv")
-        assert code == 0
-        # the reason itself: this test's name puts "decimal" in the path
-        assert "rejected (entries are not decimal strings)" in err
-        assert out.splitlines()[1] == "4,1,11,11,1"
+def _forged_array_8():
+    # +1 on the diagonal at 3..6 and -1 at (3,4), (4,3), (5,6), (6,5) keeps
+    # the total, the marginals and both symmetries of the true array n = 8
+    entries = [list(row) for row in twosided.two_sided_from_recurrence(8)[7].entries]
+    for i in (3, 4, 5, 6):
+        entries[i - 1][i - 1] += 1
+    for i, j in ((3, 4), (4, 3), (5, 6), (6, 5)):
+        entries[i - 1][j - 1] -= 1
+    return [[str(a) for a in row] for row in entries]
 
 
-def test_cache_rejects_palindromic_text_that_int_would_read(tmp_path):
-    # int() reads each of these as 11, so only the decimal check stops them
-    cache = tmp_path / "cache"
-    for forged in ("1_1", " 11", "011", "", "\u0661\u0661", "\uff11\uff11", "11\n"):
-        cli.cache_store(cache, "eulerian", 4, {"n": "4", "A": ["1", forged, forged, "1"]})
-        code, out, err = run_cli("eulerian", "--n", "4", "--cache", str(cache), "--format", "csv")
-        assert code == 0
-        assert "rejected (entries are not decimal strings)" in err
-        assert out.splitlines()[1] == "4,1,11,11,1"
-
-
-def test_cache_rejects_a_second_half_that_differs_from_the_first(tmp_path):
-    cache = tmp_path / "cache"
-    # the true row 6 is 1 57 302 302 57 1; a load parses only the first half
-    asymmetric = "is not palindromic"
-    for second, reason in ((["302", "58", "1"], asymmetric), (["302", "057", "1"], asymmetric),
-                           (["302", "57", "+1"], asymmetric), (["302", "57"], "has 5 entries")):
-        cli.cache_store(cache, "eulerian", 6, {"n": "6", "A": ["1", "57", "302"] + second})
-        code, out, err = run_cli("eulerian", "--n", "6", "--cache", str(cache), "--format", "csv")
-        assert code == 0
-        assert f"rejected (row fails revalidation: row for n=6 {reason})" in err
-        assert out.splitlines()[1] == "6,1,57,302,302,57,1"
-        assert run_cli("eulerian", "--n", "6", "--cache", str(cache))[2] == ""
-
-
-def test_cache_rejects_old_format_and_unknown_schema(tmp_path):
+def _old_layouts():
     # the layouts before the bare payload line: a checksummed object, then a
     # line with a schema header, whatever its version
-    cache = tmp_path / "cache"
-    path = cache / "eulerian-n4.json"
-    run_cli("eulerian", "--n", "4", "--cache", str(cache))
     payload = {"n": "4", "A": ["1", "11", "11", "1"]}
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode()).hexdigest()
     old = json.dumps({"payload": payload, "sha256": digest}, indent=2) + "\n"
     headed = [f'{{"schema": {v}, "sha256": "{digest}", "payload": {canonical}}}\n' for v in (2, 3)]
-    for data in [old] + headed:
-        path.write_text(data)
-        code, out, err = run_cli("eulerian", "--n", "4", "--cache", str(cache), "--format", "csv")
-        assert code == 0
-        assert "rejected (entry is not for n=4)" in err
-        assert out.splitlines()[1] == "4,1,11,11,1"
-        # the recomputed entry replaced the rejected one
-        assert run_cli("eulerian", "--n", "4", "--cache", str(cache))[2] == ""
+    return [pytest.param("eulerian", 4, text.encode(), id=f"layout-{name}")
+            for name, text in zip(("checksummed", "schema-2", "schema-3"), [old] + headed)]
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_cache_survives_any_single_byte_mutation(tmp_path_factory, data):
-    # n = 9 has a second half of four entries, which a load mirrors
-    command, n = data.draw(st.sampled_from([("eulerian", 5), ("eulerian", 9), ("two-sided", 3)]))
-    kind = "eulerian" if command == "eulerian" else "twosided"
-    argv = (command, "--n", str(n), "--format", "json")
-    _, want, _ = run_cli(*argv)
-    cache = tmp_path_factory.mktemp("cache")
-    run_cli(*argv, "--cache", str(cache))
-    path = cache / f"{kind}-n{n}.json"
-    stored = path.read_bytes()
-    at = data.draw(st.integers(0, len(stored) - 1))
-    byte = data.draw(st.none() | st.integers(0, 255).filter(lambda b: b != stored[at]))
-    mutated = stored[:at] + (b"" if byte is None else bytes([byte])) + stored[at + 1:]
-    path.write_bytes(mutated)
-    code, out, err = run_cli(*argv, "--cache", str(cache))
-    assert code == 0
-    assert out == want
-    assert err == "" or ("rejected" in err and err.startswith("warning: "))
+def _row_4(forged, name):
+    return pytest.param("eulerian", 4, _entry({"n": "4", "A": forged}), id=name)
+
+
+# an entry per forgery: every one differs from the line the recurrence's table
+# renders to, whatever int() or a row's invariants would make of it
+FORGED_ENTRIES = [
+    # text that is not decimal
+    _row_4(["1", "+11", "11", "1"], "decimal-plus"),
+    _row_4(["1", "011", "11", "1"], "decimal-leading-zero"),
+    _row_4(["1", " 11", "11", "1"], "decimal-space"),
+    # palindromic text that int() reads as 11
+    *(_row_4(["1", forged, forged, "1"], f"palindromic-{name}") for forged, name in (
+        ("1_1", "underscore"), (" 11", "space"), ("011", "leading-zero"), ("", "empty"),
+        ("\u0661\u0661", "arabic-indic"), ("\uff11\uff11", "fullwidth"), ("11\n", "newline"),
+    )),
+    # the true row 6 is 1 57 302 302 57 1: a second half that differs from
+    # the first, or is short
+    *(pytest.param("eulerian", 6, _entry({"n": "6", "A": ["1", "57", "302"] + second}),
+                   id=f"second-half-{name}")
+      for second, name in ((["302", "58", "1"], "58"), (["302", "057", "1"], "057"),
+                           (["302", "57", "+1"], "plus"), (["302", "57"], "short"))),
+    *_old_layouts(),
+    _row_4(["1", "11", "12", "1"], "row-sum"),
+    # the true array with a 3-cycle minus the identity added to its middle
+    # block: total and marginals unchanged, symmetry broken
+    pytest.param("twosided", 4, _entry({"n": "4", "A": [
+        ["1", "0", "0", "0"], ["0", "9", "2", "0"], ["0", "1", "9", "1"], ["0", "1", "0", "0"],
+    ]}), id="array-asymmetric"),
+    pytest.param("eulerian", 9, _entry({"n": "9", "A": _forged_row_9()}), id="row-9-middle"),
+    pytest.param("twosided", 8, _entry({"n": "8", "A": _forged_array_8()}), id="array-8-diagonal"),
+]
 
 
 def _assert_rejected_then_rewritten(argv, cache):
@@ -784,27 +749,29 @@ def _assert_rejected_then_rewritten(argv, cache):
     assert run_cli(*argv, "--cache", str(cache)) == (0, want, "")
 
 
-def test_cache_rejects_a_forged_middle_that_keeps_the_row_invariants(tmp_path):
-    # the true row 9 moved by +1, -2, +1 in its middle: still summing to 9!,
-    # palindromic and unimodal
-    row = list(eulerian.table_from_recurrence(9).row(9))
-    assert row[3:6] == [88234, 156190, 88234]
-    row[3:6] = [88235, 156188, 88235]
-    cli.cache_store(tmp_path, "eulerian", 9, {"n": "9", "A": [str(a) for a in row]})
-    _assert_rejected_then_rewritten(("eulerian", "--n", "9"), tmp_path)
+@pytest.mark.parametrize("kind,n,data", FORGED_ENTRIES)
+def test_cache_rejects_forged_entry(tmp_path, kind, n, data):
+    (tmp_path / f"{kind}-n{n}.json").write_bytes(data)
+    command = "eulerian" if kind == "eulerian" else "two-sided"
+    _assert_rejected_then_rewritten((command, "--n", str(n), "--format", "json"), tmp_path)
 
 
-def test_cache_rejects_a_forged_array_that_keeps_the_array_invariants(tmp_path):
-    # +1 on the diagonal at 3..6 and -1 at (3,4), (4,3), (5,6), (6,5) keeps
-    # the total, the marginals and both symmetries of the true array n = 8
-    entries = [list(row) for row in twosided.two_sided_from_recurrence(8)[7].entries]
-    for i in (3, 4, 5, 6):
-        entries[i - 1][i - 1] += 1
-    for i, j in ((3, 4), (4, 3), (5, 6), (6, 5)):
-        entries[i - 1][j - 1] -= 1
-    forged = [[str(a) for a in row] for row in entries]
-    cli.cache_store(tmp_path, "twosided", 8, {"n": "8", "A": forged})
-    _assert_rejected_then_rewritten(("two-sided", "--n", "8"), tmp_path)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cache_survives_any_single_byte_mutation(tmp_path_factory, data):
+    command, n = data.draw(st.sampled_from([("eulerian", 5), ("eulerian", 9), ("two-sided", 3)]))
+    kind = "eulerian" if command == "eulerian" else "twosided"
+    argv = (command, "--n", str(n), "--format", "json")
+    cache = tmp_path_factory.mktemp("cache")
+    run_cli(*argv, "--cache", str(cache))
+    path = cache / f"{kind}-n{n}.json"
+    stored = path.read_bytes()
+    at = data.draw(st.integers(0, len(stored) - 1))
+    byte = data.draw(st.none() | st.integers(0, 255).filter(lambda b: b != stored[at]))
+    mutated = stored[:at] + (b"" if byte is None else bytes([byte])) + stored[at + 1:]
+    path.write_bytes(mutated)
+    # every mutation changes the bytes, so every one is rejected once
+    _assert_rejected_then_rewritten(argv, cache)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -826,8 +793,64 @@ def test_cache_rejects_any_row_moved_by_mirrored_pairs(tmp_path_factory, data):
         row[n - 1 - i] = row[i]
     assert sum(row) == math.factorial(n) and row == row[::-1]
     cache = tmp_path_factory.mktemp("cache")
-    cli.cache_store(cache, "eulerian", n, {"n": str(n), "A": [str(a) for a in row]})
+    cli.cache_store(cache, "eulerian", n, _entry({"n": str(n), "A": [str(a) for a in row]}))
     _assert_rejected_then_rewritten(("eulerian", "--n", str(n)), cache)
+
+
+def _run_child(argv, limit_bytes=None, timeout=20):
+    """The CLI in a child process, under an address-space cap if given; a
+    run past timeout raises, so a read that blocks fails the test."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "eulerian_workbench.cli", *argv], capture_output=True,
+        text=True, env=env, timeout=timeout, preexec_fn=cap if limit_bytes else None,
+    )
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_cache_entry_that_is_not_a_regular_file_is_rejected_unread(tmp_path):
+    # a FIFO with no writer blocks a plain open or read; /dev/zero never ends
+    os.mkfifo(tmp_path / "eulerian-n3.json")
+    os.symlink("/dev/zero", tmp_path / "eulerian-n4.json")
+    argv = ["eulerian", "--n-max", "4"]
+    want = _run_child(argv).stdout
+    run = _run_child(argv + ["--cache", str(tmp_path)], limit_bytes=600 * 2**20)
+    assert (run.returncode, run.stdout) == (0, want)
+    assert run.stderr.count("rejected") == 2 and run.stderr.count("\n") == 2
+    # the names now hold regular files, and /dev/zero is untouched
+    assert all((tmp_path / f"eulerian-n{n}.json").is_file() for n in (3, 4))
+    assert not (tmp_path / "eulerian-n4.json").is_symlink()
+    assert _run_child(argv + ["--cache", str(tmp_path)]).stderr == ""
+
+
+def test_cache_entry_that_is_a_directory_warns_and_prints_as_uncached(tmp_path):
+    # rejected unread, then the rename onto it fails like an unwritable cache
+    (tmp_path / "eulerian-n2.json").mkdir()
+    argv = ("eulerian", "--n-max", "3")
+    _, want, _ = run_cli(*argv)
+    code, out, err = run_cli(*argv, "--cache", str(tmp_path))
+    assert (code, out) == (0, want)
+    assert err.count("\n") == 2 and "rejected" in err and "cannot be written" in err
+
+
+@pytest.mark.parametrize("command", ["eulerian", "two-sided"])
+def test_warm_run_stores_nothing_and_cold_run_stores_each_n_once(tmp_path, monkeypatch, command):
+    stored = []
+
+    def counted(cache_dir, kind, n, line, store=cli.cache_store):
+        stored.append(n)
+        store(cache_dir, kind, n, line)
+
+    monkeypatch.setattr(cli, "cache_store", counted)
+    argv = (command, "--n-max", "5", "--cache", str(tmp_path))
+    assert run_cli(*argv)[0] == 0
+    assert stored == [1, 2, 3, 4, 5]
+    stored.clear()
+    assert run_cli(*argv) == run_cli(command, "--n-max", "5")
+    assert stored == []
 
 
 @pytest.mark.parametrize("under", ["", "c"])

@@ -18,7 +18,6 @@ from eulerian_workbench.twosided import (
     gessel_basis_indices,
     gessel_solve,
     polynomial_from_table,
-    table_from_obj,
     table_to_obj,
     two_sided_brute_force,
     two_sided_from_recurrence,
@@ -320,9 +319,3 @@ def test_table_json_round_trip():
     assert obj["n"] == "4"
     assert obj["A"][1] == ["0", "10", "1", "0"]
     assert set(obj) == {"n", "A"}
-    assert table_from_obj(obj).entries == table.entries
-
-
-def test_table_from_obj_validates_shape():
-    with pytest.raises(ValueError):
-        table_from_obj({"n": "2", "A": [["1", "0"]]})
