@@ -220,10 +220,11 @@ def orbit_census(n: int, force: bool = False) -> dict[int, int]:
     an ascending slope. One stream over S_n counts those members by peak
     count and builds no class: perm.census_kernel, a block kernel, reads
     each shard block run by run. It scans the run's shared prefix once; a
-    prefix with a double descent sends the whole run under the key None
-    unwalked, and otherwise it walks the 7-letter tails, tells those
-    members apart by their own letters and tallies their peaks, with every
-    word that has a double descent under None too. None is dropped here.
+    prefix with a double descent sends the whole run under the key None,
+    and otherwise it adds the 7-letter tails in groups of tail patterns,
+    keyed by first letter, first fall and descents, so that one comparison
+    across the boundary tells each group's double descents and peaks. Every
+    word with a double descent goes under None, which is dropped here.
 
     Coverage is checked by class size: a class with p peaks has
     2**(n - 1 - 2p) members, and the classes counted must add up to n!.

@@ -22,15 +22,14 @@ statistic over S_n block by block, in a process pool when there is more
 than one shard, with the workers capped at the CPUs this process may use,
 and merges the counts exactly. Its kernels (des, the pair (ides, des) and
 the peaks of permutations with no double descents) are block kernels:
-each takes one shard block and n and works run by run. It scans the run's
-prefix once, then walks only the 7-letter tails, computing each word's
-statistic from that word's own letters with the comparisons written out,
-and adds the run's small tally at the prefix's own count. The one shared
-table is the inverse of each 7-letter tail pattern, built on first use,
-from which pair_kernel reads whether x + 1 stands left of x when both sit
-in the tail. The kernels are module-level, so they pickle by name. One
-guard rail, BRUTE_FORCE_GUARD, covers every walk: past it, force is
-required.
+each takes one shard block and n and works run by run. A tail word is
+rest relabelled by a pattern p of range(7), which keeps every comparison
+inside the tail, so each statistic is the prefix's part, a comparison or
+two across the boundary and a function of p alone (proved above the
+kernels). A kernel scans each run's prefix once and adds the tail words in
+groups of patterns from its table, built once per process on first use.
+The kernels are module-level, so they pickle by name. One guard rail,
+BRUTE_FORCE_GUARD, covers every walk: past it, force is required.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ import functools
 import itertools
 import operator
 import os
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable, Iterator
 from concurrent.futures import ProcessPoolExecutor
@@ -244,27 +244,89 @@ def _prefix_runs(n: int, start: int, stop: int) -> Iterator[tuple[Perm, Perm, in
 # hop checks count with descent_count and friends, so a slip in one route
 # cannot hide in the other.
 #
-# Each kernel scans a run's prefix once, then walks its tail words
-# a..g with the comparisons written out: z > a across the boundary, z being
-# the prefix's last letter, and the six adjacent pairs a > b ... f > g. The
-# tail counts go into a small per-run list or grid, added at the prefix's
-# own counts. Only nonzero slots are added: a slot past the statistic's
-# range, such as seven tail descents at n = 7 where no letter precedes the
-# tail, is always empty.
+# A run's tail words are permutations(rest)[lo:hi]. permutations orders
+# its output by the positions it picks from rest, so the r-th tail word is
+# rest[p0], ..., rest[p6] for the r-th lexicographic pattern p of
+# range(SUFFIX). rest is increasing, so this keeps every comparison between
+# tail letters, and each statistic splits into the prefix's part, the
+# comparisons across the boundary and a part of p alone:
+# - des(w) = des(prefix) + [z > rest[p0]] + des(p), z being the prefix's
+#   last letter; rest[j] < z exactly for j below cut, the number of rest
+#   letters under z, so the boundary term is [p0 < cut].
+# - x is an inverse descent when x + 1 stands left of x. The prefix stands
+#   left of the tail, so it settles every x whose successor it holds, and x
+#   in the prefix with x + 1 in the tail is never one. Both in the tail are
+#   neighbours rest[j], rest[j + 1], and x + 1 stands left of x exactly when
+#   j + 1 stands left of j in p: bit j of ibits(p). The tail adds
+#   popcount(ibits(p) & mask), mask marking the neighbours that differ by 1.
+# - a double descent is three falls in a row. With y the letter before z,
+#   y > z > rest[p0] needs y > z and p0 < cut, z > rest[p0] > rest[p1]
+#   needs p0 < cut and p0 > p1, and three tail letters fall when p does.
+# Each kernel's table keys every rank, and also groups all 7! ranks by key
+# for full runs. Only a block's first and last run can be partial; those
+# group their [lo:hi] slice of the keys directly, uncached.
+
+
+def _groups(table: tuple, lo: int, hi: int):
+    """The (key, count) groups of a table's ranks lo..hi."""
+    keys, full = table
+    return full if hi - lo == len(keys) else Counter(keys[lo:hi]).items()
 
 
 @functools.cache
-def _tail_inverses() -> tuple[Perm, ...]:
-    """The inverse of each SUFFIX-letter pattern, in lexicographic order.
+def _descent_table() -> tuple:
+    """(p0, des(p)) for each SUFFIX-letter pattern p by rank, and its groups."""
+    keys = tuple([
+        (a, (a > b) + (b > c) + (c > d) + (d > e) + (e > f) + (f > g))
+        for a, b, c, d, e, f, g in itertools.permutations(range(SUFFIX))
+    ])
+    return keys, tuple(Counter(keys).items())
 
-    Entry r is the inverse of the r-th permutation of range(SUFFIX): it
-    gives the tail position of the j-th smallest tail letter, for the r-th
-    word that permutations(rest) yields whatever the letters of rest.
+
+@functools.cache
+def _pair_table() -> tuple:
+    """(p0, des(p), ibits(p)) by rank, and its groups.
+
+    A pattern is spelled in the powers 2**j of its letters j, which compare
+    as the letters do; s is the set read so far, and reading 2**x, bit x of
+    s >> 1 says x + 1 stood left of x.
     """
-    return tuple(
-        tuple(sorted(range(SUFFIX), key=p.__getitem__))
-        for p in itertools.permutations(range(SUFFIX))
-    )
+    keys = tuple([
+        (
+            a.bit_length() - 1,
+            (a > b) + (b > c) + (c > d) + (d > e) + (e > f) + (f > g),
+            a >> 1 & b | (s := a | b) >> 1 & c | (s := s | c) >> 1 & d
+            | (s := s | d) >> 1 & e | (s := s | e) >> 1 & f | (s | f) >> 1 & g,
+        )
+        for a, b, c, d, e, f, g in itertools.permutations([1 << j for j in range(SUFFIX)])
+    ])
+    return keys, tuple(Counter(keys).items())
+
+
+def _ides_groups(groups, mask: int):
+    """(p0, des(p), ibits(p)) groups regrouped by (p0, des(p), tail ides)."""
+    out = Counter()
+    for (first, des, bits), count in groups:
+        out[first, des, (bits & mask).bit_count()] += count
+    return out.items()
+
+
+@functools.cache
+def _pair_mask_groups(mask: int):
+    """Every pattern grouped by (p0, des(p), tail ides) under one of 64 masks."""
+    return tuple(_ides_groups(_pair_table()[1], mask))
+
+
+@functools.cache
+def _census_table() -> tuple:
+    """By rank, None when p has a double descent a > b > c of its own, else
+    (p0, p0 > p1, des(p)); and its groups."""
+    keys = tuple([
+        None if a > b > c or b > c > d or c > d > e or d > e > f or e > f > g
+        else (a, a > b, (a > b) + (b > c) + (c > d) + (d > e) + (e > f) + (f > g))
+        for a, b, c, d, e, f, g in itertools.permutations(range(SUFFIX))
+    ])
+    return keys, tuple(Counter(keys).items())
 
 
 def descent_kernel(block: Block, n: int) -> Counter:
@@ -275,26 +337,14 @@ def descent_kernel(block: Block, n: int) -> Counter:
         if not rest:
             tally[des] += hi - lo
             continue
-        z = prefix[-1] if prefix else 0
-        local = [0] * (SUFFIX + 1)
-        for a, b, c, d, e, f, g in itertools.islice(itertools.permutations(rest), lo, hi):
-            local[(z > a) + (a > b) + (b > c) + (c > d) + (d > e) + (e > f) + (f > g)] += 1
-        for t, count in enumerate(local):
-            if count:
-                tally[des + t] += count
+        cut = bisect_left(rest, prefix[-1]) if prefix else 0
+        for (first, d), count in _groups(_descent_table(), lo, hi):
+            tally[des + (first < cut) + d] += count
     return Counter({d: c for d, c in enumerate(tally) if c})
 
 
 def pair_kernel(block: Block, n: int) -> Counter:
-    """Counts of (ides(w), des(w)) over the words w of block, a block of S_n.
-
-    x is an inverse descent when x + 1 stands left of x. The prefix settles
-    that for every x whose successor is in the prefix, since the prefix
-    stands left of every tail letter. When x and x + 1 both sit in the
-    tail they are neighbours in rest, at some j and j + 1, and the tail
-    word's inverse pattern q tells: q[j + 1] < q[j]. The masks m0 ... m5
-    mark which neighbours in rest differ by one.
-    """
+    """Counts of (ides(w), des(w)) over the words w of block, a block of S_n."""
     grid = [[0] * n for _ in range(n)]
     for prefix, rest, lo, hi in block.runs():
         at = {x: r for r, x in enumerate(prefix)}  # a tail letter stands at n
@@ -303,22 +353,14 @@ def pair_kernel(block: Block, n: int) -> Counter:
         if not rest:
             grid[ides][des] += hi - lo
             continue
-        z = prefix[-1] if prefix else 0
-        m0, m1, m2, m3, m4, m5 = (y + 1 == x for y, x in zip(rest, rest[1:]))
-        local = [[0] * (SUFFIX + 1) for _ in range(SUFFIX)]
-        tails = zip(
-            itertools.islice(itertools.permutations(rest), lo, hi),
-            itertools.islice(_tail_inverses(), lo, hi),
-        )
-        for (a, b, c, d, e, f, g), (q0, q1, q2, q3, q4, q5, q6) in tails:
-            local[
-                (m0 and q1 < q0) + (m1 and q2 < q1) + (m2 and q3 < q2)
-                + (m3 and q4 < q3) + (m4 and q5 < q4) + (m5 and q6 < q5)
-            ][(z > a) + (a > b) + (b > c) + (c > d) + (d > e) + (e > f) + (f > g)] += 1
-        for i, row in enumerate(local):
-            for t, count in enumerate(row):
-                if count:
-                    grid[ides + i][des + t] += count
+        cut = bisect_left(rest, prefix[-1]) if prefix else 0
+        mask = sum((y + 1 == x) << j for j, (y, x) in enumerate(zip(rest, rest[1:])))
+        if hi - lo == factorial(SUFFIX):
+            groups = _pair_mask_groups(mask)
+        else:  # a partial run, regrouped uncached
+            groups = _ides_groups(_groups(_pair_table(), lo, hi), mask)
+        for (first, d, i), count in groups:
+            grid[ides + i][des + (first < cut) + d] += count
     return Counter(
         {(i, d): c for i, row in enumerate(grid) for d, c in enumerate(row) if c}
     )
@@ -334,17 +376,14 @@ def census_kernel(block: Block, n: int) -> Counter:
     the descent count. The prefix scan starts from the left sentinel,
     n + 1, whose fall into w1 is counted once too many and makes w1 > w2 a
     second fall in a row. A prefix with a double descent puts its whole run
-    under None, unwalked. Otherwise a tail word has one exactly where three
-    consecutive letters of y, z, a, ..., g fall, y being the letter before
-    z: the sentinel when the prefix is one letter, and 0 (no fall into the
-    sentinel z) when it is empty.
+    under None; otherwise the tail words' falls are grouped as above.
     """
     tally = [0] * n
     doubled = 0
     for prefix, rest, lo, hi in block.runs():
         peaks = -1  # the sentinel's fall into w1
-        fell = False
-        y, z = 0, n + 1  # z is the sentinel until the prefix has a letter
+        fell = False  # y > z
+        z = n + 1  # the sentinel until the prefix has a letter
         for x in prefix:
             if z > x:
                 if fell:  # the letter before x falls on both sides
@@ -354,23 +393,22 @@ def census_kernel(block: Block, n: int) -> Counter:
                 peaks += 1
             else:
                 fell = False
-            y, z = z, x
+            z = x
         if peaks is None:
             doubled += hi - lo
         elif not rest:
             tally[peaks] += hi - lo
         else:
-            local = [0] * (SUFFIX + 1)
-            for a, b, c, d, e, f, g in itertools.islice(itertools.permutations(rest), lo, hi):
-                if not (
-                    y > z > a or z > a > b or a > b > c or b > c > d
-                    or c > d > e or d > e > f or e > f > g
-                ):
-                    local[(z > a) + (a > b) + (b > c) + (c > d) + (d > e) + (e > f) + (f > g)] += 1
-            for t, count in enumerate(local):
-                if count:
-                    tally[peaks + t] += count
-            doubled += hi - lo - sum(local)
+            cut = bisect_left(rest, z)
+            counted = 0
+            for key, count in _groups(_census_table(), lo, hi):
+                if key is not None:
+                    first, falls, d = key
+                    into = first < cut  # z > the tail's first letter
+                    if not (into and (fell or falls)):
+                        tally[peaks + into + d] += count
+                        counted += count
+            doubled += hi - lo - counted
     counts = Counter({p: c for p, c in enumerate(tally) if c})
     if doubled:
         counts[None] = doubled
@@ -399,7 +437,7 @@ def histogram(
 
     kernel(block, n) returns the Counter of its statistic over the words of
     one shard block of S_n, reading the block run by run: each run's prefix
-    once, then its tail words (see _count_block). One shard counts in this
+    once, then its tail words in groups of patterns (see _count_block). One shard counts in this
     process; more run in pool(max_workers=...), with the workers capped at
     usable_cpus(), so the shard count fixes the blocks but not the number
     of processes. Counts merge exactly, so the result does not depend on
@@ -424,7 +462,7 @@ def histogram(
 def _count_block(task: tuple) -> Counter:
     """The kernel's counts over one shard block of S_n.
 
-    enumerate_sn gives the block; the kernel reads its runs, so it walks
+    enumerate_sn gives the block; the kernel reads its runs, so it counts
     the tails of the same lexicographic walk that the block streams.
     """
     kernel, n, index, total, force = task

@@ -12,8 +12,13 @@ from hypothesis import strategies as st
 
 from eulerian_workbench import perm
 from eulerian_workbench.common import GuardRailError
-from eulerian_workbench.eulerian import brute_force_rows
-from eulerian_workbench.hopping import DOUBLE_DESCENT, PEAK, classify_letters
+from eulerian_workbench.eulerian import (
+    brute_force_rows,
+    gamma_extract,
+    polynomial_from_row,
+    table_from_recurrence,
+)
+from eulerian_workbench.hopping import DOUBLE_DESCENT, PEAK, classify_letters, orbit_census
 from eulerian_workbench.perm import (
     BRUTE_FORCE_GUARD,
     Perm,
@@ -34,7 +39,7 @@ from eulerian_workbench.perm import (
     run_count,
     statistic_profile,
 )
-from eulerian_workbench.twosided import brute_force_tables
+from eulerian_workbench.twosided import brute_force_tables, two_sided_from_recurrence
 
 
 def test_module_doctests():
@@ -363,6 +368,62 @@ def test_block_kernels_match_per_word_statistics_past_one_prefix_letter(n, index
     _check_block_kernels(n, index, total)
 
 
+def _ibits(w):
+    """Bit k set when letter k + 2 stands left of k + 1 in w, from inverse(w)."""
+    at = inverse(w)
+    return sum((at[k + 1] < at[k]) << k for k in range(len(w) - 1))
+
+
+def test_pattern_tables_match_per_word_statistics():
+    # rank r of permutations(range(1, 8)) is pattern r of range(7), plus one
+    words = list(itertools.permutations(range(1, perm.SUFFIX + 1)))
+    des_keys, des_groups = perm._descent_table()
+    pair_keys, pair_groups = perm._pair_table()
+    census_keys, census_groups = perm._census_table()
+    assert len(des_keys) == len(pair_keys) == len(census_keys) == len(words)
+    for w, des_key, pair_key, census_key in zip(words, des_keys, pair_keys, census_keys):
+        first, des = w[0] - 1, descent_count(w)
+        assert des_key == (first, des), w
+        assert pair_key == (first, des, _ibits(w)), w
+        kinds = classify_letters(w)
+        if DOUBLE_DESCENT in kinds[1:]:
+            assert census_key is None, w
+        else:
+            assert census_key == (first, kinds[0] == DOUBLE_DESCENT, des), w
+    assert dict(des_groups) == Counter(des_keys) and len(des_groups) <= 49
+    assert dict(pair_groups) == Counter(pair_keys) and len(pair_groups) == 354
+    assert dict(census_groups) == Counter(census_keys)
+    for mask in range(64):
+        want = Counter((w[0] - 1, descent_count(w), (_ibits(w) & mask).bit_count()) for w in words)
+        assert dict(perm._pair_mask_groups(mask)) == want, mask
+
+
+def _tail_mask(rest):
+    return sum((y + 1 == x) << j for j, (y, x) in enumerate(zip(rest, rest[1:])))
+
+
+def test_pattern_caches_hold_one_full_run_entry_and_one_per_mask():
+    tables = (perm._descent_table, perm._pair_table, perm._census_table)
+    for cached in (*tables, perm._pair_mask_groups):
+        cached.cache_clear()
+    # a block inside two runs of S_8: both partial, so no mask is cached
+    pair_kernel(enumerate_sn(8, shard=(1, 13)), 8)
+    assert perm._pair_mask_groups.cache_info().currsize == 0
+    blocks = [(9, index, 13) for index in range(13)] + [(10, 0, 13), (10, 12, 13)]
+    full_masks = set()
+    for n, index, total in blocks:
+        for kernel in (descent_kernel, pair_kernel, census_kernel):
+            kernel(enumerate_sn(n, shard=(index, total)), n)
+        full_masks |= {
+            _tail_mask(rest)
+            for prefix, rest, lo, hi in enumerate_sn(n, shard=(index, total)).runs()
+            if hi - lo == factorial(perm.SUFFIX)
+        }
+    for cached in tables:
+        assert cached.cache_info().currsize == 1, cached.__name__
+    assert perm._pair_mask_groups.cache_info().currsize == len(full_masks) <= 64
+
+
 @pytest.mark.parametrize(
     "n,total", [(1, 1), (3, 4), (6, 5), (7, 1), (7, 3), (8, 1), (8, 7), (9, 13)]
 )
@@ -391,6 +452,18 @@ def test_shard_counts_give_identical_tables():
         assert brute_force_rows(ns, shards=shards) == rows
         assert brute_force_tables(ns, shards=shards) == tables
         assert histogram(ns, census_kernel, shards=shards) == census
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_brute_force_past_verify_matches_the_recurrences_and_gamma(n):
+    # verify compares brute force with the recurrences up to n = 9 only
+    row = table_from_recurrence(n).row(n)
+    array = two_sided_from_recurrence(n)[n - 1]
+    for shards in (1, 3):
+        assert brute_force_rows([n], shards=shards)[n] == row
+        assert brute_force_tables([n], shards=shards)[n] == array
+    gammas = gamma_extract(polynomial_from_row(row), n).gammas
+    assert orbit_census(n) == {i: g for i, g in enumerate(gammas) if g}
 
 
 def test_enumeration_matches_itertools():
