@@ -3,9 +3,9 @@
 Subcommands: stats, eulerian, two-sided, gamma, gessel, orbit, orbits,
 series, verify. Data goes to stdout; progress, warnings, and timings go to
 stderr. Output is deterministic: the same invocation produces the same
-bytes, whatever the shard count. Brute-force runs default to one
-in-process shard while the largest n walks at most one prefix run of
-S_n (n <= perm.SUFFIX) and to the CPUs this process may use above that.
+bytes, whatever the shard count. Brute force counts its shard blocks in
+order in this process, one block unless --shards says otherwise; no
+command starts a child process.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 guard rail.
 
@@ -61,13 +61,12 @@ from . import eulerian, hopping, twosided, verify
 from .common import CheckReport, ConsistencyError, GuardRailError, check_budget
 from .exactnum import binomial
 from .perm import (
-    SUFFIX,
+    SHARD_BUDGET,
     descent_count,
     format_permutation,
     inverse_descent_count,
     parse_permutation,
     statistic_profile,
-    usable_cpus,
 )
 
 CACHE_ENV = "EULERIAN_WORKBENCH_CACHE"
@@ -170,10 +169,9 @@ def _check_printable(command: str, n: int, step) -> None:
 def _tables(args, kind: str) -> list[Table]:
     """Tables of kind "eulerian" or "twosided" for the requested ns.
 
-    Brute force never touches the cache; it runs --shards blocks, else one
-    in-process shard while S_n is at most one prefix run. Otherwise one
-    recurrence run up to the largest n gives every table; the cache only stores
-    their bytes.
+    Brute force never touches the cache; it counts --shards blocks, else
+    one. Otherwise one recurrence run up to the largest n gives every
+    table; the cache only stores their bytes.
     """
     ns = range(args.n, args.n + 1) if args.n else range(1, args.n_max + 1)
     _check_table_budget(args.command, ns, args.force)
@@ -182,8 +180,7 @@ def _tables(args, kind: str) -> list[Table]:
             eulerian.brute_force_rows if kind == "eulerian"
             else twosided.brute_force_tables
         )
-        shards = args.shards or (usable_cpus() if ns[-1] > SUFFIX else 1)
-        found = brute(ns, shards=shards, force=args.force)
+        found = brute(ns, shards=args.shards or 1, force=args.force)
         return [Table(kind, n, found[n]) for n in ns]
     if kind == "eulerian":
         computed = eulerian.table_from_recurrence(ns[-1]).rows
@@ -747,8 +744,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tables.add_argument(
         "--shards", type=positive, metavar="N",
-        help="shard count for brute-force enumeration; worker processes "
-        f"are capped at the usable CPUs (default: 1 up to n={SUFFIX}, else the usable CPUs)",
+        help="shard blocks per n for brute-force enumeration, counted in order "
+        f"in this process (default 1; past {SHARD_BUDGET} blocks over all n, --force)",
     )
 
     p = sub.add_parser("stats", parents=[formatted], help="statistics of permutations")

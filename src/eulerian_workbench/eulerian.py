@@ -4,7 +4,7 @@ A(n, i) counts permutations of {1, ..., n} with exactly i - 1 descents,
 equivalently i increasing runs, for 1 <= i <= n. Routes implemented here:
 
 - brute force: count descents over S_n on the shared walk in perm
-  (optionally sharded across processes);
+  (optionally in shard blocks);
 - the two-term recurrence
   A(n, i) = i * A(n - 1, i) + (n + 1 - i) * A(n - 1, i - 1);
 - the power-sum series: A_n(t) / (1 - t)**(n + 1) has t**k coefficient k**n;
@@ -23,7 +23,9 @@ integers and demands a zero residual.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+# bench/spans.py swaps its process-counting pool in under this name, so it
+# stays bound here, though no code here starts a pool.
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 from .common import CheckReport, ConsistencyError
@@ -48,8 +50,8 @@ class EulerianTable:
 def brute_force_rows(
     ns: list[int], shards: int = 1, force: bool = False
 ) -> dict[int, tuple[int, ...]]:
-    """Brute-force descent histograms for several n with one worker pool."""
-    counts = histogram(ns, descent_kernel, shards, force, pool=ProcessPoolExecutor)
+    """Brute-force descent histograms for several n, in one histogram call."""
+    counts = histogram(ns, descent_kernel, shards, force)
     return {n: tuple(counts[n][d] for d in range(n)) for n in ns}
 
 

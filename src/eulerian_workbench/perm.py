@@ -18,18 +18,17 @@ words share their first n - 7 letters (the whole word below n = 7) and
 are itertools.permutations(prefix + rest)[lo:hi]: that iterator keeps the
 prefix in place for its first 7! steps while it permutes rest, the other
 letters in increasing order, lexicographically. histogram counts one
-statistic over S_n block by block, in a process pool when there is more
-than one shard, with the workers capped at the CPUs this process may use,
-and merges the counts exactly. Its kernels (des, the pair (ides, des) and
+statistic over S_n block by block, in order and in this process, and
+merges the counts exactly. Its kernels (des, the pair (ides, des) and
 the peaks of permutations with no double descents) are block kernels:
 each takes one shard block and n and works run by run. A tail word is
 rest relabelled by a pattern p of range(7), which keeps every comparison
 inside the tail, so each statistic is the prefix's part, a comparison or
 two across the boundary and a function of p alone (proved above the
 kernels). A kernel scans each run's prefix once and adds the tail words in
-groups of patterns from its table, built once per process on first use.
-The kernels are module-level, so they pickle by name. One guard rail,
-BRUTE_FORCE_GUARD, covers every walk: past it, force is required.
+groups of patterns from its table, built once on first use. One guard
+rail, BRUTE_FORCE_GUARD, covers every walk, and SHARD_BUDGET bounds the
+blocks of one histogram call: past either, force is required.
 """
 
 from __future__ import annotations
@@ -37,11 +36,9 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import os
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import factorial
 
@@ -51,6 +48,12 @@ Perm = tuple[int, ...]
 
 # 11! is 39.9 million permutations; walking past it needs an explicit override.
 BRUTE_FORCE_GUARD = 11
+
+# Shard blocks one histogram call may count, summed over its ns. A block
+# shorter than a run counts up to two partial runs, uncached: 10**4 blocks
+# of S_11 took 1.0 to 3.9 s by kernel on a 2-vCPU host, one block 0.03 to
+# 0.12 s.
+SHARD_BUDGET = 10**4
 
 # Runs walk itertools.permutations over their last SUFFIX letters, the tail.
 SUFFIX = 7
@@ -415,55 +418,29 @@ def census_kernel(block: Block, n: int) -> Counter:
     return counts
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the OS keeps one.
-
-    os.cpu_count() counts the host's CPUs even when taskset or a cpuset
-    confines the process to fewer.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def histogram(
     ns: list[int],
     kernel: Callable[[Block, int], Counter],
     shards: int = 1,
     force: bool = False,
-    pool: Callable[..., ProcessPoolExecutor] = ProcessPoolExecutor,
 ) -> dict[int, Counter]:
     """Count a statistic over S_n for each n in ns, from shards blocks each.
 
     kernel(block, n) returns the Counter of its statistic over the words of
     one shard block of S_n, reading the block run by run: each run's prefix
-    once, then its tail words in groups of patterns (see _count_block). One shard counts in this
-    process; more run in pool(max_workers=...), with the workers capped at
-    usable_cpus(), so the shard count fixes the blocks but not the number
-    of processes. Counts merge exactly, so the result does not depend on
-    shards.
+    once, then its tail words in groups of patterns. The blocks count one
+    at a time, in order, in this process, and their counts merge exactly,
+    so the result does not depend on shards. Past SHARD_BUDGET blocks over
+    all of ns, force is required, decided before any block is counted.
     """
     for n in ns:
         check_guard(n, force)
     if shards < 1:
         raise ValueError("shards must be positive")
-    tasks = [(kernel, n, index, shards, force) for n in ns for index in range(shards)]
-    if shards == 1:
-        counts = list(map(_count_block, tasks))
-    else:
-        with pool(max_workers=min(shards, usable_cpus())) as workers:
-            counts = list(workers.map(_count_block, tasks))
-    return {
-        n: sum(counts[at * shards : (at + 1) * shards], Counter())
-        for at, n in enumerate(ns)
-    }
-
-
-def _count_block(task: tuple) -> Counter:
-    """The kernel's counts over one shard block of S_n.
-
-    enumerate_sn gives the block; the kernel reads its runs, so it counts
-    the tails of the same lexicographic walk that the block streams.
-    """
-    kernel, n, index, total, force = task
-    return kernel(enumerate_sn(n, shard=(index, total), force=force), n)
+    check_budget("shard blocks over S_n", len(ns) * shards, SHARD_BUDGET, force)
+    out = {}
+    for n in ns:
+        counts = out[n] = Counter()
+        for index in range(shards):
+            counts.update(kernel(enumerate_sn(n, shard=(index, shards), force=force), n))
+    return out

@@ -31,7 +31,9 @@ Gessel's conjecture, proved by Z. Lin (Electron. J. Combin. 23, 2016).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+# bench/spans.py swaps its process-counting pool in under this name, so it
+# stays bound here, though no code here starts a pool.
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
 from .common import CheckReport, ConsistencyError
@@ -70,8 +72,8 @@ class TwoSidedTable:
 def brute_force_tables(
     ns: list[int], shards: int = 1, force: bool = False
 ) -> dict[int, TwoSidedTable]:
-    """Brute-force (ides, des) histograms for several n with one pool."""
-    counts = histogram(ns, pair_kernel, shards, force, pool=ProcessPoolExecutor)
+    """Brute-force (ides, des) histograms for several n, in one histogram call."""
+    counts = histogram(ns, pair_kernel, shards, force)
     return {
         n: TwoSidedTable(
             n, tuple(tuple(counts[n][i, j] for j in range(n)) for i in range(n))

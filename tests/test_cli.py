@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import resource
 import subprocess
@@ -543,22 +544,6 @@ def cli_cases(draw):
     return argv, code, broken
 
 
-class InlinePool:
-    """Stands in for the process pool: maps in this process."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return map(fn, tasks)
-
-
 @settings(max_examples=200, deadline=None)
 @given(case=cli_cases())
 def test_exit_codes_follow_the_inputs(case):
@@ -568,12 +553,10 @@ def test_exit_codes_follow_the_inputs(case):
         raise AssertionError("over-budget work was started")
 
     with pytest.MonkeyPatch.context() as patch:
-        for module in (eulerian, twosided):
-            patch.setattr(module, "ProcessPoolExecutor", InlinePool)
         if want == 3:
             for module, name in ((eulerian, "table_from_recurrence"),
                                  (twosided, "two_sided_from_recurrence"),
-                                 (hopping, "orbit_of"), (perm, "_count_block")):
+                                 (hopping, "orbit_of"), (perm, "enumerate_sn")):
                 patch.setattr(module, name, never)
         if broken:
             patch.setitem(verify.SUITES, broken,
@@ -929,84 +912,50 @@ def test_nonpositive_shards_exit_2():
             assert "--shards" in err
 
 
-@pytest.fixture
-def recording_pools(monkeypatch):
-    """Swap in a recording process pool; returns the pool sizes."""
+def test_shards_past_the_budget_exit_3():
+    for command in ("eulerian", "two-sided"):
+        brute = (command, "--n-max", "2", "--source", "brute")
+        _, serial, _ = run_cli(*brute)
+        for shards in (perm.SHARD_BUDGET // 2 + 1, 10**12):
+            code, out, err = run_cli(*brute, "--shards", str(shards))
+            assert code == 3
+            assert out == ""
+            assert "shard blocks" in err and "--force" in err
+        code, out, _ = run_cli(*brute, "--shards", str(perm.SHARD_BUDGET // 2 + 1), "--force")
+        assert code == 0
+        assert out == serial
+
+
+def test_brute_force_starts_no_child_process(monkeypatch):
     started = []
 
-    class RecordingPool(InlinePool):
-        """Stands in for the process pool: records its size, maps in-process."""
+    def refuse(*args, **kwargs):
+        started.append(args)
+        raise AssertionError("a child process was started")
 
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-    for module in (eulerian, twosided):
-        monkeypatch.setattr(module, "ProcessPoolExecutor", RecordingPool)
-    return started
-
-
-@pytest.fixture
-def started_pools(recording_pools, monkeypatch):
-    """The recording pool on a 2-cpu host; returns the pool sizes."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    for module in (perm, cli):
-        monkeypatch.setattr(module, "usable_cpus", lambda: 2)
-    return recording_pools
-
-
-def test_workers_are_capped_at_cpu_count(started_pools):
-    started = started_pools
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    for name in ("fork", "posix_spawn", "posix_spawnp"):
+        if hasattr(os, name):
+            monkeypatch.setattr(os, name, refuse)
     for command in ("eulerian", "two-sided"):
-        brute = (command, "--n-max", "5", "--source", "brute", "--shards")
-        _, serial, _ = run_cli(*brute, "1")
-        for shards in (2, 3, 5):
-            started.clear()
-            code, out, _ = run_cli(*brute, str(shards))
+        brute = (command, "--n", "9", "--source", "brute", "--format", "csv")
+        _, serial, _ = run_cli(*brute, "--shards", "1")
+        for shards in (None, 3, 8):
+            extra = () if shards is None else ("--shards", str(shards))
+            code, out, _ = run_cli(*brute, *extra)
             assert code == 0
             assert out == serial
-            assert started == [2]
-
-
-@pytest.mark.skipif(
-    not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this OS"
-)
-def test_workers_follow_the_affinity_set(recording_pools):
-    started = recording_pools
-    saved = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {min(saved)})
-    try:
-        assert perm.usable_cpus() == 1
-        for command in ("eulerian", "two-sided"):
-            brute = (command, "--n-max", "8", "--source", "brute", "--format", "csv")
-            _, serial, _ = run_cli(*brute, "--shards", "1")
-            for shards, pools in ((None, []), (4, [1])):
-                started.clear()
-                extra = () if shards is None else ("--shards", str(shards))
-                code, out, _ = run_cli(*brute, *extra)
-                assert code == 0
-                assert out == serial
-                assert started == pools
-    finally:
-        os.sched_setaffinity(0, saved)
+    code, out, _ = run_cli("orbits", "--n", "9")
+    assert code == 0
+    assert out.endswith("total classes: 54351\n")
+    assert started == []
 
 
 def test_repeat_runs_are_byte_identical():
     first = run_cli("two-sided", "--n-max", "6", "--format", "csv")
     second = run_cli("two-sided", "--n-max", "6", "--format", "csv")
     assert first == second
-
-
-def test_small_brute_runs_default_to_one_in_process_shard(started_pools):
-    started = started_pools
-    for command in ("eulerian", "two-sided"):
-        for n_max, pools in ((7, []), (8, [2])):
-            brute = (command, "--n-max", str(n_max), "--source", "brute", "--format", "csv")
-            _, serial, _ = run_cli(*brute, "--shards", "1")
-            started.clear()
-            code, out, _ = run_cli(*brute)
-            assert code == 0
-            assert out == serial
-            assert started == pools
 
 
 # ---------------------------------------------------------------------------
@@ -1131,3 +1080,85 @@ def test_json_writer_on_table_payloads():
     for value in (payloads, payloads[-1], {"n": "1", "A": [[]]}, [[], {}, [[]]]):
         assert cli._json_text(value, indent=2) == json.dumps(value, indent=2)
         assert cli._json_text(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def library_fields(command, n):
+    """The fields of one n that a table command prints, as the library's ints."""
+    if command in ("eulerian", "gamma"):
+        row = eulerian.table_from_recurrence(n).row(n)
+        if command == "eulerian":
+            return {"A": row}
+        gammas = eulerian.gamma_extract(eulerian.polynomial_from_row(row), n).gammas
+        return {"A": row, "gamma": gammas}
+    table = twosided.two_sided_from_recurrence(n)[-1]
+    if command == "two-sided":
+        return {"A": table.entries}
+    e = twosided.gessel_solve(twosided.polynomial_from_table(table), n)
+    return {"A": table.entries, "gamma": e.gammas, "gessel_nonnegative": e.nonnegative}
+
+
+def decode_json(command, out):
+    """n -> fields of a table command's json stdout, every number an int."""
+    objs = json.loads(out)
+    found = {}
+    for obj in objs if isinstance(objs, list) else [objs]:
+        fields = found[int(obj.pop("n"))] = {}
+        for key, value in obj.items():
+            if key == "gessel_nonnegative":
+                fields[key] = value
+            elif key == "gamma" and command == "gessel":
+                fields[key] = {tuple(map(int, k.strip("()").split(","))): int(g)
+                               for k, g in value.items()}
+            elif command in ("eulerian", "gamma"):
+                fields[key] = tuple(map(int, value))
+            else:
+                fields[key] = tuple(tuple(map(int, row)) for row in value)
+    return found
+
+
+def decode_csv(command, out, ns):
+    """n -> the one field a table command's csv stdout carries, as ints."""
+    rows = list(csv.reader(io.StringIO(out)))
+    if command == "gessel":
+        assert rows[0] == ["n", "i", "j", "gamma"]
+        found = {n: {} for n in ns}
+        for n, i, j, g in rows[1:]:
+            found[int(n)][int(i), int(j)] = int(g)
+        return {n: {"gamma": g} for n, g in found.items()}
+    if command == "two-sided":
+        found = {}
+        for row in rows:
+            if row and row[0].startswith("n="):
+                table = found[int(row[0][2:])] = []
+            elif row and row[0] != "i\\j":
+                assert int(row[0]) == len(table) + 1
+                table.append(tuple(map(int, row[1:])))
+        return {n: {"A": tuple(t)} for n, t in found.items()}
+    header, *body = rows
+    assert header == ["n\\i"] + [str(i) for i in range(1, len(header))]
+    found = {}
+    for n, *cells in body:
+        values = tuple(int(c) for c in cells if c)
+        assert len(cells) == len(header) - 1 and not any(cells[len(values):])
+        found[int(n)] = {"gamma" if command == "gamma" else "A": values}
+    return found
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(["eulerian", "two-sided", "gamma", "gessel"]),
+    size=st.integers(1, 30),
+    single=st.booleans(),
+)
+def test_json_and_csv_decode_to_the_library_ints(command, size, single):
+    n = size if command in ("eulerian", "gamma") else 1 + size % 12
+    ns = [n] if single else range(1, n + 1)
+    want = {m: library_fields(command, m) for m in ns}
+    argv = (command, "--n" if single else "--n-max", str(n), "--format")
+    code, out, _ = run_cli(*argv, "json")
+    assert code == 0
+    assert decode_json(command, out) == want
+    code, out, _ = run_cli(*argv, "csv")
+    assert code == 0
+    carried = "gamma" if command in ("gamma", "gessel") else "A"
+    assert decode_csv(command, out, ns) == {m: {carried: want[m][carried]} for m in ns}

@@ -3,6 +3,7 @@
 import doctest
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from math import factorial
 
@@ -21,6 +22,7 @@ from eulerian_workbench.eulerian import (
 from eulerian_workbench.hopping import DOUBLE_DESCENT, PEAK, classify_letters, orbit_census
 from eulerian_workbench.perm import (
     BRUTE_FORCE_GUARD,
+    SHARD_BUDGET,
     Perm,
     ascent_count,
     census_kernel,
@@ -489,6 +491,27 @@ def test_shard_validation():
         list(enumerate_sn(4, shard=(2, 2)))
     with pytest.raises(ValueError):
         list(enumerate_sn(4, shard=(-1, 2)))
+
+
+def test_shard_budget_is_decided_before_any_block(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a block was counted past the shard budget")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(perm, "enumerate_sn", never)
+        for ns, shards in (([5], SHARD_BUDGET + 1), ([4, 5], SHARD_BUDGET // 2 + 1),
+                           ([5], 10**12), (range(1, 12), 10**12)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(GuardRailError, match="shard blocks"):
+                    histogram(ns, descent_kernel, shards)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 10**5
+    one = {1: Counter({0: 1}), 2: Counter({0: 1, 1: 1})}
+    assert histogram([1, 2], descent_kernel, SHARD_BUDGET // 2) == one
+    assert histogram([1, 2], descent_kernel, SHARD_BUDGET // 2 + 1, force=True) == one
 
 
 def test_full_stream_guard_rail():
