@@ -20,26 +20,20 @@ same way but cannot be lifted.
 
 All numbers inside JSON payloads are decimal strings so the schema never
 changes shape when entries outgrow native integers. One writer, _json_text,
-produces both JSON layouts byte for byte as the json module would: indented
-for stdout and canonical (sorted keys, no spaces) for the cache. It writes
-a list of digit strings with one join.
+produces stdout's indented JSON byte for byte as the json module would,
+writing a list of digit strings with one join.
 
 The tables behind eulerian, two-sided, gamma and gessel come from one
 provider, _tables, behind one work budget shared with series (WORK_BUDGET).
 Unless --source brute is given, one recurrence run up to the largest n
-builds the tables, cache or no cache. Each entry is rendered to decimal
-text at most once per invocation, and only the first half of a palindromic
-row at all; that text feeds the cache and every output format, so stdout
-never depends on the cache.
+builds the tables. Each entry is rendered to decimal text at most once per
+invocation, and only the first half of a palindromic row at all; that text
+feeds every output format.
 
-The cache directory (--cache or $EULERIAN_WORKBENCH_CACHE) keeps one file
-per table, {kind}-n{n}.json, holding the table's JSON object in canonical
-form and a newline, e.g. {"A":["1","4","1"],"n":"3"}. Nothing is parsed
-from it: an entry is valid only when it holds exactly the bytes of the
-recomputed table's line. Any other entry, a FIFO or a device among them
-(opened without blocking, never read), is rejected with one warning and
-rewritten: through a temporary file with a fresh random name, renamed into
-place. A directory that cannot be written costs one warning.
+Tables are always recomputed: nothing is cached. --cache DIR and
+$EULERIAN_WORKBENCH_CACHE are still accepted, so older invocations keep
+their stdout and exit code, but either one only costs a table command one
+warning line on stderr; nothing is read or created at that path.
 """
 
 from __future__ import annotations
@@ -50,12 +44,10 @@ import io
 import json
 import operator
 import os
-import stat
 import sys
 import time
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 from . import eulerian, hopping, twosided, verify
 from .common import CheckReport, ConsistencyError, GuardRailError, check_budget
@@ -98,7 +90,7 @@ class Table:
 
     value is the Eulerian row (a tuple of ints) or the TwoSidedTable; obj is
     the JSON object {"n": ..., "A": ...} whose "A" holds the same entries as
-    decimal strings, rendered on first use, once.
+    decimal strings, rendered on first use, once, for every output format.
     """
 
     def __init__(self, kind: str, n: int, value):
@@ -169,10 +161,13 @@ def _check_printable(command: str, n: int, step) -> None:
 def _tables(args, kind: str) -> list[Table]:
     """Tables of kind "eulerian" or "twosided" for the requested ns.
 
-    Brute force never touches the cache; it counts --shards blocks, else
-    one. Otherwise one recurrence run up to the largest n gives every
-    table; the cache only stores their bytes.
+    Brute force counts --shards blocks, else one. Otherwise one recurrence
+    run up to the largest n gives every table. A cache, if named, is noted
+    as ignored and never touched.
     """
+    if args.cache or os.environ.get(CACHE_ENV):
+        print(f"warning: --cache and ${CACHE_ENV} are ignored; tables are always recomputed",
+              file=sys.stderr)
     ns = range(args.n, args.n + 1) if args.n else range(1, args.n_max + 1)
     _check_table_budget(args.command, ns, args.force)
     if args.source == "brute":
@@ -186,78 +181,16 @@ def _tables(args, kind: str) -> list[Table]:
         computed = eulerian.table_from_recurrence(ns[-1]).rows
     else:
         computed = twosided.two_sided_from_recurrence(ns[-1])
-    tables = [Table(kind, n, computed[n - 1]) for n in ns]
-    cache_dir = _cache_dir(args)
-    if cache_dir:
-        _pin_to_cache(cache_dir, tables)
-    return tables
+    return [Table(kind, n, computed[n - 1]) for n in ns]
 
 
-# ---------------------------------------------------------------------------
-# cache
+# bench/spans.py binds these two names; no command calls them.
+def cache_load(*args) -> None:
+    pass
 
 
-def _cache_dir(args) -> Path | None:
-    cache = args.cache or os.environ.get(CACHE_ENV)
-    return Path(cache) if cache else None
-
-
-def _pin_to_cache(cache_dir: Path, tables: list[Table]) -> None:
-    """Store each table's line unless its entry holds exactly those bytes,
-    warning before replacing any other entry; stop at the first store that
-    fails."""
-    for table in tables:
-        kind, n = table.kind, table.n
-        line = _json_text(table.obj).encode() + b"\n"
-        entry = cache_load(cache_dir, kind, n)
-        if entry == line:
-            continue
-        if entry is not None:
-            path = cache_dir / f"{kind}-n{n}.json"
-            print(f"warning: cache entry {path} rejected (not the recomputed table); rewriting",
-                  file=sys.stderr)
-        try:
-            cache_store(cache_dir, kind, n, line)
-        except OSError as exc:
-            print(
-                f"warning: cache directory {cache_dir} cannot be written ({exc}); "
-                "tables not stored",
-                file=sys.stderr,
-            )
-            return
-
-
-def cache_store(cache_dir: Path, kind: str, n: int, line: bytes) -> None:
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    # a fresh random name, created exclusively, so concurrent writers never
-    # share a temporary file; "x" mode keeps the umask's permissions
-    tmp = cache_dir / f".{kind}-n{n}-{os.urandom(8).hex()}.tmp"
-    f = open(tmp, "xb")
-    try:
-        with f:
-            f.write(line)
-        os.replace(tmp, cache_dir / f"{kind}-n{n}.json")
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def cache_load(cache_dir: Path, kind: str, n: int) -> bytes | None:
-    """The bytes of the entry for kind and n, or None when there is none.
-
-    The entry is opened without blocking and read only if it is a regular
-    file; any other entry (a FIFO, a device, a directory, one that cannot be
-    opened) reads as b"", which matches no table.
-    """
-    try:
-        f = open(cache_dir / f"{kind}-n{n}.json", "rb",
-                 opener=lambda path, flags: os.open(path, flags | os.O_NONBLOCK))
-    except (FileNotFoundError, NotADirectoryError):
-        return None
-    except OSError:  # a directory, or not readable
-        return b""
-    with f:
-        return f.read() if stat.S_ISREG(os.fstat(f.fileno()).st_mode) else b""
+def cache_store(*args) -> None:
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +210,9 @@ def _only_digits(items) -> bool:
     return not joined or (joined.isascii() and joined.encode().isdigit())
 
 
-def _json_text(obj, indent: int | None = None, level: int = 0) -> str:
-    """obj as json.dumps(obj, indent=indent) writes it, for dicts with string
-    keys, lists, strings and scalars; indent None means the canonical
-    compact form, json.dumps(obj, sort_keys=True, separators=(",", ":")).
+def _json_text(obj, level: int = 0) -> str:
+    """obj as json.dumps(obj, indent=2) writes it, for dicts with string keys,
+    lists, strings and scalars.
 
     A list of digit strings, the shape of every table payload, is written
     with one join, since such strings need no escaping. Any other string
@@ -293,30 +225,25 @@ def _json_text(obj, indent: int | None = None, level: int = 0) -> str:
         return json.dumps(obj)
     if not obj:
         return "{}" if isinstance(obj, dict) else "[]"
-    if indent is None:
-        sep, key_sep, open_, close = ",", ":", "", ""
-    else:
-        open_ = "\n" + " " * (indent * (level + 1))
-        close = "\n" + " " * (indent * level)
-        sep, key_sep = "," + open_, ": "
+    open_ = "\n" + "  " * (level + 1)
+    close = "\n" + "  " * level
+    sep = "," + open_
     if isinstance(obj, dict):
-        items = obj.items() if indent is not None else sorted(obj.items())
         body = sep.join(
-            f"{encode_basestring_ascii(key)}{key_sep}"
-            f"{_json_text(value, indent, level + 1)}"
-            for key, value in items
+            f"{encode_basestring_ascii(key)}: {_json_text(value, level + 1)}"
+            for key, value in obj.items()
         )
         return f"{{{open_}{body}{close}}}"
     if _only_digits(obj):
         quoted = f'"{sep}"'.join(obj)
         body = f'"{quoted}"'
     else:
-        body = sep.join(_json_text(item, indent, level + 1) for item in obj)
+        body = sep.join(_json_text(item, level + 1) for item in obj)
     return f"[{open_}{body}{close}]"
 
 
 def _emit_json(payload) -> None:
-    print(_json_text(payload, indent=2))
+    print(_json_text(payload))
 
 
 def _emit_csv(rows: list[list[str]]) -> None:
@@ -740,7 +667,8 @@ def build_parser() -> argparse.ArgumentParser:
     tables.add_argument("--source", choices=["recurrence", "brute"], default="recurrence")
     tables.add_argument(
         "--cache", metavar="DIR",
-        help=f"table cache directory (default ${CACHE_ENV})",
+        help=f"ignored, as is ${CACHE_ENV}: tables are always recomputed "
+        "(one warning on stderr)",
     )
     tables.add_argument(
         "--shards", type=positive, metavar="N",

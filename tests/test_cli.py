@@ -1,4 +1,4 @@
-"""The command-line surface: formats, exit codes, cache, determinism."""
+"""The command-line surface: formats, exit codes, the ignored cache flag, determinism."""
 
 import csv
 import hashlib
@@ -7,15 +7,12 @@ import json
 import math
 import multiprocessing
 import os
-import resource
 import subprocess
 import sys
-import threading
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerian_workbench import cli, eulerian, hopping, perm, twosided, verify
@@ -572,268 +569,58 @@ def test_exit_codes_follow_the_inputs(case):
 
 
 # ---------------------------------------------------------------------------
-# cache behavior
+# the ignored cache flag
 
 
-def test_cache_store_and_hit(tmp_path):
-    cache = str(tmp_path / "cache")
-    code, first, err = run_cli(
-        "eulerian", "--n", "7", "--cache", cache, "--format", "json"
-    )
-    assert code == 0
-    assert (tmp_path / "cache" / "eulerian-n7.json").exists()
-    code, second, err = run_cli(
-        "eulerian", "--n", "7", "--cache", cache, "--format", "json"
-    )
-    assert second == first
-    assert err == ""
+def one_cache_notice(err: str) -> bool:
+    """err is the single warning line an ignored --cache costs."""
+    return err.startswith("warning: ") and err.count("\n") == 1 and "recomputed" in err
 
 
-def _entry(payload) -> bytes:
-    """payload as a cache entry: canonical JSON and a newline."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode() + b"\n"
-
-
-def test_cache_rejects_corruption(tmp_path):
+@pytest.mark.parametrize("command", TABLE_COMMANDS)
+@pytest.mark.parametrize("source,n_max", [("recurrence", "8"), ("brute", "5")])
+def test_cache_flag_and_variable_only_cost_one_warning(tmp_path, monkeypatch, command, source, n_max):
+    argv = (command, "--n-max", n_max, "--source", source)
+    want = run_cli(*argv)
+    assert want[0] == 0 and want[2] == ""
     cache = tmp_path / "cache"
-    run_cli("two-sided", "--n", "5", "--cache", str(cache), "--format", "json")
-    path = cache / "twosided-n5.json"
-    body = json.loads(path.read_text())
-    body["A"][1][1] = "999"
-    path.write_text(json.dumps(body))
-    code, out, err = run_cli(
-        "two-sided", "--n", "5", "--cache", str(cache), "--format", "json"
-    )
-    assert code == 0
-    assert "rejected (not the recomputed table)" in err
-    got = tuple(tuple(int(c) for c in row) for row in json.loads(out)["A"])
-    assert got == TABLE2[5]
+    runs = [run_cli(*argv, "--cache", str(cache))]
+    monkeypatch.setenv(cli.CACHE_ENV, str(cache))
+    runs += [run_cli(*argv), run_cli(*argv, "--cache", str(cache))]
+    for code, out, err in runs:
+        assert (code, out) == want[:2]
+        assert one_cache_notice(err)
+    assert not cache.exists()
 
 
-def test_cache_entry_layout(tmp_path):
-    cache = tmp_path / "cache"
-    run_cli("eulerian", "--n-max", "3", "--cache", str(cache))
-    assert sorted(p.name for p in cache.iterdir()) == [
-        "eulerian-n1.json", "eulerian-n2.json", "eulerian-n3.json"
-    ]
-    umask = os.umask(0)
-    os.umask(umask)
-    assert (cache / "eulerian-n3.json").stat().st_mode & 0o777 == 0o666 & ~umask
-    assert (cache / "eulerian-n3.json").read_bytes() == b'{"A":["1","4","1"],"n":"3"}\n'
-
-
-def test_concurrent_cache_writers_never_share_a_temporary_file(tmp_path):
-    cache = tmp_path / "cache"
-    line = _entry({"n": "6", "A": ["1", "57", "302", "302", "57", "1"]})
-    errors = []
-
-    def store():
-        try:
-            for _ in range(25):
-                cli.cache_store(cache, "eulerian", 6, line)
-        except Exception as exc:  # collected and asserted below
-            errors.append(exc)
-
-    writers = [threading.Thread(target=store) for _ in range(8)]
-    for w in writers:
-        w.start()
-    for w in writers:
-        w.join(timeout=30)
-    assert not any(w.is_alive() for w in writers)
-    assert errors == []
-    assert [p.name for p in cache.iterdir()] == ["eulerian-n6.json"]
-    assert cli.cache_load(cache, "eulerian", 6) == line
-    assert run_cli("eulerian", "--n", "6", "--cache", str(cache))[2] == ""
-
-
-def test_cache_rejects_forged_row_with_valid_checksum(tmp_path):
-    cache = tmp_path / "cache"
-    # sums to 5! but is neither palindromic nor unimodal
-    cli.cache_store(cache, "eulerian", 5, _entry({"n": "5", "A": ["2", "25", "66", "26", "1"]}))
-    code, out, err = run_cli("eulerian", "--n", "5", "--cache", str(cache), "--format", "csv")
-    assert code == 0
-    assert "rejected (not the recomputed table)" in err
-    assert out.splitlines()[1] == "5,1,26,66,26,1"
-
-
-def _forged_row_9():
-    # the true row 9 moved by +1, -2, +1 in its middle: still summing to 9!,
-    # palindromic and unimodal
-    row = list(eulerian.table_from_recurrence(9).row(9))
-    assert row[3:6] == [88234, 156190, 88234]
-    row[3:6] = [88235, 156188, 88235]
-    return [str(a) for a in row]
-
-
-def _forged_array_8():
-    # +1 on the diagonal at 3..6 and -1 at (3,4), (4,3), (5,6), (6,5) keeps
-    # the total, the marginals and both symmetries of the true array n = 8
-    entries = [list(row) for row in twosided.two_sided_from_recurrence(8)[7].entries]
-    for i in (3, 4, 5, 6):
-        entries[i - 1][i - 1] += 1
-    for i, j in ((3, 4), (4, 3), (5, 6), (6, 5)):
-        entries[i - 1][j - 1] -= 1
-    return [[str(a) for a in row] for row in entries]
-
-
-def _old_layouts():
-    # the layouts before the bare payload line: a checksummed object, then a
-    # line with a schema header, whatever its version
-    payload = {"n": "4", "A": ["1", "11", "11", "1"]}
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode()).hexdigest()
-    old = json.dumps({"payload": payload, "sha256": digest}, indent=2) + "\n"
-    headed = [f'{{"schema": {v}, "sha256": "{digest}", "payload": {canonical}}}\n' for v in (2, 3)]
-    return [pytest.param("eulerian", 4, text.encode(), id=f"layout-{name}")
-            for name, text in zip(("checksummed", "schema-2", "schema-3"), [old] + headed)]
-
-
-def _row_4(forged, name):
-    return pytest.param("eulerian", 4, _entry({"n": "4", "A": forged}), id=name)
-
-
-# an entry per forgery: every one differs from the line the recurrence's table
-# renders to, whatever int() or a row's invariants would make of it
-FORGED_ENTRIES = [
-    # text that is not decimal
-    _row_4(["1", "+11", "11", "1"], "decimal-plus"),
-    _row_4(["1", "011", "11", "1"], "decimal-leading-zero"),
-    _row_4(["1", " 11", "11", "1"], "decimal-space"),
-    # palindromic text that int() reads as 11
-    *(_row_4(["1", forged, forged, "1"], f"palindromic-{name}") for forged, name in (
-        ("1_1", "underscore"), (" 11", "space"), ("011", "leading-zero"), ("", "empty"),
-        ("\u0661\u0661", "arabic-indic"), ("\uff11\uff11", "fullwidth"), ("11\n", "newline"),
-    )),
-    # the true row 6 is 1 57 302 302 57 1: a second half that differs from
-    # the first, or is short
-    *(pytest.param("eulerian", 6, _entry({"n": "6", "A": ["1", "57", "302"] + second}),
-                   id=f"second-half-{name}")
-      for second, name in ((["302", "58", "1"], "58"), (["302", "057", "1"], "057"),
-                           (["302", "57", "+1"], "plus"), (["302", "57"], "short"))),
-    *_old_layouts(),
-    _row_4(["1", "11", "12", "1"], "row-sum"),
-    # the true array with a 3-cycle minus the identity added to its middle
-    # block: total and marginals unchanged, symmetry broken
-    pytest.param("twosided", 4, _entry({"n": "4", "A": [
-        ["1", "0", "0", "0"], ["0", "9", "2", "0"], ["0", "1", "9", "1"], ["0", "1", "0", "0"],
-    ]}), id="array-asymmetric"),
-    pytest.param("eulerian", 9, _entry({"n": "9", "A": _forged_row_9()}), id="row-9-middle"),
-    pytest.param("twosided", 8, _entry({"n": "8", "A": _forged_array_8()}), id="array-8-diagonal"),
-]
-
-
-def _assert_rejected_then_rewritten(argv, cache):
-    """The forged entry in cache prints what no cache does, with one warning,
-    and the entry written in its place loads silently."""
-    _, want, _ = run_cli(*argv)
-    code, out, err = run_cli(*argv, "--cache", str(cache))
+def test_cache_env_variable(tmp_path, monkeypatch):
+    _, want, _ = run_cli("gamma", "--n", "6")
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "envcache"))
+    code, out, err = run_cli("gamma", "--n", "6")
     assert (code, out) == (0, want)
-    assert err.count("\n") == 1 and "rejected" in err
-    assert run_cli(*argv, "--cache", str(cache)) == (0, want, "")
+    assert one_cache_notice(err)
+    assert not (tmp_path / "envcache").exists()
 
 
-@pytest.mark.parametrize("kind,n,data", FORGED_ENTRIES)
-def test_cache_rejects_forged_entry(tmp_path, kind, n, data):
-    (tmp_path / f"{kind}-n{n}.json").write_bytes(data)
-    command = "eulerian" if kind == "eulerian" else "two-sided"
-    _assert_rejected_then_rewritten((command, "--n", str(n), "--format", "json"), tmp_path)
-
-
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_cache_survives_any_single_byte_mutation(tmp_path_factory, data):
-    command, n = data.draw(st.sampled_from([("eulerian", 5), ("eulerian", 9), ("two-sided", 3)]))
-    kind = "eulerian" if command == "eulerian" else "twosided"
-    argv = (command, "--n", str(n), "--format", "json")
-    cache = tmp_path_factory.mktemp("cache")
-    run_cli(*argv, "--cache", str(cache))
-    path = cache / f"{kind}-n{n}.json"
-    stored = path.read_bytes()
-    at = data.draw(st.integers(0, len(stored) - 1))
-    byte = data.draw(st.none() | st.integers(0, 255).filter(lambda b: b != stored[at]))
-    mutated = stored[:at] + (b"" if byte is None else bytes([byte])) + stored[at + 1:]
-    path.write_bytes(mutated)
-    # every mutation changes the bytes, so every one is rejected once
-    _assert_rejected_then_rewritten(argv, cache)
-
-
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_cache_rejects_any_row_moved_by_mirrored_pairs(tmp_path_factory, data):
-    # a mirrored pair, or the middle of an odd row, moved one way and another
-    # the other way, weighted so that the row keeps its sum and palindromy
-    n = data.draw(st.integers(3, 12))
-    row = list(eulerian.table_from_recurrence(n).row(n))
-    up, down = data.draw(st.lists(st.integers(0, (n - 1) // 2), min_size=2, max_size=2, unique=True))
-
-    def size(i):  # entries in the mirrored pair of position i
-        return 1 if 2 * i == n - 1 else 2
-
-    assume(row[down] >= size(up))  # no entry goes negative
-    d = data.draw(st.integers(1, row[down] // size(up)))
-    for i, step in ((up, d * size(down)), (down, -d * size(up))):
-        row[i] += step
-        row[n - 1 - i] = row[i]
-    assert sum(row) == math.factorial(n) and row == row[::-1]
-    cache = tmp_path_factory.mktemp("cache")
-    cli.cache_store(cache, "eulerian", n, _entry({"n": str(n), "A": [str(a) for a in row]}))
-    _assert_rejected_then_rewritten(("eulerian", "--n", str(n)), cache)
-
-
-def _run_child(argv, limit_bytes=None, timeout=20):
-    """The CLI in a child process, under an address-space cap if given; a
-    run past timeout raises, so a read that blocks fails the test."""
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
-
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    return subprocess.run(
-        [sys.executable, "-m", "eulerian_workbench.cli", *argv], capture_output=True,
-        text=True, env=env, timeout=timeout, preexec_fn=cap if limit_bytes else None,
-    )
-
-
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
-def test_cache_entry_that_is_not_a_regular_file_is_rejected_unread(tmp_path):
-    # a FIFO with no writer blocks a plain open or read; /dev/zero never ends
-    os.mkfifo(tmp_path / "eulerian-n3.json")
-    os.symlink("/dev/zero", tmp_path / "eulerian-n4.json")
-    argv = ["eulerian", "--n-max", "4"]
-    want = _run_child(argv).stdout
-    run = _run_child(argv + ["--cache", str(tmp_path)], limit_bytes=600 * 2**20)
-    assert (run.returncode, run.stdout) == (0, want)
-    assert run.stderr.count("rejected") == 2 and run.stderr.count("\n") == 2
-    # the names now hold regular files, and /dev/zero is untouched
-    assert all((tmp_path / f"eulerian-n{n}.json").is_file() for n in (3, 4))
-    assert not (tmp_path / "eulerian-n4.json").is_symlink()
-    assert _run_child(argv + ["--cache", str(tmp_path)]).stderr == ""
+def test_brute_source_bypasses_cache(tmp_path, monkeypatch):
+    _, want, _ = run_cli("eulerian", "--n", "5")
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "envcache"))
+    code, out, err = run_cli("eulerian", "--n", "5", "--source", "brute")
+    assert (code, out) == (0, want)
+    assert one_cache_notice(err)
+    assert not (tmp_path / "envcache").exists()
 
 
 def test_cache_entry_that_is_a_directory_warns_and_prints_as_uncached(tmp_path):
-    # rejected unread, then the rename onto it fails like an unwritable cache
+    # a directory where an old cache kept an entry is neither read nor replaced
     (tmp_path / "eulerian-n2.json").mkdir()
     argv = ("eulerian", "--n-max", "3")
     _, want, _ = run_cli(*argv)
     code, out, err = run_cli(*argv, "--cache", str(tmp_path))
     assert (code, out) == (0, want)
-    assert err.count("\n") == 2 and "rejected" in err and "cannot be written" in err
-
-
-@pytest.mark.parametrize("command", ["eulerian", "two-sided"])
-def test_warm_run_stores_nothing_and_cold_run_stores_each_n_once(tmp_path, monkeypatch, command):
-    stored = []
-
-    def counted(cache_dir, kind, n, line, store=cli.cache_store):
-        stored.append(n)
-        store(cache_dir, kind, n, line)
-
-    monkeypatch.setattr(cli, "cache_store", counted)
-    argv = (command, "--n-max", "5", "--cache", str(tmp_path))
-    assert run_cli(*argv)[0] == 0
-    assert stored == [1, 2, 3, 4, 5]
-    stored.clear()
-    assert run_cli(*argv) == run_cli(command, "--n-max", "5")
-    assert stored == []
+    assert one_cache_notice(err)
+    assert [p.name for p in tmp_path.iterdir()] == ["eulerian-n2.json"]
+    assert not any((tmp_path / "eulerian-n2.json").iterdir())
 
 
 @pytest.mark.parametrize("under", ["", "c"])
@@ -845,7 +632,8 @@ def test_unwritable_cache_path_warns_once_and_prints_as_uncached(tmp_path, under
     _, want, _ = run_cli(*argv)
     code, out, err = run_cli(*argv, "--cache", str(blocker / under))
     assert (code, out) == (0, want)
-    assert err.count("\n") == 1 and err.startswith("warning: ") and "cannot be written" in err
+    assert one_cache_notice(err)
+    assert blocker.read_text() == ""
 
 
 @pytest.mark.parametrize("command", ["eulerian", "gamma", "two-sided", "gessel"])
@@ -860,22 +648,10 @@ def test_table_command_runs_one_recurrence_cold_or_warm(tmp_path, monkeypatch, c
     argv = (command, "--n-max", "6")
     for cache in ((), ("--cache", str(tmp_path)), ("--cache", str(tmp_path))):
         calls.clear()
-        assert run_cli(*argv, *cache)[0] == 0
+        code, _, err = run_cli(*argv, *cache)
+        assert code == 0
+        assert one_cache_notice(err) if cache else err == ""
         assert calls == [6]
-
-
-def test_cache_env_variable(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "envcache"))
-    code, _, _ = run_cli("gamma", "--n", "6")
-    assert code == 0
-    assert (tmp_path / "envcache" / "eulerian-n6.json").exists()
-
-
-def test_brute_source_bypasses_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "envcache"))
-    code, _, _ = run_cli("eulerian", "--n", "5", "--source", "brute")
-    assert code == 0
-    assert not (tmp_path / "envcache").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -983,9 +759,9 @@ TABLE_N_MAX = {"eulerian": "12", "two-sided": "7", "gamma": "12", "gessel": "6"}
 def test_table_stdout_is_pinned_uncached_cold_and_warm(tmp_path, command, fmt):
     argv = (command, "--n-max", TABLE_N_MAX[command], "--format", fmt)
     runs = [run_cli(*argv)] + [run_cli(*argv, "--cache", str(tmp_path)) for _ in range(2)]
-    for code, out, err in runs:
+    for at, (code, out, err) in enumerate(runs):
         assert code == 0
-        assert err == ""
+        assert one_cache_notice(err) if at else err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[command, fmt]
 
 
@@ -1006,24 +782,10 @@ LARGE_TABLE_N_MAX = {"eulerian": "300", "two-sided": "40"}
 def test_large_table_stdout_is_pinned_uncached_cold_and_warm(tmp_path, command, fmt):
     argv = (command, "--n-max", LARGE_TABLE_N_MAX[command], "--format", fmt)
     runs = [run_cli(*argv)] + [run_cli(*argv, "--cache", str(tmp_path)) for _ in range(2)]
-    for code, out, err in runs:
+    for at, (code, out, err) in enumerate(runs):
         assert code == 0
-        assert err == ""
+        assert one_cache_notice(err) if at else err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == LARGE_TABLE_DIGESTS[command, fmt]
-
-
-def test_cache_file_bytes_are_pinned(tmp_path):
-    # sha256 of the stored entries: each is the payload frozen from the
-    # release before the writer, and a newline
-    run_cli("eulerian", "--n-max", "300", "--cache", str(tmp_path))
-    run_cli("two-sided", "--n", "12", "--cache", str(tmp_path))
-    for name, size, digest in (
-        ("eulerian-n300.json", 156090, "e8acec63106d4de44cac62c42ab98459d14a90e9696612bcd37bdb81a09da6ed"),
-        ("twosided-n12.json", 961, "b0617b0f99b8d2128720af5ddeb5d317f41c4ab3b4e46ee06720fd456d5aec52"),
-    ):
-        data = (tmp_path / name).read_bytes()
-        assert len(data) == size
-        assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_stats_csv_quotes_long_words():
@@ -1069,8 +831,7 @@ JSON_VALUES = st.recursive(
 @settings(max_examples=400, deadline=None)
 @given(value=JSON_VALUES)
 def test_json_writer_matches_json_dumps(value):
-    assert cli._json_text(value, indent=2) == json.dumps(value, indent=2)
-    assert cli._json_text(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))
+    assert cli._json_text(value) == json.dumps(value, indent=2)
 
 
 def test_json_writer_on_table_payloads():
@@ -1078,8 +839,7 @@ def test_json_writer_on_table_payloads():
     payloads = [eulerian.row_to_obj(n, row) for n, row in enumerate(rows, start=1)]
     payloads += [twosided.table_to_obj(t) for t in twosided.two_sided_from_recurrence(9)]
     for value in (payloads, payloads[-1], {"n": "1", "A": [[]]}, [[], {}, [[]]]):
-        assert cli._json_text(value, indent=2) == json.dumps(value, indent=2)
-        assert cli._json_text(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))
+        assert cli._json_text(value) == json.dumps(value, indent=2)
 
 
 def library_fields(command, n):

@@ -3,6 +3,7 @@
 import doctest
 import itertools
 import random
+import time
 import tracemalloc
 from collections import Counter
 from math import factorial
@@ -107,6 +108,25 @@ def test_reversal_has_all_descents():
     assert descent_count(w) == 6
     assert inversion_count(w) == 21
     assert run_count(w) == 7
+
+
+def pairwise_inversions(w):
+    """The definition: pairs r < q with w(r) > w(q), every pair scanned."""
+    return sum(1 for r, q in itertools.combinations(range(len(w)), 2) if w[r] > w[q])
+
+
+@given(st.integers(1, 40).flatmap(lambda n: st.permutations(range(1, n + 1))))
+@settings(max_examples=300, deadline=None)
+def test_inversion_count_matches_the_pairwise_definition(letters):
+    w = tuple(letters)
+    assert inversion_count(w) == pairwise_inversions(w)
+
+
+def test_inversion_count_of_a_long_reversed_word_is_fast():
+    n = 10**5
+    start = time.perf_counter()
+    assert inversion_count(tuple(range(n, 0, -1))) == n * (n - 1) // 2
+    assert time.perf_counter() - start < 2
 
 
 def test_descents_plus_ascents_cover_positions():
