@@ -3,9 +3,12 @@
 Counts are plain Python ints (exact at any size), and every algorithm here
 runs on them: polynomial products, series windows and Sturm chains alike.
 Sturm chains come from a primitive pseudo-remainder sequence whose scales
-are positive integers, so signs survive and no rational is ever formed. The
-one routine on fractions.Fraction values is solve_exact_linear, which no
-module of the package calls. No floating point appears anywhere.
+are positive integers, so signs survive and no rational is ever formed. One
+such sequence of (q, q') gives both the distinct-root count and whether q is
+squarefree. It is never divided by gcd(q, q'): the gcd has no root at 0 or
+near -inf, so the count is the same. The one routine on fractions.Fraction
+values is solve_exact_linear, which no module of the package calls. No
+floating point appears anywhere.
 
 Polynomials come in two shapes:
 
@@ -430,37 +433,6 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd of two integer polynomials (primitive remainder sequence)."""
-    a, b = _primitive(a), _primitive(b)
-    while b:
-        a, b = b, _primitive(_pseudo_remainder(a, b))
-    return a
-
-
-def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
-    """Primitive part of a / b for a primitive divisor b of a.
-
-    By Gauss's lemma the quotient has integer coefficients, so every step of
-    the long division is an exact integer division; one that is not, or a
-    nonzero remainder, raises ConsistencyError.
-    """
-    a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    q = [0] * (len(a) - db)
-    while len(_trim(a)) > db:
-        shift = len(a) - 1 - db
-        factor, rem = divmod(a[-1], lead)
-        if rem:
-            raise ConsistencyError("expected an exact polynomial division")
-        q[shift] = factor
-        for i, c in enumerate(b):
-            a[i + shift] -= factor * c
-    if a:
-        raise ConsistencyError("expected an exact polynomial division")
-    return _primitive(q)
-
-
 def _sturm_chain(cs: list[int]) -> list[list[int]]:
     chain = [_primitive(cs)]
     deriv = _trim(_derivative_list(chain[0]))
@@ -483,9 +455,16 @@ def sturm_negative_root_count(p: UniPoly) -> tuple[int, bool]:
     """Count distinct real roots of p in (-inf, 0); also report squarefreeness.
 
     Returns (count, all_distinct) where all_distinct is True exactly when p
-    has no repeated complex root (gcd(p, p') is constant). The count is of
-    distinct roots, taken on the squarefree part, so multiplicities do not
-    inflate it. All arithmetic is on integers.
+    has no repeated complex root. Write p = t**shift * q with q(0) != 0; one
+    signed remainder sequence of (q, q') gives both answers.
+
+    - It ends at a multiple of g = gcd(q, q'), so q is squarefree exactly
+      when it ends at a constant, and p when shift <= 1 as well.
+    - g divides every element, and the quotients form a Sturm sequence for
+      q/g, whose roots are the distinct roots of q (Basu, Pollack and Roy,
+      Algorithms in Real Algebraic Geometry, ch. 2). No division by g is
+      needed: g has no root at 0 and one sign near -inf, so it multiplies
+      each sign vector by one sign, and V(-inf) - V(0) stays the same.
 
     >>> sturm_negative_root_count(UniPoly.from_coeffs([2, 3, 1]))  # (t+1)(t+2)
     (2, True)
@@ -494,19 +473,9 @@ def sturm_negative_root_count(p: UniPoly) -> tuple[int, bool]:
     """
     if p.is_zero():
         raise ValueError("the zero polynomial has no root count")
-    cs = list(p.coeffs)
-    g = _int_poly_gcd(cs, _derivative_list(cs))
-    all_distinct = len(g) == 1
-    shift = next(e for e, c in enumerate(cs) if c)
-    cs = cs[shift:]
-    if len(cs) == 1:
-        return (0, all_distinct)
-    if shift:
-        # the gcd above includes the stripped power of t
-        g = _int_poly_gcd(cs, _derivative_list(cs))
-    if len(g) > 1:
-        cs = _exact_quotient(cs, g)
-    chain = _sturm_chain(cs)
+    shift = next(e for e, c in enumerate(p.coeffs) if c)
+    chain = _sturm_chain(list(p.coeffs[shift:]))
+    all_distinct = shift <= 1 and len(chain[-1]) == 1
     at_minus_inf = [_sign(c[-1]) * (-1 if (len(c) - 1) % 2 else 1) for c in chain]
     at_zero = [_sign(c[0]) for c in chain]
     return (_sign_changes(at_minus_inf) - _sign_changes(at_zero), all_distinct)

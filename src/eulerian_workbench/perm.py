@@ -60,13 +60,27 @@ SUFFIX = 7
 
 
 def check_permutation(letters) -> Perm:
-    """Validate that letters is a bijection on {1, ..., n}; return it as a tuple."""
+    """Validate that letters is a bijection on {1, ..., n}; return it as a tuple.
+
+    A word of n letters in 1..n with none repeated misses none, so the error
+    names the first letter that is repeated or out of range, by position and
+    not by value when out of range (a comma part may run to thousands of
+    digits), and never echoes the word.
+    """
     w = tuple(int(x) for x in letters)
     n = len(w)
     if n < 1:
         raise ValueError("permutations here are nonempty")
     if sorted(w) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of 1..{n}: {w}")
+        head = f"not a permutation of 1..{n}"
+        seen = set()
+        for pos, letter in enumerate(w, start=1):
+            if not 1 <= letter <= n:
+                bound = "below 1" if letter < 1 else f"above {n}"
+                raise ValueError(f"{head}: the letter at position {pos} is {bound}")
+            if letter in seen:
+                raise ValueError(f"{head}: letter {letter} at position {pos} is repeated")
+            seen.add(letter)
     return w
 
 
@@ -84,7 +98,8 @@ def parse_permutation(text: str) -> Perm:
     if "," in text:
         return check_permutation(int(part) for part in text.split(","))
     if not text.isdigit():
-        raise ValueError(f"not a permutation string: {text!r}")
+        pos, ch = next((pos, ch) for pos, ch in enumerate(text, start=1) if not ch.isdigit())
+        raise ValueError(f"not a permutation string: {ch!r} at position {pos}")
     return check_permutation(int(ch) for ch in text)
 
 

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -786,6 +787,47 @@ def test_large_table_stdout_is_pinned_uncached_cold_and_warm(tmp_path, command, 
         assert code == 0
         assert one_cache_notice(err) if at else err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == LARGE_TABLE_DIGESTS[command, fmt]
+
+
+# sha256 of `verify --suite all` stdout, frozen from the release before the
+# one-sequence Sturm count; the text pin is the bench's verify-all digest
+VERIFY_ALL_DIGESTS = {
+    "text": "8b7921ad1453e547207b36da63cc7ca0cbf02376da2ee69c61a63c605b42ee82",
+    "json": "fadbf0a32a9435d19177addc7f17e0c823431f3c3b6ebf1986e9979e2d4088b9",
+    "csv": "c13752ad8692b8b5b0bd0aff230fbce5cd3b235ae7b8d3c865e6be0274f12118",
+}
+BENCH_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
+
+
+def test_verify_all_text_pin_is_the_bench_digest():
+    bench = json.loads(BENCH_DIGESTS.read_text())
+    assert VERIFY_ALL_DIGESTS["text"] == bench["verify-all"]
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_ALL_DIGESTS))
+def test_verify_all_stdout_is_pinned(fmt):
+    code, out, _ = run_cli("verify", "--suite", "all", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_DIGESTS[fmt]
+
+
+# the reversed 23,000-letter word, the longest comma form one argv string
+# holds, with its last letter changed to a second 2; and a compact form whose
+# only bad character comes after 60,000 digits
+OVERSIZED_WORDS = {
+    "repeated-letter": ",".join(map(str, range(23000, 2, -1))) + ",2,2",
+    "bad-character": "1" * 60000 + "x",
+}
+
+
+@pytest.mark.parametrize("command", ["stats", "orbit"])
+@pytest.mark.parametrize("label", sorted(OVERSIZED_WORDS))
+def test_oversized_bad_words_get_one_short_error_line(command, label):
+    code, out, err = run_cli(command, OVERSIZED_WORDS[label])
+    assert (code, out) == (2, "")
+    assert "not a permutation" in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert len(err.encode()) < 200
 
 
 def test_stats_csv_quotes_long_words():

@@ -256,21 +256,36 @@ def test_sturm_no_negative_roots():
 
 
 @given(
+    st.integers(min_value=-5, max_value=5).filter(bool),
     st.integers(min_value=0, max_value=3),
     st.lists(
         st.tuples(st.integers(min_value=-6, max_value=6), st.integers(min_value=1, max_value=3)),
         max_size=5,
     ),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=-4, max_value=4),
+            st.integers(min_value=1, max_value=6),
+            st.integers(min_value=1, max_value=2),
+        ).filter(lambda f: f[0] ** 2 < 4 * f[1]),
+        max_size=2,
+    ),
 )
 @settings(max_examples=150, deadline=None)
-def test_sturm_matches_factored_oracle(z, factors):
-    # p = t^z prod (t + a)^m has roots -a, so its negative roots are the
-    # distinct positive a; multiplicities gather per root, 0 included
-    p = UniPoly.monomial(z)
-    multiplicity = Counter({0: z})
-    for a, m in factors:
+def test_sturm_matches_factored_oracle(lead, z, linears, quadratics):
+    # p = lead t^z prod (t + a)^m prod (t^2 + bt + c)^m has real roots -a
+    # only, since b^2 < 4c leaves each quadratic with none; its negative
+    # roots are the distinct positive a. Distinct monic irreducible factors
+    # share no complex root, so p is squarefree exactly when no factor
+    # (t + 0 = t included) gathers multiplicity above one.
+    p = UniPoly.monomial(z, lead)
+    multiplicity = Counter({(0,): z})
+    for a, m in linears:
         p = p * UniPoly.from_coeffs([a, 1]) ** m
-        multiplicity[-a] += m
+        multiplicity[(a,)] += m
+    for b, c, m in quadratics:
+        p = p * UniPoly.from_coeffs([c, b, 1]) ** m
+        multiplicity[(b, c)] += m
     count, distinct = sturm_negative_root_count(p)
-    assert count == len({a for a, _ in factors if a > 0})
+    assert count == len({a for a, _ in linears if a > 0})
     assert distinct == all(v <= 1 for v in multiplicity.values())

@@ -76,10 +76,12 @@ def test_parse_format_round_trip(letters):
 
 
 def test_check_rejects_non_bijections():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="letter 2 at position 3 is repeated"):
         check_permutation([1, 2, 2])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the letter at position 1 is below 1"):
         check_permutation([0, 1])
+    with pytest.raises(ValueError, match=r"the letter at position 2 is above 2$"):
+        check_permutation([1, 10**4000])
     with pytest.raises(ValueError):
         check_permutation([])
 
