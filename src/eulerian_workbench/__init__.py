@@ -1,6 +1,8 @@
 """Exact workbench for Eulerian and two-sided Eulerian numbers.
 
-Everything is integer arithmetic; no floats are used anywhere.
+Every number computed is an exact integer or polynomial. Floats appear only
+where boxes names the size of a census it refuses (lgamma, log2) and where
+the CLI's verify prints its elapsed seconds on stderr.
 The same quantities are computed by independent routes (direct enumeration,
 recurrences, balls-in-boxes counting, series windows) so results can be
 cross-checked rather than trusted.

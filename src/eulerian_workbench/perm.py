@@ -87,20 +87,43 @@ def check_permutation(letters) -> Perm:
 def parse_permutation(text: str) -> Perm:
     """Parse the compact or comma-separated text form.
 
+    The compact form is ASCII digits, one letter each. A comma part is ASCII
+    digits after its surrounding whitespace is stripped. A rejection names
+    the bad character's or part's position and never echoes it.
+
     >>> parse_permutation("312")
     (3, 1, 2)
-    >>> parse_permutation("10,3,1,2,4,5,6,7,8,9")[:2]
+    >>> parse_permutation("10, 3,1,2,4,5,6,7,8,9")[:2]
     (10, 3)
+    >>> parse_permutation("1,+2")
+    Traceback (most recent call last):
+    ...
+    ValueError: not a permutation: the part at position 2 is not ASCII digits
     """
     text = text.strip()
     if not text:
         raise ValueError("empty permutation")
-    if "," in text:
-        return check_permutation(int(part) for part in text.split(","))
-    if not text.isdigit():
-        pos, ch = next((pos, ch) for pos, ch in enumerate(text, start=1) if not ch.isdigit())
-        raise ValueError(f"not a permutation string: {ch!r} at position {pos}")
-    return check_permutation(int(ch) for ch in text)
+    if "," not in text:
+        for pos, ch in enumerate(text, start=1):
+            if not (ch.isascii() and ch.isdigit()):
+                raise ValueError(
+                    f"not a permutation: the character at position {pos} is not an ASCII digit"
+                )
+        return check_permutation(int(ch) for ch in text)
+    parts = [part.strip() for part in text.split(",")]
+    width = len(str(len(parts)))
+    letters = []
+    for pos, part in enumerate(parts, start=1):
+        if not (part and part.isascii() and part.isdigit()):
+            raise ValueError(
+                f"not a permutation: the part at position {pos} is not ASCII digits"
+            )
+        # a part with more significant digits than n has is above n, and
+        # check_permutation reports n + 1 at its position as such; int() of a
+        # part past Python's int-to-str limit would raise instead
+        digits = part.lstrip("0")
+        letters.append(len(parts) + 1 if len(digits) > width else int(digits or "0"))
+    return check_permutation(letters)
 
 
 def format_permutation(w: Perm) -> str:

@@ -9,16 +9,23 @@ aimed at the cheap checks cannot silently start a week-long walk.
 Each suite builds each table it checks once (one recurrence run up to its
 largest n, one brute-force call over all its brute-force n) and hands every
 check the rows and arrays it needs.
+
+Every check runs through _check, which builds its CheckReport. A check that
+raises at one of its items fails there, with the exception's message as the
+failure, and goes on to its next item, so a broken table is a FAIL line in
+the full report, never a crash. GuardRailError alone is not caught: a
+refused budget still refuses the whole run.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from math import factorial
 
 from . import boxes, eulerian, hopping, twosided
-from .common import CheckReport
+from .common import CheckReport, GuardRailError
 from .exactnum import BiPoly, UniPoly, binomial, sturm_negative_root_count
 from .perm import Perm, descent_count, enumerate_sn, inverse
 
@@ -44,10 +51,36 @@ def _bound(value: int | None, default: int, cap: int | None = None) -> int:
     return out
 
 
-def _all_pass(ok_detail: list[str], bad_detail: list[str], description: str) -> CheckReport:
-    if bad_detail:
-        return CheckReport(False, description, "; ".join(bad_detail[:3]))
-    return CheckReport(True, description, "; ".join(ok_detail))
+def _check(
+    description: str,
+    items: Iterable,
+    failures: Callable[..., Iterable[str]],
+    detail: str | Callable[[], str] = "",
+) -> CheckReport:
+    """Run one check: failures(item) yields what fails at each item.
+
+    An exception raised at an item is that item's failure, its message
+    recorded verbatim, and the check goes on to the next item. A failing
+    check reports its first three failures; a passing one reports detail,
+    called first when it is a function, and a raise there fails the check.
+    """
+    found: list[str] = []
+    for item in items:
+        try:
+            for failure in failures(item):
+                found.append(failure)
+        except GuardRailError:
+            raise
+        except Exception as exc:  # the check's boundary: a raise is a failure
+            found.append(str(exc))
+    if not found:
+        try:
+            return CheckReport(True, description, detail() if callable(detail) else detail)
+        except GuardRailError:
+            raise
+        except Exception as exc:
+            found.append(str(exc))
+    return CheckReport(False, description, "; ".join(found[:3]))
 
 
 # ---------------------------------------------------------------------------
@@ -61,101 +94,73 @@ def suite_eulerian(bounds: SuiteBounds) -> list[CheckReport]:
     # row 4 feeds the Worpitzky spot value whatever n_max is
     table = eulerian.table_from_recurrence(max(n_max, 4))
     brute = eulerian.brute_force_rows(list(range(1, n_brute + 1)))
-    checks = []
+    ns = range(1, n_max + 1)
 
-    bad = [f"n={n}" for n in range(1, n_brute + 1) if brute[n] != table.row(n)]
-    checks.append(
-        _all_pass([], bad, f"brute force and recurrence rows agree for n <= {n_brute}")
-    )
+    def brute_rows(n):
+        if brute[n] != table.row(n):
+            yield f"n={n}"
 
-    bad = [
-        f"n={n}" for n in range(1, n_max + 1) if sum(table.row(n)) != factorial(n)
-    ]
-    checks.append(_all_pass([], bad, f"row sums equal n! for n <= {n_max}"))
+    def row_sum(n):
+        if sum(table.row(n)) != factorial(n):
+            yield f"n={n}"
 
-    bad = [
-        f"n={n}"
-        for n in range(1, n_max + 1)
-        if table.row(n) != tuple(reversed(table.row(n)))
-    ]
-    checks.append(_all_pass([], bad, f"rows are palindromic for n <= {n_max}"))
+    def palindromic(n):
+        if table.row(n) != tuple(reversed(table.row(n))):
+            yield f"n={n}"
 
-    bad = [
-        f"n={n}"
-        for n in range(1, n_max + 1)
-        if not eulerian.check_unimodality(table.row(n))
-    ]
-    checks.append(_all_pass([], bad, f"rows are unimodal for n <= {n_max}"))
+    def unimodal(n):
+        if not eulerian.check_unimodality(table.row(n)):
+            yield f"n={n}"
 
-    bad = []
-    for n in range(1, min(n_max, 8) + 1):
-        for k in range(0, k_max + 1):
-            try:
-                eulerian.worpitzky_identity(n, k, row=table.row(n))
-            except Exception as exc:  # ConsistencyError carries the mismatch
-                bad.append(str(exc))
-    spot = eulerian.worpitzky_identity(4, 3, table.row(4))
-    checks.append(
-        _all_pass(
-            [f"spot value 3^4 = {spot}"],
-            bad,
-            f"Worpitzky identity holds for n <= {min(n_max, 8)}, k <= {k_max}",
-        )
-    )
+    def worpitzky(item):
+        n, k = item
+        # a mismatch raises ConsistencyError, whose message names n and k
+        eulerian.worpitzky_identity(n, k, row=table.row(n))
+        return ()
 
-    bad = []
-    for n in range(1, min(n_max, 8) + 1):
+    def spot_value():
+        return f"spot value 3^4 = {eulerian.worpitzky_identity(4, 3, table.row(4))}"
+
+    def power_sums(n):
         report = eulerian.verify_power_sum_series(table.row(n), terms)
         if not report.ok:
-            bad.append(f"n={n}: {report.detail}")
-    checks.append(
-        _all_pass(
-            [],
-            bad,
-            f"series window of A_n(t)/(1-t)^(n+1) matches k^n for n <= {min(n_max, 8)}, "
-            f"k <= {terms}",
-        )
-    )
+            yield f"n={n}: {report.detail}"
 
-    bad = []
-    for n in range(2, n_max + 1):
+    def derivative(n):
         report = eulerian.verify_polynomial_recurrence(table.row(n - 1), table.row(n))
         if not report.ok:
-            bad.append(f"n={n}: {report.detail}")
-    checks.append(
-        _all_pass([], bad, f"derivative recurrence reproduces A_n(t) for n <= {n_max}")
-    )
+            yield f"n={n}: {report.detail}"
 
-    bad = []
-    for n in range(1, n_max + 1):
+    def gamma(n):
         gv = eulerian.gamma_extract(eulerian.polynomial_from_row(table.row(n)), n)
         if not gv.nonnegative:
-            bad.append(f"n={n}: {gv.gammas}")
+            yield f"n={n}: {gv.gammas}"
         if sum(g * 2 ** (n + 1 - 2 * i) for i, g in enumerate(gv.gammas, start=1)) != factorial(n):
-            bad.append(f"n={n}: gamma total mismatch")
-    checks.append(
-        _all_pass(
-            [],
-            bad,
-            f"gamma vectors are nonnegative and evaluate to n! at t=1 for n <= {n_max}",
-        )
-    )
+            yield f"n={n}: gamma total mismatch"
 
-    bad = []
-    for n in range(1, min(n_max, 10) + 1):
-        poly = UniPoly.from_coeffs(table.row(n))
-        count, distinct = sturm_negative_root_count(poly)
+    def sturm(n):
+        count, distinct = sturm_negative_root_count(UniPoly.from_coeffs(table.row(n)))
         if count != n - 1 or not distinct:
-            bad.append(f"n={n}: ({count}, {distinct})")
-    checks.append(
-        _all_pass(
-            [],
-            bad,
-            f"A_n(t)/t has n-1 distinct negative roots (Sturm) for n <= {min(n_max, 10)}",
-        )
-    )
+            yield f"n={n}: ({count}, {distinct})"
 
-    return checks
+    return [
+        _check(f"brute force and recurrence rows agree for n <= {n_brute}",
+               range(1, n_brute + 1), brute_rows),
+        _check(f"row sums equal n! for n <= {n_max}", ns, row_sum),
+        _check(f"rows are palindromic for n <= {n_max}", ns, palindromic),
+        _check(f"rows are unimodal for n <= {n_max}", ns, unimodal),
+        _check(f"Worpitzky identity holds for n <= {min(n_max, 8)}, k <= {k_max}",
+               itertools.product(range(1, min(n_max, 8) + 1), range(0, k_max + 1)),
+               worpitzky, spot_value),
+        _check(f"series window of A_n(t)/(1-t)^(n+1) matches k^n for n <= {min(n_max, 8)}, "
+               f"k <= {terms}", range(1, min(n_max, 8) + 1), power_sums),
+        _check(f"derivative recurrence reproduces A_n(t) for n <= {n_max}",
+               range(2, n_max + 1), derivative),
+        _check(f"gamma vectors are nonnegative and evaluate to n! at t=1 for n <= {n_max}",
+               ns, gamma),
+        _check(f"A_n(t)/t has n-1 distinct negative roots (Sturm) for n <= {min(n_max, 10)}",
+               range(1, min(n_max, 10) + 1), sturm),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -170,104 +175,68 @@ def suite_twosided(bounds: SuiteBounds) -> list[CheckReport]:
     tables = twosided.two_sided_from_recurrence(n_max)
     uni = eulerian.table_from_recurrence(n_max)
     brute = twosided.brute_force_tables(list(range(1, n_brute + 1)))
-    checks = []
+    ns = range(1, n_max + 1)
 
-    bad = [
-        f"n={n}"
-        for n in range(1, n_brute + 1)
-        if brute[n].entries != tables[n - 1].entries
-    ]
-    checks.append(
-        _all_pass([], bad, f"brute force and recurrence arrays agree for n <= {n_brute}")
-    )
+    def brute_arrays(n):
+        if brute[n].entries != tables[n - 1].entries:
+            yield f"n={n}"
 
-    bad = []
-    for n in range(1, n_max + 1):
+    def marginals(n):
         t = tables[n - 1]
         if t.row_marginal() != uni.row(n) or t.column_marginal() != uni.row(n):
-            bad.append(f"n={n}")
+            yield f"n={n}"
         if t.total() != factorial(n):
-            bad.append(f"n={n}: total")
-    checks.append(
-        _all_pass(
-            [], bad, f"marginals match the one-sided rows and total n! for n <= {n_max}"
-        )
-    )
+            yield f"n={n}: total"
 
-    bad = []
-    for n in range(1, n_max + 1):
+    def symmetries(n):
         swap, reverse, both = twosided.check_symmetries(tables[n - 1])
         if not (swap and reverse and both):
-            bad.append(f"n={n}: ({swap}, {reverse}, {both})")
-    checks.append(
-        _all_pass(
-            [], bad, f"transpose and antipodal symmetries hold for n <= {n_max}"
-        )
-    )
+            yield f"n={n}: ({swap}, {reverse}, {both})"
 
-    bad = []
-    for n in range(1, min(n_max, 6) + 1):
+    def grid_series(n):
         report = twosided.verify_grid_series(tables[n - 1], terms)
         if not report.ok:
-            bad.append(f"n={n}: {report.detail}")
-    checks.append(
-        _all_pass(
-            [],
-            bad,
-            f"grid series matches binomial(kl+n-1,n) for n <= {min(n_max, 6)}, "
-            f"k,l <= {terms}",
-        )
-    )
+            yield f"n={n}: {report.detail}"
 
-    bad = []
-    for n in range(1, min(n_max, 6) + 1):
-        for k in range(0, k_max + 1):
-            for l in range(0, l_max + 1):
-                try:
-                    twosided.worpitzky_grid_identity(n, k, l, table=tables[n - 1])
-                except Exception as exc:
-                    bad.append(str(exc))
-    checks.append(
-        _all_pass(
-            [],
-            bad,
-            f"two-sided Worpitzky identity holds for n <= {min(n_max, 6)}, "
-            f"k <= {k_max}, l <= {l_max}",
-        )
-    )
+    def worpitzky(item):
+        n, k, l = item
+        # a mismatch raises ConsistencyError, whose message names n, k and l
+        twosided.worpitzky_grid_identity(n, k, l, table=tables[n - 1])
+        return ()
 
-    bad = []
-    for n in range(2, n_max + 1):
+    def bivariate(n):
         report = twosided.verify_bivariate_recurrence(tables[n - 2], tables[n - 1])
         if not report.ok:
-            bad.append(f"n={n}: {report.detail}")
-    checks.append(
-        _all_pass(
-            [], bad, f"bivariate derivative recurrence reproduces n A_n(s,t) for n <= {n_max}"
-        )
-    )
+            yield f"n={n}: {report.detail}"
 
-    detail = []
-    bad = []
-    for n in range(1, min(n_max, 8) + 1):
+    def monotonicity(n):
         violations = twosided.diagonal_monotonicity_probe(tables[n - 1])
         if n <= 7 and violations:
-            bad.append(f"unexpected violation at n={n}")
+            yield f"unexpected violation at n={n}"
         if n == 8:
             found = {(v.i, v.j, v.value, v.toward_value) for v in violations}
             if found != {(2, 3, 126, 84), (3, 4, 1980, 1773)}:
-                bad.append(f"n=8 violations were {sorted(found)}")
-            else:
-                detail.append("first violations at n=8: 126 > 84 and 1980 > 1773")
-    checks.append(
-        _all_pass(
-            detail,
-            bad,
-            "diagonal monotonicity holds through n=7 and first breaks at n=8 as documented",
-        )
-    )
+                yield f"n=8 violations were {sorted(found)}"
 
-    return checks
+    return [
+        _check(f"brute force and recurrence arrays agree for n <= {n_brute}",
+               range(1, n_brute + 1), brute_arrays),
+        _check(f"marginals match the one-sided rows and total n! for n <= {n_max}",
+               ns, marginals),
+        _check(f"transpose and antipodal symmetries hold for n <= {n_max}", ns, symmetries),
+        _check(f"grid series matches binomial(kl+n-1,n) for n <= {min(n_max, 6)}, "
+               f"k,l <= {terms}", range(1, min(n_max, 6) + 1), grid_series),
+        _check(f"two-sided Worpitzky identity holds for n <= {min(n_max, 6)}, "
+               f"k <= {k_max}, l <= {l_max}",
+               itertools.product(range(1, min(n_max, 6) + 1), range(0, k_max + 1),
+                                 range(0, l_max + 1)),
+               worpitzky),
+        _check(f"bivariate derivative recurrence reproduces n A_n(s,t) for n <= {n_max}",
+               range(2, n_max + 1), bivariate),
+        _check("diagonal monotonicity holds through n=7 and first breaks at n=8 as documented",
+               range(1, min(n_max, 8) + 1), monotonicity,
+               "first violations at n=8: 126 > 84 and 1980 > 1773" if n_max >= 8 else ""),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -277,104 +246,78 @@ def suite_boxes(bounds: SuiteBounds) -> list[CheckReport]:
     n_census = _bound(bounds.n_max, 5, cap=5)
     k_census = _bound(bounds.k_max, 5, cap=6)
     n_sum = _bound(bounds.n_max, 6, cap=8)
-    checks = []
-
-    bad = []
-    for n in range(1, n_census + 1):
-        for k in range(0, k_census + 1):
-            census = boxes.oracle_barred_census(n, k)
-            if sum(census.values()) != k**n:
-                bad.append(f"census total at n={n}, k={k}")
-            for w, count in census.items():
-                if count != boxes.count_barred(w, k):
-                    bad.append(f"n={n}, k={k}, w={w}")
-    checks.append(
-        _all_pass(
-            [],
-            bad,
-            f"barred census matches the closed form for n <= {n_census}, k <= {k_census}",
-        )
-    )
-
-    bad = []
-    for n in range(1, n_sum + 1):
-        for k in range(0, 7):
-            total = sum(boxes.count_barred(w, k) for w in enumerate_sn(n))
-            if total != k**n:
-                bad.append(f"n={n}, k={k}")
-    checks.append(
-        _all_pass(
-            [], bad, f"closed-form counts sum to k^n over S_n for n <= {n_sum}, k <= 6"
-        )
-    )
-
     n_grid = _bound(bounds.n_max, 4, cap=4)
     cr_max = 3
-    bad = []
-    for n in range(1, n_grid + 1):
-        for c in range(0, cr_max + 1):
-            for r in range(0, cr_max + 1):
-                census = boxes.oracle_two_sided_census(n, c, r)
-                if sum(census.values()) != binomial(c * r + n - 1, n):
-                    bad.append(f"total at n={n}, c={c}, r={r}")
-                for w, count in census.items():
-                    if count != boxes.count_two_sided(w, c, r):
-                        bad.append(f"n={n}, c={c}, r={r}, w={w}")
-    checks.append(
-        _all_pass(
-            [],
-            bad,
-            f"grid census matches the closed form for n <= {n_grid}, "
-            f"columns, rows <= {cr_max}",
-        )
-    )
 
-    placement = boxes.GridPlacement.from_triples(
-        [[1, 1, 1], [1, 4, 1], [2, 1, 1], [3, 1, 2], [3, 3, 1], [5, 1, 1]],
-        columns=5,
-        rows=4,
-    )
-    standardized = boxes.grid_placement_to_permutation(placement)
-    ok = standardized.underlying == (1, 7, 2, 3, 4, 6, 5)
-    checks.append(
-        CheckReport(
-            ok,
-            "the worked 5x4 grid placement standardizes to 1723465",
-            f"got {standardized.underlying}",
-        )
-    )
+    def barred_census(item):
+        n, k = item
+        census = boxes.oracle_barred_census(n, k)
+        if sum(census.values()) != k**n:
+            yield f"census total at n={n}, k={k}"
+        for w, count in census.items():
+            if count != boxes.count_barred(w, k):
+                yield f"n={n}, k={k}, w={w}"
 
-    bad = []
-    for n in range(1, n_grid + 1):
-        for c in range(1, cr_max + 1):
-            for r in range(1, cr_max + 1):
-                cells = [(col, row) for col in range(1, c + 1) for row in range(1, r + 1)]
-                for multiset in itertools.combinations_with_replacement(cells, n):
-                    counts: dict[tuple[int, int], int] = {}
-                    for cell in multiset:
-                        counts[cell] = counts.get(cell, 0) + 1
-                    g = boxes.GridPlacement(
-                        c, r, tuple(sorted((cc, rr, m) for (cc, rr), m in counts.items()))
-                    )
-                    tsb = boxes.grid_placement_to_permutation(g)
-                    w = tsb.underlying
-                    inv = inverse(w)
-                    des = {q for q in range(1, len(w)) if w[q - 1] > w[q]}
-                    ides_pos = {q for q in range(1, len(w)) if inv[q - 1] > inv[q]}
-                    if not des <= boxes.cut_positions(tsb.column_blocks):
-                        bad.append(f"vertical bars miss a descent: {g}")
-                    if not ides_pos <= boxes.cut_positions(tsb.row_blocks):
-                        bad.append(f"horizontal bars miss an inverse descent: {g}")
-    checks.append(
-        _all_pass(
-            [],
-            bad,
-            f"bars cover descents on both sides for n <= {n_grid}, grids <= "
-            f"{cr_max}x{cr_max}",
-        )
-    )
+    def barred_sum(item):
+        n, k = item
+        if sum(boxes.count_barred(w, k) for w in enumerate_sn(n)) != k**n:
+            yield f"n={n}, k={k}"
 
-    return checks
+    def grid_census(item):
+        n, c, r = item
+        census = boxes.oracle_two_sided_census(n, c, r)
+        if sum(census.values()) != binomial(c * r + n - 1, n):
+            yield f"total at n={n}, c={c}, r={r}"
+        for w, count in census.items():
+            if count != boxes.count_two_sided(w, c, r):
+                yield f"n={n}, c={c}, r={r}, w={w}"
+
+    def worked_grid(triples):
+        placement = boxes.GridPlacement.from_triples(triples, columns=5, rows=4)
+        standardized = boxes.grid_placement_to_permutation(placement).underlying
+        if standardized != (1, 7, 2, 3, 4, 6, 5):
+            yield f"got {standardized}"
+
+    def bars(item):
+        n, c, r = item
+        cells = [(col, row) for col in range(1, c + 1) for row in range(1, r + 1)]
+        for multiset in itertools.combinations_with_replacement(cells, n):
+            counts: dict[tuple[int, int], int] = {}
+            for cell in multiset:
+                counts[cell] = counts.get(cell, 0) + 1
+            g = boxes.GridPlacement(
+                c, r, tuple(sorted((cc, rr, m) for (cc, rr), m in counts.items()))
+            )
+            tsb = boxes.grid_placement_to_permutation(g)
+            w = tsb.underlying
+            inv = inverse(w)
+            des = {q for q in range(1, len(w)) if w[q - 1] > w[q]}
+            ides_pos = {q for q in range(1, len(w)) if inv[q - 1] > inv[q]}
+            if not des <= boxes.cut_positions(tsb.column_blocks):
+                yield f"vertical bars miss a descent: {g}"
+            if not ides_pos <= boxes.cut_positions(tsb.row_blocks):
+                yield f"horizontal bars miss an inverse descent: {g}"
+
+    return [
+        _check(f"barred census matches the closed form for n <= {n_census}, k <= {k_census}",
+               itertools.product(range(1, n_census + 1), range(0, k_census + 1)),
+               barred_census),
+        _check(f"closed-form counts sum to k^n over S_n for n <= {n_sum}, k <= 6",
+               itertools.product(range(1, n_sum + 1), range(0, 7)), barred_sum),
+        _check(f"grid census matches the closed form for n <= {n_grid}, "
+               f"columns, rows <= {cr_max}",
+               itertools.product(range(1, n_grid + 1), range(0, cr_max + 1),
+                                 range(0, cr_max + 1)),
+               grid_census),
+        _check("the worked 5x4 grid placement standardizes to 1723465",
+               [[[1, 1, 1], [1, 4, 1], [2, 1, 1], [3, 1, 2], [3, 3, 1], [5, 1, 1]]],
+               worked_grid, "got (1, 7, 2, 3, 4, 6, 5)"),
+        _check(f"bars cover descents on both sides for n <= {n_grid}, grids <= "
+               f"{cr_max}x{cr_max}",
+               itertools.product(range(1, n_grid + 1), range(1, cr_max + 1),
+                                 range(1, cr_max + 1)),
+               bars),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -386,52 +329,32 @@ def suite_hopping(bounds: SuiteBounds) -> list[CheckReport]:
     n_census = _bound(bounds.n_max, 9, cap=9)
     triangle = eulerian.table_from_recurrence(n_census)
     tables = twosided.two_sided_from_recurrence(n_mid)
-    checks = []
+    orbits = {n: _orbits(n) for n in range(1, n_mid + 1)}
 
-    bad = []
-    for n in range(1, n_small + 1):
+    def hop_laws(n):
         for w in enumerate_sn(n):
             free = hopping.free_values(w)
             hops = [hopping.hop(w, x) for x in free]
             des = descent_count(w)
             for x, hopped in zip(free, hops):
                 if hopping.hop(hopped, x) != w:
-                    bad.append(f"involution fails at {w}, x={x}")
+                    yield f"involution fails at {w}, x={x}"
                 if abs(descent_count(hopped) - des) != 1:
-                    bad.append(f"descent step at {w}, x={x}")
+                    yield f"descent step at {w}, x={x}"
             for (x, w_x), (y, w_y) in itertools.combinations(zip(free, hops), 2):
                 if hopping.hop(w_x, y) != hopping.hop(w_y, x):
-                    bad.append(f"commutation fails at {w}, x={x}, y={y}")
-    checks.append(
-        _all_pass(
-            [],
-            bad,
-            f"hops are involutions, move descents by one, and commute for n <= {n_small}",
-        )
-    )
+                    yield f"commutation fails at {w}, x={x}, y={y}"
 
-    bad = []
-    for n in range(1, n_mid + 1):
+    def letter_classes(n):
         for w in enumerate_sn(n):
             kinds = hopping.classify_letters(w)
             peaks = kinds.count(hopping.PEAK)
             if descent_count(w) != peaks + kinds.count(hopping.DOUBLE_DESCENT):
-                bad.append(f"descent split fails at {w}")
+                yield f"descent split fails at {w}"
             if kinds.count(hopping.VALLEY) != peaks + 1:
-                bad.append(f"valley count fails at {w}")
-    checks.append(
-        _all_pass(
-            [],
-            bad,
-            f"descents split into peaks plus double descents and valleys exceed "
-            f"peaks by one for n <= {n_mid}",
-        )
-    )
+                yield f"valley count fails at {w}"
 
-    orbits = {n: _orbits(n) for n in range(1, n_mid + 1)}
-
-    bad = []
-    for n in range(1, n_small + 1):
+    def invariants(n):
         for orbit in orbits[n]:
             peak_sets = {tuple(sorted(hopping.peak_values(u))) for u in orbit.members}
             valley_sets = {
@@ -441,19 +364,9 @@ def suite_hopping(bounds: SuiteBounds) -> list[CheckReport]:
                 tuple(sorted(hopping.free_values(u))) for u in orbit.members
             }
             if len(peak_sets) != 1 or len(valley_sets) != 1 or len(free_sets) != 1:
-                bad.append(
-                    f"classification varies over orbit of {orbit.representative}"
-                )
-    checks.append(
-        _all_pass(
-            [],
-            bad,
-            f"peak, valley, and free sets are orbit invariants for n <= {n_small}",
-        )
-    )
+                yield f"classification varies over orbit of {orbit.representative}"
 
-    bad = []
-    for n in range(1, n_mid + 1):
+    def orbit_sums(n):
         uni_counts = [0] * (n + 1)
         bi_counts: dict[tuple[int, int], int] = {}
         for orbit in orbits[n]:
@@ -462,53 +375,48 @@ def suite_hopping(bounds: SuiteBounds) -> list[CheckReport]:
             for a, b, c in hopping.orbit_descent_polynomial(orbit, "bivariate").terms:
                 bi_counts[a, b] = bi_counts.get((a, b), 0) + c
         if UniPoly.from_coeffs(uni_counts) != eulerian.polynomial_from_row(triangle.row(n)):
-            bad.append(f"univariate orbit sum fails at n={n}")
+            yield f"univariate orbit sum fails at n={n}"
         if BiPoly.from_dict(bi_counts) != twosided.polynomial_from_table(tables[n - 1]):
-            bad.append(f"bivariate orbit sum fails at n={n}")
-    checks.append(
-        _all_pass(
-            [],
-            bad,
-            f"orbit generating functions sum to the full distributions for n <= {n_mid}",
-        )
-    )
+            yield f"bivariate orbit sum fails at n={n}"
 
-    bad = []
-    for n in range(1, n_census + 1):
+    def census_gamma(n):
         census = hopping.orbit_census(n)
         gv = eulerian.gamma_extract(eulerian.polynomial_from_row(triangle.row(n)), n)
         expected = {
             i - 1: g for i, g in enumerate(gv.gammas, start=1) if g
         }
         if census != expected:
-            bad.append(f"n={n}: census {census} vs gamma {expected}")
-    checks.append(
-        _all_pass(
-            [],
-            bad,
-            f"orbit census by peak count equals the gamma vector for n <= {n_census}",
-        )
-    )
+            yield f"n={n}: census {census} vs gamma {expected}"
 
-    golden = hopping.orbit_of((8, 6, 3, 2, 4, 7, 1, 5, 9))
-    uni = hopping.orbit_descent_polynomial(golden)
-    bi = hopping.orbit_descent_polynomial(golden, "bivariate")
-    expected_uni = UniPoly.monomial(2) * (UniPoly.one() + UniPoly.monomial(1)) ** 6
-    expected_bi = (
-        BiPoly.monomial(3, 2)
-        * (BiPoly.one() + BiPoly.monomial(0, 1)) ** 2
-        * (BiPoly.one() + BiPoly.monomial(1, 1)) ** 4
-    )
-    ok = golden.size == 64 and uni == expected_uni and bi == expected_bi
-    checks.append(
-        CheckReport(
-            ok,
-            "the orbit of 863247159 has 64 members with the documented generating functions",
-            f"size {golden.size}",
+    def golden(word):
+        orbit = hopping.orbit_of(word)
+        expected_uni = UniPoly.monomial(2) * (UniPoly.one() + UniPoly.monomial(1)) ** 6
+        expected_bi = (
+            BiPoly.monomial(3, 2)
+            * (BiPoly.one() + BiPoly.monomial(0, 1)) ** 2
+            * (BiPoly.one() + BiPoly.monomial(1, 1)) ** 4
         )
-    )
+        if not (
+            orbit.size == 64
+            and hopping.orbit_descent_polynomial(orbit) == expected_uni
+            and hopping.orbit_descent_polynomial(orbit, "bivariate") == expected_bi
+        ):
+            yield f"size {orbit.size}"
 
-    return checks
+    return [
+        _check(f"hops are involutions, move descents by one, and commute for n <= {n_small}",
+               range(1, n_small + 1), hop_laws),
+        _check(f"descents split into peaks plus double descents and valleys exceed "
+               f"peaks by one for n <= {n_mid}", range(1, n_mid + 1), letter_classes),
+        _check(f"peak, valley, and free sets are orbit invariants for n <= {n_small}",
+               range(1, n_small + 1), invariants),
+        _check(f"orbit generating functions sum to the full distributions for n <= {n_mid}",
+               range(1, n_mid + 1), orbit_sums),
+        _check(f"orbit census by peak count equals the gamma vector for n <= {n_census}",
+               range(1, n_census + 1), census_gamma),
+        _check("the orbit of 863247159 has 64 members with the documented generating functions",
+               [(8, 6, 3, 2, 4, 7, 1, 5, 9)], golden, "size 64"),
+    ]
 
 
 def _orbits(n: int) -> list[hopping.Orbit]:
@@ -529,25 +437,24 @@ def _orbits(n: int) -> list[hopping.Orbit]:
 def suite_gessel(bounds: SuiteBounds) -> list[CheckReport]:
     n_max = _bound(bounds.n_max, 12)
     tables = twosided.two_sided_from_recurrence(n_max)
-    checks = []
-    bad = []
-    worst = None
-    for n in range(1, n_max + 1):
+    smallest: dict[int, int] = {}
+
+    def nonnegative(n):
         expansion = twosided.gessel_solve(twosided.polynomial_from_table(tables[n - 1]), n)
         if not expansion.nonnegative:
             negative = {k: v for k, v in expansion.gammas.items() if v < 0}
-            bad.append(f"n={n}: negative coefficients {negative}")
-        smallest = min(expansion.gammas.values())
-        if worst is None or smallest < worst[1]:
-            worst = (n, smallest)
-    checks.append(
-        _all_pass(
-            [f"smallest coefficient seen: {worst[1]} at n={worst[0]}"],
-            bad,
-            f"Gessel expansions are integral and nonnegative for n <= {n_max}",
-        )
-    )
-    return checks
+            yield f"n={n}: negative coefficients {negative}"
+        smallest[n] = min(expansion.gammas.values())
+
+    def worst() -> str:
+        # min keeps the first n among ties
+        n, value = min(smallest.items(), key=lambda item: item[1])
+        return f"smallest coefficient seen: {value} at n={n}"
+
+    return [
+        _check(f"Gessel expansions are integral and nonnegative for n <= {n_max}",
+               range(1, n_max + 1), nonnegative, worst),
+    ]
 
 
 # ---------------------------------------------------------------------------

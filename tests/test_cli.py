@@ -7,6 +7,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -812,11 +813,13 @@ def test_verify_all_stdout_is_pinned(fmt):
 
 
 # the reversed 23,000-letter word, the longest comma form one argv string
-# holds, with its last letter changed to a second 2; and a compact form whose
-# only bad character comes after 60,000 digits
+# holds, with its last letter changed to a second 2; a compact form whose
+# only bad character comes after 60,000 digits; and a comma part one digit
+# past Python's default int-to-str limit
 OVERSIZED_WORDS = {
     "repeated-letter": ",".join(map(str, range(23000, 2, -1))) + ",2,2",
     "bad-character": "1" * 60000 + "x",
+    "long-part": "1," + "9" * 4301,
 }
 
 
@@ -828,6 +831,26 @@ def test_oversized_bad_words_get_one_short_error_line(command, label):
     assert "not a permutation" in err
     assert err.count("\n") == 1 and err.endswith("\n")
     assert len(err.encode()) < 200
+
+
+def readme_examples():
+    """(command, expected stdout) for each `$ eulerian-workbench` line in a
+    fenced block of README.md whose shown output has no `...`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```$", readme, re.M | re.S):
+        for example in re.split(r"^\$ eulerian-workbench ", block, flags=re.M)[1:]:
+            command, _, expected = example.partition("\n")
+            if "..." not in expected:
+                examples.append(pytest.param(command, expected, id=command))
+    return examples
+
+
+@pytest.mark.parametrize("command,expected", readme_examples())
+def test_readme_examples_print_what_the_readme_shows(command, expected):
+    code, out, _ = run_cli(*command.split())
+    assert code == 0
+    assert out == expected
 
 
 def test_stats_csv_quotes_long_words():

@@ -3,6 +3,7 @@
 import doctest
 import itertools
 import random
+import re
 import time
 import tracemalloc
 from collections import Counter
@@ -53,11 +54,35 @@ def test_parse_compact_and_comma_forms():
     assert parse_permutation("35142") == (3, 5, 1, 4, 2)
     assert parse_permutation("10,2,3,4,5,6,7,8,9,1") == (10, 2, 3, 4, 5, 6, 7, 8, 9, 1)
     assert parse_permutation(" 1 ") == (1,)
+    assert parse_permutation("1, 2,\t3 ") == (1, 2, 3)
+    assert parse_permutation("1," + "0" * 4300 + "2") == (1, 2)
 
 
-@pytest.mark.parametrize("bad", ["", "132x", "122", "13", "0,1", "1,1"])
+# each malformed text and the end of the one-line error it gets
+MALFORMED = {
+    "": "empty permutation",
+    "132x": "the character at position 4 is not an ASCII digit",
+    "122": "letter 2 at position 3 is repeated",
+    "13": "the letter at position 2 is above 2",
+    "0,1": "the letter at position 1 is below 1",
+    "1,1": "letter 1 at position 2 is repeated",
+    "1,2,,3": "the part at position 3 is not ASCII digits",
+    "1,x,3": "the part at position 2 is not ASCII digits",
+    "\u00b213": "the character at position 1 is not an ASCII digit",
+    "\u0662\u0661\u0663": "the character at position 1 is not an ASCII digit",
+    "1,+2,3": "the part at position 2 is not ASCII digits",
+    "1_0,1,2,3,4,5,6,7,8,9": "the part at position 1 is not ASCII digits",
+    "1," + "9" * 4301: "the letter at position 2 is above 2",
+    "2," + "0" * 4300 + "2": "letter 2 at position 2 is repeated",
+}
+
+
+@pytest.mark.parametrize(
+    "bad", MALFORMED, ids=lambda bad: f"{bad[:6]}...{len(bad)}-chars" if len(bad) > 60 else None
+)
 def test_parse_rejects_malformed_text(bad):
-    with pytest.raises(ValueError):
+    message = MALFORMED[bad]
+    with pytest.raises(ValueError, match=f"^(not a permutation.*: )?{re.escape(message)}$"):
         parse_permutation(bad)
 
 

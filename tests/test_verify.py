@@ -1,10 +1,16 @@
-"""The verify suites: each builds the tables it checks once."""
+"""The verify suites: each builds the tables it checks once, and a broken
+table is a failed check in a full report, never a crash."""
 
+import dataclasses
+import io
+import re
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from eulerian_workbench import eulerian, twosided, verify
+from eulerian_workbench import cli, eulerian, hopping, twosided, verify
+from eulerian_workbench.common import GuardRailError
 
 BUILDERS = (
     (eulerian, "table_from_recurrence"),
@@ -55,3 +61,95 @@ def test_bounds_below_one_are_refused(name, value):
     with pytest.raises(ValueError, match=f"{name} must be at least 1, got {value}"):
         verify.SuiteBounds(**{name: value})
     assert getattr(verify.SuiteBounds(**{name: 1}), name) == 1
+
+
+def run_cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.run(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+CLEAN_CHECK_COUNTS = {"eulerian": 9, "twosided": 7, "boxes": 5, "hopping": 6, "gessel": 1, "all": 28}
+
+
+def bump_triangle(monkeypatch, n, i):
+    """Every triangle the recurrence builds has A(n, i) one too large."""
+    build = eulerian.table_from_recurrence
+
+    def corrupted(n_max):
+        table = build(n_max)
+        rows = [list(row) for row in table.rows]
+        rows[n - 1][i - 1] += 1
+        return dataclasses.replace(table, rows=tuple(map(tuple, rows)))
+
+    monkeypatch.setattr(eulerian, "table_from_recurrence", corrupted)
+
+
+def bump_array(monkeypatch, n, i, j):
+    """Every array n the recurrence builds has entry (i, j) one too large."""
+    build = twosided.two_sided_from_recurrence
+
+    def corrupted(n_max):
+        tables = build(n_max)
+        entries = [list(row) for row in tables[n - 1].entries]
+        entries[i - 1][j - 1] += 1
+        tables[n - 1] = dataclasses.replace(tables[n - 1], entries=tuple(map(tuple, entries)))
+        return tables
+
+    monkeypatch.setattr(twosided, "two_sided_from_recurrence", corrupted)
+
+
+CORRUPTIONS = {
+    "A(5,2)": (bump_triangle, (5, 2)),
+    "A(4,2)": (bump_triangle, (4, 2)),
+    "array6(2,3)": (bump_array, (6, 2, 3)),
+}
+
+
+# each of these once raised out of a check (a gamma or Gessel expansion of an
+# asymmetric polynomial, the Worpitzky spot value) and printed no report
+@pytest.mark.parametrize(
+    "corruption,suite",
+    [
+        ("A(5,2)", "eulerian"),
+        ("A(5,2)", "hopping"),
+        ("A(5,2)", "all"),
+        ("A(4,2)", "eulerian"),
+        ("A(4,2)", "all"),
+        ("array6(2,3)", "gessel"),
+        ("array6(2,3)", "all"),
+    ],
+)
+def test_a_broken_table_is_reported_not_crashed(monkeypatch, corruption, suite):
+    bump, entry = CORRUPTIONS[corruption]
+    bump(monkeypatch, *entry)
+    code, out, _ = run_cli("verify", "--suite", suite)
+    assert code == 1
+    lines = out.splitlines()
+    assert any(line.startswith("[FAIL] ") for line in lines)
+    summary = re.fullmatch(rf"suite {suite}: (\d+)/(\d+) checks passed", lines[-1])
+    assert summary is not None, lines[-1]
+    assert int(summary[2]) == CLEAN_CHECK_COUNTS[suite] == len(lines) - 1
+    assert int(summary[1]) < int(summary[2])
+
+
+def test_a_raise_fails_its_item_and_the_check_goes_on(monkeypatch):
+    bump_triangle(monkeypatch, 5, 2)
+    _, out, _ = run_cli("verify", "--suite", "eulerian")
+    line = next(line for line in out.splitlines() if "Worpitzky" in line)
+    assert line.endswith(
+        ":: Worpitzky sum at n=5, k=2 gave 33, expected 32; "
+        "Worpitzky sum at n=5, k=3 gave 249, expected 243; "
+        "Worpitzky sum at n=5, k=4 gave 1045, expected 1024"
+    )
+
+
+def test_a_guard_rail_inside_a_check_still_exits_three(monkeypatch):
+    def refused(n):
+        raise GuardRailError("orbit census refused")
+
+    monkeypatch.setattr(hopping, "orbit_census", refused)
+    code, out, err = run_cli("verify", "--suite", "hopping")
+    assert (code, out) == (3, "")
+    assert err == "error: orbit census refused\n"
