@@ -8,6 +8,9 @@ order in this process, one block unless --shards says otherwise; no
 command starts a child process.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 guard rail.
+Only argparse and the permutation text that stats and orbit parse give exit
+2; any other ValueError or ConsistencyError a command raises comes from a
+table or identity that failed a check, and exits 1.
 
 Each flag goes only to the subcommands it acts on: --format to all of
 them, --force to the seven guarded ones (all but stats and verify), and
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import operator
@@ -54,6 +58,7 @@ from .common import CheckReport, ConsistencyError, GuardRailError, check_budget
 from .exactnum import binomial
 from .perm import (
     SHARD_BUDGET,
+    StatProfile,
     descent_count,
     format_permutation,
     inverse_descent_count,
@@ -318,44 +323,28 @@ def report_to_obj(suite: str, checks: list[CheckReport]) -> dict:
 # subcommands
 
 
+def _usage_error(exc: ValueError) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _cmd_stats(args) -> int:
-    profiles = [(parse_permutation(text), None) for text in args.permutation]
-    profiles = [(w, statistic_profile(w)) for w, _ in profiles]
+    try:
+        words = [parse_permutation(text) for text in args.permutation]
+    except ValueError as exc:
+        return _usage_error(exc)
+    names = [field.name for field in dataclasses.fields(StatProfile)]
+    rows = [
+        [format_permutation(w), *map(str, dataclasses.astuple(statistic_profile(w)))]
+        for w in words
+    ]
     if args.format == "json":
-        payload = [
-            {
-                "w": format_permutation(w),
-                "des": str(p.des),
-                "ides": str(p.ides),
-                "inv": str(p.inv),
-                "asc": str(p.asc),
-                "exc": str(p.exc),
-                "run": str(p.run),
-            }
-            for w, p in profiles
-        ]
-        _emit_json(_single_or_list(payload))
+        _emit_json(_single_or_list([dict(zip(["w", *names], row)) for row in rows]))
     elif args.format == "csv":
-        rows = [["w", "des", "ides", "inv", "asc", "exc", "run"]]
-        rows.extend(
-            [
-                format_permutation(w),
-                str(p.des),
-                str(p.ides),
-                str(p.inv),
-                str(p.asc),
-                str(p.exc),
-                str(p.run),
-            ]
-            for w, p in profiles
-        )
-        _emit_csv(rows)
+        _emit_csv([["w", *names], *rows])
     else:
-        for _, p in profiles:
-            print(
-                f"des={p.des} ides={p.ides} inv={p.inv} "
-                f"asc={p.asc} exc={p.exc} run={p.run}"
-            )
+        for row in rows:
+            print(" ".join(f"{name}={value}" for name, value in zip(names, row[1:])))
     return EXIT_OK
 
 
@@ -457,7 +446,10 @@ def _cmd_gessel(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
-    w = parse_permutation(args.permutation)
+    try:
+        w = parse_permutation(args.permutation)
+    except ValueError as exc:
+        return _usage_error(exc)
     hopping.check_orbit_budget(w, args.force)
     orbit = hopping.orbit_of(w)
     uni = hopping.orbit_descent_polynomial(orbit)
@@ -732,12 +724,9 @@ def run(argv=None) -> int:
     except GuardRailError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except ConsistencyError as exc:
+    except (ConsistencyError, ValueError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def main() -> None:

@@ -12,8 +12,10 @@ equivalently i increasing runs, for 1 <= i <= n. Routes implemented here:
 - the derivative recurrence
   A_n(t) = n t A_{n-1}(t) + t (1 - t) A'_{n-1}(t).
 
-The checks take the rows they check, so a caller builds its table once;
-power_sum_window is the one series window, for the check and the CLI alike.
+The checks take the rows they check, so a caller builds its table once.
+Each returns None or raises ConsistencyError at its first mismatch, its
+message naming n; power_sum_window is the one series window, for the check
+and the CLI alike.
 
 The Eulerian polynomial A_n(t) = sum_i A(n, i) t**i has zero constant term
 and degree n, and its coefficient row is palindromic, so it expands in the
@@ -28,7 +30,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
-from .common import CheckReport, ConsistencyError
+from .common import ConsistencyError
 from .exactnum import UniPoly, binomial, geometric_power_window, series_product
 # bench/test_bench.py reads eulerian.enumerate_sn, so the name stays bound here.
 from .perm import descent_kernel, enumerate_sn, histogram  # noqa: F401
@@ -98,20 +100,16 @@ def power_sum_window(row: tuple[int, ...], terms: int) -> tuple[int, ...]:
     return series_product(polynomial_from_row(row), window).coeffs
 
 
-def verify_power_sum_series(row: tuple[int, ...], terms: int) -> CheckReport:
+def verify_power_sum_series(row: tuple[int, ...], terms: int) -> None:
     """Check that row n's power-sum window starts 0**n, 1**n, 2**n, ...
 
     Compares coefficient k of power_sum_window(row, terms) with k**n for
-    0 <= k <= terms.
+    0 <= k <= terms; the first mismatch raises ConsistencyError.
     """
     n = len(row)
-    description = f"A_{n}(t)/(1-t)^{n + 1} matches k^{n} for 0 <= k <= {terms}"
     for k, value in enumerate(power_sum_window(row, terms)):
         if value != k**n:
-            return CheckReport(
-                False, description, f"coefficient {k} is {value}, expected {k**n}"
-            )
-    return CheckReport(True, description)
+            raise ConsistencyError(f"n={n}: coefficient {k} is {value}, expected {k**n}")
 
 
 def worpitzky_identity(n: int, k: int, row: tuple[int, ...] | None = None) -> int:
@@ -133,10 +131,11 @@ def worpitzky_identity(n: int, k: int, row: tuple[int, ...] | None = None) -> in
     return value
 
 
-def verify_polynomial_recurrence(
-    prev_row: tuple[int, ...], row: tuple[int, ...]
-) -> CheckReport:
-    """Check A_n(t) = n t A_{n-1}(t) + t (1 - t) A'_{n-1}(t) on rows n - 1 and n."""
+def verify_polynomial_recurrence(prev_row: tuple[int, ...], row: tuple[int, ...]) -> None:
+    """Check A_n(t) = n t A_{n-1}(t) + t (1 - t) A'_{n-1}(t) on rows n - 1 and n.
+
+    A mismatch raises ConsistencyError naming the lowest power of t at fault.
+    """
     n = len(row)
     if n < 2:
         raise ValueError("the derivative recurrence needs n >= 2")
@@ -147,14 +146,11 @@ def verify_polynomial_recurrence(
     prev = polynomial_from_row(prev_row)
     rhs = n * t * prev + t * (one - t) * prev.derivative()
     lhs = polynomial_from_row(row)
-    description = f"derivative recurrence reproduces A_{n}(t)"
-    if lhs == rhs:
-        return CheckReport(True, description)
-    diff = lhs - rhs
-    exp = next(e for e, c in enumerate(diff.coeffs) if c)
-    return CheckReport(
-        False, description, f"first mismatch at t^{exp}: {lhs.coeff(exp)} vs {rhs.coeff(exp)}"
-    )
+    if lhs != rhs:
+        exp = next(e for e, c in enumerate((lhs - rhs).coeffs) if c)
+        raise ConsistencyError(
+            f"n={n}: first mismatch at t^{exp}: {lhs.coeff(exp)} vs {rhs.coeff(exp)}"
+        )
 
 
 # ---------------------------------------------------------------------------

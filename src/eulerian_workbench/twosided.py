@@ -14,8 +14,10 @@ and j - 1 descents. Routes implemented here:
       = sum_{i,j} A(n, i, j) binomial(k + n - i, n) binomial(l + n - j, n);
 - the bivariate derivative recurrence for n A_n(s, t) from A_{n-1}(s, t).
 
-The checks take the arrays they check, so a caller builds its tables once;
-grid_window is the one grid series window, for the check and the CLI alike.
+The checks take the arrays they check, so a caller builds its tables once.
+Each returns None or raises ConsistencyError at its first mismatch, its
+message naming n; grid_window is the one grid series window, for the check
+and the CLI alike.
 
 The distribution is symmetric in the two statistics and palindromic under
 (i, j) -> (n + 1 - i, n + 1 - j). Any polynomial with those symmetries
@@ -36,7 +38,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 
-from .common import CheckReport, ConsistencyError
+from .common import ConsistencyError
 from .exactnum import (
     BiPoly,
     binomial,
@@ -167,27 +169,21 @@ def grid_window(table: TwoSidedTable, terms: int) -> tuple[tuple[int, ...], ...]
     return series_product_bivariate(polynomial_from_table(table), window, window).coeffs
 
 
-def verify_grid_series(table: TwoSidedTable, terms: int) -> CheckReport:
+def verify_grid_series(table: TwoSidedTable, terms: int) -> None:
     """Check the grid window of the table's array.
 
-    Entry (k, l) must equal binomial(k l + n - 1, n) for k, l <= terms.
+    Entry (k, l) must equal binomial(k l + n - 1, n) for k, l <= terms; the
+    first mismatch raises ConsistencyError.
     """
     n = table.n
     grid = grid_window(table, terms)
-    description = (
-        f"A_{n}(s,t)/((1-s)(1-t))^{n + 1} matches binomial(kl+{n - 1},{n}) "
-        f"for k,l <= {terms}"
-    )
     for k in range(terms + 1):
         for l in range(terms + 1):
             expected = binomial(k * l + n - 1, n)
             if grid[k][l] != expected:
-                return CheckReport(
-                    False,
-                    description,
-                    f"entry ({k},{l}) is {grid[k][l]}, expected {expected}",
+                raise ConsistencyError(
+                    f"n={n}: entry ({k},{l}) is {grid[k][l]}, expected {expected}"
                 )
-    return CheckReport(True, description)
 
 
 def worpitzky_grid_identity(
@@ -213,10 +209,11 @@ def worpitzky_grid_identity(
     return value
 
 
-def verify_bivariate_recurrence(
-    prev_table: TwoSidedTable, table: TwoSidedTable
-) -> CheckReport:
-    """Check the derivative recurrence giving n A_n(s, t) from A_{n-1}."""
+def verify_bivariate_recurrence(prev_table: TwoSidedTable, table: TwoSidedTable) -> None:
+    """Check the derivative recurrence giving n A_n(s, t) from A_{n-1}.
+
+    A mismatch raises ConsistencyError naming the first term at fault.
+    """
     n = table.n
     if n < 2:
         raise ValueError("the derivative recurrence needs n >= 2")
@@ -234,16 +231,11 @@ def verify_bivariate_recurrence(
         + st * (one - s) * (one - t) * prev.partial_derivative("s").partial_derivative("t")
     )
     lhs = n * polynomial_from_table(table)
-    description = f"bivariate derivative recurrence reproduces {n} * A_{n}(s,t)"
-    if lhs == rhs:
-        return CheckReport(True, description)
-    diff = lhs - rhs
-    a, b, _ = diff.terms[0]
-    return CheckReport(
-        False,
-        description,
-        f"first mismatch at s^{a} t^{b}: {lhs.coeff(a, b)} vs {rhs.coeff(a, b)}",
-    )
+    if lhs != rhs:
+        a, b, _ = (lhs - rhs).terms[0]
+        raise ConsistencyError(
+            f"n={n}: first mismatch at s^{a} t^{b}: {lhs.coeff(a, b)} vs {rhs.coeff(a, b)}"
+        )
 
 
 def check_symmetries(table: TwoSidedTable) -> tuple[bool, bool, bool]:
@@ -391,7 +383,17 @@ def gessel_solve(p: BiPoly, n: int) -> GesselExpansion:
 
 
 def table_to_obj(table: TwoSidedTable) -> dict:
-    return {
-        "n": str(table.n),
-        "A": [[str(c) for c in row] for row in table.entries],
-    }
+    """Array n as {"n": ..., "A": [[...], ...]}, each antipodal pair rendered once.
+
+    Entry (i, j) equals entry (n + 1 - i, n + 1 - j), so the array read row
+    by row is a palindrome: only its first half goes through str() and the
+    rest mirrors it. An array that is not antipodally palindromic raises
+    ConsistencyError.
+    """
+    n = table.n
+    flat = [c for row in table.entries for c in row]
+    if flat != flat[::-1]:
+        raise ConsistencyError(f"array {n} is not palindromic")
+    half = [str(c) for c in flat[: (len(flat) + 1) // 2]]
+    text = half + half[: len(flat) // 2][::-1]
+    return {"n": str(n), "A": [text[at : at + n] for at in range(0, n * n, n)]}

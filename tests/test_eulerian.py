@@ -106,9 +106,11 @@ def test_power_sum_window_linear():
 
 
 def test_power_sum_report_wide():
-    report = verify_power_sum_series(table_from_recurrence(8).row(8), 20)
-    assert report.ok, report.detail
-    assert report.status == "pass"
+    assert verify_power_sum_series(table_from_recurrence(8).row(8), 20) is None
+    # A(5, 2) one too large: coefficient 2 picks it up first
+    with pytest.raises(ConsistencyError) as info:
+        verify_power_sum_series((1, 27, 66, 26, 1), 12)
+    assert str(info.value) == "n=5: coefficient 2 is 33, expected 32"
 
 
 def test_worpitzky_worked_value():
@@ -133,8 +135,10 @@ def test_worpitzky_rejects_corrupt_row():
 def test_polynomial_recurrence_reports():
     table = table_from_recurrence(20)
     for n in (2, 4, 20):
-        report = verify_polynomial_recurrence(table.row(n - 1), table.row(n))
-        assert report.ok, report.detail
+        assert verify_polynomial_recurrence(table.row(n - 1), table.row(n)) is None
+    with pytest.raises(ConsistencyError) as info:
+        verify_polynomial_recurrence(table.row(4), (1, 27, 66, 26, 1))
+    assert str(info.value) == "n=5: first mismatch at t^2: 27 vs 26"
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,175 @@
+"""Routes that exist to be independent share no code: no route's closure of
+package references reaches another route's entry points.
+
+The closure is read from the package source with ast. Inside a top-level
+function or class, a reference to package code is one of three kinds of
+name: a top-level function or class of the same module, a name bound by
+`from .x import y`, or `x.attr` with x a package module bound by
+`from . import x`. A name imported from another package module resolves to
+its definition there. A function passed as a value is a reference too, so a
+kernel handed to perm.histogram counts. Only verify and cli join routes, so
+no route may reach them. A getattr or vars on a package module would hide a
+reference from this reading, so it is banned everywhere in the package.
+"""
+
+import ast
+from collections import deque
+from pathlib import Path
+
+import pytest
+
+import eulerian_workbench
+
+PACKAGE = Path(eulerian_workbench.__file__).parent
+
+
+def _package_module(node: ast.ImportFrom) -> str | None:
+    """The package-relative module of a from-import ("" for the package), or None."""
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and node.module and node.module.split(".")[0] == PACKAGE.name:
+        return node.module.partition(".")[2]
+    return None
+
+
+class Package:
+    """Top-level definitions and import bindings of every package module."""
+
+    def __init__(self, root: Path):
+        self.trees: dict[str, ast.Module] = {}
+        self.defs: dict[tuple[str, str], ast.AST] = {}
+        self.imported: dict[str, dict[str, tuple[str, str]]] = {}
+        self.modules: dict[str, dict[str, str]] = {}
+        names = {path.stem for path in root.glob("*.py")}
+        for path in sorted(root.glob("*.py")):
+            module = path.stem
+            tree = self.trees[module] = ast.parse(path.read_text(), filename=str(path))
+            imported = self.imported[module] = {}
+            modules = self.modules[module] = {}
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    self.defs[module, node.name] = node
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    for alias in node.names:
+                        head, _, rest = alias.name.partition(".")
+                        if head == root.name and rest and alias.asname:
+                            modules[alias.asname] = rest
+                elif isinstance(node, ast.ImportFrom):
+                    source = _package_module(node)
+                    if source is None:
+                        continue
+                    for alias in node.names:
+                        local = alias.asname or alias.name
+                        if source == "" and alias.name in names:
+                            modules[local] = alias.name
+                        else:
+                            imported[local] = (source or "__init__", alias.name)
+
+    def resolve(self, module: str, name: str) -> tuple[str, str] | None:
+        """The definition a module-level name stands for, following imports."""
+        seen = set()
+        while (module, name) not in self.defs:
+            if (module, name) in seen or name not in self.imported.get(module, {}):
+                return None
+            seen.add((module, name))
+            module, name = self.imported[module][name]
+        return module, name
+
+    def references(self, key: tuple[str, str]) -> set[tuple[str, str]]:
+        """The package definitions one definition names."""
+        module = key[0]
+        modules = self.modules[module]
+        out = set()
+        for node in ast.walk(self.defs[key]):
+            target = None
+            if isinstance(node, ast.Name):
+                target = self.resolve(module, node.id)
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+            ):
+                target = self.resolve(modules[node.value.id], node.attr)
+            if target is not None and target != key:
+                out.add(target)
+        return out
+
+    def closure(self, entries) -> dict[tuple[str, str], tuple[str, str] | None]:
+        """Every definition reachable from entries, each with the one that reached it."""
+        parent = {entry: None for entry in entries}
+        queue = deque(entries)
+        while queue:
+            key = queue.popleft()
+            for target in self.references(key):
+                if target not in parent:
+                    parent[target] = key
+                    queue.append(target)
+        return parent
+
+
+PKG = Package(PACKAGE)
+
+ROUTES = {
+    "brute force": [
+        ("eulerian", "brute_force_rows"),
+        ("twosided", "brute_force_tables"),
+        ("hopping", "orbit_census"),
+    ],
+    "oracles": sorted(key for key in PKG.defs if key[0] == "boxes" and key[1].startswith("oracle_")),
+    "recurrences": [("eulerian", "table_from_recurrence"), ("twosided", "two_sided_from_recurrence")],
+    "gamma extraction": [("eulerian", "gamma_extract")],
+    "Gessel peel": [("twosided", "gessel_solve")],
+    "Sturm": [("exactnum", "sturm_negative_root_count")],
+}
+
+JOINERS = ("verify", "cli")
+
+
+def chain(parent, key) -> str:
+    path = []
+    while key is not None:
+        path.append(".".join(key))
+        key = parent[key]
+    return " <- ".join(path)
+
+
+def test_every_route_entry_point_is_defined():
+    assert len(ROUTES["oracles"]) == 2
+    for entries in ROUTES.values():
+        for key in entries:
+            assert key in PKG.defs, key
+
+
+def test_the_closure_follows_each_kind_of_reference():
+    # histogram by `from .perm import`, descent_kernel passed as a value,
+    # UniPoly by name in the same module, verify's calls through `from . import`
+    reached = PKG.closure([("eulerian", "brute_force_rows")])
+    assert {("perm", "histogram"), ("perm", "descent_kernel"), ("perm", "enumerate_sn")} <= set(reached)
+    assert ("exactnum", "UniPoly") in PKG.closure([("exactnum", "sturm_negative_root_count")])
+    assert ("eulerian", "table_from_recurrence") in PKG.references(("verify", "suite_eulerian"))
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_no_route_reaches_another_route_or_a_joiner(route):
+    reached = PKG.closure(ROUTES[route])
+    others = {key for name, entries in ROUTES.items() if name != route for key in entries}
+    crossings = [chain(reached, key) for key in reached if key in others or key[0] in JOINERS]
+    assert crossings == []
+
+
+def test_no_getattr_or_vars_on_a_package_module():
+    found = []
+    for module, tree in PKG.trees.items():
+        modules = PKG.modules[module]
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("getattr", "vars")
+                and node.args
+                and isinstance(node.args[0], ast.Name)
+                and node.args[0].id in modules
+            ):
+                found.append(f"{module}.py:{node.lineno}")
+    assert found == []

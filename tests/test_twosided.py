@@ -131,22 +131,29 @@ def test_polynomial_support():
     assert two_sided_brute_force(5).entries == two_sided_from_recurrence(5)[4].entries
 
 
+def bumped(table: TwoSidedTable, i: int, j: int) -> TwoSidedTable:
+    """The table with entry (i, j) one too large."""
+    entries = [list(row) for row in table.entries]
+    entries[i - 1][j - 1] += 1
+    return TwoSidedTable(table.n, tuple(map(tuple, entries)))
+
+
 def test_grid_series_small_entries():
     tables = two_sided_from_recurrence(4)
-    report = verify_grid_series(tables[0], 5)
-    assert report.ok, report.detail
+    assert verify_grid_series(tables[0], 5) is None
     # n=1 window entry (2,3) is binomial(6,1)
     assert comb(2 * 3 + 0, 1) == 6
-    report = verify_grid_series(tables[3], 5)
-    assert report.ok, report.detail
+    assert verify_grid_series(tables[3], 5) is None
     assert comb(2 * 2 + 3, 4) == 35
 
 
 def test_grid_series_window_wide():
     tables = two_sided_from_recurrence(7)
     for n in range(1, 8):
-        report = verify_grid_series(tables[n - 1], 6)
-        assert report.ok, report.detail
+        assert verify_grid_series(tables[n - 1], 6) is None
+    with pytest.raises(ConsistencyError) as info:
+        verify_grid_series(bumped(tables[5], 2, 3), 5)
+    assert str(info.value) == "n=6: entry (2,3) is 463, expected 462"
 
 
 def test_grid_worpitzky_worked_values():
@@ -176,8 +183,10 @@ def test_grid_worpitzky_rejects_corrupt_table():
 def test_bivariate_recurrence_reports():
     tables = two_sided_from_recurrence(15)
     for n in (2, 5, 15):
-        report = verify_bivariate_recurrence(tables[n - 2], tables[n - 1])
-        assert report.ok, report.detail
+        assert verify_bivariate_recurrence(tables[n - 2], tables[n - 1]) is None
+    with pytest.raises(ConsistencyError) as info:
+        verify_bivariate_recurrence(tables[4], bumped(tables[5], 2, 3))
+    assert str(info.value) == "n=6: first mismatch at s^2 t^3: 132 vs 126"
 
 
 def test_symmetries_hold_to_n_20():
@@ -319,3 +328,15 @@ def test_table_json_round_trip():
     assert obj["n"] == "4"
     assert obj["A"][1] == ["0", "10", "1", "0"]
     assert set(obj) == {"n", "A"}
+    # only half of each array is rendered; odd and even n
+    for table in two_sided_from_recurrence(9)[4:]:
+        assert table_to_obj(table)["A"] == [[str(c) for c in row] for row in table.entries]
+
+
+@pytest.mark.parametrize("cells", [[(2, 3)], [(2, 3), (3, 2)], [(3, 3)]])
+def test_table_to_obj_rejects_an_array_that_is_not_palindromic(cells):
+    table = two_sided_from_recurrence(6)[5]
+    for i, j in cells:
+        table = bumped(table, i, j)
+    with pytest.raises(ConsistencyError, match="array 6 is not palindromic"):
+        table_to_obj(table)

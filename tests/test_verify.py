@@ -1,5 +1,6 @@
 """The verify suites: each builds the tables it checks once, and a broken
-table is a failed check in a full report, never a crash."""
+table is a failed check in a full report, never a crash. A table command
+given a broken table exits 1 with nothing on stdout."""
 
 import dataclasses
 import io
@@ -132,6 +133,28 @@ def test_a_broken_table_is_reported_not_crashed(monkeypatch, corruption, suite):
     assert summary is not None, lines[-1]
     assert int(summary[2]) == CLEAN_CHECK_COUNTS[suite] == len(lines) - 1
     assert int(summary[1]) < int(summary[2])
+
+
+# gamma and gessel once exited 2 here, as if the input were bad, and
+# two-sided printed the broken array with exit 0
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize(
+    "command,corruption",
+    [
+        ("eulerian", "A(5,2)"),
+        ("eulerian", "A(4,2)"),
+        ("gamma", "A(5,2)"),
+        ("gamma", "A(4,2)"),
+        ("two-sided", "array6(2,3)"),
+        ("gessel", "array6(2,3)"),
+    ],
+)
+def test_a_table_command_on_a_broken_table_exits_one(monkeypatch, command, corruption, fmt):
+    bump, entry = CORRUPTIONS[corruption]
+    bump(monkeypatch, *entry)
+    code, out, err = run_cli(command, "--n-max", "6", "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err.startswith("verification failure: ") and err.count("\n") == 1
 
 
 def test_a_raise_fails_its_item_and_the_check_goes_on(monkeypatch):
