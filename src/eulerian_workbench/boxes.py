@@ -24,8 +24,8 @@ The oracles enumerate every placement within an explicit budget and raise
 GuardRailError past it; they exist to cross-check the closed forms, not to
 scale. They stream placements from itertools and standardize each with one
 stable sort, building no dataclass per placement and sharing no code with
-the S_n walk in perm; assignment_to_barred and grid_placement_to_permutation
-standardize single placements through the dataclasses.
+the S_n walk in perm; grid_placement_to_permutation standardizes a single
+grid placement through the dataclasses.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from math import lgamma, log, log2
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .common import check_budget
 from .exactnum import binomial
@@ -48,54 +48,6 @@ from .perm import (
 
 BARRED_CENSUS_BUDGET = 10**8
 GRID_CENSUS_BUDGET = 10**7
-
-
-@dataclass(frozen=True)
-class BoxAssignment:
-    """Labeled balls in a row of boxes: box_of[b - 1] is the box of ball b."""
-
-    n: int
-    k: int
-    box_of: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.box_of) != self.n:
-            raise ValueError("assignment must place every ball")
-        if any(not 1 <= box <= self.k for box in self.box_of):
-            raise ValueError(f"boxes must lie in 1..{self.k}")
-
-
-@dataclass(frozen=True)
-class BarredPermutation:
-    """A permutation split into consecutive blocks, one per box."""
-
-    underlying: Perm
-    box_sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        if sum(self.box_sizes) != len(self.underlying):
-            raise ValueError("block sizes must sum to the word length")
-
-    def blocks(self) -> Iterator[tuple[int, ...]]:
-        at = 0
-        for size in self.box_sizes:
-            yield self.underlying[at : at + size]
-            at += size
-
-    def shorthand(self) -> str:
-        """Bars between blocks: (1)(5,6)(2) prints as "1|56|2"."""
-        return "|".join("".join(map(str, block)) for block in self.blocks())
-
-
-def assignment_to_barred(a: BoxAssignment) -> BarredPermutation:
-    """Sort each box's contents and read the boxes left to right."""
-    word = []
-    sizes = []
-    for box in range(1, a.k + 1):
-        members = sorted(b for b in range(1, a.n + 1) if a.box_of[b - 1] == box)
-        word.extend(members)
-        sizes.append(len(members))
-    return BarredPermutation(check_permutation(word), tuple(sizes))
 
 
 def count_barred(w: Perm, k: int) -> int:
@@ -200,21 +152,6 @@ class TwoSidedBarred:
         n = len(self.underlying)
         if sum(self.column_blocks) != n or sum(self.row_blocks) != n:
             raise ValueError("blocks must sum to the word length")
-
-    def column_shorthand(self) -> str:
-        return _grouped(self.underlying, self.column_blocks)
-
-    def row_shorthand(self) -> str:
-        return _grouped(inverse(self.underlying), self.row_blocks)
-
-
-def _grouped(word: Perm, blocks: tuple[int, ...]) -> str:
-    parts = []
-    at = 0
-    for size in blocks:
-        parts.append("".join(map(str, word[at : at + size])))
-        at += size
-    return "|".join(parts)
 
 
 def cut_positions(blocks: tuple[int, ...]) -> set[int]:

@@ -29,9 +29,11 @@ writing a list of digit strings with one join.
 The tables behind eulerian, two-sided, gamma and gessel come from one
 provider, _tables, behind one work budget shared with series (WORK_BUDGET).
 Unless --source brute is given, one recurrence run up to the largest n
-builds the tables. Each entry is rendered to decimal text at most once per
-invocation, and only the first half of a palindromic row at all; that text
-feeds every output format.
+builds the tables. Before any output, _tables checks their exact sums:
+every row sums to n!, and every array totals n! with both marginals equal
+to row n of the one-sided recurrence. Each entry is rendered to decimal
+text at most once per invocation, and only the first half of a palindromic
+row at all; that text feeds every output format.
 
 Tables are always recomputed: nothing is cached. --cache DIR and
 $EULERIAN_WORKBENCH_CACHE are still accepted, so older invocations keep
@@ -167,8 +169,11 @@ def _tables(args, kind: str) -> list[Table]:
     """Tables of kind "eulerian" or "twosided" for the requested ns.
 
     Brute force counts --shards blocks, else one. Otherwise one recurrence
-    run up to the largest n gives every table. A cache, if named, is noted
-    as ignored and never touched.
+    run up to the largest n gives every table. Whatever the source, each
+    row must sum to n!, and each array must total n! with both marginals
+    equal to row n of the one-sided recurrence, or ConsistencyError is
+    raised before anything is printed. A cache, if named, is noted as
+    ignored and never touched.
     """
     if args.cache or os.environ.get(CACHE_ENV):
         print(f"warning: --cache and ${CACHE_ENV} are ignored; tables are always recomputed",
@@ -181,12 +186,20 @@ def _tables(args, kind: str) -> list[Table]:
             else twosided.brute_force_tables
         )
         found = brute(ns, shards=args.shards or 1, force=args.force)
-        return [Table(kind, n, found[n]) for n in ns]
-    if kind == "eulerian":
-        computed = eulerian.table_from_recurrence(ns[-1]).rows
     else:
-        computed = twosided.two_sided_from_recurrence(ns[-1])
-    return [Table(kind, n, computed[n - 1]) for n in ns]
+        computed = (
+            eulerian.table_from_recurrence(ns[-1]).rows if kind == "eulerian"
+            else twosided.two_sided_from_recurrence(ns[-1])
+        )
+        found = {n: computed[n - 1] for n in ns}
+    if kind == "eulerian":
+        for n in ns:
+            eulerian.check_row_sum(n, found[n])
+    else:
+        triangle = eulerian.table_from_recurrence(ns[-1])
+        for n in ns:
+            twosided.check_array_sums(found[n], triangle.row(n))
+    return [Table(kind, n, found[n]) for n in ns]
 
 
 # bench/spans.py binds these two names; no command calls them.

@@ -25,15 +25,17 @@ integers and demands a zero residual.
 
 from __future__ import annotations
 
-# bench/spans.py swaps its process-counting pool in under this name, so it
-# stays bound here, though no code here starts a pool.
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
+from math import factorial
 
 from .common import ConsistencyError
 from .exactnum import UniPoly, binomial, geometric_power_window, series_product
 # bench/test_bench.py reads eulerian.enumerate_sn, so the name stays bound here.
 from .perm import descent_kernel, enumerate_sn, histogram  # noqa: F401
+
+# bench/spans.py swaps its process-counting pool in under this name and puts
+# it back afterwards; no code here starts a pool.
+ProcessPoolExecutor = None
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,12 @@ def table_from_recurrence(n_max: int) -> EulerianTable:
             )
         )
     return EulerianTable(n_max, tuple(rows))
+
+
+def check_row_sum(n: int, row: tuple[int, ...]) -> None:
+    """Raise ConsistencyError unless row n of the triangle sums to n!."""
+    if sum(row) != factorial(n):
+        raise ConsistencyError(f"row {n} does not sum to {n}!")
 
 
 def polynomial_from_row(row: tuple[int, ...]) -> UniPoly:

@@ -7,8 +7,9 @@ are positive integers, so signs survive and no rational is ever formed. One
 such sequence of (q, q') gives both the distinct-root count and whether q is
 squarefree. It is never divided by gcd(q, q'): the gcd has no root at 0 or
 near -inf, so the count is the same. The one routine on fractions.Fraction
-values is solve_exact_linear, which no module of the package calls. No
-floating point appears anywhere.
+values is solve_exact_linear, which no module of the package calls; the
+module names Fraction only in its annotation and never imports fractions at
+run time. No floating point appears anywhere.
 
 Polynomials come in two shapes:
 
@@ -33,11 +34,14 @@ overflowing native integer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, gcd
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .common import ConsistencyError
+
+if TYPE_CHECKING:  # an annotation alone names Fraction; importing it costs every start
+    from fractions import Fraction
+
 
 def binomial(m: int, r: int) -> int:
     """Binomial coefficient, 0 whenever the arguments fall out of range.

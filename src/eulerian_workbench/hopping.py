@@ -142,7 +142,6 @@ class Orbit:
 
     representative: Perm  # lexicographically least member
     peak_count: int
-    free_letters: frozenset[int]
     size: int
     members: tuple[Perm, ...]  # sorted
 
@@ -170,7 +169,6 @@ def orbit_of(w: Perm) -> Orbit:
     return Orbit(
         representative=ordered[0],
         peak_count=len(peak_values(w)),
-        free_letters=frozenset(free),
         size=len(ordered),
         members=ordered,
     )

@@ -33,10 +33,8 @@ Gessel's conjecture, proved by Z. Lin (Electron. J. Combin. 23, 2016).
 
 from __future__ import annotations
 
-# bench/spans.py swaps its process-counting pool in under this name, so it
-# stays bound here, though no code here starts a pool.
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
+from math import factorial
 
 from .common import ConsistencyError
 from .exactnum import (
@@ -46,6 +44,10 @@ from .exactnum import (
     series_product_bivariate,
 )
 from .perm import histogram, pair_kernel
+
+# bench/spans.py swaps its process-counting pool in under this name and puts
+# it back afterwards; no code here starts a pool.
+ProcessPoolExecutor = None
 
 
 @dataclass(frozen=True)
@@ -142,6 +144,17 @@ def _two_sided_step(
             row.append(q)
         grid.append(tuple(row))
     return tuple(grid)
+
+
+def check_array_sums(table: TwoSidedTable, row: tuple[int, ...]) -> None:
+    """Raise ConsistencyError unless array n totals n! and both of its
+    marginals equal row, which the caller passes in as row n of the
+    one-sided triangle."""
+    n = table.n
+    if table.total() != factorial(n):
+        raise ConsistencyError(f"array {n} does not total {n}!")
+    if table.row_marginal() != row or table.column_marginal() != row:
+        raise ConsistencyError(f"the marginals of array {n} are not row {n} of the triangle")
 
 
 def polynomial_from_table(table: TwoSidedTable) -> BiPoly:
@@ -265,9 +278,8 @@ class MonotonicityViolation:
 
     i: int
     j: int
-    step: str  # "raise-i" (i+1, j) or "lower-j" (i, j-1)
     value: int
-    toward_value: int
+    toward_value: int  # entry (i + 1, j) or (i, j - 1)
 
 
 def diagonal_monotonicity_probe(table: TwoSidedTable) -> list[MonotonicityViolation]:
@@ -285,10 +297,10 @@ def diagonal_monotonicity_probe(table: TwoSidedTable) -> list[MonotonicityViolat
             value = table.entry(i, j)
             up = table.entry(i + 1, j)
             if up < value:
-                out.append(MonotonicityViolation(i, j, "raise-i", value, up))
+                out.append(MonotonicityViolation(i, j, value, up))
             down = table.entry(i, j - 1)
             if down < value:
-                out.append(MonotonicityViolation(i, j, "lower-j", value, down))
+                out.append(MonotonicityViolation(i, j, value, down))
     return out
 
 

@@ -1,18 +1,23 @@
-"""Balls-in-boxes oracles against the closed-form counts."""
+"""Balls-in-boxes oracles against the closed-form counts.
+
+The labeled-ball bijection of the paper's worked figure (BoxAssignment,
+BarredPermutation, assignment_to_barred) and the shorthand readings of a
+two-sided barred word live here, not in the package: they standardize one
+placement at a time, the reference the streaming oracles are compared with.
+"""
 
 import itertools
 import time
 from collections import Counter
+from collections.abc import Iterator
+from dataclasses import dataclass
 from math import comb
 
 import pytest
 
 from eulerian_workbench.boxes import (
-    BarredPermutation,
-    BoxAssignment,
     GridPlacement,
     TwoSidedBarred,
-    assignment_to_barred,
     count_barred,
     count_two_sided,
     cut_positions,
@@ -22,11 +27,78 @@ from eulerian_workbench.boxes import (
 )
 from eulerian_workbench.common import GuardRailError
 from eulerian_workbench.perm import (
+    Perm,
+    check_permutation,
     descent_count,
     format_permutation,
     inverse,
     inverse_descent_count,
 )
+
+
+@dataclass(frozen=True)
+class BoxAssignment:
+    """Labeled balls in a row of boxes: box_of[b - 1] is the box of ball b."""
+
+    n: int
+    k: int
+    box_of: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.box_of) != self.n:
+            raise ValueError("assignment must place every ball")
+        if any(not 1 <= box <= self.k for box in self.box_of):
+            raise ValueError(f"boxes must lie in 1..{self.k}")
+
+
+@dataclass(frozen=True)
+class BarredPermutation:
+    """A permutation split into consecutive blocks, one per box."""
+
+    underlying: Perm
+    box_sizes: tuple[int, ...]
+
+    def __post_init__(self):
+        if sum(self.box_sizes) != len(self.underlying):
+            raise ValueError("block sizes must sum to the word length")
+
+    def blocks(self) -> Iterator[tuple[int, ...]]:
+        at = 0
+        for size in self.box_sizes:
+            yield self.underlying[at : at + size]
+            at += size
+
+    def shorthand(self) -> str:
+        """Bars between blocks: (1)(5,6)(2) prints as "1|56|2"."""
+        return "|".join("".join(map(str, block)) for block in self.blocks())
+
+
+def assignment_to_barred(a: BoxAssignment) -> BarredPermutation:
+    """Sort each box's contents and read the boxes left to right."""
+    word = []
+    sizes = []
+    for box in range(1, a.k + 1):
+        members = sorted(b for b in range(1, a.n + 1) if a.box_of[b - 1] == box)
+        word.extend(members)
+        sizes.append(len(members))
+    return BarredPermutation(check_permutation(word), tuple(sizes))
+
+
+def _grouped(word: Perm, blocks: tuple[int, ...]) -> str:
+    parts = []
+    at = 0
+    for size in blocks:
+        parts.append("".join(map(str, word[at : at + size])))
+        at += size
+    return "|".join(parts)
+
+
+def column_shorthand(barred: TwoSidedBarred) -> str:
+    return _grouped(barred.underlying, barred.column_blocks)
+
+
+def row_shorthand(barred: TwoSidedBarred) -> str:
+    return _grouped(inverse(barred.underlying), barred.row_blocks)
 
 # the worked 9-box example: balls 5,6 in box 3, ball 2 in box 4, balls 1,4
 # in box 6, ball 3 in box 9; box_of is indexed by ball
@@ -47,8 +119,8 @@ def test_worked_assignment_inverse_side_reading():
         column_blocks=(0, 0, 2, 1, 0, 2, 0, 0, 1),
         row_blocks=(0, 1, 1, 0, 1, 1, 2, 0),
     )
-    assert barred.column_shorthand() == "||56|2||14|||3"
-    assert barred.row_shorthand() == "|4|3||6|5|12|"
+    assert column_shorthand(barred) == "||56|2||14|||3"
+    assert row_shorthand(barred) == "|4|3||6|5|12|"
 
 
 def test_single_box_standardizes_to_identity():
@@ -149,8 +221,8 @@ def test_worked_grid_standardizes():
     g = GridPlacement.from_triples(WORKED_CELLS, columns=5, rows=4)
     barred = grid_placement_to_permutation(g)
     assert barred.underlying == (1, 7, 2, 3, 4, 6, 5)
-    assert barred.column_shorthand() == "17|2|346||5"
-    assert barred.row_shorthand() == "13457||6|2"
+    assert column_shorthand(barred) == "17|2|346||5"
+    assert row_shorthand(barred) == "13457||6|2"
 
 
 def test_grid_single_cell_reads_diagonally():

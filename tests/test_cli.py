@@ -640,20 +640,26 @@ def test_unwritable_cache_path_warns_once_and_prints_as_uncached(tmp_path, under
 
 @pytest.mark.parametrize("command", ["eulerian", "gamma", "two-sided", "gessel"])
 def test_table_command_runs_one_recurrence_cold_or_warm(tmp_path, monkeypatch, command):
+    # one run of the command's recurrence up to the largest n; an array
+    # command also runs the one-sided recurrence once, for the rows its
+    # marginals are checked against
     calls = []
     for module, name in ((eulerian, "table_from_recurrence"), (twosided, "two_sided_from_recurrence")):
-        def counted(n_max, build=getattr(module, name)):
-            calls.append(n_max)
+        def counted(n_max, build=getattr(module, name), name=name):
+            calls.append((name, n_max))
             return build(n_max)
 
         monkeypatch.setattr(module, name, counted)
     argv = (command, "--n-max", "6")
+    expected = [("table_from_recurrence", 6)]
+    if command in ("two-sided", "gessel"):
+        expected.insert(0, ("two_sided_from_recurrence", 6))
     for cache in ((), ("--cache", str(tmp_path)), ("--cache", str(tmp_path))):
         calls.clear()
         code, _, err = run_cli(*argv, *cache)
         assert code == 0
         assert one_cache_notice(err) if cache else err == ""
-        assert calls == [6]
+        assert calls == expected
 
 
 # ---------------------------------------------------------------------------

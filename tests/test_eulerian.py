@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from eulerian_workbench.common import ConsistencyError, GuardRailError
 from eulerian_workbench.eulerian import (
+    check_row_sum,
     eulerian_polynomial,
     gamma_extract,
     check_unimodality,
@@ -225,3 +226,11 @@ def test_row_json_round_trip():
 def test_row_to_obj_rejects_a_row_that_is_not_palindromic():
     with pytest.raises(ConsistencyError, match="not palindromic"):
         row_to_obj(4, (1, 11, 12, 1))
+
+
+def test_check_row_sum_passes_rows_and_names_a_row_that_is_off():
+    for n, row in enumerate(table_from_recurrence(30).rows, start=1):
+        check_row_sum(n, row)
+    # still palindromic, but the sum is 122
+    with pytest.raises(ConsistencyError, match=r"^row 5 does not sum to 5!$"):
+        check_row_sum(5, (1, 27, 66, 27, 1))

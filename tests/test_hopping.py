@@ -260,7 +260,7 @@ def test_orbit_members_share_invariants():
             free_sets = {frozenset(free_values(u)) for u in orbit.members}
             assert len(peak_sets) == 1
             assert len(valley_sets) == 1
-            assert free_sets == {orbit.free_letters}
+            assert free_sets == {frozenset(free_values(w))}
 
 
 def test_orbit_polynomials_sum_to_full_distributions():

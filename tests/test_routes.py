@@ -1,10 +1,12 @@
 """Routes that exist to be independent share no code: no route's closure of
-package references reaches another route's entry points.
+package references reaches another route's entry points. And the package
+holds only what runs: every definition is reached from a command or the
+public API.
 
-The closure is read from the package source with ast. Inside a top-level
-function or class, a reference to package code is one of three kinds of
-name: a top-level function or class of the same module, a name bound by
-`from .x import y`, or `x.attr` with x a package module bound by
+The closure is read from the package source with ast. A definition is a
+top-level function, class or assignment. Inside one, a reference to package
+code is one of three kinds of name: a definition of the same module, a name
+bound by `from .x import y`, or `x.attr` with x a package module bound by
 `from . import x`. A name imported from another package module resolves to
 its definition there. A function passed as a value is a reference too, so a
 kernel handed to perm.histogram counts. Only verify and cli join routes, so
@@ -13,6 +15,9 @@ reference from this reading, so it is banned everywhere in the package.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import deque
 from pathlib import Path
 
@@ -49,6 +54,12 @@ class Package:
             for node in tree.body:
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                     self.defs[module, node.name] = node
+                elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    for target in targets:
+                        for name in ast.walk(target):
+                            if isinstance(name, ast.Name):
+                                self.defs[module, name.id] = node
             for node in ast.walk(tree):
                 if isinstance(node, ast.Import):
                     for alias in node.names:
@@ -121,6 +132,7 @@ ROUTES = {
     "gamma extraction": [("eulerian", "gamma_extract")],
     "Gessel peel": [("twosided", "gessel_solve")],
     "Sturm": [("exactnum", "sturm_negative_root_count")],
+    "exact sums": [("eulerian", "check_row_sum"), ("twosided", "check_array_sums")],
 }
 
 JOINERS = ("verify", "cli")
@@ -148,6 +160,9 @@ def test_the_closure_follows_each_kind_of_reference():
     assert {("perm", "histogram"), ("perm", "descent_kernel"), ("perm", "enumerate_sn")} <= set(reached)
     assert ("exactnum", "UniPoly") in PKG.closure([("exactnum", "sturm_negative_root_count")])
     assert ("eulerian", "table_from_recurrence") in PKG.references(("verify", "suite_eulerian"))
+    # module-level assignments: a constant by attribute, a dict of functions by name
+    assert ("verify", "SUITE_ORDER") in PKG.references(("cli", "build_parser"))
+    assert ("verify", "suite_gessel") in PKG.references(("verify", "SUITES"))
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
@@ -173,3 +188,41 @@ def test_no_getattr_or_vars_on_a_package_module():
             ):
                 found.append(f"{module}.py:{node.lineno}")
     assert found == []
+
+
+# The entries: what a command runs and what the package exports.
+ENTRIES = [("cli", "main"), ("cli", "run"), ("__init__", "__all__")] + [
+    PKG.resolve("__init__", name) for name in eulerian_workbench.__all__
+]
+
+# Definitions no entry reaches, each bound only for the benchmark harness,
+# which looks them up by name; they go when the harness stops binding them.
+BENCH_ONLY = {
+    ("cli", "cache_load"): "bench/spans.py wraps it to count cache reads; no command calls it",
+    ("cli", "cache_store"): "bench/spans.py wraps it to count cache writes; no command calls it",
+    ("exactnum", "solve_exact_linear"): "bench/spans.py wraps it to count Gessel unknowns",
+    ("eulerian", "ProcessPoolExecutor"): "bench/spans.py swaps its process-counting pool in here",
+    ("twosided", "ProcessPoolExecutor"): "bench/spans.py swaps its process-counting pool in here",
+}
+
+
+def test_every_definition_is_reached_from_a_command_or_the_public_api():
+    assert None not in ENTRIES
+    reached = PKG.closure(ENTRIES)
+    unreached = [".".join(key) for key in sorted(PKG.defs) if key not in reached]
+    assert unreached == sorted(".".join(key) for key in BENCH_ONLY)
+
+
+def test_importing_the_cli_loads_no_pool_and_no_rational_arithmetic():
+    # a fresh interpreter: what importing the CLI adds to sys.modules
+    code = (
+        "import sys; before = set(sys.modules); import eulerian_workbench.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "eulerian_workbench.cli" in loaded
+    banned = ("concurrent.futures", "multiprocessing", "fractions", "decimal")
+    assert [m for m in loaded if any(m == b or m.startswith(b + ".") for b in banned)] == []

@@ -12,6 +12,7 @@ from eulerian_workbench.exactnum import BiPoly
 from eulerian_workbench.twosided import (
     TwoSidedTable,
     _two_sided_step,
+    check_array_sums,
     check_symmetries,
     diagonal_monotonicity_probe,
     gessel_basis_element,
@@ -213,14 +214,15 @@ def test_probe_quiet_through_n_7():
 
 def test_probe_first_violations_at_n_8():
     table = two_sided_from_recurrence(8)[7]
-    found = {
-        (v.i, v.j, v.step, v.value, v.toward_value)
-        for v in diagonal_monotonicity_probe(table)
-    }
+    violations = diagonal_monotonicity_probe(table)
+    found = {(v.i, v.j, v.value, v.toward_value) for v in violations}
     assert found == {
-        (2, 3, "lower-j", 126, 84),
-        (3, 4, "lower-j", 1980, 1773),
+        (2, 3, 126, 84),
+        (3, 4, 1980, 1773),
     }
+    # both are steps that lower j, not steps that raise i
+    for v in violations:
+        assert v.toward_value == table.entry(v.i, v.j - 1) != table.entry(v.i + 1, v.j)
 
 
 # ---------------------------------------------------------------------------
@@ -340,3 +342,26 @@ def test_table_to_obj_rejects_an_array_that_is_not_palindromic(cells):
         table = bumped(table, i, j)
     with pytest.raises(ConsistencyError, match="array 6 is not palindromic"):
         table_to_obj(table)
+
+
+def shifted(table, *changes):
+    """The array with entry (i, j) moved by delta, for each (i, j, delta)."""
+    entries = [list(row) for row in table.entries]
+    for i, j, delta in changes:
+        entries[i - 1][j - 1] += delta
+    return TwoSidedTable(table.n, tuple(map(tuple, entries)))
+
+
+def test_check_array_sums_passes_arrays_and_names_an_array_that_is_off():
+    rows = table_from_recurrence(20).rows
+    for table in two_sided_from_recurrence(20):
+        check_array_sums(table, rows[table.n - 1])
+    array6 = two_sided_from_recurrence(6)[5]
+    # keeps every symmetry, but totals 724
+    symmetric = shifted(array6, (2, 3, 1), (3, 2, 1), (5, 4, 1), (4, 5, 1))
+    with pytest.raises(ConsistencyError, match=r"^array 6 does not total 6!$"):
+        check_array_sums(symmetric, rows[5])
+    # keeps the total and the row marginal, but moves the column marginal
+    moved = shifted(array6, (2, 3, 1), (2, 4, -1))
+    with pytest.raises(ConsistencyError, match=r"^the marginals of array 6 are not row 6 of the triangle$"):
+        check_array_sums(moved, rows[5])

@@ -74,27 +74,31 @@ def run_cli(*argv):
 CLEAN_CHECK_COUNTS = {"eulerian": 9, "twosided": 7, "boxes": 5, "hopping": 6, "gessel": 1, "all": 28}
 
 
-def bump_triangle(monkeypatch, n, i):
-    """Every triangle the recurrence builds has A(n, i) one too large."""
+def bump_triangle(monkeypatch, n, *cells):
+    """Every triangle the recurrence builds has A(n, i) one too large, for
+    each i in cells."""
     build = eulerian.table_from_recurrence
 
     def corrupted(n_max):
         table = build(n_max)
         rows = [list(row) for row in table.rows]
-        rows[n - 1][i - 1] += 1
+        for i in cells:
+            rows[n - 1][i - 1] += 1
         return dataclasses.replace(table, rows=tuple(map(tuple, rows)))
 
     monkeypatch.setattr(eulerian, "table_from_recurrence", corrupted)
 
 
-def bump_array(monkeypatch, n, i, j):
-    """Every array n the recurrence builds has entry (i, j) one too large."""
+def bump_array(monkeypatch, n, *cells):
+    """Every array n the recurrence builds has entry (i, j) one too large,
+    for each (i, j) in cells."""
     build = twosided.two_sided_from_recurrence
 
     def corrupted(n_max):
         tables = build(n_max)
         entries = [list(row) for row in tables[n - 1].entries]
-        entries[i - 1][j - 1] += 1
+        for i, j in cells:
+            entries[i - 1][j - 1] += 1
         tables[n - 1] = dataclasses.replace(tables[n - 1], entries=tuple(map(tuple, entries)))
         return tables
 
@@ -104,7 +108,11 @@ def bump_array(monkeypatch, n, i, j):
 CORRUPTIONS = {
     "A(5,2)": (bump_triangle, (5, 2)),
     "A(4,2)": (bump_triangle, (4, 2)),
-    "array6(2,3)": (bump_array, (6, 2, 3)),
+    "array6(2,3)": (bump_array, (6, (2, 3))),
+    # these two keep every symmetry: of a table command's checks, only the
+    # exact sums catch them
+    "A(5,2)A(5,4)": (bump_triangle, (5, 2, 4)),
+    "array6(2,3)(3,2)(5,4)(4,5)": (bump_array, (6, (2, 3), (3, 2), (5, 4), (4, 5))),
 }
 
 
@@ -136,7 +144,9 @@ def test_a_broken_table_is_reported_not_crashed(monkeypatch, corruption, suite):
 
 
 # gamma and gessel once exited 2 here, as if the input were bad, and
-# two-sided printed the broken array with exit 0
+# two-sided printed the broken array with exit 0; the symmetric corruptions
+# once printed with exit 0 from every table command they reach (an array's
+# marginals are checked against the one-sided rows)
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 @pytest.mark.parametrize(
     "command,corruption",
@@ -147,6 +157,12 @@ def test_a_broken_table_is_reported_not_crashed(monkeypatch, corruption, suite):
         ("gamma", "A(4,2)"),
         ("two-sided", "array6(2,3)"),
         ("gessel", "array6(2,3)"),
+        ("eulerian", "A(5,2)A(5,4)"),
+        ("gamma", "A(5,2)A(5,4)"),
+        ("two-sided", "A(5,2)A(5,4)"),
+        ("gessel", "A(5,2)A(5,4)"),
+        ("two-sided", "array6(2,3)(3,2)(5,4)(4,5)"),
+        ("gessel", "array6(2,3)(3,2)(5,4)(4,5)"),
     ],
 )
 def test_a_table_command_on_a_broken_table_exits_one(monkeypatch, command, corruption, fmt):
@@ -176,3 +192,17 @@ def test_a_guard_rail_inside_a_check_still_exits_three(monkeypatch):
     code, out, err = run_cli("verify", "--suite", "hopping")
     assert (code, out) == (3, "")
     assert err == "error: orbit census refused\n"
+
+
+def test_brute_force_checks_run_up_to_the_guard():
+    # the three walks over S_n stop at perm.BRUTE_FORCE_GUARD, not below it
+    code, out, _ = run_cli("verify", "--suite", "all", "--n-max", "11")
+    assert code == 0
+    lines = out.splitlines()
+    for check in (
+        "brute force and recurrence rows agree",
+        "brute force and recurrence arrays agree",
+        "orbit census by peak count equals the gamma vector",
+    ):
+        assert f"[PASS] {check} for n <= 11" in lines
+    assert lines[-1] == "suite all: 28/28 checks passed"
