@@ -29,11 +29,15 @@ writing a list of digit strings with one join.
 The tables behind eulerian, two-sided, gamma and gessel come from one
 provider, _tables, behind one work budget shared with series (WORK_BUDGET).
 Unless --source brute is given, one recurrence run up to the largest n
-builds the tables. Before any output, _tables checks their exact sums:
-every row sums to n!, and every array totals n! with both marginals equal
-to row n of the one-sided recurrence. Each entry is rendered to decimal
-text at most once per invocation, and only the first half of a palindromic
-row at all; that text feeds every output format.
+builds the tables. Before any output, _tables checks them on their ints:
+every row sums to n! and is palindromic, and every array totals n!, has
+both marginals equal to row n of the one-sided recurrence and equals its
+antipodal image. gamma and gessel build every expansion before any output
+too, so a failed check leaves stdout empty. A command then holds the int
+tables and the text of one table at a time: it renders a table's entries
+to decimal as it writes them, once each and only the first half of a
+palindromic row or array at all. The triangle's one column width is read
+off the ints.
 
 Tables are always recomputed: nothing is cached. --cache DIR and
 $EULERIAN_WORKBENCH_CACHE are still accepted, so older invocations keep
@@ -46,13 +50,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import json
 import operator
 import os
 import sys
 import time
-from functools import cached_property
 from json.encoder import encode_basestring_ascii
 
 from . import eulerian, hopping, twosided, verify
@@ -90,36 +92,6 @@ EXIT_GUARD = 3
 
 # ---------------------------------------------------------------------------
 # tables
-
-
-class Table:
-    """One n of a table kind ("eulerian" or "twosided"): integers and text.
-
-    value is the Eulerian row (a tuple of ints) or the TwoSidedTable; obj is
-    the JSON object {"n": ..., "A": ...} whose "A" holds the same entries as
-    decimal strings, rendered on first use, once, for every output format.
-    """
-
-    def __init__(self, kind: str, n: int, value):
-        self.kind = kind
-        self.n = n
-        self.value = value
-
-    @cached_property
-    def obj(self) -> dict:
-        if self.kind == "twosided":
-            return twosided.table_to_obj(self.value)
-        return eulerian.row_to_obj(self.n, self.value)
-
-    @property
-    def text(self) -> list:
-        return self.obj["A"]
-
-    def width(self) -> int:
-        """Digits of the widest entry."""
-        if self.kind == "twosided":
-            return max(len(c) for row in self.text for c in row)
-        return max(map(len, self.text))
 
 
 def _check_table_budget(command: str, ns: range, force: bool) -> None:
@@ -165,15 +137,17 @@ def _check_printable(command: str, n: int, step) -> None:
             )
 
 
-def _tables(args, kind: str) -> list[Table]:
-    """Tables of kind "eulerian" or "twosided" for the requested ns.
+def _tables(args, kind: str) -> dict:
+    """n -> the Eulerian row ("eulerian") or the TwoSidedTable ("twosided"),
+    for the requested ns in ascending order.
 
     Brute force counts --shards blocks, else one. Otherwise one recurrence
     run up to the largest n gives every table. Whatever the source, each
-    row must sum to n!, and each array must total n! with both marginals
-    equal to row n of the one-sided recurrence, or ConsistencyError is
-    raised before anything is printed. A cache, if named, is noted as
-    ignored and never touched.
+    row must sum to n! and be palindromic, and each array must total n!,
+    have both marginals equal to row n of the one-sided recurrence and
+    equal its antipodal image, or ConsistencyError is raised before
+    anything is printed. A cache, if named, is noted as ignored and never
+    touched.
     """
     if args.cache or os.environ.get(CACHE_ENV):
         print(f"warning: --cache and ${CACHE_ENV} are ignored; tables are always recomputed",
@@ -195,11 +169,13 @@ def _tables(args, kind: str) -> list[Table]:
     if kind == "eulerian":
         for n in ns:
             eulerian.check_row_sum(n, found[n])
+            eulerian.check_row_symmetry(n, found[n])
     else:
         triangle = eulerian.table_from_recurrence(ns[-1])
         for n in ns:
             twosided.check_array_sums(found[n], triangle.row(n))
-    return [Table(kind, n, found[n]) for n in ns]
+            twosided.check_array_symmetry(found[n])
+    return found
 
 
 # bench/spans.py binds these two names; no command calls them.
@@ -264,15 +240,35 @@ def _emit_json(payload) -> None:
     print(_json_text(payload))
 
 
-def _emit_csv(rows: list[list[str]]) -> None:
-    """Write rows exactly as csv.writer(lineterminator="\n") would.
+def _emit_json_each(ns: list[int], to_obj) -> None:
+    """Write the payload of a table command, to_obj(n) for each n: the one
+    object alone when there is one n, else the list of them.
+
+    Byte for byte what _emit_json writes, but a list goes out one object at
+    a time, each rendered only as it is written.
+    """
+    if len(ns) == 1:
+        _emit_json(to_obj(ns[0]))
+        return
+    write = sys.stdout.write
+    write("[\n  ")
+    for at, n in enumerate(ns):
+        if at:
+            write(",\n  ")
+        write(_json_text(to_obj(n), 1))
+    write("\n]\n")
+
+
+def _emit_csv(rows) -> None:
+    """Write rows, lists of strings, exactly as csv.writer(lineterminator="\n")
+    would, a row at a time, so rows may be a generator.
 
     A row is joined directly unless a field holds a delimiter, a quote or a
     line break, or the row is one empty field; only those rows go through
     csv.writer.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    out = sys.stdout
+    writer = csv.writer(out, lineterminator="\n")
     for row in rows:
         line = ",".join(row)
         if (
@@ -284,32 +280,21 @@ def _emit_csv(rows: list[list[str]]) -> None:
         ):
             writer.writerow(row)
         else:
-            buf.write(line)
-            buf.write("\n")
-    sys.stdout.write(buf.getvalue())
+            out.write(line)
+            out.write("\n")
 
 
 def _aligned(label: str, cells, width: int) -> str:
     return "  ".join([label.ljust(width)] + [c.rjust(width) for c in cells]).rstrip()
 
 
-def _print_triangle(rows: list[Table], corner: str) -> None:
-    """Print the rows right-aligned in one width, a line at a time."""
-    n_top = max(t.n for t in rows)
-    width = max(max(t.width() for t in rows), len(corner), len(str(n_top)))
-    print(_aligned(corner, [str(i) for i in range(1, n_top + 1)], width))
-    for t in rows:
-        print(_aligned(str(t.n), t.text, width))
-
-
-def _square_text(table: Table) -> str:
+def _square_text(table: twosided.TwoSidedTable) -> str:
     n = table.n
-    width = max(table.width(), len("i\\j"), len(str(n)))
+    text = twosided.table_text(table)
+    width = max(max(len(c) for row in text for c in row), len("i\\j"), len(str(n)))
     header = [str(j) for j in range(1, n + 1)]
     lines = [f"n={n}", _aligned("i\\j", header, width)]
-    lines.extend(
-        _aligned(str(i), row, width) for i, row in enumerate(table.text, start=1)
-    )
+    lines.extend(_aligned(str(i), row, width) for i, row in enumerate(text, start=1))
     return "\n".join(lines)
 
 
@@ -363,98 +348,108 @@ def _cmd_stats(args) -> int:
 
 def _cmd_eulerian(args) -> int:
     rows = _tables(args, "eulerian")
+    n_top = max(rows)
     if args.format == "json":
-        _emit_json(_single_or_list([t.obj for t in rows]))
+        _emit_json_each(list(rows), lambda n: eulerian.row_to_obj(n, rows[n]))
     elif args.format == "csv":
-        n_top = max(t.n for t in rows)
-        out = [["n\\i"] + [str(i) for i in range(1, n_top + 1)]]
-        for t in rows:
-            out.append([str(t.n)] + t.text + [""] * (n_top - t.n))
-        _emit_csv(out)
+        _emit_csv([["n\\i"] + [str(i) for i in range(1, n_top + 1)]])
+        _emit_csv(
+            [str(n)] + eulerian.row_text(row) + [""] * (n_top - n)
+            for n, row in rows.items()
+        )
     else:
-        _print_triangle(rows, "n\\i")
+        widest = max(map(max, rows.values()))
+        width = max(len(str(widest)), len("n\\i"), len(str(n_top)))
+        print(_aligned("n\\i", [str(i) for i in range(1, n_top + 1)], width))
+        for n, row in rows.items():
+            print(_aligned(str(n), eulerian.row_text(row), width))
     return EXIT_OK
 
 
 def _cmd_two_sided(args) -> int:
     tables = _tables(args, "twosided")
     if args.format == "json":
-        _emit_json(_single_or_list([t.obj for t in tables]))
+        _emit_json_each(list(tables), lambda n: twosided.table_to_obj(tables[n]))
     elif args.format == "csv":
-        out: list[list[str]] = []
-        for at, t in enumerate(tables):
-            if at:
-                out.append([])
-            out.append([f"n={t.n}"])
-            out.append(["i\\j"] + [str(j) for j in range(1, t.n + 1)])
-            for i, row in enumerate(t.text, start=1):
-                out.append([str(i)] + row)
-        _emit_csv(out)
+
+        def lines():
+            for at, (n, table) in enumerate(tables.items()):
+                if at:
+                    yield []
+                yield [f"n={n}"]
+                yield ["i\\j"] + [str(j) for j in range(1, n + 1)]
+                for i, row in enumerate(twosided.table_text(table), start=1):
+                    yield [str(i)] + row
+
+        _emit_csv(lines())
     else:
-        print("\n\n".join(_square_text(t) for t in tables))
+        for at, table in enumerate(tables.values()):
+            if at:
+                print()
+            print(_square_text(table))
     return EXIT_OK
 
 
 def _cmd_gamma(args) -> int:
     rows = _tables(args, "eulerian")
-    enriched = [
-        (t, eulerian.gamma_extract(eulerian.polynomial_from_row(t.value), t.n).gammas)
-        for t in rows
-    ]
+    gammas = {
+        n: eulerian.gamma_extract(eulerian.polynomial_from_row(row), n).gammas
+        for n, row in rows.items()
+    }
     if args.format == "json":
-        _emit_json(
-            _single_or_list(
-                [{**t.obj, "gamma": [str(g) for g in gamma]} for t, gamma in enriched]
-            )
+        _emit_json_each(
+            list(rows),
+            lambda n: {
+                **eulerian.row_to_obj(n, rows[n]),
+                "gamma": [str(g) for g in gammas[n]],
+            },
         )
     elif args.format == "csv":
-        top = max((len(g) for _, g in enriched), default=0)
-        out = [["n\\i"] + [str(i) for i in range(1, top + 1)]]
-        for t, gamma in enriched:
-            out.append([str(t.n)] + [str(g) for g in gamma] + [""] * (top - len(gamma)))
-        _emit_csv(out)
+        top = max(map(len, gammas.values()))
+        _emit_csv([["n\\i"] + [str(i) for i in range(1, top + 1)]])
+        _emit_csv(
+            [str(n)] + [str(g) for g in gamma] + [""] * (top - len(gamma))
+            for n, gamma in gammas.items()
+        )
     else:
-        for t, gamma in enriched:
+        for n, gamma in gammas.items():
             body = ", ".join(str(g) for g in gamma)
-            print(f"n={t.n}: gamma = [{body}]")
+            print(f"n={n}: gamma = [{body}]")
     return EXIT_OK
 
 
 def _cmd_gessel(args) -> int:
     tables = _tables(args, "twosided")
-    expanded = [
-        (t, twosided.gessel_solve(twosided.polynomial_from_table(t.value), t.n))
-        for t in tables
-    ]
+    expanded = {
+        n: twosided.gessel_solve(twosided.polynomial_from_table(table), n)
+        for n, table in tables.items()
+    }
     if args.format == "json":
-        _emit_json(
-            _single_or_list(
-                [
-                    {
-                        **t.obj,
-                        "gamma": {
-                            f"({i},{j})": str(e.gammas[(i, j)])
-                            for i, j in sorted(e.gammas)
-                        },
-                        "gessel_nonnegative": e.nonnegative,
-                    }
-                    for t, e in expanded
-                ]
-            )
+        _emit_json_each(
+            list(tables),
+            lambda n: {
+                **twosided.table_to_obj(tables[n]),
+                "gamma": {
+                    f"({i},{j})": str(expanded[n].gammas[(i, j)])
+                    for i, j in sorted(expanded[n].gammas)
+                },
+                "gessel_nonnegative": expanded[n].nonnegative,
+            },
         )
     elif args.format == "csv":
-        out = [["n", "i", "j", "gamma"]]
-        for t, e in expanded:
-            for (i, j) in sorted(e.gammas):
-                out.append([str(t.n), str(i), str(j), str(e.gammas[(i, j)])])
-        _emit_csv(out)
+        _emit_csv([["n", "i", "j", "gamma"]])
+        _emit_csv(
+            [str(n), str(i), str(j), str(e.gammas[(i, j)])]
+            for n, e in expanded.items()
+            for i, j in sorted(e.gammas)
+        )
     else:
-        for t, e in expanded:
+        for n, e in expanded.items():
             body = " ".join(
                 f"gamma({i},{j})={e.gammas[(i, j)]}" for i, j in sorted(e.gammas)
             )
             verdict = "NONNEGATIVE" if e.nonnegative else "NEGATIVE"
-            print(f"n={t.n}: {body} verdict={verdict}")
+            print(f"n={n}: {body} verdict={verdict}")
     return EXIT_OK
 
 

@@ -87,6 +87,12 @@ def check_row_sum(n: int, row: tuple[int, ...]) -> None:
         raise ConsistencyError(f"row {n} does not sum to {n}!")
 
 
+def check_row_symmetry(n: int, row: tuple[int, ...]) -> None:
+    """Raise ConsistencyError unless row n of the triangle is palindromic."""
+    if row != row[::-1]:
+        raise ConsistencyError(f"row {n} is not palindromic")
+
+
 def polynomial_from_row(row: tuple[int, ...]) -> UniPoly:
     """A_n(t) for row n of the triangle: zero constant term, degree n."""
     return UniPoly.from_coeffs((0,) + row)
@@ -221,14 +227,16 @@ def check_unimodality(row: tuple[int, ...]) -> bool:
 # JSON schema
 
 
-def row_to_obj(n: int, row: tuple[int, ...]) -> dict:
-    """Row n as {"n": ..., "A": [...]}, each mirrored pair rendered once.
+def row_text(row: tuple[int, ...]) -> list[str]:
+    """The row's entries as decimal strings, each mirrored pair rendered once.
 
-    A row of the triangle is palindromic, so only its first ceil(n/2)
-    entries go through str() and the rest mirror them; a row that is not
-    palindromic raises ConsistencyError.
+    Only the first ceil(n/2) entries go through str() and the rest mirror
+    them, so the row must be palindromic (check_row_symmetry).
     """
-    if row != row[::-1]:
-        raise ConsistencyError(f"row {n} is not palindromic")
     half = [str(c) for c in row[: (len(row) + 1) // 2]]
-    return {"n": str(n), "A": half + half[: len(row) // 2][::-1]}
+    return half + half[: len(row) // 2][::-1]
+
+
+def row_to_obj(n: int, row: tuple[int, ...]) -> dict:
+    """Row n as {"n": ..., "A": [...]}, its text from row_text."""
+    return {"n": str(n), "A": row_text(row)}

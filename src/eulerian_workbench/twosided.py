@@ -39,6 +39,7 @@ from math import factorial
 from .common import ConsistencyError
 from .exactnum import (
     BiPoly,
+    UniPoly,
     binomial,
     geometric_power_window,
     series_product_bivariate,
@@ -155,6 +156,15 @@ def check_array_sums(table: TwoSidedTable, row: tuple[int, ...]) -> None:
         raise ConsistencyError(f"array {n} does not total {n}!")
     if table.row_marginal() != row or table.column_marginal() != row:
         raise ConsistencyError(f"the marginals of array {n} are not row {n} of the triangle")
+
+
+def check_array_symmetry(table: TwoSidedTable) -> None:
+    """Raise ConsistencyError unless entry (i, j) of array n equals entry
+    (n + 1 - i, n + 1 - j) throughout, that is, unless the array read row by
+    row is a palindrome."""
+    rows = table.entries
+    if any(row != other[::-1] for row, other in zip(rows, reversed(rows))):
+        raise ConsistencyError(f"array {table.n} is not palindromic")
 
 
 def polynomial_from_table(table: TwoSidedTable) -> BiPoly:
@@ -326,14 +336,6 @@ def gessel_basis_indices(n: int) -> list[tuple[int, int]]:
     ]
 
 
-def gessel_basis_element(n: int, i: int, j: int) -> BiPoly:
-    """(s t)**i (s + t)**j (1 + s t)**(n + 1 - j - 2i)."""
-    st = BiPoly.monomial(1, 1)
-    s_plus_t = BiPoly.monomial(1, 0) + BiPoly.monomial(0, 1)
-    one_plus_st = BiPoly.one() + BiPoly.monomial(1, 1)
-    return st**i * s_plus_t**j * one_plus_st ** (n + 1 - j - 2 * i)
-
-
 def gessel_solve(p: BiPoly, n: int) -> GesselExpansion:
     """Expand p in the Gessel basis by a triangular integer peel.
 
@@ -347,8 +349,12 @@ def gessel_solve(p: BiPoly, n: int) -> GesselExpansion:
     coefficient of the residual once the earlier elements are subtracted:
     the coefficients come out as integers with no elimination. A nonzero
     final residual, meaning p lies outside the span, raises
-    ConsistencyError, and so does a rebuild from gessel_basis_element
-    products that fails to reproduce p.
+    ConsistencyError, and so does a rebuild that fails to reproduce p.
+
+    The rebuild shares nothing with the peel's binomials: it forms
+    p = sum_j (s + t)**j R_j(s t), R_j(u) = sum_i gamma_ij u**i
+    (1 + u)**(n + 1 - j - 2i), from UniPoly and BiPoly products, building
+    each power of s + t and of 1 + u once.
 
     >>> e = gessel_solve(two_sided_polynomial(4), 4)
     >>> e.gammas, e.nonnegative
@@ -377,12 +383,21 @@ def gessel_solve(p: BiPoly, n: int) -> GesselExpansion:
             ca = ca * (j - a) // (a + 1)
     if any(any(row) for row in residual):
         raise ConsistencyError("polynomial is outside the span of the Gessel basis")
-    rebuilt: dict[tuple[int, int], int] = {}
-    for (i, j), g in gammas.items():
-        if g:
-            for a, b, c in gessel_basis_element(n, i, j).terms:
-                rebuilt[(a, b)] = rebuilt.get((a, b), 0) + g * c
-    if BiPoly.from_dict(rebuilt) != p:
+    one_plus_u = [UniPoly.one()]  # (1 + u)**m, m = n + 1 - j - 2i <= n - 1
+    for _ in range(n - 1):
+        one_plus_u.append(one_plus_u[-1] * UniPoly((1, 1)))
+    s_plus_t = BiPoly.monomial(1, 0) + BiPoly.monomial(0, 1)
+    power = BiPoly.one()  # (s + t)**j
+    rebuilt = BiPoly()
+    for j in range(n):
+        r = UniPoly()
+        for i in range(1, (n + 1 - j) // 2 + 1):
+            if gammas[(i, j)]:
+                r = r + gammas[(i, j)] * UniPoly.monomial(i) * one_plus_u[n + 1 - j - 2 * i]
+        if not r.is_zero():
+            rebuilt = rebuilt + power * BiPoly.from_dict({(e, e): c for e, c in enumerate(r.coeffs)})
+        power = power * s_plus_t
+    if rebuilt != p:
         raise ConsistencyError("basis reconstruction does not match the input")
     nonnegative = all(v >= 0 for v in gammas.values())
     # zero coefficients carry no information; keep the expansion sparse
@@ -394,18 +409,20 @@ def gessel_solve(p: BiPoly, n: int) -> GesselExpansion:
 # JSON schema
 
 
-def table_to_obj(table: TwoSidedTable) -> dict:
-    """Array n as {"n": ..., "A": [[...], ...]}, each antipodal pair rendered once.
+def table_text(table: TwoSidedTable) -> list[list[str]]:
+    """The array's rows as decimal strings, each antipodal pair rendered once.
 
-    Entry (i, j) equals entry (n + 1 - i, n + 1 - j), so the array read row
-    by row is a palindrome: only its first half goes through str() and the
-    rest mirrors it. An array that is not antipodally palindromic raises
-    ConsistencyError.
+    Only the first half of the array read row by row goes through str() and
+    the rest mirrors it, so the array must be antipodally palindromic
+    (check_array_symmetry).
     """
     n = table.n
     flat = [c for row in table.entries for c in row]
-    if flat != flat[::-1]:
-        raise ConsistencyError(f"array {n} is not palindromic")
     half = [str(c) for c in flat[: (len(flat) + 1) // 2]]
     text = half + half[: len(flat) // 2][::-1]
-    return {"n": str(n), "A": [text[at : at + n] for at in range(0, n * n, n)]}
+    return [text[at : at + n] for at in range(0, n * n, n)]
+
+
+def table_to_obj(table: TwoSidedTable) -> dict:
+    """Array n as {"n": ..., "A": [[...], ...]}, its text from table_text."""
+    return {"n": str(table.n), "A": table_text(table)}

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from eulerian_workbench.common import ConsistencyError, GuardRailError
 from eulerian_workbench.eulerian import (
     check_row_sum,
+    check_row_symmetry,
     eulerian_polynomial,
     gamma_extract,
     check_unimodality,
@@ -223,9 +224,12 @@ def test_row_json_round_trip():
         assert row_to_obj(n, row)["A"] == [str(c) for c in row]
 
 
-def test_row_to_obj_rejects_a_row_that_is_not_palindromic():
-    with pytest.raises(ConsistencyError, match="not palindromic"):
-        row_to_obj(4, (1, 11, 12, 1))
+def test_check_row_symmetry_rejects_a_row_that_is_not_palindromic():
+    for n, row in enumerate(table_from_recurrence(30).rows, start=1):
+        check_row_symmetry(n, row)
+    # still sums to 4!
+    with pytest.raises(ConsistencyError, match=r"^row 4 is not palindromic$"):
+        check_row_symmetry(4, (1, 12, 10, 1))
 
 
 def test_check_row_sum_passes_rows_and_names_a_row_that_is_off():

@@ -13,9 +13,9 @@ from eulerian_workbench.twosided import (
     TwoSidedTable,
     _two_sided_step,
     check_array_sums,
+    check_array_symmetry,
     check_symmetries,
     diagonal_monotonicity_probe,
-    gessel_basis_element,
     gessel_basis_indices,
     gessel_solve,
     polynomial_from_table,
@@ -30,6 +30,12 @@ from eulerian_workbench.twosided import (
 
 from reference_tables import GESSEL_4, GESSEL_5, TABLE2
 
+
+def gessel_basis_element(n: int, i: int, j: int) -> BiPoly:
+    """(s t)**i (s + t)**j (1 + s t)**(n + 1 - j - 2i), from BiPoly products."""
+    st_mono = BiPoly.monomial(1, 1)
+    s_plus_t = BiPoly.monomial(1, 0) + BiPoly.monomial(0, 1)
+    return st_mono**i * s_plus_t**j * (BiPoly.one() + st_mono) ** (n + 1 - j - 2 * i)
 
 def test_recurrence_reproduces_reference_arrays():
     tables = two_sided_from_recurrence(8)
@@ -300,11 +306,9 @@ def test_gessel_round_trips_random_coefficients(data):
     coeffs = data.draw(
         st.lists(st.integers(-1000, 1000), min_size=len(indices), max_size=len(indices))
     )
-    st_mono = BiPoly.monomial(1, 1)
-    s_plus_t = BiPoly.monomial(1, 0) + BiPoly.monomial(0, 1)
     p = BiPoly()
     for (i, j), g in zip(indices, coeffs):
-        p = p + g * (st_mono**i * s_plus_t**j * (BiPoly.one() + st_mono) ** (n + 1 - j - 2 * i))
+        p = p + g * gessel_basis_element(n, i, j)
     expansion = gessel_solve(p, n)
     assert expansion.gammas == {idx: g for idx, g in zip(indices, coeffs) if g}
     assert expansion.nonnegative == all(g >= 0 for g in coeffs)
@@ -336,12 +340,14 @@ def test_table_json_round_trip():
 
 
 @pytest.mark.parametrize("cells", [[(2, 3)], [(2, 3), (3, 2)], [(3, 3)]])
-def test_table_to_obj_rejects_an_array_that_is_not_palindromic(cells):
+def test_check_array_symmetry_rejects_an_array_that_is_not_palindromic(cells):
+    for table in two_sided_from_recurrence(9):
+        check_array_symmetry(table)
     table = two_sided_from_recurrence(6)[5]
     for i, j in cells:
         table = bumped(table, i, j)
-    with pytest.raises(ConsistencyError, match="array 6 is not palindromic"):
-        table_to_obj(table)
+    with pytest.raises(ConsistencyError, match=r"^array 6 is not palindromic$"):
+        check_array_symmetry(table)
 
 
 def shifted(table, *changes):

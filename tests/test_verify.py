@@ -74,31 +74,31 @@ def run_cli(*argv):
 CLEAN_CHECK_COUNTS = {"eulerian": 9, "twosided": 7, "boxes": 5, "hopping": 6, "gessel": 1, "all": 28}
 
 
-def bump_triangle(monkeypatch, n, *cells):
-    """Every triangle the recurrence builds has A(n, i) one too large, for
-    each i in cells."""
+def bump_triangle(monkeypatch, n, deltas):
+    """Every triangle the recurrence builds has A(n, i) + delta in place of
+    A(n, i), for each i: delta in deltas."""
     build = eulerian.table_from_recurrence
 
     def corrupted(n_max):
         table = build(n_max)
         rows = [list(row) for row in table.rows]
-        for i in cells:
-            rows[n - 1][i - 1] += 1
+        for i, delta in deltas.items():
+            rows[n - 1][i - 1] += delta
         return dataclasses.replace(table, rows=tuple(map(tuple, rows)))
 
     monkeypatch.setattr(eulerian, "table_from_recurrence", corrupted)
 
 
-def bump_array(monkeypatch, n, *cells):
-    """Every array n the recurrence builds has entry (i, j) one too large,
-    for each (i, j) in cells."""
+def bump_array(monkeypatch, n, deltas):
+    """Every array n the recurrence builds has entry (i, j) + delta in
+    place of entry (i, j), for each (i, j): delta in deltas."""
     build = twosided.two_sided_from_recurrence
 
     def corrupted(n_max):
         tables = build(n_max)
         entries = [list(row) for row in tables[n - 1].entries]
-        for i, j in cells:
-            entries[i - 1][j - 1] += 1
+        for (i, j), delta in deltas.items():
+            entries[i - 1][j - 1] += delta
         tables[n - 1] = dataclasses.replace(tables[n - 1], entries=tuple(map(tuple, entries)))
         return tables
 
@@ -106,13 +106,19 @@ def bump_array(monkeypatch, n, *cells):
 
 
 CORRUPTIONS = {
-    "A(5,2)": (bump_triangle, (5, 2)),
-    "A(4,2)": (bump_triangle, (4, 2)),
-    "array6(2,3)": (bump_array, (6, (2, 3))),
+    "A(5,2)": (bump_triangle, 5, {2: 1}),
+    "A(4,2)": (bump_triangle, 4, {2: 1}),
+    "array6(2,3)": (bump_array, 6, {(2, 3): 1}),
     # these two keep every symmetry: of a table command's checks, only the
     # exact sums catch them
-    "A(5,2)A(5,4)": (bump_triangle, (5, 2, 4)),
-    "array6(2,3)(3,2)(5,4)(4,5)": (bump_array, (6, (2, 3), (3, 2), (5, 4), (4, 5))),
+    "A(5,2)A(5,4)": (bump_triangle, 5, {2: 1, 4: 1}),
+    "array6(2,3)(3,2)(5,4)(4,5)": (bump_array, 6, {(2, 3): 1, (3, 2): 1, (5, 4): 1, (4, 5): 1}),
+    # these two keep every sum, and the array keeps its marginals and its
+    # transpose: only the palindromy checks catch them, the row's in
+    # eulerian and gamma and the array's in two-sided and gessel (the array
+    # commands also catch the row by its marginals)
+    "A(6,2)+1A(6,3)-1": (bump_triangle, 6, {2: 1, 3: -1}),
+    "array6(2,2)(3,3)+1(2,3)(3,2)-1": (bump_array, 6, {(2, 2): 1, (3, 3): 1, (2, 3): -1, (3, 2): -1}),
 }
 
 
@@ -131,8 +137,8 @@ CORRUPTIONS = {
     ],
 )
 def test_a_broken_table_is_reported_not_crashed(monkeypatch, corruption, suite):
-    bump, entry = CORRUPTIONS[corruption]
-    bump(monkeypatch, *entry)
+    bump, n, deltas = CORRUPTIONS[corruption]
+    bump(monkeypatch, n, deltas)
     code, out, _ = run_cli("verify", "--suite", suite)
     assert code == 1
     lines = out.splitlines()
@@ -146,7 +152,9 @@ def test_a_broken_table_is_reported_not_crashed(monkeypatch, corruption, suite):
 # gamma and gessel once exited 2 here, as if the input were bad, and
 # two-sided printed the broken array with exit 0; the symmetric corruptions
 # once printed with exit 0 from every table command they reach (an array's
-# marginals are checked against the one-sided rows)
+# marginals are checked against the one-sided rows); the palindromic
+# corruptions sit in row and array 6, so a check made as each table is
+# written would print the tables for n <= 5 first
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 @pytest.mark.parametrize(
     "command,corruption",
@@ -163,18 +171,24 @@ def test_a_broken_table_is_reported_not_crashed(monkeypatch, corruption, suite):
         ("gessel", "A(5,2)A(5,4)"),
         ("two-sided", "array6(2,3)(3,2)(5,4)(4,5)"),
         ("gessel", "array6(2,3)(3,2)(5,4)(4,5)"),
+        ("eulerian", "A(6,2)+1A(6,3)-1"),
+        ("gamma", "A(6,2)+1A(6,3)-1"),
+        ("two-sided", "A(6,2)+1A(6,3)-1"),
+        ("gessel", "A(6,2)+1A(6,3)-1"),
+        ("two-sided", "array6(2,2)(3,3)+1(2,3)(3,2)-1"),
+        ("gessel", "array6(2,2)(3,3)+1(2,3)(3,2)-1"),
     ],
 )
 def test_a_table_command_on_a_broken_table_exits_one(monkeypatch, command, corruption, fmt):
-    bump, entry = CORRUPTIONS[corruption]
-    bump(monkeypatch, *entry)
+    bump, n, deltas = CORRUPTIONS[corruption]
+    bump(monkeypatch, n, deltas)
     code, out, err = run_cli(command, "--n-max", "6", "--format", fmt)
     assert (code, out) == (1, "")
     assert err.startswith("verification failure: ") and err.count("\n") == 1
 
 
 def test_a_raise_fails_its_item_and_the_check_goes_on(monkeypatch):
-    bump_triangle(monkeypatch, 5, 2)
+    bump_triangle(monkeypatch, 5, {2: 1})
     _, out, _ = run_cli("verify", "--suite", "eulerian")
     line = next(line for line in out.splitlines() if "Worpitzky" in line)
     assert line.endswith(
