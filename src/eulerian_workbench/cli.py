@@ -32,12 +32,12 @@ Unless --source brute is given, one recurrence run up to the largest n
 builds the tables. Before any output, _tables checks them on their ints:
 every row sums to n! and is palindromic, and every array totals n!, has
 both marginals equal to row n of the one-sided recurrence and equals its
-antipodal image. gamma and gessel build every expansion before any output
-too, so a failed check leaves stdout empty. A command then holds the int
-tables and the text of one table at a time: it renders a table's entries
-to decimal as it writes them, once each and only the first half of a
-palindromic row or array at all. The triangle's one column width is read
-off the ints.
+transpose and its antipodal image. gamma and gessel build every expansion
+before any output too, so a failed check leaves stdout empty. A command
+then holds the int tables and the text of one table at a time: it renders
+a table's entries to decimal as it writes them, once each and only the
+first half of a palindromic row or array at all. The triangle's one
+column width is read off the ints.
 
 Tables are always recomputed: nothing is cached. --cache DIR and
 $EULERIAN_WORKBENCH_CACHE are still accepted, so older invocations keep
@@ -80,8 +80,12 @@ SERIES_WINDOW_BUDGET = 10**6
 # linearly with n. The recurrences up to n make n**2 products one-sided and
 # n**3 two-sided; a series window adds n (K + 1), or n**2 (K + 1)**2 for the
 # grid; gamma's peel adds n**2 / 4 per row and Gessel's peel and rebuild
-# about n**4 / 10 per array (counted at n = 10..50). Calls at this bound
-# took 0.2 to 5.5 s on a 2-vCPU host.
+# about n**4 / 10 per array (counted at n = 10..50). The largest calls it
+# admits, as child processes on a 2-vCPU host (median of 3): eulerian
+# --n-max 584 0.77 s, gamma --n-max 233 0.25 s, two-sided --n-max 118
+# 0.42 s, gessel --n-max 47 0.34 s. The Gessel term prices a rebuild that
+# has since become cheaper; re-pricing it changes exit codes and is left
+# for the second Gessel route.
 WORK_BUDGET = 2 * 10**8
 
 EXIT_OK = 0
@@ -145,9 +149,9 @@ def _tables(args, kind: str) -> dict:
     run up to the largest n gives every table. Whatever the source, each
     row must sum to n! and be palindromic, and each array must total n!,
     have both marginals equal to row n of the one-sided recurrence and
-    equal its antipodal image, or ConsistencyError is raised before
-    anything is printed. A cache, if named, is noted as ignored and never
-    touched.
+    equal its transpose and its antipodal image, or ConsistencyError is
+    raised before anything is printed. A cache, if named, is noted as
+    ignored and never touched.
     """
     if args.cache or os.environ.get(CACHE_ENV):
         print(f"warning: --cache and ${CACHE_ENV} are ignored; tables are always recomputed",
@@ -174,7 +178,7 @@ def _tables(args, kind: str) -> dict:
         triangle = eulerian.table_from_recurrence(ns[-1])
         for n in ns:
             twosided.check_array_sums(found[n], triangle.row(n))
-            twosided.check_array_symmetry(found[n])
+            twosided.check_symmetries(found[n])
     return found
 
 
@@ -240,22 +244,22 @@ def _emit_json(payload) -> None:
     print(_json_text(payload))
 
 
-def _emit_json_each(ns: list[int], to_obj) -> None:
-    """Write the payload of a table command, to_obj(n) for each n: the one
-    object alone when there is one n, else the list of them.
+def _emit_json_each(items: list, to_obj) -> None:
+    """Write a command's JSON payload, to_obj(item) for each item: the one
+    object alone when there is one item, else the list of them.
 
     Byte for byte what _emit_json writes, but a list goes out one object at
     a time, each rendered only as it is written.
     """
-    if len(ns) == 1:
-        _emit_json(to_obj(ns[0]))
+    if len(items) == 1:
+        _emit_json(to_obj(items[0]))
         return
     write = sys.stdout.write
     write("[\n  ")
-    for at, n in enumerate(ns):
+    for at, item in enumerate(items):
         if at:
             write(",\n  ")
-        write(_json_text(to_obj(n), 1))
+        write(_json_text(to_obj(item), 1))
     write("\n]\n")
 
 
@@ -298,10 +302,6 @@ def _square_text(table: twosided.TwoSidedTable) -> str:
     return "\n".join(lines)
 
 
-def _single_or_list(payload: list):
-    return payload[0] if len(payload) == 1 else payload
-
-
 # ---------------------------------------------------------------------------
 # report schema
 
@@ -337,7 +337,7 @@ def _cmd_stats(args) -> int:
         for w in words
     ]
     if args.format == "json":
-        _emit_json(_single_or_list([dict(zip(["w", *names], row)) for row in rows]))
+        _emit_json_each(rows, lambda row: dict(zip(["w", *names], row)))
     elif args.format == "csv":
         _emit_csv([["w", *names], *rows])
     else:

@@ -215,12 +215,14 @@ def gamma_extract(p: UniPoly, n: int) -> GammaVector:
     return GammaVector(n, tuple(gammas))
 
 
-def check_unimodality(row: tuple[int, ...]) -> bool:
-    """True when the row rises to its middle entry and falls afterwards."""
+def check_unimodality(n: int, row: tuple[int, ...]) -> None:
+    """Raise ConsistencyError unless row n rises to its middle entry and
+    falls afterwards."""
     peak = (len(row) + 1) // 2
     rising = all(row[i] <= row[i + 1] for i in range(peak - 1))
     falling = all(row[i] >= row[i + 1] for i in range(peak - 1, len(row) - 1))
-    return rising and falling
+    if not (rising and falling):
+        raise ConsistencyError(f"row {n} is not unimodal")
 
 
 # ---------------------------------------------------------------------------

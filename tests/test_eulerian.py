@@ -80,14 +80,15 @@ def test_row_structure_to_n_40():
         row = table.row(n)
         assert sum(row) == factorial(n)
         assert row == row[::-1]
-        assert check_unimodality(row)
+        assert check_unimodality(n, row) is None
         assert all(c > 0 for c in row)
 
 
 def test_unimodality_detects_dips():
-    assert check_unimodality((1, 3, 3, 1))
-    assert check_unimodality((1,))
-    assert not check_unimodality((1, 3, 2, 3, 1))
+    check_unimodality(4, (1, 3, 3, 1))
+    check_unimodality(1, (1,))
+    with pytest.raises(ConsistencyError, match=r"^row 5 is not unimodal$"):
+        check_unimodality(5, (1, 3, 2, 3, 1))
 
 
 def test_polynomials_match_reference_rows():

@@ -13,7 +13,6 @@ from eulerian_workbench.twosided import (
     TwoSidedTable,
     _two_sided_step,
     check_array_sums,
-    check_array_symmetry,
     check_symmetries,
     diagonal_monotonicity_probe,
     gessel_basis_indices,
@@ -198,15 +197,28 @@ def test_bivariate_recurrence_reports():
 
 def test_symmetries_hold_to_n_20():
     for table in two_sided_from_recurrence(20):
-        assert check_symmetries(table) == (True, True, True)
+        assert check_symmetries(table) is None
 
 
 def test_symmetries_detect_breakage():
-    # ((1,1),(0,1)) is fixed by the antitranspose but not the other two
+    # ((1,1),(0,1)) is fixed by the antitranspose but not the other two; the
+    # antipodal image is tested first
     lopsided = TwoSidedTable(2, ((1, 1), (0, 1)))
-    assert check_symmetries(lopsided) == (False, False, True)
+    with pytest.raises(ConsistencyError, match=r"^array 2 is not palindromic$"):
+        check_symmetries(lopsided)
     skewed = TwoSidedTable(2, ((2, 1), (0, 1)))
-    assert check_symmetries(skewed) == (False, False, False)
+    with pytest.raises(ConsistencyError, match=r"^array 2 is not palindromic$"):
+        check_symmetries(skewed)
+    # the 3-cycle (1,2), (2,3), (3,1) in place of the diagonal, and its
+    # antipodal image: every sum, both marginals and the antipodal symmetry
+    # hold, and only the transpose breaks
+    table = shifted(
+        two_sided_from_recurrence(6)[5],
+        *[(i, j, 1) for i, j in ((1, 2), (2, 3), (3, 1), (6, 5), (5, 4), (4, 6))],
+        *[(i, i, -1) for i in range(1, 7)],
+    )
+    with pytest.raises(ConsistencyError, match=r"^array 6 is not symmetric under transpose$"):
+        check_symmetries(table)
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +352,14 @@ def test_table_json_round_trip():
 
 
 @pytest.mark.parametrize("cells", [[(2, 3)], [(2, 3), (3, 2)], [(3, 3)]])
-def test_check_array_symmetry_rejects_an_array_that_is_not_palindromic(cells):
+def test_check_symmetries_rejects_an_array_that_is_not_palindromic(cells):
     for table in two_sided_from_recurrence(9):
-        check_array_symmetry(table)
+        check_symmetries(table)
     table = two_sided_from_recurrence(6)[5]
     for i, j in cells:
         table = bumped(table, i, j)
     with pytest.raises(ConsistencyError, match=r"^array 6 is not palindromic$"):
-        check_array_symmetry(table)
+        check_symmetries(table)
 
 
 def shifted(table, *changes):

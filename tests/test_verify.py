@@ -2,6 +2,7 @@
 table is a failed check in a full report, never a crash. A table command
 given a broken table exits 1 with nothing on stdout."""
 
+import ast
 import dataclasses
 import io
 import re
@@ -11,7 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from eulerian_workbench import cli, eulerian, hopping, twosided, verify
-from eulerian_workbench.common import GuardRailError
+from eulerian_workbench.common import ConsistencyError, GuardRailError
 
 BUILDERS = (
     (eulerian, "table_from_recurrence"),
@@ -119,6 +120,15 @@ CORRUPTIONS = {
     # commands also catch the row by its marginals)
     "A(6,2)+1A(6,3)-1": (bump_triangle, 6, {2: 1, 3: -1}),
     "array6(2,2)(3,3)+1(2,3)(3,2)-1": (bump_array, 6, {(2, 2): 1, (3, 3): 1, (2, 3): -1, (3, 2): -1}),
+    # the 3-cycle (1,2), (2,3), (3,1) in place of the diagonal, with its
+    # antipodal image: every sum, both marginals and the antipodal symmetry
+    # hold, and only the transpose check catches it in two-sided (gessel's
+    # solve refuses the asymmetric polynomial too)
+    "array6(1,2)(2,3)(3,1)+1(1,1)(2,2)(3,3)-1": (
+        bump_array, 6,
+        {**dict.fromkeys([(1, 2), (2, 3), (3, 1), (6, 5), (5, 4), (4, 6)], 1),
+         **dict.fromkeys([(1, 1), (2, 2), (3, 3), (6, 6), (5, 5), (4, 4)], -1)},
+    ),
 }
 
 
@@ -134,6 +144,7 @@ CORRUPTIONS = {
         ("A(4,2)", "all"),
         ("array6(2,3)", "gessel"),
         ("array6(2,3)", "all"),
+        ("array6(1,2)(2,3)(3,1)+1(1,1)(2,2)(3,3)-1", "twosided"),
     ],
 )
 def test_a_broken_table_is_reported_not_crashed(monkeypatch, corruption, suite):
@@ -177,6 +188,8 @@ def test_a_broken_table_is_reported_not_crashed(monkeypatch, corruption, suite):
         ("gessel", "A(6,2)+1A(6,3)-1"),
         ("two-sided", "array6(2,2)(3,3)+1(2,3)(3,2)-1"),
         ("gessel", "array6(2,2)(3,3)+1(2,3)(3,2)-1"),
+        ("two-sided", "array6(1,2)(2,3)(3,1)+1(1,1)(2,2)(3,3)-1"),
+        ("gessel", "array6(1,2)(2,3)(3,1)+1(1,1)(2,2)(3,3)-1"),
     ],
 )
 def test_a_table_command_on_a_broken_table_exits_one(monkeypatch, command, corruption, fmt):
@@ -185,6 +198,43 @@ def test_a_table_command_on_a_broken_table_exits_one(monkeypatch, command, corru
     code, out, err = run_cli(command, "--n-max", "6", "--format", fmt)
     assert (code, out) == (1, "")
     assert err.startswith("verification failure: ") and err.count("\n") == 1
+
+
+def test_a_check_that_raises_fails_with_its_message():
+    def odd(n):
+        if n % 2:
+            raise ConsistencyError(f"n={n} is odd")
+
+    assert verify._check("evens", range(1, 6), odd) == verify.CheckReport(
+        False, "evens", "n=1 is odd; n=3 is odd; n=5 is odd"
+    )
+    assert verify._check("evens", [2, 4], odd, "two evens").ok
+
+
+def test_a_check_that_returns_a_value_fails():
+    report = verify._check("returns", [1], lambda n: n == 1)
+    assert report == verify.CheckReport(False, "returns", "the check returned bool, not None")
+
+
+def test_a_generator_check_fails_though_it_runs_only_when_iterated():
+    # its body would yield a failure at every item, but a generator that no
+    # one iterates runs none of it
+    def lazy(n):
+        yield f"n={n}"
+
+    report = verify._check("lazy", [1], lazy)
+    assert report == verify.CheckReport(False, "lazy", "the check returned generator, not None")
+
+
+def test_verify_has_one_failure_path_and_no_generators():
+    # no check yields its failures or returns an empty tuple of them
+    tree = ast.parse(open(verify.__file__).read())
+    assert not [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.Yield, ast.YieldFrom))
+        or isinstance(node, ast.Return) and node.value is not None
+        and ast.unparse(node.value) == "()"
+    ]
 
 
 def test_a_raise_fails_its_item_and_the_check_goes_on(monkeypatch):
