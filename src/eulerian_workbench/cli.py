@@ -43,6 +43,11 @@ Tables are always recomputed: nothing is cached. --cache DIR and
 $EULERIAN_WORKBENCH_CACHE are still accepted, so older invocations keep
 their stdout and exit code, but either one only costs a table command one
 warning line on stderr; nothing is read or created at that path.
+
+run may be called any number of times in one process. The argument parser
+is built once per process, on the first run, not at import, and every run
+parses with it. Only the verify command imports verify, and boxes with it,
+so no other command pays to load them.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import operator
 import os
@@ -57,9 +63,8 @@ import sys
 import time
 from json.encoder import encode_basestring_ascii
 
-from . import eulerian, hopping, twosided, verify
-from .common import CheckReport, ConsistencyError, GuardRailError, check_budget
-from .exactnum import binomial
+from . import eulerian, hopping, twosided
+from .common import SUITE_ORDER, CheckReport, ConsistencyError, GuardRailError, check_budget
 from .perm import (
     SHARD_BUDGET,
     StatProfile,
@@ -543,16 +548,21 @@ def _check_series_budget(n: int, terms: int, bivariate: bool, force: bool) -> No
     )
 
 
+def _passes(check, *args) -> bool:
+    """Whether check(*args), an engine check, finds no ConsistencyError."""
+    try:
+        check(*args)
+    except ConsistencyError:
+        return False
+    return True
+
+
 def _cmd_series(args) -> int:
     n, terms = args.n, args.terms
     _check_series_budget(n, terms, args.bivariate, args.force)
     if args.bivariate:
         grid = twosided.grid_window(twosided.two_sided_from_recurrence(n)[n - 1], terms)
-        ok = all(
-            grid[k][l] == binomial(k * l + n - 1, n)
-            for k in range(terms + 1)
-            for l in range(terms + 1)
-        )
+        ok = _passes(twosided.check_grid_window, n, grid)
         if args.format == "json":
             _emit_json(
                 {
@@ -574,7 +584,7 @@ def _cmd_series(args) -> int:
             print(f"entries {status} binomial(kl+{n - 1},{n}) for k,l <= {terms}")
     else:
         window = eulerian.power_sum_window(eulerian.table_from_recurrence(n).row(n), terms)
-        ok = all(c == k**n for k, c in enumerate(window))
+        ok = _passes(eulerian.check_power_sum_window, n, window)
         if args.format == "json":
             _emit_json(
                 {
@@ -596,6 +606,8 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify  # only this command pays for importing verify and boxes
+
     bounds = verify.SuiteBounds(
         n_max=args.n_max, k_max=args.k, l_max=args.l, terms=args.terms
     )
@@ -709,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[formatted], help="run a verification suite")
     p.add_argument(
         "--suite",
-        choices=["all"] + verify.SUITE_ORDER,
+        choices=["all"] + SUITE_ORDER,
         default="all",
     )
     p.add_argument("--n-max", type=positive, dest="n_max", help="size bound for the checks")
@@ -721,10 +733,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first run. Parsing leaves it
+    as it was, and argparse reads stdout, stderr and the terminal width
+    only when it writes help or an error, so every run may share it."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

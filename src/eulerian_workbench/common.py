@@ -1,8 +1,15 @@
-"""Shared error types, the one budget check, and the check-report record."""
+"""Shared error types, the one budget check, the check-report record and
+the verify suites' names."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+
+# The verify suites in the order `--suite all` runs them. They are named here,
+# not in verify, so that the CLI offers them as --suite choices without
+# importing verify.
+SUITE_ORDER = ["eulerian", "twosided", "boxes", "hopping", "gessel"]
 
 
 class GuardRailError(RuntimeError):

@@ -114,16 +114,21 @@ def power_sum_window(row: tuple[int, ...], terms: int) -> tuple[int, ...]:
     return series_product(polynomial_from_row(row), window).coeffs
 
 
-def verify_power_sum_series(row: tuple[int, ...], terms: int) -> None:
-    """Check that row n's power-sum window starts 0**n, 1**n, 2**n, ...
+def check_power_sum_window(n: int, window: tuple[int, ...]) -> None:
+    """Check that a power-sum window of row n reads 0**n, 1**n, 2**n, ...
 
-    Compares coefficient k of power_sum_window(row, terms) with k**n for
-    0 <= k <= terms; the first mismatch raises ConsistencyError.
+    Coefficient k must equal k**n; the first mismatch raises
+    ConsistencyError.
     """
-    n = len(row)
-    for k, value in enumerate(power_sum_window(row, terms)):
+    for k, value in enumerate(window):
         if value != k**n:
             raise ConsistencyError(f"n={n}: coefficient {k} is {value}, expected {k**n}")
+
+
+def verify_power_sum_series(row: tuple[int, ...], terms: int) -> None:
+    """Check row n's power-sum window, coefficients 0..terms, against k**n
+    with check_power_sum_window."""
+    check_power_sum_window(len(row), power_sum_window(row, terms))
 
 
 def worpitzky_identity(n: int, k: int, row: tuple[int, ...] | None = None) -> int:

@@ -183,21 +183,23 @@ def grid_window(table: TwoSidedTable, terms: int) -> tuple[tuple[int, ...], ...]
     return series_product_bivariate(polynomial_from_table(table), window, window).coeffs
 
 
-def verify_grid_series(table: TwoSidedTable, terms: int) -> None:
-    """Check the grid window of the table's array.
+def check_grid_window(n: int, grid: tuple[tuple[int, ...], ...]) -> None:
+    """Check a grid window of array n.
 
-    Entry (k, l) must equal binomial(k l + n - 1, n) for k, l <= terms; the
-    first mismatch raises ConsistencyError.
+    Entry (k, l) must equal binomial(k l + n - 1, n); the first mismatch
+    raises ConsistencyError.
     """
-    n = table.n
-    grid = grid_window(table, terms)
-    for k in range(terms + 1):
-        for l in range(terms + 1):
+    for k, row in enumerate(grid):
+        for l, value in enumerate(row):
             expected = binomial(k * l + n - 1, n)
-            if grid[k][l] != expected:
-                raise ConsistencyError(
-                    f"n={n}: entry ({k},{l}) is {grid[k][l]}, expected {expected}"
-                )
+            if value != expected:
+                raise ConsistencyError(f"n={n}: entry ({k},{l}) is {value}, expected {expected}")
+
+
+def verify_grid_series(table: TwoSidedTable, terms: int) -> None:
+    """Check the grid window of the table's array, entries (k, l) for
+    k, l <= terms, with check_grid_window."""
+    check_grid_window(table.n, grid_window(table, terms))
 
 
 def worpitzky_grid_identity(

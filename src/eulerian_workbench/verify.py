@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from . import boxes, eulerian, hopping, twosided
-from .common import CheckReport, ConsistencyError, GuardRailError
+from .common import SUITE_ORDER, CheckReport, ConsistencyError, GuardRailError
 from .exactnum import BiPoly, UniPoly, binomial, sturm_negative_root_count
 from .perm import BRUTE_FORCE_GUARD, Perm, descent_count, enumerate_sn, inverse
 
@@ -434,15 +434,11 @@ def suite_gessel(bounds: SuiteBounds) -> list[CheckReport]:
 # ---------------------------------------------------------------------------
 
 
-SUITES = {
-    "eulerian": suite_eulerian,
-    "twosided": suite_twosided,
-    "boxes": suite_boxes,
-    "hopping": suite_hopping,
-    "gessel": suite_gessel,
-}
-
-SUITE_ORDER = ["eulerian", "twosided", "boxes", "hopping", "gessel"]
+SUITES = dict(zip(
+    SUITE_ORDER,
+    (suite_eulerian, suite_twosided, suite_boxes, suite_hopping, suite_gessel),
+    strict=True,
+))
 
 
 def run_suite(name: str, bounds: SuiteBounds) -> list[CheckReport]:

@@ -1,6 +1,7 @@
 """The command-line surface: formats, exit codes, the ignored cache flag, determinism."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -220,6 +221,53 @@ def test_series_bivariate():
     assert obj["kind"] == "grid"
     assert obj["grid"][2][3] == "21"  # binomial(2*3 + 1, 2)
     assert obj["matches_closed_form"] is True
+
+
+def corrupt_the_recurrences(monkeypatch):
+    """Make the recurrences behind series give row n and array n with one
+    entry, A(n, 2) and A(n, 1, 2), one too large."""
+    triangle, arrays = eulerian.table_from_recurrence, twosided.two_sided_from_recurrence
+
+    def bad_triangle(n_max):
+        table = triangle(n_max)
+        row = list(table.rows[-1])
+        row[1] += 1
+        return dataclasses.replace(table, rows=(*table.rows[:-1], tuple(row)))
+
+    def bad_arrays(n_max):
+        tables = arrays(n_max)
+        entries = [list(row) for row in tables[-1].entries]
+        entries[0][1] += 1
+        return [*tables[:-1], twosided.TwoSidedTable(n_max, tuple(map(tuple, entries)))]
+
+    monkeypatch.setattr(eulerian, "table_from_recurrence", bad_triangle)
+    monkeypatch.setattr(twosided, "two_sided_from_recurrence", bad_arrays)
+
+
+# sha256 of series --n 3 --terms 4 stdout from a corrupt row or array
+SERIES_MISMATCH_DIGESTS = {
+    (False, "text"): "b9536066196760e4d703612e9da2ca5e42c3a85b2418c6c576b3a4d0a8ec981b",
+    (False, "json"): "20f4e25cf5342b7c82e2143fdc0d949ad07b5d4a67de48c6c0f36099a358ad10",
+    (False, "csv"): "5db7e5495d041d385aa80f195d51c994e1d43cc51eafd8710df9d095382ccbdb",
+    (True, "text"): "fabe1bdf3b7bfe7fa1421c6cd81173f73f46fa9ef347abe1e5a4be83229aac1d",
+    (True, "json"): "a779e30214e191c3d32e21fbed4feb2cf8bd0c522cf8e717861f941ed2a9ab43",
+    (True, "csv"): "171d69972944238a3bcdbbcabab4aa47d9a70d3006d9127745f164f7742eb51c",
+}
+
+
+@pytest.mark.parametrize("bivariate,fmt", sorted(SERIES_MISMATCH_DIGESTS))
+def test_series_prints_a_window_that_misses_its_closed_form_and_exits_one(
+    monkeypatch, bivariate, fmt
+):
+    corrupt_the_recurrences(monkeypatch)
+    extra = ("--bivariate",) if bivariate else ()
+    code, out, err = run_cli("series", "--n", "3", "--terms", "4", *extra, "--format", fmt)
+    assert (code, err) == (1, "")
+    if fmt == "text":
+        assert "MISMATCH against" in out
+    elif fmt == "json":
+        assert json.loads(out)["matches_closed_form"] is False
+    assert hashlib.sha256(out.encode()).hexdigest() == SERIES_MISMATCH_DIGESTS[bivariate, fmt]
 
 
 def test_series_window_budget():
@@ -450,6 +498,61 @@ def test_help_exits_zero():
     code, out, _ = run_cli("--help")
     assert code == 0
     assert "eulerian-workbench" in out
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+# argv and exit code: flags given and then left out, every format, a usage
+# error, verify and help
+PARSER_SEQUENCE = [
+    (("eulerian", "--n", "0"), 2),
+    (("eulerian", "--n", "6", "--source", "brute", "--shards", "3"), 0),
+    (("eulerian", "--n", "6"), 0),
+    (("two-sided", "--n-max", "3", "--format", "csv"), 0),
+    (("orbit", "816324759", "--force"), 0),
+    (("orbit", "816324759"), 0),
+    (("stats", "3142", "--format", "json"), 0),
+    (("verify", "--suite", "eulerian", "--n-max", "4"), 0),
+    (("--help",), 0),
+]
+
+
+def without_elapsed(err):
+    return re.sub(r"finished in [0-9.]+s", "finished in", err)
+
+
+def test_a_shared_parser_carries_nothing_from_one_run_to_the_next():
+    # in-process, where --help wraps to the same terminal width each time
+    cli._parser.cache_clear()
+    shared = [run_cli(*argv) for argv, _ in PARSER_SEQUENCE]
+    for (argv, want), (code, out, err) in zip(PARSER_SEQUENCE, shared):
+        cli._parser.cache_clear()
+        alone_code, alone_out, alone_err = run_cli(*argv)
+        assert code == want, argv
+        assert (code, out) == (alone_code, alone_out), argv
+        assert without_elapsed(err) == without_elapsed(alone_err), argv
+
+
+def test_the_parser_is_built_once_per_process_and_not_at_import(monkeypatch):
+    code = "import eulerian_workbench.cli as cli; print(cli._parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    built = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True).stdout
+    assert built == "0\n"
+    calls = []
+    build = cli.build_parser
+
+    def counted():
+        calls.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    for argv in (("stats", "312"), ("eulerian", "--n", "0"), ("orbit", "312"), ("--help",)):
+        run_cli(*argv)
+    assert len(calls) == 1
+    assert build() is not cli._parser()  # build_parser still builds a new one
 
 
 def test_dropped_flags_exit_2():

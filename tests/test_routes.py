@@ -161,7 +161,7 @@ def test_the_closure_follows_each_kind_of_reference():
     assert ("exactnum", "UniPoly") in PKG.closure([("exactnum", "sturm_negative_root_count")])
     assert ("eulerian", "table_from_recurrence") in PKG.references(("verify", "suite_eulerian"))
     # module-level assignments: a constant by attribute, a dict of functions by name
-    assert ("verify", "SUITE_ORDER") in PKG.references(("cli", "build_parser"))
+    assert ("hopping", "PEAK") in PKG.references(("verify", "suite_hopping"))
     assert ("verify", "suite_gessel") in PKG.references(("verify", "SUITES"))
 
 
@@ -213,7 +213,7 @@ def test_every_definition_is_reached_from_a_command_or_the_public_api():
     assert unreached == sorted(".".join(key) for key in BENCH_ONLY)
 
 
-def test_importing_the_cli_loads_no_pool_and_no_rational_arithmetic():
+def test_importing_the_cli_loads_no_pool_no_rational_arithmetic_no_verify_and_no_boxes():
     # a fresh interpreter: what importing the CLI adds to sys.modules
     code = (
         "import sys; before = set(sys.modules); import eulerian_workbench.cli; "
@@ -224,5 +224,6 @@ def test_importing_the_cli_loads_no_pool_and_no_rational_arithmetic():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
     assert "eulerian_workbench.cli" in loaded
-    banned = ("concurrent.futures", "multiprocessing", "fractions", "decimal")
+    banned = ("concurrent.futures", "multiprocessing", "fractions", "decimal",
+              "eulerian_workbench.verify", "eulerian_workbench.boxes")
     assert [m for m in loaded if any(m == b or m.startswith(b + ".") for b in banned)] == []
