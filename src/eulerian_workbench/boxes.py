@@ -22,10 +22,30 @@ binomial(rows + n - 1 - ides(w), n) * binomial(columns + n - 1 - des(w), n).
 
 The oracles enumerate every placement within an explicit budget and raise
 GuardRailError past it; they exist to cross-check the closed forms, not to
-scale. They stream placements from itertools and standardize each with one
-stable sort, building no dataclass per placement and sharing no code with
-the S_n walk in perm; grid_placement_to_permutation standardizes a single
-grid placement through the dataclasses.
+scale. They stream placements from itertools, building no dataclass per
+placement and sharing no code with the S_n walk in perm;
+grid_placement_to_permutation standardizes a single grid placement through
+the dataclasses.
+
+The barred census standardizes each assignment with one stable sort of the
+balls by box. Every assignment is a distinct box sequence, so a tally would
+group nothing, and grouping assignments by their order pattern would be the
+closed form itself.
+
+The grid census lists the cells in (column, row) order, each standing for
+its row, so each placement arrives from itertools as the row sequence of its
+balls listed by column rank. Two balls in one row stand in (column, copy)
+order, so the stable sort of the positions by row alone is the sort by
+(row, column, copy): the row rank, whose inverse is w. Many placements share
+a row sequence (54,264 placements of 6 balls in a 4x4 grid have 4,068), so
+the census tallies the sequences of CENSUS_CHUNK placements at a time, which
+bounds its working memory whatever the number of placements, and sorts once
+per distinct sequence in a chunk. It walks the grid with its shorter side
+as rows, which caps the distinct sequences at min(columns, rows)**n;
+transposing swaps column rank and row rank, so there the sort is w itself.
+Every placement is still walked and standardized, and no descent count or
+binomial enters the walk, so it stays independent of the closed form it
+checks.
 """
 
 from __future__ import annotations
@@ -46,8 +66,15 @@ from .perm import (
     inverse_descent_count,
 )
 
+# 10**8 assignments, (n, k) = (8, 10), took 50 s (0.50 us each) and 23 MiB
+# peak RSS as a child process on a 2-vCPU host.
 BARRED_CENSUS_BUDGET = 10**8
+# (n, columns, rows) = (5, 7, 9), 9.7 million placements, took 0.71 s and
+# 19 MiB peak RSS as a child process on a 2-vCPU host; (10, 4, 4), 3.3
+# million, 1.4 s and 95 MiB, most of it the 202,370-entry result.
 GRID_CENSUS_BUDGET = 10**7
+# Placements the grid census tallies at a time, which bounds its memory.
+CENSUS_CHUNK = 2**16
 
 
 def count_barred(w: Perm, k: int) -> int:
@@ -210,14 +237,24 @@ def oracle_two_sided_census(n: int, columns: int, rows: int) -> dict[Perm, int]:
         lambda: (lgamma(m + 1) - lgamma(r + 1) - lgamma(m - r + 1)) / log(2),
     )
     check_budget(f"placements of {n} balls in a {columns}x{rows} grid", size, GRID_CENSUS_BUDGET)
-    # Cells in (column, row) order, each named by its (row, column) rank. A
-    # multiset then lists its balls by column rank with copies adjacent, and
-    # a stable sort of the positions by cell name lists them by row rank;
-    # w(column rank) = row rank inverts that sort, once per distinct sort.
-    by_row = [row * columns + col for col in range(columns) for row in range(rows)]
+    # Cells in (column, row) order, each standing for its row: a placement is
+    # its balls' row sequence by column rank, and the stable sort of the
+    # positions by row is the row rank (module docstring). Sequences are
+    # tallied CENSUS_CHUNK placements at a time and sorted once per distinct
+    # sequence; w(column rank) = row rank inverts the sort. Walking the grid
+    # with its shorter side as rows caps the distinct sequences at
+    # min(columns, rows)**n, and since the transpose swaps the two ranks,
+    # its sort is w itself.
+    transposed = rows > columns
+    if transposed:
+        columns, rows = rows, columns
+    pool = [row for _ in range(columns) for row in range(rows)]
+    placements = itertools.combinations_with_replacement(pool, n)
     positions = range(1, n + 1)
-    sorts = Counter(
-        tuple(sorted(positions, key=((0,) + multiset).__getitem__))
-        for multiset in itertools.combinations_with_replacement(by_row, n)
-    )
+    sorts: Counter[Perm] = Counter()
+    while sequences := Counter(itertools.islice(placements, CENSUS_CHUNK)):
+        for sequence, count in sequences.items():
+            sorts[tuple(sorted(positions, key=((0,) + sequence).__getitem__))] += count
+    if transposed:
+        return dict(sorts)
     return {inverse(s): count for s, count in sorts.items()}

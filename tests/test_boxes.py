@@ -15,6 +15,7 @@ from math import comb
 
 import pytest
 
+from eulerian_workbench import boxes
 from eulerian_workbench.boxes import (
     GridPlacement,
     TwoSidedBarred,
@@ -339,6 +340,54 @@ def test_streamed_censuses_match_the_dataclass_route():
                     )
                     expected[grid_placement_to_permutation(g).underlying] += 1
                 assert oracle_two_sided_census(n, columns, rows) == expected
+
+
+def _grid_census_reference(n, columns, rows):
+    """One keyed sort per placement, each cell named by its (row, column) rank.
+
+    A multiset of cell names lists its balls by column rank, so the stable
+    sort of the positions by name lists them by row rank; inverting that sort
+    gives w(column rank) = row rank.
+    """
+    by_row = [row * columns + col for col in range(columns) for row in range(rows)]
+    positions = range(1, n + 1)
+    sorts = Counter(
+        tuple(sorted(positions, key=((0,) + multiset).__getitem__))
+        for multiset in itertools.combinations_with_replacement(by_row, n)
+    )
+    return {inverse(s): count for s, count in sorts.items()}
+
+
+GRID_SHAPES = [
+    (n, columns, rows) for n in range(1, 6) for columns in range(6) for rows in range(6)
+] + [(6, 4, 4), (7, 3, 3)]
+
+
+def test_grid_census_matches_the_per_placement_walk():
+    for n, columns, rows in GRID_SHAPES:
+        census = oracle_two_sided_census(n, columns, rows)
+        expected = _grid_census_reference(n, columns, rows)
+        assert census == expected, (n, columns, rows)
+        if rows <= columns:
+            # the untransposed walk meets each permutation first where the reference does
+            assert list(census) == list(expected), (n, columns, rows)
+
+
+def test_grid_census_transposes_to_the_inverse():
+    for n, columns, rows in GRID_SHAPES:
+        transposed = oracle_two_sided_census(n, rows, columns)
+        assert oracle_two_sided_census(n, columns, rows) == {
+            inverse(w): count for w, count in transposed.items()
+        }, (n, columns, rows)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 10**9])
+def test_grid_census_is_the_same_in_any_chunk_size(monkeypatch, chunk):
+    # 56 placements for (5, 4, 1) and (5, 1, 4) leave a partial last chunk of 3
+    shapes = [(4, 3, 2), (5, 2, 3), (5, 4, 1), (5, 1, 4), (6, 4, 4), (7, 3, 3)]
+    expected = [_grid_census_reference(*shape) for shape in shapes]
+    monkeypatch.setattr(boxes, "CENSUS_CHUNK", chunk)
+    assert [oracle_two_sided_census(*shape) for shape in shapes] == expected
 
 
 def test_grid_census_budget():
