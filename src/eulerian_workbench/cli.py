@@ -87,8 +87,8 @@ SERIES_WINDOW_BUDGET = 10**6
 # grid; gamma's peel adds n**2 / 4 per row and Gessel's peel and rebuild
 # about n**4 / 10 per array (counted at n = 10..50). The largest calls it
 # admits, as child processes on a 2-vCPU host (median of 3): eulerian
-# --n-max 584 0.77 s, gamma --n-max 233 0.25 s, two-sided --n-max 118
-# 0.42 s, gessel --n-max 47 0.34 s. The Gessel term prices a rebuild that
+# --n-max 584 0.77 s, gamma --n-max 233 0.18 s, two-sided --n-max 118
+# 0.42 s, gessel --n-max 47 0.27 s. The Gessel term prices a rebuild that
 # has since become cheaper; re-pricing it changes exit codes and is left
 # for the second Gessel route.
 WORK_BUDGET = 2 * 10**8

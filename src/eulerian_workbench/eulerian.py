@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .common import ConsistencyError
-from .exactnum import UniPoly, binomial, geometric_power_window, series_product
+from .exactnum import UniPoly, binomial, binomial_row, geometric_power_window, series_product
 # bench/test_bench.py reads eulerian.enumerate_sn, so the name stays bound here.
 from .perm import descent_kernel, enumerate_sn, histogram  # noqa: F401
 
@@ -73,10 +73,10 @@ def table_from_recurrence(n_max: int) -> EulerianTable:
         prev = rows[-1]
         # A(n - 1, i) and A(n - 1, i - 1) side by side, 0 past either end
         rows.append(
-            tuple(
-                i * a + (n + 1 - i) * b
-                for i, a, b in zip(range(1, n + 1), prev + (0,), (0,) + prev)
-            )
+            tuple([
+                i * a + ri * b
+                for i, ri, a, b in zip(range(1, n + 1), range(n, 0, -1), prev + (0,), (0,) + prev)
+            ])
         )
     return EulerianTable(n_max, tuple(rows))
 
@@ -196,7 +196,10 @@ def gamma_extract(p: UniPoly, n: int) -> GammaVector:
     polynomials with zero constant term, so a nonzero final residual also
     raises ValueError. The basis element for i has lowest term t**i, so
     gamma_i is the t**i coefficient of the residual once the elements below
-    i are subtracted, binomial by binomial, in integers.
+    i are subtracted, in integers: element i is gamma_i times the binomial
+    row of n + 1 - 2i shifted up by i, read from exactnum.binomial_row, so
+    each residual entry costs one product and one subtraction and each row
+    is built once per process, however many n are peeled.
 
     >>> gamma_extract(eulerian_polynomial(5), 5).gammas
     (1, 22, 16)
@@ -210,11 +213,8 @@ def gamma_extract(p: UniPoly, n: int) -> GammaVector:
         g = residual[i]
         gammas.append(g)
         if g:
-            m = top - 2 * i
-            c = 1  # binomial(m, k)
-            for k in range(m + 1):
-                residual[i + k] -= g * c
-                c = c * (m - k) // (k + 1)
+            for at, c in enumerate(binomial_row(top - 2 * i), start=i):
+                residual[at] -= g * c
     if any(residual):
         raise ValueError("polynomial is outside the span of the gamma basis")
     return GammaVector(n, tuple(gammas))

@@ -11,6 +11,14 @@ values is solve_exact_linear, which no module of the package calls; the
 module names Fraction only in its annotation and never imports fractions at
 run time. No floating point appears anywhere.
 
+binomial_row(m) is the row binomial(m, 0..m), built once per process by a
+running product and cached, so the gamma and Gessel peels, which read the
+same rows for every n they expand, never rebuild one. The cache holds every
+row asked for, at most about m**2 / 2 entries for the largest m, each
+below 2**m: far smaller than the Eulerian rows such a caller already holds.
+gamma --n 1558 --force, at the int-to-str limit, peaked 23 MiB higher with
+it (1,296 against 1,319 MiB as a child process on a 2-vCPU host).
+
 Polynomials come in two shapes:
 
 - UniPoly: dense integer coefficients in one variable t, stored as a tuple
@@ -34,6 +42,7 @@ overflowing native integer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb, gcd
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -54,6 +63,23 @@ def binomial(m: int, r: int) -> int:
     if r < 0 or m < 0 or r > m:
         return 0
     return comb(m, r)
+
+
+@cache
+def binomial_row(m: int) -> tuple[int, ...]:
+    """The full row binomial(m, 0), ..., binomial(m, m), built once per process.
+
+    Each entry comes from the one before it by the running product
+    binomial(m, k + 1) = binomial(m, k) (m - k) / (k + 1), exact at every
+    step; no half of the row is mirrored from the other.
+
+    >>> binomial_row(4)
+    (1, 4, 6, 4, 1)
+    """
+    row = [1]
+    for k in range(m):
+        row.append(row[-1] * (m - k) // (k + 1))
+    return tuple(row)
 
 
 def _sign(x) -> int:
@@ -148,7 +174,8 @@ class UniPoly:
         """True when coeff(i) == coeff(top - i) for every 0 <= i <= top."""
         if self.degree > top:
             return False
-        return all(self.coeff(i) == self.coeff(top - i) for i in range(top + 1))
+        padded = self.coeffs + (0,) * (top + 1 - len(self.coeffs))
+        return padded == padded[::-1]
 
     def to_obj(self) -> dict:
         return {

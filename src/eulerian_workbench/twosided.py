@@ -41,6 +41,7 @@ from .exactnum import (
     BiPoly,
     UniPoly,
     binomial,
+    binomial_row,
     geometric_power_window,
     series_product_bivariate,
 )
@@ -128,14 +129,15 @@ def _two_sided_step(
         up, here = a[i - 1], a[i]
         ri = n + 1 - i
         row = []
-        for j, h, left, u, corner in zip(js, here[1:], here, up[1:], up):
-            rj = n + 1 - j
-            total = (
-                (i * j + m) * h
-                + (j * ri - m) * u
-                + (i * rj - m) * left
-                + (ri * rj + m) * corner
-            )
+        # the four coefficients, each an arithmetic progression in j = 1..n
+        for j, h, u, left, corner, ch, cu, cl, cc in zip(
+            js, here[1:], up[1:], here, up,
+            range(i + m, i * (n + 1) + m, i),  # i j + m
+            range(ri - m, ri * (n + 1) - m, ri),  # j (n + 1 - i) - m
+            range(i * n - m, -m, -i),  # i (n + 1 - j) - m
+            range(ri * n + m, m, -ri),  # (n + 1 - i) (n + 1 - j) + m
+        ):
+            total = ch * h + cu * u + cl * left + cc * corner
             q, r = divmod(total, n)
             if r:
                 raise ConsistencyError(
@@ -330,7 +332,10 @@ def gessel_solve(p: BiPoly, n: int) -> GesselExpansion:
     is at least i, and t**i appears only in s**(i+j) t**i, with coefficient
     1. Walking the indices with i ascending, gamma_(i,j) is therefore that
     coefficient of the residual once the earlier elements are subtracted:
-    the coefficients come out as integers with no elimination. A nonzero
+    the coefficients come out as integers with no elimination. The peel
+    reads the rows of j and m from exactnum.binomial_row, built once per
+    process, so subtracting an element costs one product per (a, c) beside
+    gamma_(i,j) binomial(j, a), computed once per a. A nonzero
     final residual, meaning p lies outside the span, raises
     ConsistencyError, and so does a rebuild that fails to reproduce p.
 
@@ -356,14 +361,11 @@ def gessel_solve(p: BiPoly, n: int) -> GesselExpansion:
         g = gammas[(i, j)] = residual[i + j][i]
         if not g:
             continue
-        m = n + 1 - j - 2 * i
-        ca = 1  # binomial(j, a)
-        for a in range(j + 1):
-            cc = g * ca  # g * binomial(j, a) * binomial(m, c)
-            for c in range(m + 1):
-                residual[i + a + c][i + j - a + c] -= cc
-                cc = cc * (m - c) // (c + 1)
-            ca = ca * (j - a) // (a + 1)
+        row_m = binomial_row(n + 1 - j - 2 * i)
+        for a, ca in enumerate(binomial_row(j)):
+            ga, s0, t0 = g * ca, i + a, i + j - a
+            for c, cc in enumerate(row_m):
+                residual[s0 + c][t0 + c] -= ga * cc
     if any(any(row) for row in residual):
         raise ConsistencyError("polynomial is outside the span of the Gessel basis")
     one_plus_u = [UniPoly.one()]  # (1 + u)**m, m = n + 1 - j - 2i <= n - 1

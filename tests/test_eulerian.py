@@ -205,6 +205,18 @@ def test_gamma_evaluation_identity_to_n_40():
         assert total == factorial(n)
 
 
+def test_gamma_vectors_rebuild_the_eulerian_polynomial():
+    # the basis from UniPoly products, not from the peel's binomial rows;
+    # n = 41 and 61 are odd, so their last element is t**((n + 1) / 2) alone
+    one_plus_t = UniPoly.from_coeffs([1, 1])
+    for n in (41, 60, 61):
+        gv = gamma_extract(eulerian_polynomial(n), n)
+        rebuilt = UniPoly()
+        for i, g in enumerate(gv.gammas, start=1):
+            rebuilt = rebuilt + g * (UniPoly.monomial(i) * one_plus_t ** (n + 1 - 2 * i))
+        assert rebuilt == eulerian_polynomial(n), n
+
+
 def test_row_polynomials_have_distinct_negative_roots():
     for n in range(1, 31):
         p = eulerian_polynomial(n)

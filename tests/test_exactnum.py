@@ -15,6 +15,7 @@ from eulerian_workbench.exactnum import (
     BiPoly,
     UniPoly,
     binomial,
+    binomial_row,
     geometric_power_window,
     series_product,
     series_product_bivariate,
@@ -39,6 +40,15 @@ def test_binomial_out_of_range_is_zero():
     assert binomial(3, 5) == 0
     assert binomial(3, -1) == 0
     assert binomial(-2, 0) == 0
+
+
+def test_binomial_row_matches_comb_entry_by_entry():
+    for m in range(81):
+        assert binomial_row(m) == tuple(comb(m, k) for k in range(m + 1)), m
+
+
+def test_binomial_row_is_built_once_per_process():
+    assert binomial_row(37) is binomial_row(37)
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +82,14 @@ def test_unipoly_derivative_and_evaluate():
 def test_unipoly_palindrome_detection():
     assert UniPoly.from_coeffs([0, 1, 4, 1]).is_palindromic(4)
     assert not UniPoly.from_coeffs([0, 1, 4, 2]).is_palindromic(4)
+
+
+def test_unipoly_palindrome_about_a_top_other_than_the_degree():
+    # top above the degree pads with zeros; a degree above top never passes
+    assert UniPoly.from_coeffs([0, 0, 1, 4, 1]).is_palindromic(6)
+    assert not UniPoly.from_coeffs([1, 4, 1]).is_palindromic(3)
+    assert not UniPoly.from_coeffs([1, 4, 1]).is_palindromic(1)
+    assert UniPoly().is_palindromic(2)
 
 
 @given(coeff_lists, coeff_lists, coeff_lists)
