@@ -29,9 +29,9 @@ The census counts classes by peak count without building them: each class
 has exactly one member with no double descents (P. Branden, "Actions on
 permutations and unimodality of descent polynomials", European J. Combin.
 29 (2008)), so it counts those members in one stream over S_n and checks
-that the class sizes add up to n!. orbit_of keeps the hop closure for
-single orbits; check_orbit_budget sizes an orbit from its free letters
-before anything is built.
+that the class sizes add up to n!. orbit_of builds single orbits by
+hops, breadth first; check_orbit_budget sizes an orbit from its free
+letters before anything is built.
 """
 
 from __future__ import annotations
@@ -147,24 +147,31 @@ class Orbit:
 
 
 def orbit_of(w: Perm) -> Orbit:
-    """Close w under hops on all free letters.
+    """Close w under hops on all free letters, breadth first.
 
-    Since hops on distinct letters commute, folding one letter at a time
-    reaches the whole class; closure and the 2**free size are verified.
+    Each member reached is expanded once, by a hop on each of its free
+    letters. Hops keep the set of free letters and hops on distinct letters
+    commute, so the class has 2**free members; both are verified, which
+    makes the reached set the whole class and nothing more.
     """
     free = free_values(w)
+    letters = set(free)
     members = {w}
-    for x in free:
-        members |= {hop(u, x) for u in members}
+    queue = [w]
+    for u in queue:  # queue grows as members are reached
+        free_u = free_values(u)
+        if set(free_u) != letters:
+            raise ConsistencyError(f"orbit of {w} reaches {u}, whose free letters differ")
+        for x in free_u:
+            v = hop(u, x)
+            if v not in members:
+                members.add(v)
+                queue.append(v)
     if len(members) != 2 ** len(free):
         raise ConsistencyError(
             f"orbit of {w} closed at {len(members)} members, "
             f"expected 2**{len(free)}"
         )
-    for u in members:
-        for x in free_values(u):
-            if hop(u, x) not in members:
-                raise ConsistencyError(f"orbit of {w} is not closed under hops")
     ordered = tuple(sorted(members))
     return Orbit(
         representative=ordered[0],
@@ -219,10 +226,11 @@ def orbit_census(n: int, force: bool = False) -> dict[int, int]:
     count and builds no class: perm.census_kernel, a block kernel, reads
     each shard block run by run. It scans the run's shared prefix once; a
     prefix with a double descent sends the whole run under the key None,
-    and otherwise it adds the 7-letter tails in groups of tail patterns,
-    keyed by first letter, first fall and descents, so that one comparison
-    across the boundary tells each group's double descents and peaks. Every
-    word with a double descent goes under None, which is dropped here.
+    and otherwise a full run of 7-letter tails adds one cached table, keyed
+    by how many tail letters lie below the prefix's last letter and whether
+    the prefix ends in a fall, which holds the run's peak counts and double
+    descents. Every word with a double descent goes under None, which is
+    dropped here.
 
     Coverage is checked by class size: a class with p peaks has
     2**(n - 1 - 2p) members, and the classes counted must add up to n!.

@@ -25,10 +25,16 @@ each takes one shard block and n and works run by run. A tail word is
 rest relabelled by a pattern p of range(7), which keeps every comparison
 inside the tail, so each statistic is the prefix's part, a comparison or
 two across the boundary and a function of p alone (proved above the
-kernels). A kernel scans each run's prefix once and adds the tail words in
-groups of patterns from its table, built once on first use. One guard
-rail, BRUTE_FORCE_GUARD, covers every walk, and SHARD_BUDGET bounds the
-blocks of one histogram call: past either, force is required.
+kernels). The boundary reads p only through its first letter, against
+cut, the number of tail letters below the prefix's last letter; the pair
+adds the tail mask of neighbours that differ by 1, and the census whether
+the prefix ends in a fall. A full run of all 7! patterns therefore adds
+the same counts for every prefix with one boundary key. A kernel scans
+each run's prefix once and adds a full run from its cached table for
+that key, a few entries offset by the prefix's part; a partial run
+groups its slice of patterns uncached. One guard rail,
+BRUTE_FORCE_GUARD, covers every walk, and SHARD_BUDGET bounds the blocks
+of one histogram call: past either, force is required.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ SHARD_BUDGET = 10**4
 
 # Runs walk itertools.permutations over their last SUFFIX letters, the tail.
 SUFFIX = 7
+FULL_RUN = factorial(SUFFIX)
 
 
 def check_permutation(letters) -> Perm:
@@ -317,15 +324,18 @@ def _prefix_runs(n: int, start: int, stop: int) -> Iterator[tuple[Perm, Perm, in
 # - a double descent is three falls in a row. With y the letter before z,
 #   y > z > rest[p0] needs y > z and p0 < cut, z > rest[p0] > rest[p1]
 #   needs p0 < cut and p0 > p1, and three tail letters fall when p does.
-# Each kernel's table keys every rank, and also groups all 7! ranks by key
-# for full runs. Only a block's first and last run can be partial; those
-# group their [lo:hi] slice of the keys directly, uncached.
-
-
-def _groups(table: tuple, lo: int, hi: int):
-    """The (key, count) groups of a table's ranks lo..hi."""
-    keys, full = table
-    return full if hi - lo == len(keys) else Counter(keys[lo:hi]).items()
+# Each kernel's table keys every rank by p0 and p's own part. The boundary
+# terms read p only through [p0 < cut], the pair's also through mask and
+# the census's also through fell = [y > z], and the prefix's part is an
+# offset. So a full run, all 7! patterns, adds the same counts after every
+# prefix with one boundary key: cut for des, (mask, cut) for the pair and
+# (cut, fell) for the census. Each kernel caches one table per key, its
+# counts already shifted by the boundary term, as (value, count) pairs
+# with the zero counts dropped, so no pair reaches past the tally; the
+# census table also holds the run's double descents. A full run adds at
+# most 8 entries, or 64 to the pair grid. Only a block's first and last
+# run can be partial; those build the same table from their [lo:hi] slice
+# of the keys, uncached.
 
 
 @functools.cache
@@ -336,6 +346,20 @@ def _descent_table() -> tuple:
         for a, b, c, d, e, f, g in itertools.permutations(range(SUFFIX))
     ])
     return keys, tuple(Counter(keys).items())
+
+
+def _descent_counts(groups, cut: int) -> tuple:
+    """([p0 < cut] + des(p), count) over the (p0, des(p)) groups, counts nonzero."""
+    counts = [0] * (SUFFIX + 1)
+    for (first, d), count in groups:
+        counts[(first < cut) + d] += count
+    return tuple([(d, c) for d, c in enumerate(counts) if c])
+
+
+@functools.cache
+def _descent_run(cut: int) -> tuple:
+    """A full run's des counts past the prefix when cut tail letters lie below z."""
+    return _descent_counts(_descent_table()[1], cut)
 
 
 @functools.cache
@@ -358,18 +382,19 @@ def _pair_table() -> tuple:
     return keys, tuple(Counter(keys).items())
 
 
-def _ides_groups(groups, mask: int):
-    """(p0, des(p), ibits(p)) groups regrouped by (p0, des(p), tail ides)."""
-    out = Counter()
-    for (first, des, bits), count in groups:
-        out[first, des, (bits & mask).bit_count()] += count
-    return out.items()
+def _pair_counts(groups, mask: int, cut: int) -> tuple:
+    """(tail ides, [p0 < cut] + des(p), count) over the (p0, des(p), ibits(p))
+    groups, counts nonzero."""
+    counts = Counter()
+    for (first, d, bits), count in groups:
+        counts[(bits & mask).bit_count(), (first < cut) + d] += count
+    return tuple([(i, d, c) for (i, d), c in counts.items()])
 
 
 @functools.cache
-def _pair_mask_groups(mask: int):
-    """Every pattern grouped by (p0, des(p), tail ides) under one of 64 masks."""
-    return tuple(_ides_groups(_pair_table()[1], mask))
+def _pair_run(mask: int, cut: int) -> tuple:
+    """A full run's (ides, des) counts past the prefix under one boundary key."""
+    return _pair_counts(_pair_table()[1], mask, cut)
 
 
 @functools.cache
@@ -384,6 +409,36 @@ def _census_table() -> tuple:
     return keys, tuple(Counter(keys).items())
 
 
+def _census_counts(groups, cut: int, fell: bool) -> tuple:
+    """(([p0 < cut] + des(p), count) pairs, counts nonzero; the double descents)
+    over the census groups, after a prefix whose last letter z has cut tail
+    letters below it and falls from the letter before it when fell."""
+    counts = [0] * (SUFFIX + 1)
+    doubled = 0
+    for key, count in groups:
+        if key is None:
+            doubled += count
+            continue
+        first, falls, d = key
+        into = first < cut  # z > the tail's first letter
+        if into and (fell or falls):
+            doubled += count
+        else:
+            counts[into + d] += count
+    return tuple([(d, c) for d, c in enumerate(counts) if c]), doubled
+
+
+@functools.cache
+def _census_run(cut: int, fell: bool) -> tuple:
+    """A full run's peak counts past the prefix, and its double descents."""
+    return _census_counts(_census_table()[1], cut, fell)
+
+
+def _slice_groups(table: tuple, lo: int, hi: int):
+    """The (key, count) groups of a partial run's ranks lo..hi."""
+    return Counter(table[0][lo:hi]).items()
+
+
 def descent_kernel(block: Block, n: int) -> Counter:
     """Counts of des(w) over the words w of block, a block of S_n."""
     tally = [0] * n
@@ -393,8 +448,12 @@ def descent_kernel(block: Block, n: int) -> Counter:
             tally[des] += hi - lo
             continue
         cut = bisect_left(rest, prefix[-1]) if prefix else 0
-        for (first, d), count in _groups(_descent_table(), lo, hi):
-            tally[des + (first < cut) + d] += count
+        if hi - lo == FULL_RUN:
+            counts = _descent_run(cut)
+        else:  # a partial run, regrouped uncached
+            counts = _descent_counts(_slice_groups(_descent_table(), lo, hi), cut)
+        for d, count in counts:
+            tally[des + d] += count
     return Counter({d: c for d, c in enumerate(tally) if c})
 
 
@@ -410,12 +469,12 @@ def pair_kernel(block: Block, n: int) -> Counter:
             continue
         cut = bisect_left(rest, prefix[-1]) if prefix else 0
         mask = sum((y + 1 == x) << j for j, (y, x) in enumerate(zip(rest, rest[1:])))
-        if hi - lo == factorial(SUFFIX):
-            groups = _pair_mask_groups(mask)
+        if hi - lo == FULL_RUN:
+            counts = _pair_run(mask, cut)
         else:  # a partial run, regrouped uncached
-            groups = _ides_groups(_groups(_pair_table(), lo, hi), mask)
-        for (first, d, i), count in groups:
-            grid[ides + i][des + (first < cut) + d] += count
+            counts = _pair_counts(_slice_groups(_pair_table(), lo, hi), mask, cut)
+        for i, d, count in counts:
+            grid[ides + i][des + d] += count
     return Counter(
         {(i, d): c for i, row in enumerate(grid) for d, c in enumerate(row) if c}
     )
@@ -431,7 +490,8 @@ def census_kernel(block: Block, n: int) -> Counter:
     the descent count. The prefix scan starts from the left sentinel,
     n + 1, whose fall into w1 is counted once too many and makes w1 > w2 a
     second fall in a row. A prefix with a double descent puts its whole run
-    under None; otherwise the tail words' falls are grouped as above.
+    under None; otherwise the tail words' falls come from the table of the
+    boundary key (cut, fell) as above.
     """
     tally = [0] * n
     doubled = 0
@@ -455,15 +515,15 @@ def census_kernel(block: Block, n: int) -> Counter:
             tally[peaks] += hi - lo
         else:
             cut = bisect_left(rest, z)
-            counted = 0
-            for key, count in _groups(_census_table(), lo, hi):
-                if key is not None:
-                    first, falls, d = key
-                    into = first < cut  # z > the tail's first letter
-                    if not (into and (fell or falls)):
-                        tally[peaks + into + d] += count
-                        counted += count
-            doubled += hi - lo - counted
+            if hi - lo == FULL_RUN:
+                counts, tail_doubled = _census_run(cut, fell)
+            else:  # a partial run, regrouped uncached
+                counts, tail_doubled = _census_counts(
+                    _slice_groups(_census_table(), lo, hi), cut, fell
+                )
+            for d, count in counts:
+                tally[peaks + d] += count
+            doubled += tail_doubled
     counts = Counter({p: c for p, c in enumerate(tally) if c})
     if doubled:
         counts[None] = doubled
@@ -480,7 +540,7 @@ def histogram(
 
     kernel(block, n) returns the Counter of its statistic over the words of
     one shard block of S_n, reading the block run by run: each run's prefix
-    once, then its tail words in groups of patterns. The blocks count one
+    once, then its tail words as one table of counts. The blocks count one
     at a time, in order, in this process, and their counts merge exactly,
     so the result does not depend on shards. Past SHARD_BUDGET blocks over
     all of ns, force is required, decided before any block is counted.

@@ -175,6 +175,43 @@ def test_barred_census_matches_closed_form():
                 assert census.get(w, 0) == count_barred(w, k)
 
 
+def _barred_census_reference(n, k):
+    """One stable sort of the balls by box per assignment, tallied in product order."""
+    balls = range(1, n + 1)
+    return dict(Counter(
+        tuple(sorted(balls, key=((0,) + assignment).__getitem__))
+        for assignment in itertools.product(range(1, k + 1), repeat=n)
+    ))
+
+
+# (3, 40) and (3, 41) sit at the cap of tail depth 3, (2, 256) and (2, 257)
+# at that of depth 2, and (1, 70000) past that of depth 1, where the walk
+# sorts every assignment whole
+BARRED_SHAPES = [(n, k) for n in range(1, 7) for k in range(7)] + [
+    (3, 40), (3, 41), (2, 256), (2, 257), (1, 70000)
+]
+
+
+def test_barred_census_matches_the_per_assignment_sort():
+    for n, k in BARRED_SHAPES:
+        census = oracle_barred_census(n, k)
+        expected = _barred_census_reference(n, k)
+        assert census == expected, (n, k)
+        assert list(census) == list(expected), (n, k)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 10**9])
+def test_barred_census_is_the_same_in_any_chunk_size(monkeypatch, chunk):
+    # a chunk of 1 sorts every assignment whole for k >= 2, and 3 leaves one
+    # tail ball for k = 2 and 3
+    shapes = [(1, 5), (3, 1), (3, 0), (4, 2), (4, 3), (5, 3), (6, 4), (7, 2)]
+    expected = [_barred_census_reference(*shape) for shape in shapes]
+    monkeypatch.setattr(boxes, "CENSUS_CHUNK", chunk)
+    got = [oracle_barred_census(*shape) for shape in shapes]
+    assert got == expected
+    assert [list(census) for census in got] == [list(census) for census in expected]
+
+
 def test_barred_counts_sum_to_powers():
     for n in range(1, 7):
         for k in range(7):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerian_workbench import hopping
-from eulerian_workbench.common import GuardRailError
+from eulerian_workbench.common import ConsistencyError, GuardRailError
 from eulerian_workbench.eulerian import eulerian_polynomial, gamma_extract
 from eulerian_workbench.exactnum import BiPoly, UniPoly
 from eulerian_workbench.hopping import (
@@ -225,6 +225,24 @@ def test_orbit_of_identity_is_maximal():
             BiPoly.one() + BiPoly.monomial(1, 1)
         ) ** (n - 1)
         assert bi == expected
+
+
+def test_orbit_of_rejects_a_member_with_other_free_letters(monkeypatch):
+    # a hop from a word whose free letter is 2 onto one whose free letter is
+    # 3, and back: two members, as 2**1 expects, so only the free-set check
+    # catches it
+    a, b = (1, 2, 4, 3), (1, 3, 4, 2)
+    monkeypatch.setattr(hopping, "hop", lambda u, x: {a: b, b: a}[u])
+    with pytest.raises(ConsistencyError, match="whose free letters differ$"):
+        orbit_of(a)
+
+
+def test_orbit_of_rejects_a_class_of_the_wrong_size(monkeypatch):
+    # three words whose free letter is 2, hopped round a cycle
+    a, b, c = (1, 2, 4, 3), (2, 1, 4, 3), (3, 4, 1, 2)
+    monkeypatch.setattr(hopping, "hop", lambda u, x: {a: b, b: c, c: a}[u])
+    with pytest.raises(ConsistencyError, match=r"closed at 3 members, expected 2\*\*1$"):
+        orbit_of(a)
 
 
 def test_golden_orbit():

@@ -6,6 +6,7 @@ import random
 import re
 import time
 import tracemalloc
+from bisect import bisect_left
 from collections import Counter
 from math import factorial
 
@@ -442,9 +443,36 @@ def test_pattern_tables_match_per_word_statistics():
     assert dict(des_groups) == Counter(des_keys) and len(des_groups) <= 49
     assert dict(pair_groups) == Counter(pair_keys) and len(pair_groups) == 354
     assert dict(census_groups) == Counter(census_keys)
-    for mask in range(64):
-        want = Counter((w[0] - 1, descent_count(w), (_ibits(w) & mask).bit_count()) for w in words)
-        assert dict(perm._pair_mask_groups(mask)) == want, mask
+
+
+def test_boundary_tables_account_for_every_pattern():
+    # each full-run table against the 7! patterns one at a time, per boundary key
+    full = factorial(perm.SUFFIX)
+    assert perm.FULL_RUN == full
+    words = list(itertools.permutations(range(1, perm.SUFFIX + 1)))
+    stats = []
+    for w in words:
+        kinds = classify_letters(w)
+        stats.append((w[0] - 1, descent_count(w), _ibits(w), DOUBLE_DESCENT in kinds[1:], w[0] > w[1]))
+    for cut in range(perm.SUFFIX + 1):
+        table = perm._descent_run(cut)
+        assert dict(table) == Counter((first < cut) + des for first, des, _, _, _ in stats)
+        assert sum(count for _, count in table) == full
+        for fell in (False, True):
+            counts, doubled = perm._census_run(cut, fell)
+            want = Counter(
+                None if inner or (first < cut and (fell or falls)) else (first < cut) + des
+                for first, des, _, inner, falls in stats
+            )
+            assert doubled == want.pop(None) and dict(counts) == want, (cut, fell)
+            assert sum(count for _, count in counts) + doubled == full
+        for mask in range(64):
+            table = perm._pair_run(mask, cut)
+            want = Counter(
+                ((bits & mask).bit_count(), (first < cut) + des) for first, des, bits, _, _ in stats
+            )
+            assert {(i, d): count for i, d, count in table} == want, (mask, cut)
+            assert len(table) <= 64 and sum(count for _, _, count in table) == full
 
 
 def _tail_mask(rest):
@@ -452,25 +480,35 @@ def _tail_mask(rest):
 
 
 def test_pattern_caches_hold_one_full_run_entry_and_one_per_mask():
+    kernels = (descent_kernel, pair_kernel, census_kernel)
     tables = (perm._descent_table, perm._pair_table, perm._census_table)
-    for cached in (*tables, perm._pair_mask_groups):
+    runs = (perm._descent_run, perm._pair_run, perm._census_run)
+    for cached in (*tables, *runs):
         cached.cache_clear()
-    # a block inside two runs of S_8: both partial, so no mask is cached
-    pair_kernel(enumerate_sn(8, shard=(1, 13)), 8)
-    assert perm._pair_mask_groups.cache_info().currsize == 0
+    # a block inside two runs of S_8: both partial, so no boundary table is cached
+    for kernel in kernels:
+        kernel(enumerate_sn(8, shard=(1, 13)), 8)
+    for cached in runs:
+        assert cached.cache_info().currsize == 0, cached.__name__
     blocks = [(9, index, 13) for index in range(13)] + [(10, 0, 13), (10, 12, 13)]
-    full_masks = set()
+    keys = {cached: set() for cached in runs}
     for n, index, total in blocks:
-        for kernel in (descent_kernel, pair_kernel, census_kernel):
+        for kernel in kernels:
             kernel(enumerate_sn(n, shard=(index, total)), n)
-        full_masks |= {
-            _tail_mask(rest)
-            for prefix, rest, lo, hi in enumerate_sn(n, shard=(index, total)).runs()
-            if hi - lo == factorial(perm.SUFFIX)
-        }
+        for prefix, rest, lo, hi in enumerate_sn(n, shard=(index, total)).runs():
+            if hi - lo == factorial(perm.SUFFIX):
+                cut = bisect_left(rest, prefix[-1])
+                keys[perm._descent_run].add(cut)
+                keys[perm._pair_run].add((_tail_mask(rest), cut))
+                framed = (n + 1, *prefix)
+                if not any(a > b > c for a, b, c in zip(framed, framed[1:], framed[2:])):
+                    keys[perm._census_run].add((cut, framed[-2] > framed[-1]))
     for cached in tables:
         assert cached.cache_info().currsize == 1, cached.__name__
-    assert perm._pair_mask_groups.cache_info().currsize == len(full_masks) <= 64
+    for cached in runs:
+        assert cached.cache_info().currsize == len(keys[cached]), cached.__name__
+    assert len(keys[perm._descent_run]) <= 8 and len(keys[perm._census_run]) <= 16
+    assert len(keys[perm._pair_run]) <= 64 * 8
 
 
 @pytest.mark.parametrize(
