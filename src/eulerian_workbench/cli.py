@@ -32,7 +32,11 @@ Unless --source brute is given, one recurrence run up to the largest n
 builds the tables. Before any output, _tables checks them on their ints:
 every row sums to n! and is palindromic, and every array totals n!, has
 both marginals equal to row n of the one-sided recurrence and equals its
-transpose and its antipodal image. gamma and gessel build every expansion
+transpose and its antipodal image. On recurrence tables the symmetry checks
+hold by construction, since each recurrence computes one half of a row or
+one quarter of an array and mirrors the rest; they still catch a --source
+brute table that breaks a symmetry and any change to a table between its
+build and its print. gamma and gessel build every expansion
 before any output too, so a failed check leaves stdout empty. A command
 then holds the int tables and the text of one table at a time: it renders
 a table's entries to decimal as it writes them, once each and only the
@@ -82,15 +86,17 @@ CACHE_ENV = "EULERIAN_WORKBENCH_CACHE"
 SERIES_WINDOW_BUDGET = 10**6
 # Work a series or table call may do without --force, counted in
 # coefficient products weighted by n, since every operand grows about
-# linearly with n. The recurrences up to n make n**2 products one-sided and
-# n**3 two-sided; a series window adds n (K + 1), or n**2 (K + 1)**2 for the
-# grid; gamma's peel adds n**2 / 4 per row and Gessel's peel and rebuild
-# about n**4 / 10 per array (counted at n = 10..50). The largest calls it
-# admits, as child processes on a 2-vCPU host (median of 3): eulerian
-# --n-max 584 0.77 s, gamma --n-max 233 0.18 s, two-sided --n-max 118
-# 0.42 s, gessel --n-max 47 0.27 s. The Gessel term prices a rebuild that
-# has since become cheaper; re-pricing it changes exit codes and is left
-# for the second Gessel route.
+# linearly with n. The recurrences up to n are counted at n**2 products
+# one-sided and n**3 two-sided, though they compute only half of each row
+# and a quarter of each array and mirror the rest; a series window adds
+# n (K + 1), or n**2 (K + 1)**2 for the grid; gamma's peel adds n**2 / 4 per
+# row and Gessel's peel and rebuild about n**4 / 10 per array (counted at
+# n = 10..50). The largest calls it admits, as child processes on a 2-vCPU
+# host (median of 3): eulerian --n-max 584 0.83 s, gamma --n-max 233
+# 0.19 s, two-sided --n-max 118 0.28 s, gessel --n-max 47 0.29 s. The
+# recurrence and Gessel terms price work that has since become cheaper;
+# re-pricing them changes exit codes and is left for the second Gessel
+# route.
 WORK_BUDGET = 2 * 10**8
 
 EXIT_OK = 0

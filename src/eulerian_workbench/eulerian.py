@@ -65,19 +65,26 @@ def table_brute_force(n: int, shards: int = 1, force: bool = False) -> tuple[int
 
 
 def table_from_recurrence(n_max: int) -> EulerianTable:
-    """Rows 1..n_max from the two-term recurrence, exact integers."""
+    """Rows 1..n_max from the two-term recurrence, exact integers.
+
+    A(n, i) = i A(n - 1, i) + (n + 1 - i) A(n - 1, i - 1) is computed for
+    i <= ceil(n / 2) only, and the row is that half followed by its mirror,
+    A(n, i) = A(n, n + 1 - i), each mirrored entry the same int object. On
+    a palindromic row n - 1, which row 1 is and each row built here is, the
+    map i -> n + 1 - i swaps the recurrence's two terms, so a mirrored
+    entry is the same sum of the same integers as the one computed.
+    """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     rows: list[tuple[int, ...]] = [(1,)]
     for n in range(2, n_max + 1):
         prev = rows[-1]
-        # A(n - 1, i) and A(n - 1, i - 1) side by side, 0 past either end
-        rows.append(
-            tuple([
-                i * a + ri * b
-                for i, ri, a, b in zip(range(1, n + 1), range(n, 0, -1), prev + (0,), (0,) + prev)
-            ])
-        )
+        # A(n - 1, i) and A(n - 1, i - 1) side by side, 0 before the start
+        half = [
+            i * a + ri * b
+            for i, ri, a, b in zip(range(1, (n + 1) // 2 + 1), range(n, 0, -1), prev, (0,) + prev)
+        ]
+        rows.append(tuple(half + half[n // 2 - 1 :: -1]))
     return EulerianTable(n_max, tuple(rows))
 
 

@@ -16,8 +16,8 @@ running product and cached, so the gamma and Gessel peels, which read the
 same rows for every n they expand, never rebuild one. The cache holds every
 row asked for, at most about m**2 / 2 entries for the largest m, each
 below 2**m: far smaller than the Eulerian rows such a caller already holds.
-gamma --n 1558 --force, at the int-to-str limit, peaked 23 MiB higher with
-it (1,296 against 1,319 MiB as a child process on a 2-vCPU host).
+gamma --n 1558 --force, at the int-to-str limit, peaked 50 MiB higher with
+it (672 against 722 MiB as a child process on a 2-vCPU host).
 
 Polynomials come in two shapes:
 

@@ -5,8 +5,10 @@ and j - 1 descents. Routes implemented here:
 
 - brute force over S_n (optionally sharded) histogramming both statistics
   on the shared walk in perm;
-- a four-term recurrence producing n * A(n, i, j) from row n - 1, with the
-  divisibility by n asserted on every entry;
+- a four-term recurrence producing n * A(n, i, j) from row n - 1, computed
+  on a quarter of each array (i <= j <= n + 1 - i) with the divisibility by
+  n asserted on every entry computed, the rest mirrored by the symmetries
+  below, each mirrored entry the same sum of the same integers;
 - the grid series: A_n(s, t) / ((1 - s)**(n+1) (1 - t)**(n+1)) has
   s**k t**l coefficient binomial(k l + n - 1, n);
 - the two-sided Worpitzky identity
@@ -95,8 +97,12 @@ def two_sided_brute_force(n: int, shards: int = 1, force: bool = False) -> TwoSi
 def two_sided_from_recurrence(n_max: int) -> list[TwoSidedTable]:
     """Tables for n = 1..n_max from the four-term recurrence.
 
-    Every intermediate sum must be divisible by n; a failure raises
-    ConsistencyError because it can only come from a broken table.
+    Each step computes only the fundamental domain of the array's symmetry
+    group and mirrors the rest (_two_sided_step); every computed sum must be
+    divisible by n, and a failure raises ConsistencyError because it can
+    only come from a broken table. Array 1 is symmetric, and a step from a
+    symmetric array builds a symmetric one, so no mirrored entry differs
+    from the sum that would have produced it.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -116,26 +122,41 @@ def _two_sided_step(
                  + (i (n + 1 - j) - n + 1) A(n - 1, i, j - 1)
                  + ((n + 1 - i) (n + 1 - j) + n - 1) A(n - 1, i - 1, j - 1),
 
-    read off prev framed in zeros (a[i][j] is A(n - 1, i, j), 0 outside
-    1..n - 1). Every entry is computed and its sum checked for divisibility
-    by n on its own.
+    read off the top ceil(n / 2) rows of prev framed in zeros (a[i][j] is
+    A(n - 1, i, j), 0 outside 1..n - 1). Only the fundamental domain
+    i <= j <= n + 1 - i, in rows i <= ceil(n / 2), is computed, each sum
+    checked for divisibility by n on its own; the rest is mirrored from it
+    in the same pass, each mirrored entry the same int object:
+
+    - j < i is column i of the earlier rows (transpose, A(i, j) = A(j, i));
+    - j > n + 1 - i is column n + 1 - i of the earlier rows read in
+      reverse (A(i, j) = A(n + 1 - j, n + 1 - i), antipode and transpose);
+    - row n + 1 - i is row i reversed (antipode).
+
+    On a prev symmetric under both maps, which the builder always passes,
+    no check loses a value it could catch: a mirrored entry's sum is the
+    same sum of the same integers as its computed image. Transpose swaps
+    the cu and cl coefficient progressions together with their neighbours
+    A(n - 1, i - 1, j) and A(n - 1, i, j - 1), and fixes the other two
+    terms; the antipode (i, j) -> (n + 1 - i, n + 1 - j) swaps ch with cc
+    and cu with cl, together with their neighbours.
     """
     m = n - 1
+    half = (n + 1) // 2
     zero = (0,) * (n + 1)
-    a = [zero] + [(0,) + row + (0,) for row in prev] + [zero]
-    js = range(1, n + 1)
+    a = [zero] + [(0,) + row + (0,) for row in prev[:half]]
     grid = []
-    for i in js:
+    for i in range(1, half + 1):
         up, here = a[i - 1], a[i]
         ri = n + 1 - i
-        row = []
-        # the four coefficients, each an arithmetic progression in j = 1..n
+        row = [r[i - 1] for r in grid]  # j < i, by transpose
+        # the four coefficients, each an arithmetic progression in j = i..ri
         for j, h, u, left, corner, ch, cu, cl, cc in zip(
-            js, here[1:], up[1:], here, up,
-            range(i + m, i * (n + 1) + m, i),  # i j + m
-            range(ri - m, ri * (n + 1) - m, ri),  # j (n + 1 - i) - m
-            range(i * n - m, -m, -i),  # i (n + 1 - j) - m
-            range(ri * n + m, m, -ri),  # (n + 1 - i) (n + 1 - j) + m
+            range(i, ri + 1), here[i:], up[i:], here[i - 1 :], up[i - 1 :],
+            range(i * i + m, i * (ri + 1) + m, i),  # i j + m
+            range(ri * i - m, ri * (ri + 1) - m, ri),  # j (n + 1 - i) - m
+            range(i * ri - m, i * (i - 1) - m, -i),  # i (n + 1 - j) - m
+            range(ri * ri + m, ri * (i - 1) + m, -ri),  # (n + 1 - i) (n + 1 - j) + m
         ):
             total = ch * h + cu * u + cl * left + cc * corner
             q, r = divmod(total, n)
@@ -145,7 +166,9 @@ def _two_sided_step(
                     f"is not divisible by {n}"
                 )
             row.append(q)
+        row += [r[ri - 1] for r in reversed(grid)]  # j > ri, by the antipode and transpose
         grid.append(tuple(row))
+    grid += [row[::-1] for row in reversed(grid[: n // 2])]
     return tuple(grid)
 
 

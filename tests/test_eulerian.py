@@ -46,6 +46,30 @@ def test_recurrence_rows_match_the_alternating_sum_to_n_60():
         assert table.row(n) == closed
 
 
+def every_entry_rows(n_max):
+    """The two-term recurrence on every entry of each row, none mirrored:
+    the reference the half-row builder is held to."""
+    rows = [(1,)]
+    for n in range(2, n_max + 1):
+        prev = (0,) + rows[-1] + (0,)
+        rows.append(tuple(i * prev[i] + (n + 1 - i) * prev[i - 1] for i in range(1, n + 1)))
+    return rows
+
+
+def test_recurrence_equals_the_every_entry_reference_to_n_300():
+    assert table_from_recurrence(300).rows == tuple(every_entry_rows(300))
+
+
+def test_every_entry_reference_rows_are_palindromic_to_n_40():
+    for n, row in enumerate(every_entry_rows(40), 1):
+        assert check_row_symmetry(n, row) is None
+
+
+def test_mirrored_row_entries_are_the_computed_ints():
+    for n, row in enumerate(table_from_recurrence(60).rows, 1):
+        assert all(row[i] is row[n - 1 - i] for i in range(n))
+
+
 def test_brute_force_reproduces_reference_table():
     for n, row in TABLE1.items():
         assert table_brute_force(n) == row

@@ -74,6 +74,58 @@ def test_recurrence_step_names_the_entry_a_corrupt_array_breaks():
         _two_sided_step(tuple(map(tuple, bad)), 7)
 
 
+def every_entry_step(prev, n):
+    """The four-term recurrence on every entry of array n, none mirrored:
+    the reference the fundamental-domain step is held to."""
+    m = n - 1
+    zero = (0,) * (n + 1)
+    a = [zero] + [(0,) + row + (0,) for row in prev] + [zero]
+    grid = []
+    for i in range(1, n + 1):
+        row = []
+        for j in range(1, n + 1):
+            total = (
+                (i * j + m) * a[i][j]
+                + (j * (n + 1 - i) - m) * a[i - 1][j]
+                + (i * (n + 1 - j) - m) * a[i][j - 1]
+                + ((n + 1 - i) * (n + 1 - j) + m) * a[i - 1][j - 1]
+            )
+            q, r = divmod(total, n)
+            assert not r, (n, i, j)
+            row.append(q)
+        grid.append(tuple(row))
+    return tuple(grid)
+
+
+def every_entry_arrays(n_max):
+    arrays = [((1,),)]
+    for n in range(2, n_max + 1):
+        arrays.append(every_entry_step(arrays[-1], n))
+    return arrays
+
+
+def test_recurrence_equals_the_every_entry_reference_to_n_60():
+    reference = every_entry_arrays(60)
+    for table, entries in zip(two_sided_from_recurrence(60), reference, strict=True):
+        assert table.entries == entries
+
+
+def test_every_entry_reference_has_both_symmetries_to_n_40():
+    # the symmetries the step mirrors by, checked on arrays that computed
+    # every entry
+    for n, entries in enumerate(every_entry_arrays(40), 1):
+        assert check_symmetries(TwoSidedTable(n, entries)) is None
+
+
+def test_mirrored_entries_are_the_computed_ints():
+    for table in two_sided_from_recurrence(30):
+        n, a = table.n, table.entries
+        for i in range(n):
+            for j in range(n):
+                assert a[i][j] is a[j][i]
+                assert a[i][j] is a[n - 1 - i][n - 1 - j]
+
+
 def test_brute_force_reproduces_reference_arrays():
     for n, entries in TABLE2.items():
         assert two_sided_brute_force(n).entries == entries
