@@ -242,7 +242,7 @@ def test_gamma_vectors_rebuild_the_eulerian_polynomial():
 
 
 def test_row_polynomials_have_distinct_negative_roots():
-    for n in range(1, 31):
+    for n in range(1, 61):
         p = eulerian_polynomial(n)
         shifted = UniPoly.from_coeffs(p.coeffs[1:])
         assert sturm_negative_root_count(shifted) == (n - 1, True)

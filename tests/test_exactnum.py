@@ -1,16 +1,18 @@
 """Polynomials, series windows, the exact solver, and Sturm counting."""
 
 import doctest
+import random
 from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulerian_workbench import exactnum
 from eulerian_workbench.common import ConsistencyError
+from eulerian_workbench.eulerian import table_from_recurrence
 from eulerian_workbench.exactnum import (
     BiPoly,
     UniPoly,
@@ -307,3 +309,94 @@ def test_sturm_matches_factored_oracle(lead, z, linears, quadratics):
     count, distinct = sturm_negative_root_count(p)
     assert count == len({a for a, _ in linears if a > 0})
     assert distinct == all(v <= 1 for v in multiplicity.values())
+
+
+# The oracle's factors: (at + b)(bt + a) and (at - b)(bt - a) are palindromic
+# with roots -b/a, -a/b and b/a, a/b; t^2 + ct + 1 with |c| <= 1 has two
+# non-real roots. Their product, times t^z and (1 + t)^k, is t^z times a
+# palindrome, so sturm_negative_root_count takes its palindromic branch, or
+# the full chain when -1 or 1 stays a root of the even-degree part.
+reciprocal_pairs = st.lists(
+    st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 2)), max_size=3)
+
+
+@given(
+    st.integers(min_value=-5, max_value=5).filter(bool),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=3),
+    reciprocal_pairs,
+    reciprocal_pairs,
+    st.lists(st.tuples(st.integers(-1, 1), st.integers(1, 2)), max_size=2),
+)
+@example(1, 0, 2, [], [], [])  # (1 + t)^2: r(-2) = 0
+@example(1, 0, 0, [], [(1, 1, 1)], [])  # (1 - t)^2: r(2) = 0
+@example(3, 1, 1, [(1, 1, 1)], [(2, 2, 1)], [(0, 1)])  # 3t (1 + t)^3 (2t - 2)^2 (t^2 + 1)
+@settings(max_examples=200, deadline=None)
+def test_sturm_matches_palindromic_factored_oracle(lead, z, k, negatives, positives, quadratics):
+    # roots merge by value, so -a/b from one pair and -1 from (1 + t)^k or a
+    # pair with a = b gather one multiplicity; p is squarefree exactly when
+    # none exceeds one
+    p = UniPoly.monomial(z, lead) * UniPoly.from_coeffs([1, 1]) ** k
+    multiplicity = Counter({Fraction(0): z, Fraction(-1): k})
+    for sign, pairs in ((1, negatives), (-1, positives)):
+        for a, b, m in pairs:
+            p = p * (UniPoly.from_coeffs([sign * b, a]) * UniPoly.from_coeffs([sign * a, b])) ** m
+            multiplicity[Fraction(-sign * b, a)] += m
+            multiplicity[Fraction(-sign * a, b)] += m
+    for c, m in quadratics:
+        p = p * UniPoly.from_coeffs([1, c, 1]) ** m
+        multiplicity[("t^2 + ct + 1", c)] += m
+    count, distinct = sturm_negative_root_count(p)
+    assert count == sum(1 for root, m in multiplicity.items()
+                        if m and isinstance(root, Fraction) and root < 0)
+    assert distinct == all(m <= 1 for m in multiplicity.values())
+
+
+def full_chain_count(p):
+    """The count from the remainder sequence of q itself, degree for degree."""
+    shift = next(e for e, c in enumerate(p.coeffs) if c)
+    chain = exactnum._sturm_chain(list(p.coeffs[shift:]))
+    sign = lambda x: (x > 0) - (x < 0)
+    changes = lambda signs: sum(1 for x, y in zip(signs, signs[1:]) if x != y)
+    at_minus_inf = [sign(c[-1]) * (-1) ** (len(c) - 1) for c in chain]
+    at_zero = [sign(c[0]) for c in chain if c[0]]
+    return (changes(at_minus_inf) - changes(at_zero), shift <= 1 and len(chain[-1]) == 1)
+
+
+def test_palindromic_branch_equals_the_full_chain_on_eulerian_rows_to_n_80():
+    table = table_from_recurrence(80)
+    for n in range(1, 81):
+        p = UniPoly.from_coeffs(table.row(n))
+        assert sturm_negative_root_count(p) == full_chain_count(p) == (n - 1, True), n
+
+
+def random_palindrome(rng):
+    """t^0..2 times a palindrome: random mirrored coefficients or a product of
+    small random palindromes, sometimes multiplied by (1 + t)^j or (1 - t)^2."""
+    def mirrored(degree):
+        half = [rng.randint(-9, 9) for _ in range(degree // 2 + 1)]
+        half[0] = half[0] or 1
+        return UniPoly.from_coeffs(half + half[: (degree + 1) // 2][::-1])
+    if rng.random() < 0.5:
+        q = mirrored(rng.randint(0, 12))
+    else:
+        q = UniPoly.one()
+        for _ in range(rng.randint(1, 4)):
+            q = q * mirrored(rng.choice((1, 2, 2, 4)))
+    extra = rng.choice([UniPoly.one()] * 5 + [UniPoly.from_coeffs([1, 1]) ** j for j in (1, 2)]
+                       + [UniPoly.from_coeffs([1, -2, 1])])
+    return UniPoly.monomial(rng.randint(0, 2)) * q * extra
+
+
+def test_palindromic_branch_equals_the_full_chain_on_random_palindromes():
+    rng = random.Random(20261020)
+    fallbacks = 0
+    for _ in range(2400):
+        p = random_palindrome(rng)
+        q = p.coeffs[next(e for e, c in enumerate(p.coeffs) if c):]
+        assert q == q[::-1]
+        fallbacks += exactnum._palindromic_count(q) is None
+        assert sturm_negative_root_count(p) == full_chain_count(p), p.coeffs
+    # both paths run often: a root at -1 or 1 of the even-degree part, from
+    # (1 + t)^2, (1 - t)^2 or two odd-degree factors, sends q to the full chain
+    assert 300 < fallbacks < 2400 - 1000
