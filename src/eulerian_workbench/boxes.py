@@ -23,9 +23,11 @@ binomial(rows + n - 1 - ides(w), n) * binomial(columns + n - 1 - des(w), n).
 The oracles enumerate every placement within an explicit budget and raise
 GuardRailError past it; they exist to cross-check the closed forms, not to
 scale. They stream placements from itertools, building no dataclass per
-placement and sharing no code with the S_n walk in perm;
-grid_placement_to_permutation standardizes a single grid placement through
-the dataclasses.
+placement and sharing no code with the S_n walk in perm.
+standardize_grid_placement standardizes a single grid placement, given as
+the sorted tuple of its balls' cell indices, to w and both sets of bars,
+with one stable sort and no per-ball tuple; verify walks it over every
+small placement to check that the bars cover the descents on both sides.
 
 The barred census reads each assignment as a head, the boxes of balls
 1..n - t, and a tail, the boxes of the last t balls. Heads stream from
@@ -61,20 +63,14 @@ from __future__ import annotations
 
 import itertools
 import operator
+from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from math import lgamma, log, log2
 from typing import Callable, Iterable
 
 from .common import check_budget
 from .exactnum import binomial
-from .perm import (
-    Perm,
-    check_permutation,
-    descent_count,
-    inverse,
-    inverse_descent_count,
-)
+from .perm import Perm, descent_count, inverse, inverse_descent_count
 
 # 10**8 assignments, (n, k) = (8, 10), took 20 s (0.20 us each) and 24 MiB
 # peak RSS as a child process on a 2-vCPU host.
@@ -160,97 +156,44 @@ def _census_size(factors: Iterable[tuple[int, int]], log2_size: Callable[[], flo
 # grid placements
 
 
-@dataclass(frozen=True)
-class GridPlacement:
-    """Unlabeled balls in a columns-by-rows grid.
+def standardize_grid_placement(
+    cells: tuple[int, ...], columns: int, rows: int
+) -> tuple[Perm, tuple[int, ...], tuple[int, ...]]:
+    """Standardize one grid placement: (w, vertical bars, horizontal bars).
 
-    cells holds (column, row, multiplicity) triples, sorted, multiplicity
-    positive, each cell listed at most once.
+    cells lists the balls' cell indices in increasing order, cell (c, r)
+    at index (c - 1) * rows + (r - 1): the multisets that
+    itertools.combinations_with_replacement(range(columns * rows), n)
+    yields, balls listed by column rank. w is the inverse of the stable
+    sort of positions 1..n by row, the row rank (module docstring).
+
+    Each bar is given by its position, the number of letters before it:
+    the bar between columns c and c + 1 stands after the balls of columns
+    1..c in column-rank order, and the bar between rows r and r + 1 after
+    those of rows 1..r in row-rank order. So there are columns - 1 vertical
+    and rows - 1 horizontal bars, in increasing order, an empty column or
+    row repeating a position. Every position 1..n-1 where the column (row)
+    changes between consecutive balls holds a vertical (horizontal) bar;
+    those cover the descents of w (of w inverse).
     """
-
-    columns: int
-    rows: int
-    cells: tuple[tuple[int, int, int], ...]
-
-    def __post_init__(self):
-        seen = set()
-        for col, row, mult in self.cells:
-            if not (1 <= col <= self.columns and 1 <= row <= self.rows):
-                raise ValueError(f"cell ({col}, {row}) outside the grid")
-            if mult < 1:
-                raise ValueError("multiplicities must be positive")
-            if (col, row) in seen:
-                raise ValueError(f"cell ({col}, {row}) listed twice")
-            seen.add((col, row))
-
-    @property
-    def ball_count(self) -> int:
-        return sum(mult for _, _, mult in self.cells)
-
-    @staticmethod
-    def from_triples(
-        triples: Iterable[Iterable[int]],
-        columns: int | None = None,
-        rows: int | None = None,
-    ) -> "GridPlacement":
-        cells = tuple(sorted((int(c), int(r), int(m)) for c, r, m in triples))
-        if columns is None:
-            columns = max((c for c, _, _ in cells), default=0)
-        if rows is None:
-            rows = max((r for _, r, _ in cells), default=0)
-        return GridPlacement(columns, rows, cells)
-
-
-@dataclass(frozen=True)
-class TwoSidedBarred:
-    """A permutation with independent column and row block structure.
-
-    column_blocks[c - 1] counts the letters of w in column c; row_blocks
-    likewise for w inverse by row. Blocks may be empty.
-    """
-
-    underlying: Perm
-    column_blocks: tuple[int, ...]
-    row_blocks: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.underlying)
-        if sum(self.column_blocks) != n or sum(self.row_blocks) != n:
-            raise ValueError("blocks must sum to the word length")
-
-
-def cut_positions(blocks: tuple[int, ...]) -> set[int]:
-    """Positions 1..n-1 where a bar separates two letters."""
-    cuts = set()
-    total = sum(blocks)
-    at = 0
-    for size in blocks[:-1]:
-        at += size
-        if 0 < at < total:
-            cuts.add(at)
-    return cuts
-
-
-def grid_placement_to_permutation(g: GridPlacement) -> TwoSidedBarred:
-    """Standardize a grid placement to its two-sided barred permutation."""
-    n = g.ball_count
-    if n < 1:
+    n = len(cells)
+    if not n:
         raise ValueError("placement holds no balls")
-    balls = [
-        (col, row, copy)
-        for col, row, mult in g.cells
-        for copy in range(mult)
-    ]
-    by_column = sorted(balls)
-    by_row = sorted(balls, key=lambda ball: (ball[1], ball[0], ball[2]))
-    row_rank = {ball: pos for pos, ball in enumerate(by_row, start=1)}
-    w = check_permutation(row_rank[ball] for ball in by_column)
-    column_blocks = [0] * g.columns
-    row_blocks = [0] * g.rows
-    for col, row, mult in g.cells:
-        column_blocks[col - 1] += mult
-        row_blocks[row - 1] += mult
-    return TwoSidedBarred(w, tuple(column_blocks), tuple(row_blocks))
+    if not all(map(operator.le, cells, cells[1:])):
+        raise ValueError("cell indices must be in increasing order")
+    if rows < 1 or cells[0] < 0 or cells[-1] >= columns * rows:
+        raise ValueError(f"cell index outside the {columns}x{rows} grid")
+    row_of = [cell % rows for cell in cells]
+    by_row = sorted(range(n), key=row_of.__getitem__)
+    w = [0] * n
+    for rank, position in enumerate(by_row, start=1):
+        w[position] = rank
+    row_of.sort()
+    return (
+        tuple(w),
+        tuple([bisect_left(cells, first) for first in range(rows, columns * rows, rows)]),
+        tuple([bisect_left(row_of, row) for row in range(1, rows)]),
+    )
 
 
 def count_two_sided(w: Perm, columns: int, rows: int) -> int:

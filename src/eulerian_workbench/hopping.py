@@ -150,16 +150,17 @@ def orbit_of(w: Perm) -> Orbit:
     """Close w under hops on all free letters, breadth first.
 
     Each member reached is expanded once, by a hop on each of its free
-    letters. Hops keep the set of free letters and hops on distinct letters
-    commute, so the class has 2**free members; both are verified, which
-    makes the reached set the whole class and nothing more.
+    letters, read once per member: w is expanded with the free letters that
+    size the class. Hops keep the set of free letters and hops on distinct
+    letters commute, so the class has 2**free members; both are verified,
+    which makes the reached set the whole class and nothing more.
     """
     free = free_values(w)
     letters = set(free)
     members = {w}
     queue = [w]
-    for u in queue:  # queue grows as members are reached
-        free_u = free_values(u)
+    for i, u in enumerate(queue):  # queue grows as members are reached
+        free_u = free_values(u) if i else free
         if set(free_u) != letters:
             raise ConsistencyError(f"orbit of {w} reaches {u}, whose free letters differ")
         for x in free_u:

@@ -245,30 +245,25 @@ def suite_boxes(bounds: SuiteBounds) -> list[CheckReport]:
                 raise ConsistencyError(f"n={n}, c={c}, r={r}, w={w}")
 
     def worked_grid(triples):
-        placement = boxes.GridPlacement.from_triples(triples, columns=5, rows=4)
-        standardized = boxes.grid_placement_to_permutation(placement).underlying
+        # cell (c, r) of the 5x4 grid at index (c - 1) * 4 + (r - 1)
+        cells = tuple(sorted((c - 1) * 4 + r - 1 for c, r, m in triples for _ in range(m)))
+        standardized, _, _ = boxes.standardize_grid_placement(cells, 5, 4)
         if standardized != (1, 7, 2, 3, 4, 6, 5):
             raise ConsistencyError(f"got {standardized}")
 
     def bars(item):
         n, c, r = item
-        cells = [(col, row) for col in range(1, c + 1) for row in range(1, r + 1)]
-        for multiset in itertools.combinations_with_replacement(cells, n):
-            counts: dict[tuple[int, int], int] = {}
-            for cell in multiset:
-                counts[cell] = counts.get(cell, 0) + 1
-            g = boxes.GridPlacement(
-                c, r, tuple(sorted((cc, rr, m) for (cc, rr), m in counts.items()))
-            )
-            tsb = boxes.grid_placement_to_permutation(g)
-            w = tsb.underlying
+        positions = range(1, n)
+        for cells in itertools.combinations_with_replacement(range(c * r), n):
+            w, vertical, horizontal = boxes.standardize_grid_placement(cells, c, r)
             inv = inverse(w)
-            des = {q for q in range(1, len(w)) if w[q - 1] > w[q]}
-            ides_pos = {q for q in range(1, len(w)) if inv[q - 1] > inv[q]}
-            if not des <= boxes.cut_positions(tsb.column_blocks):
-                raise ConsistencyError(f"vertical bars miss a descent: {g}")
-            if not ides_pos <= boxes.cut_positions(tsb.row_blocks):
-                raise ConsistencyError(f"horizontal bars miss an inverse descent: {g}")
+            for q in positions:
+                if w[q - 1] > w[q] and q not in vertical:
+                    raise ConsistencyError(f"vertical bars miss a descent: cells {cells}")
+                if inv[q - 1] > inv[q] and q not in horizontal:
+                    raise ConsistencyError(
+                        f"horizontal bars miss an inverse descent: cells {cells}"
+                    )
 
     return [
         _check(f"barred census matches the closed form for n <= {n_census}, k <= {k_census}",
@@ -341,13 +336,25 @@ def suite_hopping(bounds: SuiteBounds) -> list[CheckReport]:
                 )
 
     def orbit_sums(n):
+        # One statistics pass per member: each orbit's univariate polynomial
+        # is its bivariate one's t-marginal, held to the class shape as the
+        # univariate mode of orbit_descent_polynomial holds it.
         uni_counts = [0] * (n + 1)
         bi_counts: dict[tuple[int, int], int] = {}
         for orbit in orbits[n]:
-            for exp, c in enumerate(hopping.orbit_descent_polynomial(orbit).coeffs):
-                uni_counts[exp] += c
+            marginal = [0] * (n + 1)
             for a, b, c in hopping.orbit_descent_polynomial(orbit, "bivariate").terms:
                 bi_counts[a, b] = bi_counts.get((a, b), 0) + c
+                marginal[b] += c
+            total = UniPoly.from_coeffs(marginal)
+            expected = hopping.class_polynomial(n, orbit.peak_count)
+            if total != expected:
+                raise ConsistencyError(
+                    f"orbit of {orbit.representative} has descent polynomial "
+                    f"{total}, expected {expected}"
+                )
+            for exp, c in enumerate(marginal):
+                uni_counts[exp] += c
         if UniPoly.from_coeffs(uni_counts) != eulerian.polynomial_from_row(triangle.row(n)):
             raise ConsistencyError(f"univariate orbit sum fails at n={n}")
         if BiPoly.from_dict(bi_counts) != twosided.polynomial_from_table(tables[n - 1]):

@@ -1,9 +1,12 @@
 """Balls-in-boxes oracles against the closed-form counts.
 
 The labeled-ball bijection of the paper's worked figure (BoxAssignment,
-BarredPermutation, assignment_to_barred) and the shorthand readings of a
-two-sided barred word live here, not in the package: they standardize one
-placement at a time, the reference the streaming oracles are compared with.
+BarredPermutation, assignment_to_barred), its two-sided counterpart for
+grids (GridPlacement, TwoSidedBarred, grid_placement_to_permutation,
+cut_positions) and the shorthand readings of a two-sided barred word live
+here, not in the package: they standardize one placement at a time through
+dataclasses, the reference the streaming oracles and the package's
+standardize_grid_placement are compared with.
 """
 
 import itertools
@@ -17,14 +20,11 @@ import pytest
 
 from eulerian_workbench import boxes
 from eulerian_workbench.boxes import (
-    GridPlacement,
-    TwoSidedBarred,
     count_barred,
     count_two_sided,
-    cut_positions,
-    grid_placement_to_permutation,
     oracle_barred_census,
     oracle_two_sided_census,
+    standardize_grid_placement,
 )
 from eulerian_workbench.common import GuardRailError
 from eulerian_workbench.perm import (
@@ -83,6 +83,92 @@ def assignment_to_barred(a: BoxAssignment) -> BarredPermutation:
         word.extend(members)
         sizes.append(len(members))
     return BarredPermutation(check_permutation(word), tuple(sizes))
+
+
+@dataclass(frozen=True)
+class GridPlacement:
+    """Unlabeled balls in a columns-by-rows grid.
+
+    cells holds (column, row, multiplicity) triples, sorted, multiplicity
+    positive, each cell listed at most once.
+    """
+
+    columns: int
+    rows: int
+    cells: tuple[tuple[int, int, int], ...]
+
+    def __post_init__(self):
+        seen = set()
+        for col, row, mult in self.cells:
+            if not (1 <= col <= self.columns and 1 <= row <= self.rows):
+                raise ValueError(f"cell ({col}, {row}) outside the grid")
+            if mult < 1:
+                raise ValueError("multiplicities must be positive")
+            if (col, row) in seen:
+                raise ValueError(f"cell ({col}, {row}) listed twice")
+            seen.add((col, row))
+
+    @property
+    def ball_count(self) -> int:
+        return sum(mult for _, _, mult in self.cells)
+
+    @staticmethod
+    def from_triples(triples, columns: int, rows: int) -> "GridPlacement":
+        cells = tuple(sorted((int(c), int(r), int(m)) for c, r, m in triples))
+        return GridPlacement(columns, rows, cells)
+
+
+@dataclass(frozen=True)
+class TwoSidedBarred:
+    """A permutation with independent column and row block structure.
+
+    column_blocks[c - 1] counts the letters of w in column c; row_blocks
+    likewise for w inverse by row. Blocks may be empty.
+    """
+
+    underlying: Perm
+    column_blocks: tuple[int, ...]
+    row_blocks: tuple[int, ...]
+
+    def __post_init__(self):
+        n = len(self.underlying)
+        if sum(self.column_blocks) != n or sum(self.row_blocks) != n:
+            raise ValueError("blocks must sum to the word length")
+
+
+def cut_positions(blocks: tuple[int, ...]) -> set[int]:
+    """Positions 1..n-1 where a bar separates two letters."""
+    cuts = set()
+    total = sum(blocks)
+    at = 0
+    for size in blocks[:-1]:
+        at += size
+        if 0 < at < total:
+            cuts.add(at)
+    return cuts
+
+
+def grid_placement_to_permutation(g: GridPlacement) -> TwoSidedBarred:
+    """Rank the balls by (column, row, copy) and by (row, column, copy);
+    w(column rank) = row rank."""
+    n = g.ball_count
+    if n < 1:
+        raise ValueError("placement holds no balls")
+    balls = [
+        (col, row, copy)
+        for col, row, mult in g.cells
+        for copy in range(mult)
+    ]
+    by_column = sorted(balls)
+    by_row = sorted(balls, key=lambda ball: (ball[1], ball[0], ball[2]))
+    row_rank = {ball: pos for pos, ball in enumerate(by_row, start=1)}
+    w = check_permutation(row_rank[ball] for ball in by_column)
+    column_blocks = [0] * g.columns
+    row_blocks = [0] * g.rows
+    for col, row, mult in g.cells:
+        column_blocks[col - 1] += mult
+        row_blocks[row - 1] += mult
+    return TwoSidedBarred(w, tuple(column_blocks), tuple(row_blocks))
 
 
 def _grouped(word: Perm, blocks: tuple[int, ...]) -> str:
@@ -280,6 +366,89 @@ def test_grid_validation():
         GridPlacement(2, 2, ((1, 1, 0),))
     with pytest.raises(ValueError):
         GridPlacement(2, 2, ((1, 1, 1), (1, 1, 2)))
+
+
+def cell_indices(chosen, rows):
+    """(column, row) pairs, listed in (column, row) order, as the cell
+    indices standardize_grid_placement takes: (c - 1) * rows + (r - 1)."""
+    return tuple((c - 1) * rows + r - 1 for c, r in chosen)
+
+
+def barred_shorthand(word, bars):
+    """word with a | after its first q letters for each bar at position q."""
+    parts = []
+    at = 0
+    for q in bars + (len(word),):
+        parts.append("".join(map(str, word[at:q])))
+        at = q
+    return "|".join(parts)
+
+
+def test_worked_grid_standardizes_by_cell_index():
+    chosen = sorted((c, r) for c, r, m in WORKED_CELLS for _ in range(m))
+    w, vertical, horizontal = standardize_grid_placement(cell_indices(chosen, 4), 5, 4)
+    assert w == (1, 7, 2, 3, 4, 6, 5)
+    assert (vertical, horizontal) == ((2, 3, 6, 6), (5, 5, 6))
+    assert barred_shorthand(w, vertical) == "17|2|346||5"
+    assert barred_shorthand(inverse(w), horizontal) == "13457||6|2"
+
+
+def test_standardization_equals_the_dataclass_route():
+    # every placement with n <= 5 on grids up to 4x4: w, every bar's
+    # position, and the bars that separate two letters
+    placements = 0
+    for n in range(1, 6):
+        for columns in range(1, 5):
+            for rows in range(1, 5):
+                cells = [(c, r) for c in range(1, columns + 1) for r in range(1, rows + 1)]
+                for chosen in itertools.combinations_with_replacement(cells, n):
+                    g = GridPlacement.from_triples(
+                        [(c, r, chosen.count((c, r))) for c, r in set(chosen)],
+                        columns=columns,
+                        rows=rows,
+                    )
+                    barred = grid_placement_to_permutation(g)
+                    w, vertical, horizontal = standardize_grid_placement(
+                        cell_indices(chosen, rows), columns, rows
+                    )
+                    assert w == barred.underlying, g
+                    assert vertical == tuple(itertools.accumulate(barred.column_blocks[:-1])), g
+                    assert horizontal == tuple(itertools.accumulate(barred.row_blocks[:-1])), g
+                    assert {q for q in vertical if 0 < q < n} == cut_positions(barred.column_blocks)
+                    assert {q for q in horizontal if 0 < q < n} == cut_positions(barred.row_blocks)
+                    placements += 1
+    assert placements == 38747
+
+
+def test_standardization_fibres_are_the_closed_form():
+    for n in range(1, 5):
+        for columns in range(1, 4):
+            for rows in range(1, 4):
+                fibres = Counter(
+                    standardize_grid_placement(cells, columns, rows)[0]
+                    for cells in itertools.combinations_with_replacement(
+                        range(columns * rows), n
+                    )
+                )
+                for w in itertools.permutations(range(1, n + 1)):
+                    assert fibres[w] == count_two_sided(w, columns, rows), (n, columns, rows, w)
+
+
+@pytest.mark.parametrize(
+    "cells,columns,rows,message",
+    [
+        ((), 2, 2, "holds no balls"),
+        ((1, 0), 2, 2, "increasing order"),
+        ((0, 3, 2), 2, 2, "increasing order"),
+        ((0, 4), 2, 2, "outside the 2x2 grid"),
+        ((-1, 0), 2, 2, "outside the 2x2 grid"),
+        ((0,), 0, 2, "outside the 0x2 grid"),
+        ((0,), 2, 0, "outside the 2x0 grid"),
+    ],
+)
+def test_standardization_rejects_bad_placements(cells, columns, rows, message):
+    with pytest.raises(ValueError, match=message):
+        standardize_grid_placement(cells, columns, rows)
 
 
 def test_bars_cover_descents_both_sides():

@@ -363,9 +363,10 @@ def full_chain_count(p):
     return (changes(at_minus_inf) - changes(at_zero), shift <= 1 and len(chain[-1]) == 1)
 
 
-def test_palindromic_branch_equals_the_full_chain_on_eulerian_rows_to_n_80():
-    table = table_from_recurrence(80)
-    for n in range(1, 81):
+def test_palindromic_branch_equals_the_full_chain_on_eulerian_rows_to_n_60():
+    # rows 61-80, whose full chains take most of a minute, are compared in CI
+    table = table_from_recurrence(60)
+    for n in range(1, 61):
         p = UniPoly.from_coeffs(table.row(n))
         assert sturm_negative_root_count(p) == full_chain_count(p) == (n - 1, True), n
 

@@ -13,6 +13,7 @@ import pytest
 
 from eulerian_workbench import cli, eulerian, hopping, twosided, verify
 from eulerian_workbench.common import ConsistencyError, GuardRailError
+from eulerian_workbench.exactnum import BiPoly, UniPoly
 
 BUILDERS = (
     (eulerian, "table_from_recurrence"),
@@ -270,3 +271,50 @@ def test_brute_force_checks_run_up_to_the_guard():
     ):
         assert f"[PASS] {check} for n <= 11" in lines
     assert lines[-1] == "suite all: 28/28 checks passed"
+
+
+ORBIT_SUMS = "orbit generating functions sum to the full distributions for n <= 7"
+
+
+def hopping_failures():
+    code, out, _ = run_cli("verify", "--suite", "hopping")
+    return code, [line for line in out.splitlines() if line.startswith("[FAIL] ")]
+
+
+def test_orbit_sums_hold_each_orbit_to_its_class_polynomial(monkeypatch):
+    # a wrong shape for two peaks: every sum over S_n still holds, so only
+    # the per-orbit comparison with class_polynomial can catch it
+    shape = hopping.class_polynomial
+
+    def wrong(n, peaks):
+        return shape(n, peaks) + UniPoly.monomial(0) if peaks == 2 else shape(n, peaks)
+
+    monkeypatch.setattr(hopping, "class_polynomial", wrong)
+    code, failures = hopping_failures()
+    assert code == 1
+    # n = 5, 6 and 7 each fail at their first orbit with two peaks
+    assert failures == [
+        f"[FAIL] {ORBIT_SUMS} :: "
+        "orbit of (1, 3, 2, 5, 4) has descent polynomial t^3, expected 1 + t^3; "
+        "orbit of (1, 2, 4, 3, 6, 5) has descent polynomial t^3 + t^4, expected 1 + t^3 + t^4; "
+        "orbit of (1, 2, 3, 5, 4, 7, 6) has descent polynomial t^3 + 2t^4 + t^5, "
+        "expected 1 + t^3 + 2t^4 + t^5"
+    ]
+
+
+def test_orbit_sums_catch_a_term_added_to_one_bivariate_polynomial(monkeypatch):
+    statistics = hopping.orbit_descent_polynomial
+
+    def gains_a_term(orbit, mode="univariate"):
+        p = statistics(orbit, mode)
+        if mode == "bivariate" and orbit.representative == (1, 2, 3, 4):
+            return p + BiPoly.monomial(4, 1)
+        return p
+
+    monkeypatch.setattr(hopping, "orbit_descent_polynomial", gains_a_term)
+    code, failures = hopping_failures()
+    assert code == 1
+    assert failures == [
+        f"[FAIL] {ORBIT_SUMS} :: orbit of (1, 2, 3, 4) has descent polynomial "
+        f"{UniPoly((0, 2, 3, 3, 1))}, expected {UniPoly((0, 1, 3, 3, 1))}"
+    ]
