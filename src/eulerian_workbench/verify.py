@@ -8,16 +8,23 @@ aimed at the cheap checks cannot silently start a week-long walk. The walks
 over S_n (brute-force rows and arrays, the orbit census) stop at
 perm.BRUTE_FORCE_GUARD, the largest n a walk runs without force.
 
-Each suite builds each table it checks once (one recurrence run up to its
-largest n, one brute-force call over all its brute-force n) and hands every
-check the rows and arrays it needs.
+Each suite reads its tables (one recurrence run up to its largest n, one
+brute-force call over all its brute-force n, one table of hops, descents or
+hop classes per n) through its own _memo, made anew on each call, so no
+table outlives the call. A table is built on its first read, which comes
+inside a check, and read from the memo after that. A builder that raises
+fails the check that first read its table, with the builder's message, and
+the memo raises the same exception again at every later read: every check
+that reads a broken table fails with that message, and every other check
+still runs.
 
 Every check runs through _check, the one place a CheckReport is built, and
 fails one way: by raising. A check that raises at one of its items fails
 there, with the exception's message as the failure, and goes on to its next
-item, so a broken table is a FAIL line in the full report, never a crash; a
-check that returns anything but None fails too. GuardRailError alone is not
-caught: a refused budget still refuses the whole run. The engine checks in
+item, so a broken table or a builder that raises is a FAIL line in the full
+report of every suite, never a crash; a check that returns anything but
+None fails too. GuardRailError alone is not caught, nor kept by a memo: a
+refused budget still refuses the whole run. The engine checks in
 eulerian and twosided raise ConsistencyError with a message that names n.
 Their check_* and verify_* functions otherwise return None, so a suite
 hands each to _check as it is; the table commands run the same check_*
@@ -68,11 +75,13 @@ def _check(
     """Run one check: check(item) returns None or raises at each item.
 
     A raise is that item's failure, its message recorded verbatim, and the
-    check goes on to the next item. Anything but None returned fails the
-    item too, so a check written as a generator, which runs no line of its
-    body until iterated, cannot pass unrun. A failing check reports its
-    first three failures; a passing one reports detail, called first when
-    it is a function, and a raise there fails the check.
+    check goes on to the next item; a message already recorded, as a broken
+    table gives at every item that reads it, is recorded once. Anything but
+    None returned fails the item too, so a check written as a generator,
+    which runs no line of its body until iterated, cannot pass unrun. A
+    failing check reports its first three failures; a passing one reports
+    detail, called first when it is a function, and a raise there fails the
+    check.
     """
     found: list[str] = []
     for item in items:
@@ -81,7 +90,8 @@ def _check(
         except GuardRailError:
             raise
         except Exception as exc:  # the check's boundary: a raise is a failure
-            found.append(str(exc))
+            if str(exc) not in found:
+                found.append(str(exc))
         else:
             if result is not None:
                 found.append(f"the check returned {type(result).__name__}, not None")
@@ -95,6 +105,31 @@ def _check(
     return CheckReport(False, description, "; ".join(found[:3]))
 
 
+def _memo(**builders: Callable) -> Callable:
+    """read(name, *args) is builders[name](*args), built on the first read.
+
+    A builder's exception is kept and raised again at every later read of
+    the same table; a GuardRailError is not kept, since it ends the run.
+    """
+    built: dict[tuple, object] = {}
+
+    def read(name: str, *args):
+        key = (name, *args)
+        if key not in built:
+            try:
+                built[key] = builders[name](*args)
+            except GuardRailError:
+                raise
+            except Exception as exc:  # kept for every reader of this table
+                built[key] = exc
+        table = built[key]
+        if isinstance(table, Exception):
+            raise table
+        return table
+
+    return read
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -103,31 +138,36 @@ def suite_eulerian(bounds: SuiteBounds) -> list[CheckReport]:
     n_brute = _bound(bounds.n_max, 9, cap=BRUTE_FORCE_GUARD)
     k_max = _bound(bounds.k_max, 8)
     terms = _bound(bounds.terms, 12)
-    # row 4 feeds the Worpitzky spot value whatever n_max is
-    table = eulerian.table_from_recurrence(max(n_max, 4))
-    brute = eulerian.brute_force_rows(list(range(1, n_brute + 1)))
+    tables = _memo(
+        # row 4 feeds the Worpitzky spot value whatever n_max is
+        triangle=lambda: eulerian.table_from_recurrence(max(n_max, 4)),
+        brute=lambda: eulerian.brute_force_rows(list(range(1, n_brute + 1))),
+    )
     ns = range(1, n_max + 1)
 
+    def row(n):
+        return tables("triangle").row(n)
+
     def brute_rows(n):
-        if brute[n] != table.row(n):
+        if tables("brute")[n] != row(n):
             raise ConsistencyError(f"n={n}")
 
     def worpitzky(item):
         n, k = item
-        eulerian.worpitzky_identity(n, k, row=table.row(n))
+        eulerian.worpitzky_identity(n, k, row=row(n))
 
     def spot_value():
-        return f"spot value 3^4 = {eulerian.worpitzky_identity(4, 3, table.row(4))}"
+        return f"spot value 3^4 = {eulerian.worpitzky_identity(4, 3, row(4))}"
 
     def gamma(n):
-        gv = eulerian.gamma_extract(eulerian.polynomial_from_row(table.row(n)), n)
+        gv = eulerian.gamma_extract(eulerian.polynomial_from_row(row(n)), n)
         if not gv.nonnegative:
             raise ConsistencyError(f"n={n}: {gv.gammas}")
         if sum(g * 2 ** (n + 1 - 2 * i) for i, g in enumerate(gv.gammas, start=1)) != factorial(n):
             raise ConsistencyError(f"n={n}: gamma total mismatch")
 
     def sturm(n):
-        count, distinct = sturm_negative_root_count(UniPoly.from_coeffs(table.row(n)))
+        count, distinct = sturm_negative_root_count(UniPoly.from_coeffs(row(n)))
         if count != n - 1 or not distinct:
             raise ConsistencyError(f"n={n}: ({count}, {distinct})")
 
@@ -135,20 +175,20 @@ def suite_eulerian(bounds: SuiteBounds) -> list[CheckReport]:
         _check(f"brute force and recurrence rows agree for n <= {n_brute}",
                range(1, n_brute + 1), brute_rows),
         _check(f"row sums equal n! for n <= {n_max}", ns,
-               lambda n: eulerian.check_row_sum(n, table.row(n))),
+               lambda n: eulerian.check_row_sum(n, row(n))),
         _check(f"rows are palindromic for n <= {n_max}", ns,
-               lambda n: eulerian.check_row_symmetry(n, table.row(n))),
+               lambda n: eulerian.check_row_symmetry(n, row(n))),
         _check(f"rows are unimodal for n <= {n_max}", ns,
-               lambda n: eulerian.check_unimodality(n, table.row(n))),
+               lambda n: eulerian.check_unimodality(n, row(n))),
         _check(f"Worpitzky identity holds for n <= {min(n_max, 8)}, k <= {k_max}",
                itertools.product(range(1, min(n_max, 8) + 1), range(0, k_max + 1)),
                worpitzky, spot_value),
         _check(f"series window of A_n(t)/(1-t)^(n+1) matches k^n for n <= {min(n_max, 8)}, "
                f"k <= {terms}", range(1, min(n_max, 8) + 1),
-               lambda n: eulerian.verify_power_sum_series(table.row(n), terms)),
+               lambda n: eulerian.verify_power_sum_series(row(n), terms)),
         _check(f"derivative recurrence reproduces A_n(t) for n <= {n_max}",
                range(2, n_max + 1),
-               lambda n: eulerian.verify_polynomial_recurrence(table.row(n - 1), table.row(n))),
+               lambda n: eulerian.verify_polynomial_recurrence(row(n - 1), row(n))),
         _check(f"gamma vectors are nonnegative and evaluate to n! at t=1 for n <= {n_max}",
                ns, gamma),
         _check(f"A_n(t)/t has n-1 distinct negative roots (Sturm) for n <= {min(n_max, 10)}",
@@ -165,21 +205,26 @@ def suite_twosided(bounds: SuiteBounds) -> list[CheckReport]:
     k_max = _bound(bounds.k_max, 5)
     l_max = _bound(bounds.l_max, 5)
     terms = _bound(bounds.terms, 5)
-    tables = twosided.two_sided_from_recurrence(n_max)
-    uni = eulerian.table_from_recurrence(n_max)
-    brute = twosided.brute_force_tables(list(range(1, n_brute + 1)))
+    tables = _memo(
+        arrays=lambda: twosided.two_sided_from_recurrence(n_max),
+        rows=lambda: eulerian.table_from_recurrence(n_max),
+        brute=lambda: twosided.brute_force_tables(list(range(1, n_brute + 1))),
+    )
     ns = range(1, n_max + 1)
 
+    def array(n):
+        return tables("arrays")[n - 1]
+
     def brute_arrays(n):
-        if brute[n].entries != tables[n - 1].entries:
+        if tables("brute")[n].entries != array(n).entries:
             raise ConsistencyError(f"n={n}")
 
     def worpitzky(item):
         n, k, l = item
-        twosided.worpitzky_grid_identity(n, k, l, table=tables[n - 1])
+        twosided.worpitzky_grid_identity(n, k, l, table=array(n))
 
     def monotonicity(n):
-        violations = twosided.diagonal_monotonicity_probe(tables[n - 1])
+        violations = twosided.diagonal_monotonicity_probe(array(n))
         if n <= 7 and violations:
             raise ConsistencyError(f"unexpected violation at n={n}")
         if n == 8:
@@ -191,12 +236,12 @@ def suite_twosided(bounds: SuiteBounds) -> list[CheckReport]:
         _check(f"brute force and recurrence arrays agree for n <= {n_brute}",
                range(1, n_brute + 1), brute_arrays),
         _check(f"marginals match the one-sided rows and total n! for n <= {n_max}",
-               ns, lambda n: twosided.check_array_sums(tables[n - 1], uni.row(n))),
+               ns, lambda n: twosided.check_array_sums(array(n), tables("rows").row(n))),
         _check(f"transpose and antipodal symmetries hold for n <= {n_max}", ns,
-               lambda n: twosided.check_symmetries(tables[n - 1])),
+               lambda n: twosided.check_symmetries(array(n))),
         _check(f"grid series matches binomial(kl+n-1,n) for n <= {min(n_max, 6)}, "
                f"k,l <= {terms}", range(1, min(n_max, 6) + 1),
-               lambda n: twosided.verify_grid_series(tables[n - 1], terms)),
+               lambda n: twosided.verify_grid_series(array(n), terms)),
         _check(f"two-sided Worpitzky identity holds for n <= {min(n_max, 6)}, "
                f"k <= {k_max}, l <= {l_max}",
                itertools.product(range(1, min(n_max, 6) + 1), range(0, k_max + 1),
@@ -204,7 +249,7 @@ def suite_twosided(bounds: SuiteBounds) -> list[CheckReport]:
                worpitzky),
         _check(f"bivariate derivative recurrence reproduces n A_n(s,t) for n <= {n_max}",
                range(2, n_max + 1),
-               lambda n: twosided.verify_bivariate_recurrence(tables[n - 2], tables[n - 1])),
+               lambda n: twosided.verify_bivariate_recurrence(array(n - 1), array(n))),
         _check("diagonal monotonicity holds through n=7 and first breaks at n=8 as documented",
                range(1, min(n_max, 8) + 1), monotonicity,
                "first violations at n=8: 126 > 84 and 1980 > 1773" if n_max >= 8 else ""),
@@ -294,35 +339,39 @@ def suite_hopping(bounds: SuiteBounds) -> list[CheckReport]:
     n_small = _bound(bounds.n_max, 6, cap=6)
     n_mid = _bound(bounds.n_max, 7, cap=7)
     n_census = _bound(bounds.n_max, 9, cap=BRUTE_FORCE_GUARD)
-    triangle = eulerian.table_from_recurrence(n_census)
-    tables = twosided.two_sided_from_recurrence(n_mid)
-    orbits = {n: _orbits(n) for n in range(1, n_mid + 1)}
+    tables = _memo(
+        triangle=lambda: eulerian.table_from_recurrence(n_census),
+        arrays=lambda: twosided.two_sided_from_recurrence(n_mid),
+        orbits=_orbits,
+        descents=_descents,
+        hops=_hops,
+    )
 
     def hop_laws(n):
-        for w in enumerate_sn(n):
-            free = hopping.free_values(w)
-            hops = [hopping.hop(w, x) for x in free]
-            des = descent_count(w)
-            for x, hopped in zip(free, hops):
-                if hopping.hop(hopped, x) != w:
+        # each hop read from the table: hops[w][x] is hop(w, x) for the free x of w
+        hops, des = tables("hops", n), tables("descents", n)
+        for w, hopped in hops.items():
+            for x, w_x in hopped.items():
+                if hops.get(w_x, {}).get(x) != w:
                     raise ConsistencyError(f"involution fails at {w}, x={x}")
-                if abs(descent_count(hopped) - des) != 1:
+                if abs(des[w_x] - des[w]) != 1:
                     raise ConsistencyError(f"descent step at {w}, x={x}")
-            for (x, w_x), (y, w_y) in itertools.combinations(zip(free, hops), 2):
-                if hopping.hop(w_x, y) != hopping.hop(w_y, x):
+            for (x, w_x), (y, w_y) in itertools.combinations(hopped.items(), 2):
+                w_xy = hops[w_x].get(y)
+                if w_xy is None or w_xy != hops[w_y].get(x):
                     raise ConsistencyError(f"commutation fails at {w}, x={x}, y={y}")
 
     def letter_classes(n):
-        for w in enumerate_sn(n):
+        for w, des in tables("descents", n).items():
             kinds = hopping.classify_letters(w)
             peaks = kinds.count(hopping.PEAK)
-            if descent_count(w) != peaks + kinds.count(hopping.DOUBLE_DESCENT):
+            if des != peaks + kinds.count(hopping.DOUBLE_DESCENT):
                 raise ConsistencyError(f"descent split fails at {w}")
             if kinds.count(hopping.VALLEY) != peaks + 1:
                 raise ConsistencyError(f"valley count fails at {w}")
 
     def invariants(n):
-        for orbit in orbits[n]:
+        for orbit in tables("orbits", n):
             peak_sets = {tuple(sorted(hopping.peak_values(u))) for u in orbit.members}
             valley_sets = {
                 tuple(sorted(hopping.valley_values(u))) for u in orbit.members
@@ -336,33 +385,44 @@ def suite_hopping(bounds: SuiteBounds) -> list[CheckReport]:
                 )
 
     def orbit_sums(n):
-        # One statistics pass per member: each orbit's univariate polynomial
-        # is its bivariate one's t-marginal, held to the class shape as the
-        # univariate mode of orbit_descent_polynomial holds it.
+        # Each member's (ides + 1, des + 1), ides read as the descents of its
+        # inverse, goes into its orbit's t-marginal and the bivariate sum;
+        # the marginal is held to the class shape as the univariate mode of
+        # orbit_descent_polynomial holds it, and summed into the univariate sum.
+        des = tables("descents", n)
+        shapes: dict[int, tuple[UniPoly, list[int]]] = {}
         uni_counts = [0] * (n + 1)
         bi_counts: dict[tuple[int, int], int] = {}
-        for orbit in orbits[n]:
+        for orbit in tables("orbits", n):
             marginal = [0] * (n + 1)
-            for a, b, c in hopping.orbit_descent_polynomial(orbit, "bivariate").terms:
-                bi_counts[a, b] = bi_counts.get((a, b), 0) + c
-                marginal[b] += c
-            total = UniPoly.from_coeffs(marginal)
-            expected = hopping.class_polynomial(n, orbit.peak_count)
-            if total != expected:
+            for u in orbit.members:
+                b = des[u] + 1
+                marginal[b] += 1
+                key = (des[inverse(u)] + 1, b)
+                bi_counts[key] = bi_counts.get(key, 0) + 1
+            if orbit.peak_count not in shapes:
+                shape = hopping.class_polynomial(n, orbit.peak_count)
+                padded = list(shape.coeffs) + [0] * (n + 1 - len(shape.coeffs))
+                shapes[orbit.peak_count] = shape, padded
+            shape, padded = shapes[orbit.peak_count]
+            if marginal != padded:
                 raise ConsistencyError(
                     f"orbit of {orbit.representative} has descent polynomial "
-                    f"{total}, expected {expected}"
+                    f"{UniPoly.from_coeffs(marginal)}, expected {shape}"
                 )
             for exp, c in enumerate(marginal):
                 uni_counts[exp] += c
+        triangle = tables("triangle")
         if UniPoly.from_coeffs(uni_counts) != eulerian.polynomial_from_row(triangle.row(n)):
             raise ConsistencyError(f"univariate orbit sum fails at n={n}")
-        if BiPoly.from_dict(bi_counts) != twosided.polynomial_from_table(tables[n - 1]):
+        array = tables("arrays")[n - 1]
+        if BiPoly.from_dict(bi_counts) != twosided.polynomial_from_table(array):
             raise ConsistencyError(f"bivariate orbit sum fails at n={n}")
 
     def census_gamma(n):
         census = hopping.orbit_census(n)
-        gv = eulerian.gamma_extract(eulerian.polynomial_from_row(triangle.row(n)), n)
+        row = tables("triangle").row(n)
+        gv = eulerian.gamma_extract(eulerian.polynomial_from_row(row), n)
         expected = {
             i - 1: g for i, g in enumerate(gv.gammas, start=1) if g
         }
@@ -412,16 +472,29 @@ def _orbits(n: int) -> list[hopping.Orbit]:
     return out
 
 
+def _descents(n: int) -> dict[Perm, int]:
+    """descent_count of every word of S_n, in enumeration order."""
+    return {w: descent_count(w) for w in enumerate_sn(n)}
+
+
+def _hops(n: int) -> dict[Perm, dict[int, Perm]]:
+    """hop(w, x) for every word w of S_n and free letter x of w."""
+    return {
+        w: {x: hopping.hop(w, x) for x in hopping.free_values(w)} for w in enumerate_sn(n)
+    }
+
+
 # ---------------------------------------------------------------------------
 
 
 def suite_gessel(bounds: SuiteBounds) -> list[CheckReport]:
     n_max = _bound(bounds.n_max, 12)
-    tables = twosided.two_sided_from_recurrence(n_max)
+    tables = _memo(arrays=lambda: twosided.two_sided_from_recurrence(n_max))
     smallest: dict[int, int] = {}
 
     def nonnegative(n):
-        expansion = twosided.gessel_solve(twosided.polynomial_from_table(tables[n - 1]), n)
+        array = tables("arrays")[n - 1]
+        expansion = twosided.gessel_solve(twosided.polynomial_from_table(array), n)
         if not expansion.nonnegative:
             negative = {k: v for k, v in expansion.gammas.items() if v < 0}
             raise ConsistencyError(f"n={n}: negative coefficients {negative}")

@@ -2,6 +2,7 @@
 
 import doctest
 import itertools
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -295,6 +296,30 @@ def test_orbit_polynomials_sum_to_full_distributions():
             bi_total = bi_total + orbit_descent_polynomial(orbit, "bivariate")
         assert uni_total == eulerian_polynomial(n)
         assert bi_total == two_sided_polynomial(n)
+
+
+def test_orbit_polynomials_are_the_direct_count_on_every_class():
+    # verify's orbit sums count each member's statistics themselves, so both
+    # modes are held here to a count that calls nothing of perm, on every
+    # class through n = 7
+    for n in range(1, 8):
+        seen = set()
+        for w in enumerate_sn(n):
+            if w in seen:
+                continue
+            orbit = orbit_of(w)
+            seen.update(orbit.members)
+            counts = Counter()
+            for u in orbit.members:
+                des = sum(a > b for a, b in zip(u, u[1:]))
+                # an inverse descent at v: the letter v + 1 stands left of v
+                ides = sum(u.index(v + 1) < u.index(v) for v in range(1, n))
+                counts[ides + 1, des + 1] += 1
+            assert orbit_descent_polynomial(orbit, "bivariate") == BiPoly.from_dict(counts)
+            marginal = [0] * (n + 1)
+            for (_, t_exp), c in counts.items():
+                marginal[t_exp] += c
+            assert orbit_descent_polynomial(orbit) == UniPoly.from_coeffs(marginal)
 
 
 # ---------------------------------------------------------------------------

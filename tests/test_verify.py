@@ -1,6 +1,7 @@
-"""The verify suites: each builds the tables it checks once, and a broken
-table is a failed check in a full report, never a crash. A table command
-given a broken table exits 1 with nothing on stdout."""
+"""The verify suites: each builds the tables it checks once, within one run,
+and a broken table or a builder that raises is a failed check in a full
+report, never a crash. A table command given a broken table exits 1 with
+nothing on stdout."""
 
 import ast
 import dataclasses
@@ -13,7 +14,7 @@ import pytest
 
 from eulerian_workbench import cli, eulerian, hopping, twosided, verify
 from eulerian_workbench.common import ConsistencyError, GuardRailError
-from eulerian_workbench.exactnum import BiPoly, UniPoly
+from eulerian_workbench.exactnum import UniPoly
 
 BUILDERS = (
     (eulerian, "table_from_recurrence"),
@@ -302,19 +303,131 @@ def test_orbit_sums_hold_each_orbit_to_its_class_polynomial(monkeypatch):
     ]
 
 
-def test_orbit_sums_catch_a_term_added_to_one_bivariate_polynomial(monkeypatch):
-    statistics = hopping.orbit_descent_polynomial
+def test_orbit_sums_catch_a_wrong_inverse_at_one_member(monkeypatch):
+    # 1234's inverse read as 2134: its ides moves from 0 to 1 and its des
+    # stays, so every orbit keeps its t-marginal and only the bivariate sum
+    # over S_4 can catch it
+    wrong = verify.inverse
+    monkeypatch.setattr(
+        verify, "inverse", lambda u: (2, 1, 3, 4) if u == (1, 2, 3, 4) else wrong(u)
+    )
+    code, failures = hopping_failures()
+    assert code == 1
+    assert failures == [f"[FAIL] {ORBIT_SUMS} :: bivariate orbit sum fails at n=4"]
 
-    def gains_a_term(orbit, mode="univariate"):
-        p = statistics(orbit, mode)
-        if mode == "bivariate" and orbit.representative == (1, 2, 3, 4):
-            return p + BiPoly.monomial(4, 1)
-        return p
 
-    monkeypatch.setattr(hopping, "orbit_descent_polynomial", gains_a_term)
+HOP_LAWS = "hops are involutions, move descents by one, and commute for n <= 6"
+LETTER_CLASSES = (
+    "descents split into peaks plus double descents and valleys exceed peaks by one for n <= 7"
+)
+INVARIANTS = "peak, valley, and free sets are orbit invariants for n <= 6"
+
+
+def test_a_hop_that_breaks_the_involution_fails_the_checks_that_read_hops(monkeypatch):
+    # 12345 hopped at 5 lands on 12354, where 5 is a peak: the hop laws and
+    # both checks that read the hop classes of S_5 fail, and nothing else
+    hop = hopping.hop
+
+    def broken(w, x):
+        return (1, 2, 3, 5, 4) if (w, x) == ((1, 2, 3, 4, 5), 5) else hop(w, x)
+
+    monkeypatch.setattr(hopping, "hop", broken)
+    code, failures = hopping_failures()
+    assert code == 1
+    closure = "orbit of (1, 2, 3, 4, 5) reaches (1, 2, 3, 5, 4), whose free letters differ"
+    assert failures == [
+        f"[FAIL] {HOP_LAWS} :: involution fails at (1, 2, 3, 4, 5), x=5",
+        f"[FAIL] {INVARIANTS} :: {closure}",
+        f"[FAIL] {ORBIT_SUMS} :: {closure}",
+    ]
+
+
+def test_a_free_letter_lost_on_both_sides_fails_the_commutation_law(monkeypatch):
+    # 213 loses its free 3 and 312 its free 2: every hop from 123 comes back,
+    # but neither hop can be followed by the other, so only the commutation
+    # law (and the classes it breaks) can catch it
+    free_values = hopping.free_values
+    lost = {(2, 1, 3): 3, (3, 1, 2): 2}
+    monkeypatch.setattr(
+        hopping, "free_values", lambda w: tuple(x for x in free_values(w) if x != lost.get(w))
+    )
+    code, failures = hopping_failures()
+    assert code == 1
+    closure = "orbit of (1, 2, 3) reaches (2, 1, 3), whose free letters differ"
+    assert failures == [
+        f"[FAIL] {HOP_LAWS} :: commutation fails at (1, 2, 3), x=2, y=3",
+        f"[FAIL] {INVARIANTS} :: {closure}",
+        f"[FAIL] {ORBIT_SUMS} :: {closure}",
+    ]
+
+
+def miscount_one_descent(monkeypatch):
+    # 21345 has one descent and is counted with two
+    count = verify.descent_count
+    monkeypatch.setattr(verify, "descent_count", lambda w: count(w) + (w == (2, 1, 3, 4, 5)))
+
+
+def test_a_descent_miscount_fails_the_checks_that_read_descents(monkeypatch):
+    miscount_one_descent(monkeypatch)
     code, failures = hopping_failures()
     assert code == 1
     assert failures == [
-        f"[FAIL] {ORBIT_SUMS} :: orbit of (1, 2, 3, 4) has descent polynomial "
-        f"{UniPoly((0, 2, 3, 3, 1))}, expected {UniPoly((0, 1, 3, 3, 1))}"
+        f"[FAIL] {HOP_LAWS} :: descent step at (1, 2, 3, 4, 5), x=2",
+        f"[FAIL] {LETTER_CLASSES} :: descent split fails at (2, 1, 3, 4, 5)",
+        f"[FAIL] {ORBIT_SUMS} :: orbit of (1, 2, 3, 4, 5) has descent polynomial "
+        "t + 3t^2 + 7t^3 + 4t^4 + t^5, expected t + 4t^2 + 6t^3 + 4t^4 + t^5",
     ]
+
+
+def test_two_runs_in_one_process_share_no_table(monkeypatch):
+    assert hopping_failures() == (0, [])
+    miscount_one_descent(monkeypatch)
+    code, failures = hopping_failures()
+    assert code == 1
+    assert len(failures) == 3
+
+
+# The checks of the default `verify` that read each builder's table, by the
+# opening words of their descriptions, in report order.
+READERS = {
+    (eulerian, "table_from_recurrence"): [
+        "brute force and recurrence rows", "row sums", "rows are palindromic",
+        "rows are unimodal", "Worpitzky identity", "series window",
+        "derivative recurrence", "gamma vectors", "A_n(t)/t has n-1",
+        "marginals match", "orbit generating functions", "orbit census",
+    ],
+    (eulerian, "brute_force_rows"): ["brute force and recurrence rows"],
+    (twosided, "two_sided_from_recurrence"): [
+        "brute force and recurrence arrays", "marginals match", "transpose and antipodal",
+        "grid series", "two-sided Worpitzky", "bivariate derivative recurrence",
+        "diagonal monotonicity", "orbit generating functions", "Gessel expansions",
+    ],
+    (twosided, "brute_force_tables"): ["brute force and recurrence arrays"],
+    (verify, "_orbits"): ["peak, valley, and free sets", "orbit generating functions"],
+    (verify, "_descents"): [
+        "hops are involutions", "descents split", "orbit generating functions",
+    ],
+    (verify, "_hops"): ["hops are involutions"],
+}
+
+
+@pytest.mark.parametrize("builder", READERS, ids=lambda builder: builder[1])
+def test_a_builder_that_raises_fails_exactly_the_checks_that_read_its_table(monkeypatch, builder):
+    module, name = builder
+
+    def broken(*args, **kwargs):
+        raise ConsistencyError(f"{name} broke")
+
+    monkeypatch.setattr(module, name, broken)
+    code, out, _ = run_cli("verify")
+    assert code == 1
+    lines = out.splitlines()
+    readers = READERS[builder]
+    assert len(lines) == 29
+    assert lines[-1] == f"suite all: {28 - len(readers)}/28 checks passed"
+    failures = [line for line in lines if line.startswith("[FAIL] ")]
+    assert len(failures) == len(readers)
+    for line, opening in zip(failures, readers):
+        assert line.startswith(f"[FAIL] {opening}"), line
+        # read at every n, and reported once
+        assert line.endswith(f" :: {name} broke"), line
