@@ -364,7 +364,8 @@ def full_chain_count(p):
 
 
 def test_palindromic_branch_equals_the_full_chain_on_eulerian_rows_to_n_60():
-    # rows 61-80, whose full chains take most of a minute, are compared in CI
+    # rows 61-80, whose full chains take most of a minute, are compared by
+    # the sturm sweep of tools/sweeps.py, run in CI
     table = table_from_recurrence(60)
     for n in range(1, 61):
         p = UniPoly.from_coeffs(table.row(n))

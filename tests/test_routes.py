@@ -214,16 +214,23 @@ def test_every_definition_is_reached_from_a_command_or_the_public_api():
 
 
 def test_importing_the_cli_loads_no_pool_no_rational_arithmetic_no_verify_and_no_boxes():
-    # a fresh interpreter: what importing the CLI adds to sys.modules
+    # a fresh interpreter: what importing the CLI adds to sys.modules, then
+    # what running stats adds to that
     code = (
-        "import sys; before = set(sys.modules); import eulerian_workbench.cli; "
+        "import sys; before = set(sys.modules); import eulerian_workbench.cli as cli; "
+        "print(*sorted(set(sys.modules) - before)); cli.run(['stats', '123']); "
         "print(*sorted(set(sys.modules) - before))"
     )
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    loaded = subprocess.run(
+    imported, profile, after_stats = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
+    ).stdout.splitlines()
+    loaded = imported.split()
     assert "eulerian_workbench.cli" in loaded
     banned = ("concurrent.futures", "multiprocessing", "fractions", "decimal",
               "eulerian_workbench.verify", "eulerian_workbench.boxes")
     assert [m for m in loaded if any(m == b or m.startswith(b + ".") for b in banned)] == []
+    assert profile == "des=0 ides=0 inv=0 asc=2 exc=0 run=1"
+    loaded = after_stats.split()
+    assert "eulerian_workbench.perm" in loaded
+    assert [m for m in loaded if m in ("eulerian_workbench.verify", "eulerian_workbench.boxes")] == []
