@@ -65,8 +65,8 @@ import itertools
 import operator
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Callable, Iterable
 from math import lgamma, log, log2
-from typing import Callable, Iterable
 
 from .common import check_budget
 from .exactnum import binomial

@@ -3,8 +3,8 @@
 Subcommands: stats, eulerian, two-sided, gamma, gessel, orbit, orbits,
 series, verify. Data goes to stdout; progress, warnings, and timings go to
 stderr. Output is deterministic: the same invocation produces the same
-bytes, whatever the shard count. Brute force counts its shard blocks in
-order in this process, one block unless --shards says otherwise; no
+bytes, whatever the shard count. Brute force counts each S_n whole in
+this process; --shards is checked and accepted but splits nothing, and no
 command starts a child process.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 guard rail.
@@ -156,13 +156,13 @@ def _tables(args, kind: str) -> dict:
     """n -> the Eulerian row ("eulerian") or the TwoSidedTable ("twosided"),
     for the requested ns in ascending order.
 
-    Brute force counts --shards blocks, else one. Otherwise one recurrence
-    run up to the largest n gives every table. Whatever the source, each
-    row must sum to n! and be palindromic, and each array must total n!,
-    have both marginals equal to row n of the one-sided recurrence and
-    equal its transpose and its antipodal image, or ConsistencyError is
-    raised before anything is printed. A cache, if named, is noted as
-    ignored and never touched.
+    Brute force counts each S_n whole; --shards is only checked. Otherwise
+    one recurrence run up to the largest n gives every table. Whatever the
+    source, each row must sum to n! and be palindromic, and each array must
+    total n!, have both marginals equal to row n of the one-sided
+    recurrence and equal its transpose and its antipodal image, or
+    ConsistencyError is raised before anything is printed. A cache, if
+    named, is noted as ignored and never touched.
     """
     if args.cache or os.environ.get(CACHE_ENV):
         print(f"warning: --cache and ${CACHE_ENV} are ignored; tables are always recomputed",
@@ -690,8 +690,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tables.add_argument(
         "--shards", type=positive, metavar="N",
-        help="shard blocks per n for brute-force enumeration, counted in order "
-        f"in this process (default 1; past {SHARD_BUDGET} blocks over all n, --force)",
+        help="accepted; each S_n is counted whole, so N changes no output "
+        f"(default 1; past {SHARD_BUDGET} blocks over all n, --force)",
     )
 
     p = sub.add_parser("stats", parents=[formatted], help="statistics of permutations")

@@ -3,8 +3,7 @@
 A(n, i) counts permutations of {1, ..., n} with exactly i - 1 descents,
 equivalently i increasing runs, for 1 <= i <= n. Routes implemented here:
 
-- brute force: count descents over S_n on the shared walk in perm
-  (optionally in shard blocks);
+- brute force: count descents over S_n on the shared walk in perm;
 - the two-term recurrence
   A(n, i) = i * A(n - 1, i) + (n + 1 - i) * A(n - 1, i - 1);
 - the power-sum series: A_n(t) / (1 - t)**(n + 1) has t**k coefficient k**n;

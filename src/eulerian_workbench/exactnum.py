@@ -6,10 +6,7 @@ Sturm chains come from a primitive pseudo-remainder sequence whose scales
 are positive integers, so signs survive and no rational is ever formed. One
 such sequence of (q, q') gives both the distinct-root count and whether q is
 squarefree. It is never divided by gcd(q, q'): the gcd has no root at 0 or
-near -inf, so the count is the same. The one routine on fractions.Fraction
-values is solve_exact_linear, which no module of the package calls; the
-module names Fraction only in its annotation and never imports fractions at
-run time. No floating point appears anywhere.
+near -inf, so the count is the same. No floating point appears anywhere.
 
 A palindromic q, such as every Eulerian row, is counted by a chain of half
 its degree. At odd degree q(-1) = -q(-1), so q = (1 + t) q1 and -1 is a
@@ -57,12 +54,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import comb, gcd
-from typing import TYPE_CHECKING, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .common import ConsistencyError
-
-if TYPE_CHECKING:  # an annotation alone names Fraction; importing it costs every start
-    from fractions import Fraction
 
 
 def binomial(m: int, r: int) -> int:
@@ -400,38 +394,9 @@ def series_product_bivariate(p: BiPoly, s_window: SeriesWindow, t_window: Series
     return SeriesWindow(max(ks, kt), tuple(tuple(row) for row in grid))
 
 
-# ---------------------------------------------------------------------------
-# exact linear solving
-
-
-def solve_exact_linear(rows: list[list[Fraction]], n_unknowns: int) -> list[Fraction]:
-    """Solve an (over)determined rational linear system exactly.
-
-    Each row is augmented: n_unknowns coefficients followed by the right-hand
-    side. The system must have exactly one solution; an inconsistent or
-    underdetermined system raises ConsistencyError.
-    """
-    mat = [list(r) for r in rows]
-    if any(len(r) != n_unknowns + 1 for r in mat):
-        raise ValueError("rows must have n_unknowns + 1 entries")
-    pivot_row = 0
-    for col in range(n_unknowns):
-        src = next((r for r in range(pivot_row, len(mat)) if mat[r][col] != 0), None)
-        if src is None:
-            raise ConsistencyError(f"underdetermined system: no pivot for unknown {col}")
-        mat[pivot_row], mat[src] = mat[src], mat[pivot_row]
-        pivot = mat[pivot_row][col]
-        mat[pivot_row] = [x / pivot for x in mat[pivot_row]]
-        base = mat[pivot_row]
-        for r in range(len(mat)):
-            if r != pivot_row and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], base)]
-        pivot_row += 1
-    for r in range(pivot_row, len(mat)):
-        if mat[r][n_unknowns] != 0:
-            raise ConsistencyError("inconsistent system: incompatible equation")
-    return [mat[i][n_unknowns] for i in range(n_unknowns)]
+# bench/spans.py binds this name to count Gessel unknowns; nothing calls it.
+def solve_exact_linear(*args) -> None:
+    raise NotImplementedError("solve_exact_linear is only a binding for bench/spans.py")
 
 
 # ---------------------------------------------------------------------------

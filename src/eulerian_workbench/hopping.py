@@ -224,13 +224,12 @@ def orbit_census(n: int, force: bool = False) -> dict[int, int]:
     2008): hops keep the peaks and move each free letter between the two
     slopes of its valley, so exactly one choice puts every free letter on
     an ascending slope. One stream over S_n counts those members by peak
-    count and builds no class: perm.census_kernel, a block kernel, reads
-    each shard block run by run. It scans the run's shared prefix once; a
-    prefix with a double descent sends the whole run under the key None,
-    and otherwise a full run of 7-letter tails adds one cached table, keyed
-    by how many tail letters lie below the prefix's last letter and whether
-    the prefix ends in a fall, which holds the run's peak counts and double
-    descents. Every word with a double descent goes under None, which is
+    count and builds no class: perm.census_kernel reads S_n run by run. It
+    scans the run's shared prefix once; a prefix with a double descent
+    sends the whole run under the key None, and otherwise the run's tails
+    add one cached table, keyed by the tail's length, how many tail letters
+    lie below the prefix's last letter and whether the prefix ends in a
+    fall, which holds the run's peak counts and double descents. Every word with a double descent goes under None, which is
     dropped here.
 
     Coverage is checked by class size: a class with p peaks has

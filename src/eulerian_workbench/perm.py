@@ -13,28 +13,26 @@ descents has i increasing runs.
 Every brute-force route walks S_n here. enumerate_sn streams S_n in
 lexicographic order, whole or as one of several contiguous shard blocks,
 and returns a Block: an itertools.chain whose words come straight from C,
-which can also give the block as runs (prefix, rest, lo, hi). A run's
-words share their first n - 7 letters (the whole word below n = 7) and
-are itertools.permutations(prefix + rest)[lo:hi]: that iterator keeps the
-prefix in place for its first 7! steps while it permutes rest, the other
-letters in increasing order, lexicographically. histogram counts one
-statistic over S_n block by block, in order and in this process, and
-merges the counts exactly. Its kernels (des, the pair (ides, des) and
-the peaks of permutations with no double descents) are block kernels:
-each takes one shard block and n and works run by run. A tail word is
-rest relabelled by a pattern p of range(7), which keeps every comparison
-inside the tail, so each statistic is the prefix's part, a comparison or
-two across the boundary and a function of p alone (proved above the
-kernels). The boundary reads p only through its first letter, against
-cut, the number of tail letters below the prefix's last letter; the pair
-adds the tail mask of neighbours that differ by 1, and the census whether
-the prefix ends in a fall. A full run of all 7! patterns therefore adds
-the same counts for every prefix with one boundary key. A kernel scans
-each run's prefix once and adds a full run from its cached table for
-that key, a few entries offset by the prefix's part; a partial run
-groups its slice of patterns uncached. One guard rail,
-BRUTE_FORCE_GUARD, covers every walk, and SHARD_BUDGET bounds the blocks
-of one histogram call: past either, force is required.
+which for a whole S_n can also give its runs (prefix, rest). A run's words
+share their first max(n - 7, 0) letters and are the first len(rest)! of
+itertools.permutations(prefix + rest): that iterator keeps the prefix in
+place for those steps while it permutes rest, the other min(n, 7)
+letters in increasing order, lexicographically. histogram counts one statistic over each S_n
+whole, one kernel call per n. Its kernels (des, the pair (ides, des) and
+the peaks of permutations with no double descents) take the whole of S_n
+and n and work run by run. A tail word is rest relabelled by a pattern p
+of range(m), m = len(rest), which keeps every comparison inside the tail,
+so each statistic is the prefix's part, a comparison or two across the
+boundary and a function of p alone (proved above the kernels). The
+boundary reads p only through its first letter, against cut, the number
+of tail letters below the prefix's last letter; the pair adds the tail
+mask of neighbours that differ by 1, and the census whether the prefix
+ends in a fall. A run of all m! patterns therefore adds the same counts
+for every prefix with one boundary key. A kernel scans each run's prefix
+once and adds the run from its cached table for (m, key), a few entries
+offset by the prefix's part. One guard rail, BRUTE_FORCE_GUARD, covers
+every walk; SHARD_BUDGET bounds the shard count one histogram call
+accepts: past either, force is required.
 """
 
 from __future__ import annotations
@@ -55,15 +53,13 @@ Perm = tuple[int, ...]
 # 11! is 39.9 million permutations; walking past it needs an explicit override.
 BRUTE_FORCE_GUARD = 11
 
-# Shard blocks one histogram call may count, summed over its ns. A block
-# shorter than a run counts up to two partial runs, uncached: 10**4 blocks
-# of S_11 took 1.0 to 3.9 s by kernel on a 2-vCPU host, one block 0.03 to
-# 0.12 s.
+# Shard blocks one histogram call accepts, summed over its ns. histogram
+# counts each S_n whole, so this only keeps the exit 3 of --shards past it.
 SHARD_BUDGET = 10**4
 
-# Runs walk itertools.permutations over their last SUFFIX letters, the tail.
+# Runs walk itertools.permutations over their last min(n, SUFFIX) letters,
+# the tail.
 SUFFIX = 7
-FULL_RUN = factorial(SUFFIX)
 
 
 def check_permutation(letters) -> Perm:
@@ -240,8 +236,8 @@ def enumerate_sn(n: int, shard: tuple[int, int] | None = None, force: bool = Fal
     shard (index, total) selects the permutations of lexicographic rank
     index * n! // total up to (index + 1) * n! // total; concatenating all
     blocks in index order reproduces the full stream. n above the guard
-    rail requires force. The Block returned iterates the words and also
-    gives the block's runs (see Block.runs).
+    rail requires force. The Block returned iterates the words; a whole
+    S_n also gives its runs (see Block.runs).
     """
     check_guard(n, force)
     if shard is None:
@@ -252,51 +248,52 @@ def enumerate_sn(n: int, shard: tuple[int, int] | None = None, force: bool = Fal
     fact = factorial(n)
     start = index * fact // total
     stop = (index + 1) * fact // total
-    if start == 0 and stop == fact:
+    whole = start == 0 and stop == fact
+    if whole:
         block = Block(itertools.permutations(range(1, n + 1)))
-    else:
+    else:  # the runs that hold ranks start..stop - 1, each cut to them
+        run = factorial(min(n, SUFFIX))
+        first = start // run
         block = Block.from_iterable(
-            itertools.islice(itertools.permutations(prefix + rest), lo, hi)
-            for prefix, rest, lo, hi in _prefix_runs(n, start, stop)
+            itertools.islice(
+                itertools.permutations(prefix + rest), max(start - at, 0), min(stop - at, run)
+            )
+            for at, (prefix, rest) in zip(range(first * run, stop, run), _prefix_runs(n, first))
         )
-    block.n, block.start, block.stop = n, start, stop
+    block.n = n if whole else None
     return block
 
 
 class Block(itertools.chain):
     """The words of S_n of lexicographic rank start up to stop, from C.
 
-    runs() gives the same block as runs of words that share a prefix.
+    runs() gives a whole S_n as runs of words that share a prefix; n is
+    None on a shard block.
     """
 
-    __slots__ = ("n", "start", "stop")
+    __slots__ = ("n",)
 
-    def runs(self) -> Iterator[tuple[Perm, Perm, int, int]]:
-        return _prefix_runs(self.n, self.start, self.stop)
+    def runs(self) -> Iterator[tuple[Perm, Perm]]:
+        if self.n is None:
+            raise ValueError("only a whole S_n splits into runs, not a shard block")
+        return _prefix_runs(self.n)
 
 
-def _prefix_runs(n: int, start: int, stop: int) -> Iterator[tuple[Perm, Perm, int, int]]:
-    """The ranks [start, stop) of S_n as runs (prefix, rest, lo, hi).
+def _prefix_runs(n: int, first: int = 0) -> Iterator[tuple[Perm, Perm]]:
+    """The runs (prefix, rest) of S_n from prefix rank first on.
 
-    A run's words are itertools.permutations(prefix + rest)[lo:hi]: rest is
-    the letters missing from prefix in increasing order, and that iterator
-    keeps the prefix in place for its first len(rest)! steps, permuting
-    rest in lexicographic order. The prefix has n - SUFFIX letters, so the
-    tail rest has exactly SUFFIX; below SUFFIX letters the prefix is the
-    whole word and rest is empty. Prefixes come in lexicographic order and
-    each covers len(rest)! consecutive ranks; only the first and last run
-    can be partial.
+    A run's words are the first len(rest)! of
+    itertools.permutations(prefix + rest): rest is the letters missing
+    from prefix in increasing order, and that iterator keeps the prefix in
+    place for those steps, permuting rest in lexicographic order. The
+    prefix has max(n - SUFFIX, 0) letters, so the tail rest has
+    min(n, SUFFIX). Prefixes come in lexicographic order and each covers
+    len(rest)! consecutive ranks.
     """
-    k = n - SUFFIX if n >= SUFFIX else n
-    run = factorial(n - k)
-    first, last = start // run, (stop - 1) // run
     letters = range(1, n + 1)
-    prefixes = itertools.islice(itertools.permutations(letters, k), first, last + 1)
-    for at, prefix in enumerate(prefixes, start=first):
-        rest = tuple(x for x in letters if x not in prefix)
-        lo = start - at * run if at == first else 0
-        hi = stop - at * run if at == last else run
-        yield prefix, rest, lo, hi
+    prefixes = itertools.permutations(letters, max(n - SUFFIX, 0))
+    for prefix in itertools.islice(prefixes, first, None):
+        yield prefix, tuple(x for x in letters if x not in prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +303,13 @@ def _prefix_runs(n: int, start: int, stop: int) -> Iterator[tuple[Perm, Perm, in
 # hop checks count with descent_count and friends, so a slip in one route
 # cannot hide in the other.
 #
-# A run's tail words are permutations(rest)[lo:hi]. permutations orders
-# its output by the positions it picks from rest, so the r-th tail word is
-# rest[p0], ..., rest[p6] for the r-th lexicographic pattern p of
-# range(SUFFIX). rest is increasing, so this keeps every comparison between
-# tail letters, and each statistic splits into the prefix's part, the
-# comparisons across the boundary and a part of p alone:
+# A run's tail words are permutations(rest), m = len(rest) letters.
+# permutations orders its output by the positions it picks from rest, so
+# the r-th tail word is rest[p0], ..., rest[p(m-1)] for the r-th
+# lexicographic pattern p of range(m). rest is increasing, so this keeps
+# every comparison between tail letters, and each statistic splits into
+# the prefix's part, the comparisons across the boundary and a part of p
+# alone:
 # - des(w) = des(prefix) + [z > rest[p0]] + des(p), z being the prefix's
 #   last letter; rest[j] < z exactly for j below cut, the number of rest
 #   letters under z, so the boundary term is [p0 < cut].
@@ -324,98 +322,102 @@ def _prefix_runs(n: int, start: int, stop: int) -> Iterator[tuple[Perm, Perm, in
 # - a double descent is three falls in a row. With y the letter before z,
 #   y > z > rest[p0] needs y > z and p0 < cut, z > rest[p0] > rest[p1]
 #   needs p0 < cut and p0 > p1, and three tail letters fall when p does.
-# Each kernel's table keys every rank by p0 and p's own part. The boundary
-# terms read p only through [p0 < cut], the pair's also through mask and
-# the census's also through fell = [y > z], and the prefix's part is an
-# offset. So a full run, all 7! patterns, adds the same counts after every
-# prefix with one boundary key: cut for des, (mask, cut) for the pair and
-# (cut, fell) for the census. Each kernel caches one table per key, its
-# counts already shifted by the boundary term, as (value, count) pairs
+# The boundary terms read p only through [p0 < cut], the pair's also
+# through mask and the census's also through fell = [y > z], and the
+# prefix's part is an offset. So a run, all m! patterns, adds the same
+# counts after every prefix with one boundary key: cut for des, (mask, cut)
+# for the pair and (cut, fell) for the census. Each kernel caches one table
+# of grouped pattern statistics per m, and from it one table per (m, key),
+# its counts already shifted by the boundary term, as (value, count) pairs
 # with the zero counts dropped, so no pair reaches past the tally; the
-# census table also holds the run's double descents. A full run adds at
-# most 8 entries, or 64 to the pair grid. Only a block's first and last
-# run can be partial; those build the same table from their [lo:hi] slice
-# of the keys, uncached.
+# census table also holds the run's double descents. A run adds at most 8
+# entries, or 64 to the pair grid.
+#
+# The table builders spell the 7-letter statistics out once, for every m:
+# each pattern of range(m) is padded to 7 letters by m, ..., 6 in
+# increasing order. The padding stands last and rises from above every
+# pattern letter, so it adds no descent, no inverse descent (nor a mask
+# bit: mask has m - 1) and no double descent.
+
+
+def _padded_patterns(m: int, letters: list[int]) -> Iterator[tuple]:
+    """Each permutation of letters[:m] in lexicographic order, followed by
+    letters[m:] as they stand."""
+    pad = itertools.repeat(tuple(letters[m:]))
+    return map(operator.add, itertools.permutations(letters[:m]), pad)
 
 
 @functools.cache
-def _descent_table() -> tuple:
-    """(p0, des(p)) for each SUFFIX-letter pattern p by rank, and its groups."""
-    keys = tuple([
+def _descent_table(m: int) -> tuple:
+    """(p0, des(p)) over the patterns p of range(m), grouped with counts."""
+    return tuple(Counter(
         (a, (a > b) + (b > c) + (c > d) + (d > e) + (e > f) + (f > g))
-        for a, b, c, d, e, f, g in itertools.permutations(range(SUFFIX))
-    ])
-    return keys, tuple(Counter(keys).items())
+        for a, b, c, d, e, f, g in _padded_patterns(m, list(range(SUFFIX)))
+    ).items())
 
 
-def _descent_counts(groups, cut: int) -> tuple:
-    """([p0 < cut] + des(p), count) over the (p0, des(p)) groups, counts nonzero."""
+@functools.cache
+def _descent_run(m: int, cut: int) -> tuple:
+    """([p0 < cut] + des(p), count) over the patterns of range(m), counts
+    nonzero: a run's des counts past the prefix when cut tail letters lie
+    below z."""
     counts = [0] * (SUFFIX + 1)
-    for (first, d), count in groups:
+    for (first, d), count in _descent_table(m):
         counts[(first < cut) + d] += count
     return tuple([(d, c) for d, c in enumerate(counts) if c])
 
 
 @functools.cache
-def _descent_run(cut: int) -> tuple:
-    """A full run's des counts past the prefix when cut tail letters lie below z."""
-    return _descent_counts(_descent_table()[1], cut)
-
-
-@functools.cache
-def _pair_table() -> tuple:
-    """(p0, des(p), ibits(p)) by rank, and its groups.
+def _pair_table(m: int) -> tuple:
+    """(p0, des(p), ibits(p)) over the patterns p of range(m), grouped with
+    counts.
 
     A pattern is spelled in the powers 2**j of its letters j, which compare
     as the letters do; s is the set read so far, and reading 2**x, bit x of
     s >> 1 says x + 1 stood left of x.
     """
-    keys = tuple([
+    return tuple(Counter(
         (
             a.bit_length() - 1,
             (a > b) + (b > c) + (c > d) + (d > e) + (e > f) + (f > g),
             a >> 1 & b | (s := a | b) >> 1 & c | (s := s | c) >> 1 & d
             | (s := s | d) >> 1 & e | (s := s | e) >> 1 & f | (s | f) >> 1 & g,
         )
-        for a, b, c, d, e, f, g in itertools.permutations([1 << j for j in range(SUFFIX)])
-    ])
-    return keys, tuple(Counter(keys).items())
+        for a, b, c, d, e, f, g in _padded_patterns(m, [1 << j for j in range(SUFFIX)])
+    ).items())
 
 
-def _pair_counts(groups, mask: int, cut: int) -> tuple:
-    """(tail ides, [p0 < cut] + des(p), count) over the (p0, des(p), ibits(p))
-    groups, counts nonzero."""
+@functools.cache
+def _pair_run(m: int, mask: int, cut: int) -> tuple:
+    """(tail ides, [p0 < cut] + des(p), count) over the patterns of range(m),
+    counts nonzero: a run's (ides, des) counts past the prefix under one
+    boundary key."""
     counts = Counter()
-    for (first, d, bits), count in groups:
+    for (first, d, bits), count in _pair_table(m):
         counts[(bits & mask).bit_count(), (first < cut) + d] += count
     return tuple([(i, d, c) for (i, d), c in counts.items()])
 
 
 @functools.cache
-def _pair_run(mask: int, cut: int) -> tuple:
-    """A full run's (ides, des) counts past the prefix under one boundary key."""
-    return _pair_counts(_pair_table()[1], mask, cut)
+def _census_table(m: int) -> tuple:
+    """Over the patterns p of range(m), None when p has a double descent
+    a > b > c of its own, else (p0, p0 > p1, des(p)); grouped with counts."""
+    return tuple(Counter(
+        None if a > b > c or b > c > d or c > d > e or d > e > f or e > f > g
+        else (a, a > b, (a > b) + (b > c) + (c > d) + (d > e) + (e > f) + (f > g))
+        for a, b, c, d, e, f, g in _padded_patterns(m, list(range(SUFFIX)))
+    ).items())
 
 
 @functools.cache
-def _census_table() -> tuple:
-    """By rank, None when p has a double descent a > b > c of its own, else
-    (p0, p0 > p1, des(p)); and its groups."""
-    keys = tuple([
-        None if a > b > c or b > c > d or c > d > e or d > e > f or e > f > g
-        else (a, a > b, (a > b) + (b > c) + (c > d) + (d > e) + (e > f) + (f > g))
-        for a, b, c, d, e, f, g in itertools.permutations(range(SUFFIX))
-    ])
-    return keys, tuple(Counter(keys).items())
-
-
-def _census_counts(groups, cut: int, fell: bool) -> tuple:
-    """(([p0 < cut] + des(p), count) pairs, counts nonzero; the double descents)
-    over the census groups, after a prefix whose last letter z has cut tail
-    letters below it and falls from the letter before it when fell."""
+def _census_run(m: int, cut: int, fell: bool) -> tuple:
+    """(([p0 < cut] + des(p), count) pairs, counts nonzero; the double
+    descents) over the patterns of range(m): a run's peak counts past a
+    prefix whose last letter z has cut tail letters below it and falls from
+    the letter before it when fell."""
     counts = [0] * (SUFFIX + 1)
     doubled = 0
-    for key, count in groups:
+    for key, count in _census_table(m):
         if key is None:
             doubled += count
             continue
@@ -428,60 +430,36 @@ def _census_counts(groups, cut: int, fell: bool) -> tuple:
     return tuple([(d, c) for d, c in enumerate(counts) if c]), doubled
 
 
-@functools.cache
-def _census_run(cut: int, fell: bool) -> tuple:
-    """A full run's peak counts past the prefix, and its double descents."""
-    return _census_counts(_census_table()[1], cut, fell)
-
-
-def _slice_groups(table: tuple, lo: int, hi: int):
-    """The (key, count) groups of a partial run's ranks lo..hi."""
-    return Counter(table[0][lo:hi]).items()
-
-
 def descent_kernel(block: Block, n: int) -> Counter:
-    """Counts of des(w) over the words w of block, a block of S_n."""
+    """Counts of des(w) over the words w of block, the whole of S_n."""
     tally = [0] * n
-    for prefix, rest, lo, hi in block.runs():
+    m = min(n, SUFFIX)
+    for prefix, rest in block.runs():
         des = sum(1 for y, z in zip(prefix, prefix[1:]) if y > z)
-        if not rest:
-            tally[des] += hi - lo
-            continue
         cut = bisect_left(rest, prefix[-1]) if prefix else 0
-        if hi - lo == FULL_RUN:
-            counts = _descent_run(cut)
-        else:  # a partial run, regrouped uncached
-            counts = _descent_counts(_slice_groups(_descent_table(), lo, hi), cut)
-        for d, count in counts:
+        for d, count in _descent_run(m, cut):
             tally[des + d] += count
     return Counter({d: c for d, c in enumerate(tally) if c})
 
 
 def pair_kernel(block: Block, n: int) -> Counter:
-    """Counts of (ides(w), des(w)) over the words w of block, a block of S_n."""
+    """Counts of (ides(w), des(w)) over the words w of block, the whole of S_n."""
     grid = [[0] * n for _ in range(n)]
-    for prefix, rest, lo, hi in block.runs():
+    m = min(n, SUFFIX)
+    for prefix, rest in block.runs():
         at = {x: r for r, x in enumerate(prefix)}  # a tail letter stands at n
         ides = sum(1 for x in range(1, n) if x + 1 in at and at[x + 1] < at.get(x, n))
         des = sum(1 for y, z in zip(prefix, prefix[1:]) if y > z)
-        if not rest:
-            grid[ides][des] += hi - lo
-            continue
         cut = bisect_left(rest, prefix[-1]) if prefix else 0
         mask = sum((y + 1 == x) << j for j, (y, x) in enumerate(zip(rest, rest[1:])))
-        if hi - lo == FULL_RUN:
-            counts = _pair_run(mask, cut)
-        else:  # a partial run, regrouped uncached
-            counts = _pair_counts(_slice_groups(_pair_table(), lo, hi), mask, cut)
-        for i, d, count in counts:
+        for i, d, count in _pair_run(m, mask, cut):
             grid[ides + i][des + d] += count
-    return Counter(
-        {(i, d): c for i, row in enumerate(grid) for d, c in enumerate(row) if c}
-    )
+    return Counter({(i, d): c for i, row in enumerate(grid) for d, c in enumerate(row) if c})
 
 
 def census_kernel(block: Block, n: int) -> Counter:
-    """Counts of peak counts over the words of block with no double descent.
+    """Counts of peak counts over the words of block, the whole of S_n, with
+    no double descent.
 
     Words with a double descent are counted under the key None. With +inf
     sentinels at both ends, the first letter is a double descent exactly
@@ -495,7 +473,9 @@ def census_kernel(block: Block, n: int) -> Counter:
     """
     tally = [0] * n
     doubled = 0
-    for prefix, rest, lo, hi in block.runs():
+    m = min(n, SUFFIX)
+    run = factorial(m)
+    for prefix, rest in block.runs():
         peaks = -1  # the sentinel's fall into w1
         fell = False  # y > z
         z = n + 1  # the sentinel until the prefix has a letter
@@ -510,20 +490,12 @@ def census_kernel(block: Block, n: int) -> Counter:
                 fell = False
             z = x
         if peaks is None:
-            doubled += hi - lo
-        elif not rest:
-            tally[peaks] += hi - lo
-        else:
-            cut = bisect_left(rest, z)
-            if hi - lo == FULL_RUN:
-                counts, tail_doubled = _census_run(cut, fell)
-            else:  # a partial run, regrouped uncached
-                counts, tail_doubled = _census_counts(
-                    _slice_groups(_census_table(), lo, hi), cut, fell
-                )
-            for d, count in counts:
-                tally[peaks + d] += count
-            doubled += tail_doubled
+            doubled += run
+            continue
+        counts, tail_doubled = _census_run(m, bisect_left(rest, z), fell)
+        for d, count in counts:
+            tally[peaks + d] += count
+        doubled += tail_doubled
     counts = Counter({p: c for p, c in enumerate(tally) if c})
     if doubled:
         counts[None] = doubled
@@ -536,23 +508,18 @@ def histogram(
     shards: int = 1,
     force: bool = False,
 ) -> dict[int, Counter]:
-    """Count a statistic over S_n for each n in ns, from shards blocks each.
+    """Count a statistic over S_n for each n in ns, one kernel call per n.
 
     kernel(block, n) returns the Counter of its statistic over the words of
-    one shard block of S_n, reading the block run by run: each run's prefix
-    once, then its tail words as one table of counts. The blocks count one
-    at a time, in order, in this process, and their counts merge exactly,
-    so the result does not depend on shards. Past SHARD_BUDGET blocks over
-    all of ns, force is required, decided before any block is counted.
+    the whole of S_n, reading it run by run: each run's prefix once, then
+    its tail words as one table of counts. Each S_n is counted whole, so
+    shards changes nothing counted: it is only checked, positive, and past
+    SHARD_BUDGET blocks over all of ns force is required, decided before
+    any count.
     """
     for n in ns:
         check_guard(n, force)
     if shards < 1:
         raise ValueError("shards must be positive")
     check_budget("shard blocks over S_n", len(ns) * shards, SHARD_BUDGET, force)
-    out = {}
-    for n in ns:
-        counts = out[n] = Counter()
-        for index in range(shards):
-            counts.update(kernel(enumerate_sn(n, shard=(index, shards), force=force), n))
-    return out
+    return {n: kernel(enumerate_sn(n, force=force), n) for n in ns}

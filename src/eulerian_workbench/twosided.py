@@ -3,8 +3,8 @@
 A(n, i, j) counts permutations of {1, ..., n} with i - 1 inverse descents
 and j - 1 descents. Routes implemented here:
 
-- brute force over S_n (optionally sharded) histogramming both statistics
-  on the shared walk in perm;
+- brute force over S_n histogramming both statistics on the shared walk
+  in perm;
 - a four-term recurrence producing n * A(n, i, j) from row n - 1, computed
   on a quarter of each array (i <= j <= n + 1 - i) with the divisibility by
   n asserted on every entry computed, the rest mirrored by the symmetries

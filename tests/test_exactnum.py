@@ -1,4 +1,4 @@
-"""Polynomials, series windows, the exact solver, and Sturm counting."""
+"""Polynomials, series windows, and Sturm counting."""
 
 import doctest
 import random
@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulerian_workbench import exactnum
-from eulerian_workbench.common import ConsistencyError
 from eulerian_workbench.eulerian import table_from_recurrence
 from eulerian_workbench.exactnum import (
     BiPoly,
@@ -21,7 +20,6 @@ from eulerian_workbench.exactnum import (
     geometric_power_window,
     series_product,
     series_product_bivariate,
-    solve_exact_linear,
     sturm_negative_root_count,
 )
 
@@ -208,41 +206,6 @@ def test_bivariate_window_shifts_monomials():
             if k >= 1 and l >= 1:
                 expected = comb(k - 1 + 1, 1) * comb(l - 1 + 2, 2)
             assert grid.coeffs[k][l] == expected
-
-
-# ---------------------------------------------------------------------------
-# exact linear solving
-
-
-def test_solver_two_by_two():
-    rows = [
-        [Fraction(2), Fraction(1), Fraction(5)],
-        [Fraction(1), Fraction(-1), Fraction(1)],
-    ]
-    assert solve_exact_linear(rows, 2) == [Fraction(2), Fraction(1)]
-
-
-def test_solver_rejects_underdetermined():
-    rows = [[Fraction(1), Fraction(1), Fraction(2)]]
-    with pytest.raises(ConsistencyError):
-        solve_exact_linear(rows, 2)
-
-
-def test_solver_rejects_inconsistent():
-    rows = [
-        [Fraction(1), Fraction(3)],
-        [Fraction(2), Fraction(7)],
-    ]
-    with pytest.raises(ConsistencyError):
-        solve_exact_linear(rows, 1)
-
-
-def test_solver_overdetermined_but_consistent():
-    rows = [
-        [Fraction(1), Fraction(4)],
-        [Fraction(2), Fraction(8)],
-    ]
-    assert solve_exact_linear(rows, 1) == [Fraction(4)]
 
 
 # ---------------------------------------------------------------------------

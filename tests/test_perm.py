@@ -11,7 +11,7 @@ from collections import Counter
 from math import factorial
 
 import pytest
-from hypothesis import Phase, example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerian_workbench import perm
@@ -382,40 +382,14 @@ def _per_word_counts(words):
     return des, pair, census
 
 
-def _check_block_kernels(n, index, total):
-    wanted = _per_word_counts(enumerate_sn(n, shard=(index, total)))
+@pytest.mark.parametrize("n", range(1, 10))
+def test_kernels_match_per_word_statistics_over_the_whole_of_sn(n):
+    # one-letter prefixes from n = 8 on, two at n = 9; below 8 one run, empty prefix
+    wanted = _per_word_counts(enumerate_sn(n))
     for kernel, want in zip((descent_kernel, pair_kernel, census_kernel), wanted):
-        got = kernel(enumerate_sn(n, shard=(index, total)), n)
+        got = kernel(enumerate_sn(n), n)
         assert type(got) is Counter
         assert dict(got) == dict(want), kernel.__name__
-
-
-@given(n=st.integers(1, 8), total=st.integers(1, 60), pick=st.integers(0, 10**6))
-# No shrink phase: each example walks a block of up to 8! words through the
-# per-word reference, so shrinking a failure would take minutes.
-@settings(
-    max_examples=80,
-    deadline=None,
-    phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target),
-)
-@example(n=1, total=1, pick=0)
-@example(n=1, total=3, pick=1)  # empty block
-@example(n=2, total=2, pick=1)
-@example(n=3, total=10, pick=7)  # empty block
-def test_block_kernels_match_per_word_statistics(n, total, pick):
-    _check_block_kernels(n, pick % total, total)
-
-
-@pytest.mark.parametrize(
-    "n,index,total",
-    [(9, index, 13) for index in range(13)] + [(10, 0, 13), (10, 12, 13)],
-)
-def test_block_kernels_match_per_word_statistics_past_one_prefix_letter(n, index, total):
-    # prefixes of 2 letters at n = 9 and 3 at n = 10; 13 blocks cut runs of 7!
-    # in the middle. At n = 10 every prefix of the first block starts with 1,
-    # so census_kernel walks each run, and every prefix of the last starts
-    # with 10, a double descent, so it counts each run without a walk.
-    _check_block_kernels(n, index, total)
 
 
 def _ibits(w):
@@ -424,110 +398,92 @@ def _ibits(w):
     return sum((at[k + 1] < at[k]) << k for k in range(len(w) - 1))
 
 
-def test_pattern_tables_match_per_word_statistics():
-    # rank r of permutations(range(1, 8)) is pattern r of range(7), plus one
-    words = list(itertools.permutations(range(1, perm.SUFFIX + 1)))
-    des_keys, des_groups = perm._descent_table()
-    pair_keys, pair_groups = perm._pair_table()
-    census_keys, census_groups = perm._census_table()
-    assert len(des_keys) == len(pair_keys) == len(census_keys) == len(words)
-    for w, des_key, pair_key, census_key in zip(words, des_keys, pair_keys, census_keys):
-        first, des = w[0] - 1, descent_count(w)
-        assert des_key == (first, des), w
-        assert pair_key == (first, des, _ibits(w)), w
-        kinds = classify_letters(w)
-        if DOUBLE_DESCENT in kinds[1:]:
-            assert census_key is None, w
-        else:
-            assert census_key == (first, kinds[0] == DOUBLE_DESCENT, des), w
-    assert dict(des_groups) == Counter(des_keys) and len(des_groups) <= 49
-    assert dict(pair_groups) == Counter(pair_keys) and len(pair_groups) == 354
-    assert dict(census_groups) == Counter(census_keys)
-
-
-def test_boundary_tables_account_for_every_pattern():
-    # each full-run table against the 7! patterns one at a time, per boundary key
-    full = factorial(perm.SUFFIX)
-    assert perm.FULL_RUN == full
-    words = list(itertools.permutations(range(1, perm.SUFFIX + 1)))
+@pytest.mark.parametrize("m", range(1, perm.SUFFIX + 1))
+def test_tail_tables_match_per_word_statistics_under_every_boundary_key(m):
+    # pattern r of range(m), plus one, is word r of permutations(range(1, m + 1)):
+    # the padded 7-letter builders must count these m-letter words exactly
+    words = list(itertools.permutations(range(1, m + 1)))
     stats = []
     for w in words:
         kinds = classify_letters(w)
-        stats.append((w[0] - 1, descent_count(w), _ibits(w), DOUBLE_DESCENT in kinds[1:], w[0] > w[1]))
-    for cut in range(perm.SUFFIX + 1):
-        table = perm._descent_run(cut)
-        assert dict(table) == Counter((first < cut) + des for first, des, _, _, _ in stats)
-        assert sum(count for _, count in table) == full
+        stats.append((w[0] - 1, descent_count(w), _ibits(w), DOUBLE_DESCENT in kinds[1:],
+                      kinds[0] == DOUBLE_DESCENT))
+    assert dict(perm._descent_table(m)) == Counter((first, des) for first, des, *_ in stats)
+    assert dict(perm._pair_table(m)) == Counter((first, des, bits) for first, des, bits, *_ in stats)
+    assert dict(perm._census_table(m)) == Counter(
+        None if inner else (first, falls, des) for first, des, _, inner, falls in stats
+    )
+    for cut in range(m + 1):
+        table = perm._descent_run(m, cut)
+        assert dict(table) == Counter((first < cut) + des for first, des, *_ in stats), cut
+        assert len(table) <= 8
         for fell in (False, True):
-            counts, doubled = perm._census_run(cut, fell)
+            counts, doubled = perm._census_run(m, cut, fell)
             want = Counter(
                 None if inner or (first < cut and (fell or falls)) else (first < cut) + des
                 for first, des, _, inner, falls in stats
             )
-            assert doubled == want.pop(None) and dict(counts) == want, (cut, fell)
-            assert sum(count for _, count in counts) + doubled == full
-        for mask in range(64):
-            table = perm._pair_run(mask, cut)
+            assert doubled == want.pop(None, 0) and dict(counts) == want, (cut, fell)
+        for mask in range(2 ** (m - 1)):
+            table = perm._pair_run(m, mask, cut)
             want = Counter(
-                ((bits & mask).bit_count(), (first < cut) + des) for first, des, bits, _, _ in stats
+                ((bits & mask).bit_count(), (first < cut) + des) for first, des, bits, *_ in stats
             )
             assert {(i, d): count for i, d, count in table} == want, (mask, cut)
-            assert len(table) <= 64 and sum(count for _, _, count in table) == full
+            assert len(table) <= 64
 
 
 def _tail_mask(rest):
     return sum((y + 1 == x) << j for j, (y, x) in enumerate(zip(rest, rest[1:])))
 
 
-def test_pattern_caches_hold_one_full_run_entry_and_one_per_mask():
+def test_table_caches_hold_one_entry_per_tail_size_and_one_per_key_seen():
     kernels = (descent_kernel, pair_kernel, census_kernel)
     tables = (perm._descent_table, perm._pair_table, perm._census_table)
     runs = (perm._descent_run, perm._pair_run, perm._census_run)
     for cached in (*tables, *runs):
         cached.cache_clear()
-    # a block inside two runs of S_8: both partial, so no boundary table is cached
-    for kernel in kernels:
-        kernel(enumerate_sn(8, shard=(1, 13)), 8)
-    for cached in runs:
-        assert cached.cache_info().currsize == 0, cached.__name__
-    blocks = [(9, index, 13) for index in range(13)] + [(10, 0, 13), (10, 12, 13)]
     keys = {cached: set() for cached in runs}
-    for n, index, total in blocks:
+    for n in range(1, 11):
         for kernel in kernels:
-            kernel(enumerate_sn(n, shard=(index, total)), n)
-        for prefix, rest, lo, hi in enumerate_sn(n, shard=(index, total)).runs():
-            if hi - lo == factorial(perm.SUFFIX):
-                cut = bisect_left(rest, prefix[-1])
-                keys[perm._descent_run].add(cut)
-                keys[perm._pair_run].add((_tail_mask(rest), cut))
-                framed = (n + 1, *prefix)
-                if not any(a > b > c for a, b, c in zip(framed, framed[1:], framed[2:])):
-                    keys[perm._census_run].add((cut, framed[-2] > framed[-1]))
+            kernel(enumerate_sn(n), n)
+        m = min(n, perm.SUFFIX)
+        for prefix, rest in enumerate_sn(n).runs():
+            framed = (n + 1, *prefix)  # the census's left sentinel
+            cut = bisect_left(rest, prefix[-1]) if prefix else 0
+            keys[perm._descent_run].add((m, cut))
+            keys[perm._pair_run].add((m, _tail_mask(rest), cut))
+            if not any(a > b > c for a, b, c in zip(framed, framed[1:], framed[2:])):
+                fell = len(framed) > 1 and framed[-2] > framed[-1]
+                keys[perm._census_run].add((m, bisect_left(rest, framed[-1]), fell))
     for cached in tables:
-        assert cached.cache_info().currsize == 1, cached.__name__
+        assert cached.cache_info().currsize == perm.SUFFIX, cached.__name__
     for cached in runs:
         assert cached.cache_info().currsize == len(keys[cached]), cached.__name__
-    assert len(keys[perm._descent_run]) <= 8 and len(keys[perm._census_run]) <= 16
-    assert len(keys[perm._pair_run]) <= 64 * 8
+    # below n = 8 one key per m; at m = 7 at most 8 cuts, 16 census keys, 64 masks a cut
+    assert len(keys[perm._descent_run]) <= 6 + 8 and len(keys[perm._census_run]) <= 6 + 16
+    assert len(keys[perm._pair_run]) <= 6 + 64 * 8
 
 
-@pytest.mark.parametrize(
-    "n,total", [(1, 1), (3, 4), (6, 5), (7, 1), (7, 3), (8, 1), (8, 7), (9, 13)]
-)
-def test_block_runs_spell_the_words_the_block_streams(n, total):
-    for index in range(total):
-        block = enumerate_sn(n, shard=(index, total))
-        spelled = [
-            prefix + tail
-            for prefix, rest, lo, hi in block.runs()
-            for tail in itertools.islice(itertools.permutations(rest), lo, hi)
-        ]
-        assert spelled == list(block)
-        for prefix, rest, lo, hi in block.runs():
-            assert len(rest) in (0, perm.SUFFIX)
-            assert len(prefix) + len(rest) == n
-            assert rest == tuple(sorted(rest))
-            assert 0 <= lo < hi <= factorial(len(rest))
+@pytest.mark.parametrize("n", range(1, 10))
+def test_runs_of_a_whole_sn_spell_its_stream(n):
+    m = min(n, perm.SUFFIX)
+    runs = list(enumerate_sn(n).runs())
+    assert len(runs) == factorial(n) // factorial(m)
+    for prefix, rest in runs:
+        assert len(prefix) == n - m and len(rest) == m
+        assert rest == tuple(sorted(rest)) and set(prefix + rest) == set(range(1, n + 1))
+    spelled = [prefix + tail for prefix, rest in runs for tail in itertools.permutations(rest)]
+    assert spelled == list(enumerate_sn(n))
+
+
+@pytest.mark.parametrize("n,shard", [(1, (0, 3)), (5, (1, 2)), (8, (0, 7)), (9, (12, 13))])
+def test_a_shard_block_has_no_runs(n, shard):
+    with pytest.raises(ValueError, match="shard block"):
+        enumerate_sn(n, shard=shard).runs()
+    with pytest.raises(ValueError, match="shard block"):
+        descent_kernel(enumerate_sn(n, shard=shard), n)
+    assert list(enumerate_sn(n, shard=(0, 1)).runs()) == list(enumerate_sn(n).runs())
 
 
 def test_shard_counts_give_identical_tables():

@@ -200,7 +200,8 @@ ENTRIES = [("cli", "main"), ("cli", "run"), ("__init__", "__all__")] + [
 BENCH_ONLY = {
     ("cli", "cache_load"): "bench/spans.py wraps it to count cache reads; no command calls it",
     ("cli", "cache_store"): "bench/spans.py wraps it to count cache writes; no command calls it",
-    ("exactnum", "solve_exact_linear"): "bench/spans.py wraps it to count Gessel unknowns",
+    ("exactnum", "solve_exact_linear"): "bench/spans.py wraps it to count Gessel unknowns; "
+    "a stub that raises, since nothing calls it",
     ("eulerian", "ProcessPoolExecutor"): "bench/spans.py swaps its process-counting pool in here",
     ("twosided", "ProcessPoolExecutor"): "bench/spans.py swaps its process-counting pool in here",
 }
@@ -214,8 +215,9 @@ def test_every_definition_is_reached_from_a_command_or_the_public_api():
 
 
 def test_importing_the_cli_loads_no_pool_no_rational_arithmetic_no_verify_and_no_boxes():
-    # a fresh interpreter: what importing the CLI adds to sys.modules, then
-    # what running stats adds to that
+    # a fresh interpreter without site, whose imports may include typing:
+    # what importing the CLI adds to sys.modules, then what running stats
+    # adds to that
     code = (
         "import sys; before = set(sys.modules); import eulerian_workbench.cli as cli; "
         "print(*sorted(set(sys.modules) - before)); cli.run(['stats', '123']); "
@@ -223,7 +225,7 @@ def test_importing_the_cli_loads_no_pool_no_rational_arithmetic_no_verify_and_no
     )
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     imported, profile, after_stats = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout.splitlines()
     loaded = imported.split()
     assert "eulerian_workbench.cli" in loaded
@@ -234,3 +236,4 @@ def test_importing_the_cli_loads_no_pool_no_rational_arithmetic_no_verify_and_no
     loaded = after_stats.split()
     assert "eulerian_workbench.perm" in loaded
     assert [m for m in loaded if m in ("eulerian_workbench.verify", "eulerian_workbench.boxes")] == []
+    assert "typing" not in loaded

@@ -34,8 +34,8 @@ def cli(*args, sink=None):
 
 
 def brute(*args):
-    """The table args name, by brute force in three shard blocks and by the
-    recurrence: one non-empty stdout. --force reaches brute force only."""
+    """The table args name, by brute force with --shards 3 accepted and by
+    the recurrence: one non-empty stdout. --force reaches brute force only."""
     brute_code, table = cli(*args, "--source", "brute", "--shards", 3)
     code, recurrence = cli(*[a for a in args if a != "--force"], "--source", "recurrence")
     agree = brute_code == code == 0 and table != "" and table == recurrence
