@@ -51,6 +51,11 @@ def test_binomial_row_is_built_once_per_process():
     assert binomial_row(37) is binomial_row(37)
 
 
+def test_the_linear_solver_is_only_a_binding_for_the_bench():
+    with pytest.raises(NotImplementedError, match="bench/spans.py"):
+        exactnum.solve_exact_linear([[Fraction(1), Fraction(2)]], 1)
+
+
 # ---------------------------------------------------------------------------
 # univariate polynomials
 

@@ -497,6 +497,20 @@ def test_shard_counts_give_identical_tables():
         assert histogram(ns, census_kernel, shards=shards) == census
 
 
+def test_histogram_counts_each_sn_whole_in_one_kernel_call_whatever_the_shards():
+    ns = [1, 4, 8, 9]
+    for shards in (1, 2, 5):
+        calls = []
+
+        def kernel(block, n):
+            calls.append((n, block.n))
+            return descent_kernel(block, n)
+
+        counted = histogram(ns, kernel, shards)
+        assert calls == [(n, n) for n in ns]
+        assert counted == {n: Counter(map(descent_count, enumerate_sn(n))) for n in ns}
+
+
 @pytest.mark.parametrize("n", [10, 11])
 def test_brute_force_past_verify_matches_the_recurrences_and_gamma(n):
     # verify compares brute force with the recurrences up to n = 9 only
