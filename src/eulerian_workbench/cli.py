@@ -763,6 +763,13 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    """The console script: run argv, and let a reader that closes stdout
+    early end the process by SIGPIPE, as it ends any Unix filter, with no
+    traceback. In-process callers of run keep Python's own handling."""
+    import signal
+
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

@@ -223,14 +223,10 @@ def orbit_census(n: int, force: bool = False) -> dict[int, int]:
     Every class has exactly one member with no double descents (Branden
     2008): hops keep the peaks and move each free letter between the two
     slopes of its valley, so exactly one choice puts every free letter on
-    an ascending slope. One stream over S_n counts those members by peak
-    count and builds no class: perm.census_kernel reads S_n run by run. It
-    scans the run's shared prefix once; a prefix with a double descent
-    sends the whole run under the key None, and otherwise the run's tails
-    add one cached table, keyed by the tail's length, how many tail letters
-    lie below the prefix's last letter and whether the prefix ends in a
-    fall, which holds the run's peak counts and double descents. Every word with a double descent goes under None, which is
-    dropped here.
+    an ascending slope. One stream over S_n therefore counts those members
+    by peak count through perm.census_kernel and builds no class; the kernel
+    puts every word with a double descent under the key None, which is
+    dropped here. perm describes how the kernel reads S_n.
 
     Coverage is checked by class size: a class with p peaks has
     2**(n - 1 - 2p) members, and the classes counted must add up to n!.

@@ -11,28 +11,17 @@ Descents sit at positions r with w(r) > w(r+1), so a permutation with i - 1
 descents has i increasing runs.
 
 Every brute-force route walks S_n here. enumerate_sn streams S_n in
-lexicographic order, whole or as one of several contiguous shard blocks,
-and returns a Block: an itertools.chain whose words come straight from C,
-which for a whole S_n can also give its runs (prefix, rest). A run's words
-share their first max(n - 7, 0) letters and are the first len(rest)! of
-itertools.permutations(prefix + rest): that iterator keeps the prefix in
-place for those steps while it permutes rest, the other min(n, 7)
-letters in increasing order, lexicographically. histogram counts one statistic over each S_n
-whole, one kernel call per n. Its kernels (des, the pair (ides, des) and
-the peaks of permutations with no double descents) take the whole of S_n
-and n and work run by run. A tail word is rest relabelled by a pattern p
-of range(m), m = len(rest), which keeps every comparison inside the tail,
-so each statistic is the prefix's part, a comparison or two across the
-boundary and a function of p alone (proved above the kernels). The
-boundary reads p only through its first letter, against cut, the number
-of tail letters below the prefix's last letter; the pair adds the tail
-mask of neighbours that differ by 1, and the census whether the prefix
-ends in a fall. A run of all m! patterns therefore adds the same counts
-for every prefix with one boundary key. A kernel scans each run's prefix
-once and adds the run from its cached table for (m, key), a few entries
-offset by the prefix's part. One guard rail, BRUTE_FORCE_GUARD, covers
-every walk; SHARD_BUDGET bounds the shard count one histogram call
-accepts: past either, force is required.
+lexicographic order, straight from C: whole as a Block, which also gives
+its runs (prefix, rest), or one shard block, a plain islice of ranks of
+that one stream, which is no Block and has no runs. histogram counts one
+statistic over each S_n whole, one kernel call per n. A kernel (des, the
+pair (ides, des) or the peaks of permutations with no double descents)
+takes the Block alone, reads n from it and counts it run by run from
+cached tables, as the comment above the kernels proves; a shard block
+has neither n nor runs, so a kernel fails on one rather than count part
+of S_n. One guard rail, BRUTE_FORCE_GUARD, covers every walk;
+SHARD_BUDGET bounds the shard count one histogram call accepts: past
+either, force is required.
 """
 
 from __future__ import annotations
@@ -230,70 +219,51 @@ def check_guard(n: int, force: bool) -> None:
     check_budget("n for a walk over S_n", n, BRUTE_FORCE_GUARD, force)
 
 
-def enumerate_sn(n: int, shard: tuple[int, int] | None = None, force: bool = False) -> Block:
-    """Stream S_n in lexicographic order, optionally one shard block.
+def enumerate_sn(
+    n: int, shard: tuple[int, int] | None = None, force: bool = False
+) -> Block | Iterator[Perm]:
+    """Stream S_n in lexicographic order, whole or one shard block.
 
     shard (index, total) selects the permutations of lexicographic rank
-    index * n! // total up to (index + 1) * n! // total; concatenating all
-    blocks in index order reproduces the full stream. n above the guard
-    rail requires force. The Block returned iterates the words; a whole
-    S_n also gives its runs (see Block.runs).
+    index * n! // total up to (index + 1) * n! // total, an islice of the
+    whole stream; concatenating all blocks in index order reproduces it.
+    Without shard the whole S_n comes as a Block. n above the guard rail
+    requires force.
     """
     check_guard(n, force)
     if shard is None:
-        shard = (0, 1)
+        return Block(n)
     index, total = shard
     if total < 1 or not 0 <= index < total:
         raise ValueError(f"bad shard {shard}")
     fact = factorial(n)
-    start = index * fact // total
-    stop = (index + 1) * fact // total
-    whole = start == 0 and stop == fact
-    if whole:
-        block = Block(itertools.permutations(range(1, n + 1)))
-    else:  # the runs that hold ranks start..stop - 1, each cut to them
-        run = factorial(min(n, SUFFIX))
-        first = start // run
-        block = Block.from_iterable(
-            itertools.islice(
-                itertools.permutations(prefix + rest), max(start - at, 0), min(stop - at, run)
-            )
-            for at, (prefix, rest) in zip(range(first * run, stop, run), _prefix_runs(n, first))
-        )
-    block.n = n if whole else None
-    return block
+    whole = itertools.permutations(range(1, n + 1))
+    return itertools.islice(whole, index * fact // total, (index + 1) * fact // total)
 
 
-class Block(itertools.chain):
-    """The words of S_n of lexicographic rank start up to stop, from C.
-
-    runs() gives a whole S_n as runs of words that share a prefix; n is
-    None on a shard block.
-    """
+class Block(itertools.permutations):
+    """The words of the whole of S_n in lexicographic order, from C, with n."""
 
     __slots__ = ("n",)
 
+    def __new__(cls, n: int) -> Block:
+        block = super().__new__(cls, range(1, n + 1))
+        block.n = n
+        return block
+
     def runs(self) -> Iterator[tuple[Perm, Perm]]:
-        if self.n is None:
-            raise ValueError("only a whole S_n splits into runs, not a shard block")
-        return _prefix_runs(self.n)
+        """The runs (prefix, rest) of S_n, prefixes in lexicographic order.
 
-
-def _prefix_runs(n: int, first: int = 0) -> Iterator[tuple[Perm, Perm]]:
-    """The runs (prefix, rest) of S_n from prefix rank first on.
-
-    A run's words are the first len(rest)! of
-    itertools.permutations(prefix + rest): rest is the letters missing
-    from prefix in increasing order, and that iterator keeps the prefix in
-    place for those steps, permuting rest in lexicographic order. The
-    prefix has max(n - SUFFIX, 0) letters, so the tail rest has
-    min(n, SUFFIX). Prefixes come in lexicographic order and each covers
-    len(rest)! consecutive ranks.
-    """
-    letters = range(1, n + 1)
-    prefixes = itertools.permutations(letters, max(n - SUFFIX, 0))
-    for prefix in itertools.islice(prefixes, first, None):
-        yield prefix, tuple(x for x in letters if x not in prefix)
+        A run's words are the first len(rest)! of
+        itertools.permutations(prefix + rest): rest is the letters missing
+        from prefix in increasing order, and that iterator keeps the prefix
+        in place for those steps, permuting rest in lexicographic order. The
+        prefix has max(n - SUFFIX, 0) letters, so the tail rest has
+        min(n, SUFFIX), and each run covers len(rest)! consecutive ranks.
+        """
+        letters = range(1, self.n + 1)
+        for prefix in itertools.permutations(letters, max(self.n - SUFFIX, 0)):
+            yield prefix, tuple(x for x in letters if x not in prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +300,9 @@ def _prefix_runs(n: int, first: int = 0) -> Iterator[tuple[Perm, Perm]]:
 # of grouped pattern statistics per m, and from it one table per (m, key),
 # its counts already shifted by the boundary term, as (value, count) pairs
 # with the zero counts dropped, so no pair reaches past the tally; the
-# census table also holds the run's double descents. A run adds at most 8
-# entries, or 64 to the pair grid.
+# census table also holds the run's double descents. A kernel reads n from
+# its Block, scans each run's prefix once and adds the run from the table
+# of its key: at most 8 entries, or 64 to the pair grid.
 #
 # The table builders spell the 7-letter statistics out once, for every m:
 # each pattern of range(m) is padded to 7 letters by m, ..., 6 in
@@ -430,8 +401,9 @@ def _census_run(m: int, cut: int, fell: bool) -> tuple:
     return tuple([(d, c) for d, c in enumerate(counts) if c]), doubled
 
 
-def descent_kernel(block: Block, n: int) -> Counter:
+def descent_kernel(block: Block) -> Counter:
     """Counts of des(w) over the words w of block, the whole of S_n."""
+    n = block.n
     tally = [0] * n
     m = min(n, SUFFIX)
     for prefix, rest in block.runs():
@@ -442,8 +414,9 @@ def descent_kernel(block: Block, n: int) -> Counter:
     return Counter({d: c for d, c in enumerate(tally) if c})
 
 
-def pair_kernel(block: Block, n: int) -> Counter:
+def pair_kernel(block: Block) -> Counter:
     """Counts of (ides(w), des(w)) over the words w of block, the whole of S_n."""
+    n = block.n
     grid = [[0] * n for _ in range(n)]
     m = min(n, SUFFIX)
     for prefix, rest in block.runs():
@@ -457,7 +430,7 @@ def pair_kernel(block: Block, n: int) -> Counter:
     return Counter({(i, d): c for i, row in enumerate(grid) for d, c in enumerate(row) if c})
 
 
-def census_kernel(block: Block, n: int) -> Counter:
+def census_kernel(block: Block) -> Counter:
     """Counts of peak counts over the words of block, the whole of S_n, with
     no double descent.
 
@@ -471,6 +444,7 @@ def census_kernel(block: Block, n: int) -> Counter:
     under None; otherwise the tail words' falls come from the table of the
     boundary key (cut, fell) as above.
     """
+    n = block.n
     tally = [0] * n
     doubled = 0
     m = min(n, SUFFIX)
@@ -504,15 +478,15 @@ def census_kernel(block: Block, n: int) -> Counter:
 
 def histogram(
     ns: list[int],
-    kernel: Callable[[Block, int], Counter],
+    kernel: Callable[[Block], Counter],
     shards: int = 1,
     force: bool = False,
 ) -> dict[int, Counter]:
     """Count a statistic over S_n for each n in ns, one kernel call per n.
 
-    kernel(block, n) returns the Counter of its statistic over the words of
-    the whole of S_n, reading it run by run: each run's prefix once, then
-    its tail words as one table of counts. Each S_n is counted whole, so
+    kernel(block) returns the Counter of its statistic over the words of
+    block, the whole of S_n, reading it run by run: each run's prefix once,
+    then its tail words as one table of counts. Each S_n is counted whole, so
     shards changes nothing counted: it is only checked, positive, and past
     SHARD_BUDGET blocks over all of ns force is required, decided before
     any count.
@@ -522,4 +496,4 @@ def histogram(
     if shards < 1:
         raise ValueError("shards must be positive")
     check_budget("shard blocks over S_n", len(ns) * shards, SHARD_BUDGET, force)
-    return {n: kernel(enumerate_sn(n, force=force), n) for n in ns}
+    return {n: kernel(enumerate_sn(n, force=force)) for n in ns}

@@ -9,6 +9,7 @@ import math
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -687,6 +688,32 @@ def test_exit_codes_follow_the_inputs(case):
 
 
 # ---------------------------------------------------------------------------
+# a reader that closes stdout early
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+@pytest.mark.parametrize("argv", [("eulerian", "--n-max", "300"),
+                                  ("eulerian", "--n-max", "300", "--format", "json"),
+                                  ("two-sided", "--n-max", "40", "--format", "csv")])
+def test_a_closed_stdout_ends_the_console_script_by_sigpipe_with_no_traceback(argv):
+    # each output is far past a pipe's buffer, so the child is still writing
+    # when its reader goes; exit 1 would claim a failed verification
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    child = subprocess.Popen([sys.executable, "-m", "eulerian_workbench.cli", *argv], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert len(child.stdout.read(100)) == 100
+        child.stdout.close()
+        err = child.stderr.read()
+        child.wait(timeout=60)
+    finally:
+        child.kill()
+        child.stderr.close()
+    assert err == b""
+    assert child.returncode == -signal.SIGPIPE
+
+
+# ---------------------------------------------------------------------------
 # the ignored cache flag
 
 
@@ -755,7 +782,7 @@ def test_unwritable_cache_path_warns_once_and_prints_as_uncached(tmp_path, under
 
 
 @pytest.mark.parametrize("command", ["eulerian", "gamma", "two-sided", "gessel"])
-def test_table_command_runs_one_recurrence_cold_or_warm(tmp_path, monkeypatch, command):
+def test_table_command_runs_one_recurrence_with_or_without_cache(tmp_path, monkeypatch, command):
     # one run of the command's recurrence up to the largest n; an array
     # command also runs the one-sided recurrence once, for the rows its
     # marginals are checked against
@@ -770,7 +797,7 @@ def test_table_command_runs_one_recurrence_cold_or_warm(tmp_path, monkeypatch, c
     expected = [("table_from_recurrence", 6)]
     if command in ("two-sided", "gessel"):
         expected.insert(0, ("two_sided_from_recurrence", 6))
-    for cache in ((), ("--cache", str(tmp_path)), ("--cache", str(tmp_path))):
+    for cache in ((), ("--cache", str(tmp_path))):
         calls.clear()
         code, _, err = run_cli(*argv, *cache)
         assert code == 0
@@ -880,9 +907,9 @@ TABLE_N_MAX = {"eulerian": "12", "two-sided": "7", "gamma": "12", "gessel": "6"}
 
 
 @pytest.mark.parametrize("command,fmt", sorted(TABLE_DIGESTS))
-def test_table_stdout_is_pinned_uncached_cold_and_warm(tmp_path, command, fmt):
+def test_table_stdout_is_pinned_with_and_without_cache(tmp_path, command, fmt):
     argv = (command, "--n-max", TABLE_N_MAX[command], "--format", fmt)
-    runs = [run_cli(*argv)] + [run_cli(*argv, "--cache", str(tmp_path)) for _ in range(2)]
+    runs = [run_cli(*argv), run_cli(*argv, "--cache", str(tmp_path))]
     for at, (code, out, err) in enumerate(runs):
         assert code == 0
         assert one_cache_notice(err) if at else err == ""
@@ -903,9 +930,9 @@ LARGE_TABLE_N_MAX = {"eulerian": "300", "two-sided": "40"}
 
 
 @pytest.mark.parametrize("command,fmt", sorted(LARGE_TABLE_DIGESTS))
-def test_large_table_stdout_is_pinned_uncached_cold_and_warm(tmp_path, command, fmt):
+def test_large_table_stdout_is_pinned_with_and_without_cache(tmp_path, command, fmt):
     argv = (command, "--n-max", LARGE_TABLE_N_MAX[command], "--format", fmt)
-    runs = [run_cli(*argv)] + [run_cli(*argv, "--cache", str(tmp_path)) for _ in range(2)]
+    runs = [run_cli(*argv), run_cli(*argv, "--cache", str(tmp_path))]
     for at, (code, out, err) in enumerate(runs):
         assert code == 0
         assert one_cache_notice(err) if at else err == ""

@@ -1,6 +1,5 @@
 """Polynomials, series windows, and Sturm counting."""
 
-import doctest
 import random
 from collections import Counter
 from fractions import Fraction
@@ -24,10 +23,6 @@ from eulerian_workbench.exactnum import (
 )
 
 coeff_lists = st.lists(st.integers(min_value=-9, max_value=9), max_size=6)
-
-
-def test_module_doctests():
-    assert doctest.testmod(exactnum).failed == 0
 
 
 def test_binomial_matches_comb_in_range():

@@ -1,6 +1,5 @@
 """Valley hopping: classification, hops, orbits, and the census."""
 
-import doctest
 import itertools
 from collections import Counter
 from math import factorial
@@ -34,10 +33,6 @@ from eulerian_workbench.perm import BRUTE_FORCE_GUARD, descent_count, enumerate_
 from eulerian_workbench.twosided import two_sided_polynomial
 
 GOLDEN = (8, 6, 3, 2, 4, 7, 1, 5, 9)
-
-
-def test_module_doctests():
-    assert doctest.testmod(hopping).failed == 0
 
 
 def test_classify_golden_word():

@@ -1,6 +1,5 @@
 """Permutation statistics, ranking, and sharded enumeration."""
 
-import doctest
 import itertools
 import random
 import re
@@ -26,6 +25,7 @@ from eulerian_workbench.hopping import DOUBLE_DESCENT, PEAK, classify_letters, o
 from eulerian_workbench.perm import (
     BRUTE_FORCE_GUARD,
     SHARD_BUDGET,
+    Block,
     Perm,
     ascent_count,
     census_kernel,
@@ -45,10 +45,6 @@ from eulerian_workbench.perm import (
     statistic_profile,
 )
 from eulerian_workbench.twosided import brute_force_tables, two_sided_from_recurrence
-
-
-def test_module_doctests():
-    assert doctest.testmod(perm).failed == 0
 
 
 def test_parse_compact_and_comma_forms():
@@ -355,8 +351,9 @@ def test_shard_blocks_follow_the_successor_walk(data):
 
 
 @pytest.mark.parametrize("n,total", [(9, 5), (9, 7), (10, 3), (10, 13)])
-def test_shard_blocks_of_several_runs_start_and_end_on_their_ranks(n, total):
-    # prefixes of 2 letters at n = 9 and 3 at n = 10; most cuts fall inside a run
+def test_shard_blocks_are_slices_of_the_one_stream_by_rank(n, total):
+    # past the successor walk's sizes, every block's first word, last word
+    # and count, the late blocks of S_10 included
     fact = factorial(n)
     for index in range(total):
         start = index * fact // total
@@ -387,9 +384,11 @@ def test_kernels_match_per_word_statistics_over_the_whole_of_sn(n):
     # one-letter prefixes from n = 8 on, two at n = 9; below 8 one run, empty prefix
     wanted = _per_word_counts(enumerate_sn(n))
     for kernel, want in zip((descent_kernel, pair_kernel, census_kernel), wanted):
-        got = kernel(enumerate_sn(n), n)
+        got = kernel(enumerate_sn(n))
         assert type(got) is Counter
         assert dict(got) == dict(want), kernel.__name__
+        with pytest.raises(TypeError):  # n comes from the Block alone, never beside it
+            kernel(enumerate_sn(n), n + 1)
 
 
 def _ibits(w):
@@ -446,7 +445,7 @@ def test_table_caches_hold_one_entry_per_tail_size_and_one_per_key_seen():
     keys = {cached: set() for cached in runs}
     for n in range(1, 11):
         for kernel in kernels:
-            kernel(enumerate_sn(n), n)
+            kernel(enumerate_sn(n))
         m = min(n, perm.SUFFIX)
         for prefix, rest in enumerate_sn(n).runs():
             framed = (n + 1, *prefix)  # the census's left sentinel
@@ -477,13 +476,15 @@ def test_runs_of_a_whole_sn_spell_its_stream(n):
     assert spelled == list(enumerate_sn(n))
 
 
-@pytest.mark.parametrize("n,shard", [(1, (0, 3)), (5, (1, 2)), (8, (0, 7)), (9, (12, 13))])
-def test_a_shard_block_has_no_runs(n, shard):
-    with pytest.raises(ValueError, match="shard block"):
-        enumerate_sn(n, shard=shard).runs()
-    with pytest.raises(ValueError, match="shard block"):
-        descent_kernel(enumerate_sn(n, shard=shard), n)
-    assert list(enumerate_sn(n, shard=(0, 1)).runs()) == list(enumerate_sn(n).runs())
+@pytest.mark.parametrize("n,shard", [(1, (0, 3)), (5, (1, 2)), (5, (0, 1)), (8, (0, 7)),
+                                     (9, (12, 13))])
+def test_a_shard_block_is_no_block_and_no_kernel_counts_it(n, shard):
+    block = enumerate_sn(n, shard=shard)
+    assert not isinstance(block, Block)
+    assert not hasattr(block, "runs")
+    for kernel in (descent_kernel, pair_kernel, census_kernel):
+        with pytest.raises(AttributeError):
+            kernel(enumerate_sn(n, shard=shard))
 
 
 def test_shard_counts_give_identical_tables():
@@ -502,12 +503,12 @@ def test_histogram_counts_each_sn_whole_in_one_kernel_call_whatever_the_shards()
     for shards in (1, 2, 5):
         calls = []
 
-        def kernel(block, n):
-            calls.append((n, block.n))
-            return descent_kernel(block, n)
+        def kernel(block):
+            calls.append((type(block), block.n))
+            return descent_kernel(block)
 
         counted = histogram(ns, kernel, shards)
-        assert calls == [(n, n) for n in ns]
+        assert calls == [(Block, n) for n in ns]
         assert counted == {n: Counter(map(descent_count, enumerate_sn(n))) for n in ns}
 
 
