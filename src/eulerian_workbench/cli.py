@@ -21,10 +21,15 @@ decided from the arguments before any work, through common.check_budget,
 which --force lifts; Python's limit on int-to-str conversion is held the
 same way but cannot be lifted.
 
-All numbers inside JSON payloads are decimal strings so the schema never
-changes shape when entries outgrow native integers. One writer, _json_text,
-produces stdout's indented JSON byte for byte as the json module would,
-writing a list of digit strings with one join.
+Rendering happens here alone: the engines return ints, tuples and
+polynomials, and the emitters below turn them into text, CSV and JSON. All
+numbers inside JSON payloads are decimal strings, so the schema never
+changes shape when entries outgrow native integers and no consumer ever
+sees a float. A polynomial is {"var": "t", "terms": [[exp, "coeff"], ...]}
+or {"var": "st", "terms": [[s_exp, t_exp, "coeff"], ...]}, exponents
+ascending. One writer, _json_text, produces stdout's indented JSON byte for
+byte as the json module would, writing a list of digit strings with one
+join.
 
 The tables behind eulerian, two-sided, gamma and gessel come from one
 provider, _tables, behind one work budget shared with series (WORK_BUDGET).
@@ -299,13 +304,47 @@ def _emit_csv(rows) -> None:
             out.write("\n")
 
 
+def _emit_csv_triangle(top: int, rows) -> None:
+    """Write the n\\i triangle: a header of 1..top, then each (n, cells) of
+    rows, a generator if need be, padded with empty fields to top cells."""
+    _emit_csv([["n\\i"] + [str(i) for i in range(1, top + 1)]])
+    _emit_csv([str(n)] + cells + [""] * (top - len(cells)) for n, cells in rows)
+
+
+# ---------------------------------------------------------------------------
+# rendering
+
+
+def _half_text(values) -> list[str]:
+    """values, a palindrome, as decimal strings, each mirrored pair rendered
+    once: only the first ceil(len/2) go through str() and the rest mirror
+    them. A row passes check_row_symmetry first, an array check_symmetries."""
+    half = [str(c) for c in values[: (len(values) + 1) // 2]]
+    return half + half[: len(values) // 2][::-1]
+
+
+def _array_text(table: twosided.TwoSidedTable) -> list[list[str]]:
+    """The array's rows as decimal strings, from _half_text of the array read
+    row by row, which its antipodal symmetry makes a palindrome."""
+    n = table.n
+    text = _half_text([c for row in table.entries for c in row])
+    return [text[at : at + n] for at in range(0, n * n, n)]
+
+
+def _factored_text(factors, sep: str = " ") -> str:
+    """Each (name, exp) of factors as name or name^exp, exponent 0 left out,
+    joined by sep; "1" when nothing is left."""
+    parts = [name if exp == 1 else f"{name}^{exp}" for name, exp in factors if exp]
+    return sep.join(parts) or "1"
+
+
 def _aligned(label: str, cells, width: int) -> str:
     return "  ".join([label.ljust(width)] + [c.rjust(width) for c in cells]).rstrip()
 
 
 def _square_text(table: twosided.TwoSidedTable) -> str:
     n = table.n
-    text = twosided.table_text(table)
+    text = _array_text(table)
     width = max(max(len(c) for row in text for c in row), len("i\\j"), len(str(n)))
     header = [str(j) for j in range(1, n + 1)]
     lines = [f"n={n}", _aligned("i\\j", header, width)]
@@ -361,26 +400,22 @@ def _cmd_eulerian(args) -> int:
     rows = _tables(args, "eulerian")
     n_top = max(rows)
     if args.format == "json":
-        _emit_json_each(list(rows), lambda n: eulerian.row_to_obj(n, rows[n]))
+        _emit_json_each(list(rows), lambda n: {"n": str(n), "A": _half_text(rows[n])})
     elif args.format == "csv":
-        _emit_csv([["n\\i"] + [str(i) for i in range(1, n_top + 1)]])
-        _emit_csv(
-            [str(n)] + eulerian.row_text(row) + [""] * (n_top - n)
-            for n, row in rows.items()
-        )
+        _emit_csv_triangle(n_top, ((n, _half_text(row)) for n, row in rows.items()))
     else:
         widest = max(map(max, rows.values()))
         width = max(len(str(widest)), len("n\\i"), len(str(n_top)))
         print(_aligned("n\\i", [str(i) for i in range(1, n_top + 1)], width))
         for n, row in rows.items():
-            print(_aligned(str(n), eulerian.row_text(row), width))
+            print(_aligned(str(n), _half_text(row), width))
     return EXIT_OK
 
 
 def _cmd_two_sided(args) -> int:
     tables = _tables(args, "twosided")
     if args.format == "json":
-        _emit_json_each(list(tables), lambda n: twosided.table_to_obj(tables[n]))
+        _emit_json_each(list(tables), lambda n: {"n": str(n), "A": _array_text(tables[n])})
     elif args.format == "csv":
 
         def lines():
@@ -389,7 +424,7 @@ def _cmd_two_sided(args) -> int:
                     yield []
                 yield [f"n={n}"]
                 yield ["i\\j"] + [str(j) for j in range(1, n + 1)]
-                for i, row in enumerate(twosided.table_text(table), start=1):
+                for i, row in enumerate(_array_text(table), start=1):
                     yield [str(i)] + row
 
         _emit_csv(lines())
@@ -411,16 +446,15 @@ def _cmd_gamma(args) -> int:
         _emit_json_each(
             list(rows),
             lambda n: {
-                **eulerian.row_to_obj(n, rows[n]),
+                "n": str(n),
+                "A": _half_text(rows[n]),
                 "gamma": [str(g) for g in gammas[n]],
             },
         )
     elif args.format == "csv":
-        top = max(map(len, gammas.values()))
-        _emit_csv([["n\\i"] + [str(i) for i in range(1, top + 1)]])
-        _emit_csv(
-            [str(n)] + [str(g) for g in gamma] + [""] * (top - len(gamma))
-            for n, gamma in gammas.items()
+        _emit_csv_triangle(
+            max(map(len, gammas.values())),
+            ((n, [str(g) for g in gamma]) for n, gamma in gammas.items()),
         )
     else:
         for n, gamma in gammas.items():
@@ -439,7 +473,8 @@ def _cmd_gessel(args) -> int:
         _emit_json_each(
             list(tables),
             lambda n: {
-                **twosided.table_to_obj(tables[n]),
+                "n": str(n),
+                "A": _array_text(tables[n]),
                 "gamma": {
                     f"({i},{j})": str(expanded[n].gammas[(i, j)])
                     for i, j in sorted(expanded[n].gammas)
@@ -472,12 +507,15 @@ def _cmd_orbit(args) -> int:
     hopping.check_orbit_budget(w, args.force)
     orbit = hopping.orbit_of(w)
     uni = hopping.orbit_descent_polynomial(orbit)
-    bi = hopping.orbit_descent_polynomial(orbit, "bivariate")
+    bi = hopping.orbit_two_sided_polynomial(orbit)
     peaks = hopping.peak_values(w)
     valleys = hopping.valley_values(w)
     free = hopping.free_values(w)
-    uni_text = hopping.factored_univariate(orbit)
-    bi_text = hopping.factored_bivariate(bi) or str(bi)
+    p = orbit.peak_count
+    uni_text = _factored_text([("t", p + 1), ("(1+t)", len(w) - 1 - 2 * p)], sep="")
+    exps = hopping.factored_bivariate(bi)
+    names = ("s", "t", "(1+s)", "(1+t)", "(1+st)")
+    bi_text = str(bi) if exps is None else _factored_text(zip(names, exps))
     if args.format == "json":
         _emit_json(
             {
@@ -489,8 +527,11 @@ def _cmd_orbit(args) -> int:
                 "free": [str(x) for x in free],
                 "uni": uni_text,
                 "bi": bi_text,
-                "uni_terms": uni.to_obj(),
-                "bi_terms": bi.to_obj(),
+                "uni_terms": {
+                    "var": "t",
+                    "terms": [[e, str(c)] for e, c in enumerate(uni.coeffs) if c],
+                },
+                "bi_terms": {"var": "st", "terms": [[a, b, str(c)] for a, b, c in bi.terms]},
             }
         )
     elif args.format == "csv":
@@ -569,45 +610,27 @@ def _cmd_series(args) -> int:
     if args.bivariate:
         grid = twosided.grid_window(twosided.two_sided_from_recurrence(n)[n - 1], terms)
         ok = _passes(twosided.check_grid_window, n, grid)
-        if args.format == "json":
-            _emit_json(
-                {
-                    "n": str(n),
-                    "kind": "grid",
-                    "grid": [[str(c) for c in row] for row in grid],
-                    "matches_closed_form": ok,
-                }
-            )
-        elif args.format == "csv":
-            out = [["k\\l"] + [str(l) for l in range(terms + 1)]]
-            for k in range(terms + 1):
-                out.append([str(k)] + [str(c) for c in grid[k]])
-            _emit_csv(out)
-        else:
-            for row in grid:
-                print(" ".join(str(c) for c in row))
-            status = "match" if ok else "MISMATCH against"
-            print(f"entries {status} binomial(kl+{n - 1},{n}) for k,l <= {terms}")
+        cells = [[str(c) for c in row] for row in grid]
+        lines = [" ".join(row) for row in cells]
+        subject, closed_form = "entries", f"binomial(kl+{n - 1},{n}) for k,l <= {terms}"
+        payload = {"kind": "grid", "grid": cells}
+        table = [["k\\l"] + [str(l) for l in range(terms + 1)]]
+        table += [[str(k)] + row for k, row in enumerate(cells)]
     else:
         window = eulerian.power_sum_window(eulerian.table_from_recurrence(n).row(n), terms)
         ok = _passes(eulerian.check_power_sum_window, n, window)
-        if args.format == "json":
-            _emit_json(
-                {
-                    "n": str(n),
-                    "kind": "power-sum",
-                    "coefficients": [str(c) for c in window],
-                    "matches_closed_form": ok,
-                }
-            )
-        elif args.format == "csv":
-            out = [["k", "coefficient"]]
-            out.extend([str(k), str(c)] for k, c in enumerate(window))
-            _emit_csv(out)
-        else:
-            print(" ".join(str(c) for c in window))
-            status = "match" if ok else "MISMATCH against"
-            print(f"coefficients {status} k^{n} for 0 <= k <= {terms}")
+        cells = [str(c) for c in window]
+        lines = [" ".join(cells)]
+        subject, closed_form = "coefficients", f"k^{n} for 0 <= k <= {terms}"
+        payload = {"kind": "power-sum", "coefficients": cells}
+        table = [["k", "coefficient"]] + [[str(k), c] for k, c in enumerate(cells)]
+    if args.format == "json":
+        _emit_json({"n": str(n), **payload, "matches_closed_form": ok})
+    elif args.format == "csv":
+        _emit_csv(table)
+    else:
+        print("\n".join(lines))
+        print(subject, "match" if ok else "MISMATCH against", closed_form)
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 

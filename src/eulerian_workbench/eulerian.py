@@ -234,22 +234,3 @@ def check_unimodality(n: int, row: tuple[int, ...]) -> None:
     falling = all(row[i] >= row[i + 1] for i in range(peak - 1, len(row) - 1))
     if not (rising and falling):
         raise ConsistencyError(f"row {n} is not unimodal")
-
-
-# ---------------------------------------------------------------------------
-# JSON schema
-
-
-def row_text(row: tuple[int, ...]) -> list[str]:
-    """The row's entries as decimal strings, each mirrored pair rendered once.
-
-    Only the first ceil(n/2) entries go through str() and the rest mirror
-    them, so the row must be palindromic (check_row_symmetry).
-    """
-    half = [str(c) for c in row[: (len(row) + 1) // 2]]
-    return half + half[: len(row) // 2][::-1]
-
-
-def row_to_obj(n: int, row: tuple[int, ...]) -> dict:
-    """Row n as {"n": ..., "A": [...]}, its text from row_text."""
-    return {"n": str(n), "A": row_text(row)}

@@ -39,14 +39,9 @@ Polynomials come in two shapes:
   Equal polynomials are structurally equal.
 
 A SeriesWindow holds the coefficients of a power series truncated at a fixed
-order, either one row (univariate) or a grid (bivariate). Multiplying a
-polynomial into the window of 1/(1-t)^m is how closed product forms get
-compared against term-by-term series data.
-
-JSON form for polynomials: {"var": "t", "terms": [[exp, "coeff"], ...]} and
-{"var": "st", "terms": [[s_exp, t_exp, "coeff"], ...]}, exponents ascending,
-coefficients as decimal strings so no consumer ever sees a float or an
-overflowing native integer.
+order, either one row (univariate) or a grid (bivariate), whose orders are
+read off its shape. Multiplying a polynomial into the window of 1/(1-t)^m is
+how closed product forms get compared against term-by-term series data.
 """
 
 from __future__ import annotations
@@ -184,12 +179,6 @@ class UniPoly:
         padded = self.coeffs + (0,) * (top + 1 - len(self.coeffs))
         return padded == padded[::-1]
 
-    def to_obj(self) -> dict:
-        return {
-            "var": "t",
-            "terms": [[e, str(c)] for e, c in enumerate(self.coeffs) if c],
-        }
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
@@ -304,12 +293,6 @@ class BiPoly:
             raise ValueError(f"exponent above {top} has no reciprocal image")
         return BiPoly(tuple(sorted((top - a, top - b, c) for a, b, c in self.terms)))
 
-    def to_obj(self) -> dict:
-        return {
-            "var": "st",
-            "terms": [[a, b, str(c)] for a, b, c in self.terms],
-        }
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"
@@ -335,11 +318,11 @@ class BiPoly:
 class SeriesWindow:
     """Power-series coefficients up to a fixed order.
 
-    Univariate: coeffs[k] is the t**k coefficient for 0 <= k <= order.
-    Bivariate: coeffs[k][l] is the s**k t**l coefficient, both up to order.
+    Univariate: coeffs[k] is the t**k coefficient for 0 <= k < len(coeffs).
+    Bivariate: coeffs[k][l] is the s**k t**l coefficient; the grid's row
+    count and row length each give one variable's order plus one.
     """
 
-    order: int
     coeffs: tuple
 
     @property
@@ -355,7 +338,7 @@ def geometric_power_window(m: int, order: int) -> SeriesWindow:
     """
     if m < 0 or order < 0:
         raise ValueError("window parameters must be nonnegative")
-    return SeriesWindow(order, tuple(binomial(k + m - 1, m - 1) for k in range(order + 1)))
+    return SeriesWindow(tuple(binomial(k + m - 1, m - 1) for k in range(order + 1)))
 
 
 def series_product(p: UniPoly, window: SeriesWindow) -> SeriesWindow:
@@ -363,14 +346,14 @@ def series_product(p: UniPoly, window: SeriesWindow) -> SeriesWindow:
     if window.bivariate:
         raise ValueError("expected a univariate window")
     out = []
-    for k in range(window.order + 1):
+    for k in range(len(window.coeffs)):
         total = 0
         for e in range(min(k, p.degree) + 1):
             c = p.coeffs[e]
             if c:
                 total += c * window.coeffs[k - e]
         out.append(total)
-    return SeriesWindow(window.order, tuple(out))
+    return SeriesWindow(tuple(out))
 
 
 def series_product_bivariate(p: BiPoly, s_window: SeriesWindow, t_window: SeriesWindow) -> SeriesWindow:
@@ -381,17 +364,17 @@ def series_product_bivariate(p: BiPoly, s_window: SeriesWindow, t_window: Series
     """
     if s_window.bivariate or t_window.bivariate:
         raise ValueError("expected univariate windows for both variables")
-    ks, kt = s_window.order, t_window.order
-    grid = [[0] * (kt + 1) for _ in range(ks + 1)]
+    ks, kt = len(s_window.coeffs), len(t_window.coeffs)
+    grid = [[0] * kt for _ in range(ks)]
     for a, b, c in p.terms:
-        for k in range(a, ks + 1):
+        for k in range(a, ks):
             left = c * s_window.coeffs[k - a]
             if not left:
                 continue
             row = grid[k]
-            for l in range(b, kt + 1):
+            for l in range(b, kt):
                 row[l] += left * t_window.coeffs[l - b]
-    return SeriesWindow(max(ks, kt), tuple(tuple(row) for row in grid))
+    return SeriesWindow(tuple(tuple(row) for row in grid))
 
 
 # bench/spans.py binds this name to count Gessel unknowns; nothing calls it.

@@ -23,7 +23,8 @@ its descent generating function is t**(peaks + 1) (1 + t)**(n - 1 - 2 peaks)
 (asserted on every orbit built here).
 
 Tracking inverse descents as well gives each orbit a bivariate generating
-function; no factorization is asserted for it.
+function; no factorization is asserted for it, and factored_bivariate returns
+the exponents of the one it finds, or None.
 
 The census counts classes by peak count without building them: each class
 has exactly one member with no double descents (P. Branden, "Actions on
@@ -188,33 +189,31 @@ def class_polynomial(n: int, peaks: int) -> UniPoly:
     return UniPoly((0,) * (peaks + 1) + tuple([comb(m, i) for i in range(m + 1)]))
 
 
-def orbit_descent_polynomial(orbit: Orbit, mode: str = "univariate"):
-    """Generating function of the orbit by descents (t) or both statistics.
+def orbit_descent_polynomial(orbit: Orbit) -> UniPoly:
+    """Sum of t**(des + 1) over the orbit's members, asserted equal to
+    t**(peaks + 1) (1 + t)**(n - 1 - 2 peaks)."""
+    n = len(orbit.representative)
+    counts = [0] * (n + 1)
+    for u in orbit.members:
+        counts[descent_count(u) + 1] += 1
+    total = UniPoly.from_coeffs(counts)
+    expected = class_polynomial(n, orbit.peak_count)
+    if total != expected:
+        raise ConsistencyError(
+            f"orbit of {orbit.representative} has descent polynomial "
+            f"{total}, expected {expected}"
+        )
+    return total
 
-    Univariate: sum of t**(des + 1) over members, asserted equal to
-    t**(peaks + 1) (1 + t)**(n - 1 - 2 peaks). Bivariate: sum of
-    s**(ides + 1) t**(des + 1), no shape asserted.
-    """
-    if mode == "univariate":
-        n = len(orbit.representative)
-        counts = [0] * (n + 1)
-        for u in orbit.members:
-            counts[descent_count(u) + 1] += 1
-        total = UniPoly.from_coeffs(counts)
-        expected = class_polynomial(n, orbit.peak_count)
-        if total != expected:
-            raise ConsistencyError(
-                f"orbit of {orbit.representative} has descent polynomial "
-                f"{total}, expected {expected}"
-            )
-        return total
-    if mode == "bivariate":
-        out: dict[tuple[int, int], int] = {}
-        for u in orbit.members:
-            key = (inverse_descent_count(u) + 1, descent_count(u) + 1)
-            out[key] = out.get(key, 0) + 1
-        return BiPoly.from_dict(out)
-    raise ValueError("mode must be 'univariate' or 'bivariate'")
+
+def orbit_two_sided_polynomial(orbit: Orbit) -> BiPoly:
+    """Sum of s**(ides + 1) t**(des + 1) over the orbit's members; no shape
+    is asserted."""
+    out: dict[tuple[int, int], int] = {}
+    for u in orbit.members:
+        key = (inverse_descent_count(u) + 1, descent_count(u) + 1)
+        out[key] = out.get(key, 0) + 1
+    return BiPoly.from_dict(out)
 
 
 def orbit_census(n: int, force: bool = False) -> dict[int, int]:
@@ -243,19 +242,9 @@ def orbit_census(n: int, force: bool = False) -> dict[int, int]:
     return {p: counts[p] for p in sorted(counts)}
 
 
-# ---------------------------------------------------------------------------
-# factored display forms
-
-
-def factored_univariate(orbit: Orbit) -> str:
-    """The asserted shape t**(peaks+1) (1+t)**(n-1-2 peaks) as text."""
-    n = len(orbit.representative)
-    p = orbit.peak_count
-    return _factored_text([("t", p + 1), ("(1+t)", n - 1 - 2 * p)], sep="")
-
-
-def factored_bivariate(p: BiPoly) -> str | None:
-    """Factor p as s^a t^b (1+s)^c (1+t)^d (1+st)^e if possible, else None.
+def factored_bivariate(p: BiPoly) -> tuple[int, int, int, int, int] | None:
+    """The exponents (a, b, c, d, e) of p = s^a t^b (1+s)^c (1+t)^d (1+st)^e
+    if p factors so, else None.
 
     Such a factorization is unique, and its exponents can be read off p: a
     and b are the least exponents of s and t, S = a + c + e and T = b + d + e
@@ -284,13 +273,4 @@ def factored_bivariate(p: BiPoly) -> str | None:
     )
     if product != p:
         return None
-    return _factored_text([("s", a), ("t", b), ("(1+s)", c), ("(1+t)", d), ("(1+st)", e)])
-
-
-def _factored_text(factors: list[tuple[str, int]], sep: str = " ") -> str:
-    parts = []
-    for name, exp in factors:
-        if exp == 0:
-            continue
-        parts.append(name if exp == 1 else f"{name}^{exp}")
-    return sep.join(parts) if parts else "1"
+    return (a, b, c, d, e)

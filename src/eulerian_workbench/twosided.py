@@ -411,26 +411,3 @@ def gessel_solve(p: BiPoly, n: int) -> GesselExpansion:
     # zero coefficients carry no information; keep the expansion sparse
     gammas = {idx: v for idx, v in gammas.items() if v != 0}
     return GesselExpansion(n, gammas, nonnegative)
-
-
-# ---------------------------------------------------------------------------
-# JSON schema
-
-
-def table_text(table: TwoSidedTable) -> list[list[str]]:
-    """The array's rows as decimal strings, each antipodal pair rendered once.
-
-    Only the first half of the array read row by row goes through str() and
-    the rest mirrors it, so the array must be antipodally palindromic
-    (check_symmetries).
-    """
-    n = table.n
-    flat = [c for row in table.entries for c in row]
-    half = [str(c) for c in flat[: (len(flat) + 1) // 2]]
-    text = half + half[: len(flat) // 2][::-1]
-    return [text[at : at + n] for at in range(0, n * n, n)]
-
-
-def table_to_obj(table: TwoSidedTable) -> dict:
-    """Array n as {"n": ..., "A": [[...], ...]}, its text from table_text."""
-    return {"n": str(table.n), "A": table_text(table)}

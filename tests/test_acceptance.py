@@ -38,10 +38,10 @@ from eulerian_workbench.exactnum import (
 )
 from eulerian_workbench.hopping import (
     factored_bivariate,
-    factored_univariate,
     orbit_census,
     orbit_descent_polynomial,
     orbit_of,
+    orbit_two_sided_polynomial,
 )
 from eulerian_workbench.twosided import (
     brute_force_tables,
@@ -184,7 +184,7 @@ def test_criterion_7_gessel_expansions():
 def test_criterion_8_golden_orbit():
     orbit = orbit_of((8, 6, 3, 2, 4, 7, 1, 5, 9))
     uni = orbit_descent_polynomial(orbit)
-    bi = orbit_descent_polynomial(orbit, "bivariate")
+    bi = orbit_two_sided_polynomial(orbit)
     one = BiPoly.one()
     expected_bi = (
         BiPoly.monomial(3, 2)
@@ -195,9 +195,12 @@ def test_criterion_8_golden_orbit():
         orbit.size == 64
         and uni == UniPoly.monomial(2) * UniPoly.from_coeffs([1, 1]) ** 6
         and bi == expected_bi
-        and factored_univariate(orbit) == "t^2(1+t)^6"
-        and factored_bivariate(bi) == "s^3 t^2 (1+t)^2 (1+st)^4"
+        and factored_bivariate(bi) == (3, 2, 0, 2, 4)
     )
+    code, out = _run_cli("orbit", "863247159", "--format", "json")
+    obj = json.loads(out)
+    ok = ok and code == 0 and obj["uni"] == "t^2(1+t)^6"
+    ok = ok and obj["bi"] == "s^3 t^2 (1+t)^2 (1+st)^4"
     record_acceptance(8, ok, "orbit of 863247159: 64 members, both polynomials")
     assert ok
 

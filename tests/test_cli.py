@@ -916,27 +916,33 @@ def test_table_stdout_is_pinned_with_and_without_cache(tmp_path, command, fmt):
         assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[command, fmt]
 
 
-# the same pins at the sizes the bench's cli-cache workload runs, frozen from
-# the release before the half-row text path
+# the same pins at the sizes the bench's cli-cache workload runs, read from
+# the bench's own digests: "cli/<command>-<n_max>/<format>"
+BENCH_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
 LARGE_TABLE_DIGESTS = {
-    ("eulerian", "text"): "e068423a111f696f64f86bca28d4378fa5548dd90a23a1fc7dc70bf4056a90b2",
-    ("eulerian", "json"): "2978061a770d9fac6c2b668838410c8edb2897ec5f657c89418ff872d00becae",
-    ("eulerian", "csv"): "5dd594e9ed7085708216854c5837726959f22d71c3998e7e1ea77d23b0df6753",
-    ("two-sided", "text"): "9268b720fe58a6794a1ee24a84acd3b0e9c103d4692c8fc44d78679a141a61d4",
-    ("two-sided", "json"): "3c101b7d91812403c0b6a9c3d543c4dd784b7ec37321950f7213709c002342cb",
-    ("two-sided", "csv"): "8eb1869fcbf3d762831c70a36937419ae473f436f9d2eb9bb3e3af5c93435c8a",
+    tuple(key.split("/")[1:]): digest
+    for key, digest in json.loads(BENCH_DIGESTS.read_text()).items()
+    if key.startswith("cli/")
 }
-LARGE_TABLE_N_MAX = {"eulerian": "300", "two-sided": "40"}
 
 
-@pytest.mark.parametrize("command,fmt", sorted(LARGE_TABLE_DIGESTS))
-def test_large_table_stdout_is_pinned_with_and_without_cache(tmp_path, command, fmt):
-    argv = (command, "--n-max", LARGE_TABLE_N_MAX[command], "--format", fmt)
+def test_the_bench_pins_every_table_command_in_every_format():
+    assert sorted(LARGE_TABLE_DIGESTS) == sorted(
+        (label, fmt)
+        for label in ("eulerian-300", "two-sided-40", "gamma-60", "gessel-10")
+        for fmt in ("text", "json", "csv")
+    )
+
+
+@pytest.mark.parametrize("label,fmt", sorted(LARGE_TABLE_DIGESTS))
+def test_large_table_stdout_is_pinned_with_and_without_cache(tmp_path, label, fmt):
+    command, n_max = label.rsplit("-", 1)
+    argv = (command, "--n-max", n_max, "--format", fmt)
     runs = [run_cli(*argv), run_cli(*argv, "--cache", str(tmp_path))]
     for at, (code, out, err) in enumerate(runs):
         assert code == 0
         assert one_cache_notice(err) if at else err == ""
-        assert hashlib.sha256(out.encode()).hexdigest() == LARGE_TABLE_DIGESTS[command, fmt]
+        assert hashlib.sha256(out.encode()).hexdigest() == LARGE_TABLE_DIGESTS[label, fmt]
 
 
 # the same pins for one table, --n 7: a single table's json payload is the
@@ -963,6 +969,40 @@ def test_single_table_stdout_is_pinned(command, fmt):
     code, out, err = run_cli(command, "--n", "7", "--format", fmt)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == SINGLE_TABLE_DIGESTS[command, fmt]
+
+
+# sha256 of stdout of the commands that print no table, frozen from the
+# release before the engines' writers moved into cli
+STATS_WORDS = "123 863247159 2,1 10,3,1,2,4,5,6,7,8,9 1"
+COMMAND_DIGESTS = {
+    ("orbit 863247159", "text"): "da8b0d0106512bf42a50db8a8f3fc71fc5f1ed8b931611890ff229f045ae279b",
+    ("orbit 863247159", "json"): "16ee975a8a4f1a75e807a43e7e149d556838fc78933b349ebc9611c948c89388",
+    ("orbit 863247159", "csv"): "0e1c6834aa36813e6d3f03bbc5e5c4b91f46edb961104de4e1153166a72017a2",
+    ("orbit 1", "text"): "d6a6bd2ec1427a6c5e33373ef4d727b1608e5b190b00272fd47205b086f4e9c0",
+    ("orbit 1", "json"): "062c29a4ea256607642b0dbaceb0f62c0993039fb70ee99d16d649b6a342a6e7",
+    ("orbit 1", "csv"): "bfd01c75f7032e7e6f4543533f69acee75608e501a582908b3d52657e29d7d55",
+    ("orbit 10,3,1,2,4,5,6,7,8,9", "text"): "c395b70353b1a86a052f9eff7d75a0cf98d1661e972332f6c414692f255f307c",
+    ("orbit 10,3,1,2,4,5,6,7,8,9", "json"): "8d07b304a5cad32c4cc66521c0057762047b08622e18460bd43bbe1e943e4831",
+    ("orbit 10,3,1,2,4,5,6,7,8,9", "csv"): "ce9fff869c808fcdcebb73c1cee6405e19986338f15cafd10222e89a24a6d911",
+    ("orbits --n 9", "text"): "4589ceaae38b83eb2d75ea1f19547357ccb77bffd948253753419ced57f06112",
+    ("orbits --n 9", "json"): "30e99caeb13c1e1bbc895ada03748990c57657b6094a919b22cae706963dea5c",
+    ("orbits --n 9", "csv"): "1004d76311eea06c0c376962dda870751ea5638fd297cf4c90b7314a18dc06dd",
+    ("series --n 3 --terms 6", "text"): "a35fa93f468eeec78e018aad8c5229e5adf2aa7d4cf3258b52ac92700384c77c",
+    ("series --n 3 --terms 6", "json"): "eee4c2c78327e6f46725f099f25ee5aa26a8c8938a5ecbed2e09f9efc829d7af",
+    ("series --n 3 --terms 6", "csv"): "5597535f195490c0ddd4cb3f36295a639e10d6776372f705fca6c76678a46a0a",
+    ("series --n 5 --terms 4 --bivariate", "text"): "4ed7b46349b4835b7021f3740405517ee35bc7e392e493ad05dfbc64c9836f68",
+    ("series --n 5 --terms 4 --bivariate", "json"): "63f91acc270ee93d612b0fb6ebf43e8a843f485b39148c1c875d35361ea7e976",
+    ("series --n 5 --terms 4 --bivariate", "csv"): "1d3101c51ebb4c9a5217086aa77ce5ebd0328ce09e933529413d8f502de73294",
+    (f"stats {STATS_WORDS}", "text"): "75c77aee77e2caa42368a22d13421c8b715b922e29b0c5381e52b6bbbeb6acb4",
+    (f"stats {STATS_WORDS}", "csv"): "eaed5f126c1d4598e71d96be5a8c2daed07858e3298a22d65f05f226f0075dd2",
+}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(COMMAND_DIGESTS))
+def test_command_stdout_is_pinned(command, fmt):
+    code, out, err = run_cli(*command.split(), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == COMMAND_DIGESTS[command, fmt]
 
 
 class Sink:
@@ -997,7 +1037,6 @@ VERIFY_ALL_DIGESTS = {
     "json": "fadbf0a32a9435d19177addc7f17e0c823431f3c3b6ebf1986e9979e2d4088b9",
     "csv": "c13752ad8692b8b5b0bd0aff230fbce5cd3b235ae7b8d3c865e6be0274f12118",
 }
-BENCH_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
 
 
 def test_verify_all_text_pin_is_the_bench_digest():
@@ -1101,10 +1140,48 @@ def test_json_writer_matches_json_dumps(value):
 
 def test_json_writer_on_table_payloads():
     rows = eulerian.table_from_recurrence(30).rows
-    payloads = [eulerian.row_to_obj(n, row) for n, row in enumerate(rows, start=1)]
-    payloads += [twosided.table_to_obj(t) for t in twosided.two_sided_from_recurrence(9)]
+    payloads = [{"n": str(n), "A": cli._half_text(row)} for n, row in enumerate(rows, start=1)]
+    payloads += [
+        {"n": str(t.n), "A": cli._array_text(t)} for t in twosided.two_sided_from_recurrence(9)
+    ]
     for value in (payloads, payloads[-1], {"n": "1", "A": [[]]}, [[], {}, [[]]]):
         assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_half_text_renders_a_row_whole():
+    assert cli._half_text(TABLE1[5]) == ["1", "26", "66", "26", "1"]
+    code, out, _ = run_cli("eulerian", "--n", "5", "--format", "json")
+    assert json.loads(out) == {"n": "5", "A": ["1", "26", "66", "26", "1"]}
+    # only half of each row is rendered; odd and even n
+    for row in (TABLE1[6], TABLE1[7], eulerian.table_from_recurrence(40).row(40)):
+        assert cli._half_text(row) == [str(c) for c in row]
+
+
+def test_array_text_renders_an_array_whole():
+    table = twosided.two_sided_from_recurrence(4)[3]
+    assert cli._array_text(table)[1] == ["0", "10", "1", "0"]
+    code, out, _ = run_cli("two-sided", "--n", "4", "--format", "json")
+    obj = json.loads(out)
+    assert (obj["n"], obj["A"][1], set(obj)) == ("4", ["0", "10", "1", "0"], {"n", "A"})
+    # only half of each array is rendered; odd and even n
+    for table in twosided.two_sided_from_recurrence(9)[4:]:
+        assert cli._array_text(table) == [[str(c) for c in row] for row in table.entries]
+
+
+def test_factored_text_names_each_factor_once():
+    assert cli._factored_text([("t", 2), ("(1+t)", 6)], sep="") == "t^2(1+t)^6"
+    assert cli._factored_text([("t", 2), ("(1+t)", 0)], sep="") == "t^2"
+    assert cli._factored_text([("t", 1), ("(1+t)", 1)], sep="") == "t(1+t)"
+    names = ("s", "t", "(1+s)", "(1+t)", "(1+st)")
+    for exps, text in (
+        ((3, 2, 0, 2, 4), "s^3 t^2 (1+t)^2 (1+st)^4"),
+        ((1, 1, 0, 0, 2), "s t (1+st)^2"),
+        ((2, 2, 0, 0, 0), "s^2 t^2"),
+        ((0, 0, 0, 0, 0), "1"),
+    ):
+        assert cli._factored_text(zip(names, exps)) == text
+    for word, uni in (("132", "t^2"), ("12", "t(1+t)")):
+        assert json.loads(run_cli("orbit", word, "--format", "json")[1])["uni"] == uni
 
 
 def library_fields(command, n):

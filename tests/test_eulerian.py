@@ -13,7 +13,6 @@ from eulerian_workbench.eulerian import (
     eulerian_polynomial,
     gamma_extract,
     check_unimodality,
-    row_to_obj,
     table_brute_force,
     table_from_recurrence,
     verify_polynomial_recurrence,
@@ -246,19 +245,6 @@ def test_row_polynomials_have_distinct_negative_roots():
         p = eulerian_polynomial(n)
         shifted = UniPoly.from_coeffs(p.coeffs[1:])
         assert sturm_negative_root_count(shifted) == (n - 1, True)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_row_json_round_trip():
-    row = TABLE1[5]
-    obj = row_to_obj(5, row)
-    assert obj == {"n": "5", "A": ["1", "26", "66", "26", "1"]}
-    # only half of each row is rendered; odd and even n
-    for n, row in ((6, TABLE1[6]), (7, TABLE1[7]), (40, table_from_recurrence(40).row(40))):
-        assert row_to_obj(n, row)["A"] == [str(c) for c in row]
 
 
 def test_check_row_symmetry_rejects_a_row_that_is_not_palindromic():

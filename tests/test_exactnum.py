@@ -1,5 +1,6 @@
 """Polynomials, series windows, and Sturm counting."""
 
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -206,6 +207,17 @@ def test_bivariate_window_shifts_monomials():
             if k >= 1 and l >= 1:
                 expected = comb(k - 1 + 1, 1) * comb(l - 1 + 2, 2)
             assert grid.coeffs[k][l] == expected
+
+
+def test_a_rectangular_grid_window_keeps_each_variables_order():
+    # orders 2 in s and 5 in t, and the reverse: 1/(1-s) times 1/(1-t)**2 has
+    # s**k t**l coefficient l + 1, and the window's shape is its only order
+    for ks, kt in ((2, 5), (5, 2)):
+        grid = series_product_bivariate(
+            BiPoly.one(), geometric_power_window(1, ks), geometric_power_window(2, kt)
+        )
+        assert grid.coeffs == ((*range(1, kt + 2),),) * (ks + 1)
+    assert [field.name for field in dataclasses.fields(exactnum.SeriesWindow)] == ["coeffs"]
 
 
 # ---------------------------------------------------------------------------

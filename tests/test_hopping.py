@@ -20,12 +20,12 @@ from eulerian_workbench.hopping import (
     class_polynomial,
     classify_letters,
     factored_bivariate,
-    factored_univariate,
     free_values,
     hop,
     orbit_census,
     orbit_descent_polynomial,
     orbit_of,
+    orbit_two_sided_polynomial,
     peak_values,
     valley_values,
 )
@@ -216,7 +216,7 @@ def test_orbit_of_identity_is_maximal():
     for n in range(1, 8):
         orbit = orbit_of(tuple(range(1, n + 1)))
         assert orbit.size == 2 ** (n - 1)
-        bi = orbit_descent_polynomial(orbit, "bivariate")
+        bi = orbit_two_sided_polynomial(orbit)
         expected = BiPoly.monomial(1, 1) * (
             BiPoly.one() + BiPoly.monomial(1, 1)
         ) ** (n - 1)
@@ -249,7 +249,7 @@ def test_golden_orbit():
     assert GOLDEN in orbit.members
     uni = orbit_descent_polynomial(orbit)
     assert uni == UniPoly.monomial(2) * UniPoly.from_coeffs([1, 1]) ** 6
-    bi = orbit_descent_polynomial(orbit, "bivariate")
+    bi = orbit_two_sided_polynomial(orbit)
     one = BiPoly.one()
     expected = (
         BiPoly.monomial(3, 2)
@@ -257,8 +257,7 @@ def test_golden_orbit():
         * (one + BiPoly.monomial(1, 1)) ** 4
     )
     assert bi == expected
-    assert factored_univariate(orbit) == "t^2(1+t)^6"
-    assert factored_bivariate(bi) == "s^3 t^2 (1+t)^2 (1+st)^4"
+    assert factored_bivariate(bi) == (3, 2, 0, 2, 4)
 
 
 def test_orbit_members_share_invariants():
@@ -288,14 +287,14 @@ def test_orbit_polynomials_sum_to_full_distributions():
             orbit = orbit_of(w)
             seen.update(orbit.members)
             uni_total = uni_total + orbit_descent_polynomial(orbit)
-            bi_total = bi_total + orbit_descent_polynomial(orbit, "bivariate")
+            bi_total = bi_total + orbit_two_sided_polynomial(orbit)
         assert uni_total == eulerian_polynomial(n)
         assert bi_total == two_sided_polynomial(n)
 
 
 def test_orbit_polynomials_are_the_direct_count_on_every_class():
     # verify's orbit sums count each member's statistics themselves, so both
-    # modes are held here to a count that calls nothing of perm, on every
+    # polynomials are held here to a count that calls nothing of perm, on every
     # class through n = 7
     for n in range(1, 8):
         seen = set()
@@ -310,7 +309,7 @@ def test_orbit_polynomials_are_the_direct_count_on_every_class():
                 # an inverse descent at v: the letter v + 1 stands left of v
                 ides = sum(u.index(v + 1) < u.index(v) for v in range(1, n))
                 counts[ides + 1, des + 1] += 1
-            assert orbit_descent_polynomial(orbit, "bivariate") == BiPoly.from_dict(counts)
+            assert orbit_two_sided_polynomial(orbit) == BiPoly.from_dict(counts)
             marginal = [0] * (n + 1)
             for (_, t_exp), c in counts.items():
                 marginal[t_exp] += c
@@ -369,19 +368,15 @@ def test_census_guard_rail():
 
 
 # ---------------------------------------------------------------------------
-# factored display forms
+# bivariate factorization
 
 
-def test_factored_univariate_edge_exponents():
-    assert factored_univariate(orbit_of((1, 3, 2))) == "t^2"
-    assert factored_univariate(orbit_of((1, 2))) == "t(1+t)"
-
-
-def test_factored_bivariate_forms():
+def test_factored_bivariate_exponents():
     one = BiPoly.one()
     p = BiPoly.monomial(1, 1) * (one + BiPoly.monomial(1, 1)) ** 2
-    assert factored_bivariate(p) == "s t (1+st)^2"
-    assert factored_bivariate(BiPoly.monomial(2, 2)) == "s^2 t^2"
+    assert factored_bivariate(p) == (1, 1, 0, 0, 2)
+    assert factored_bivariate(BiPoly.monomial(2, 2)) == (2, 2, 0, 0, 0)
+    assert factored_bivariate(one) == (0, 0, 0, 0, 0)
     # an irreducible sum that is none of the recognized factors
     assert factored_bivariate(one + BiPoly.monomial(2, 0)) is None
     # exponents that read off as nonnegative but name another product

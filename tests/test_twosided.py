@@ -18,7 +18,6 @@ from eulerian_workbench.twosided import (
     gessel_basis_indices,
     gessel_solve,
     polynomial_from_table,
-    table_to_obj,
     two_sided_brute_force,
     two_sided_from_recurrence,
     two_sided_polynomial,
@@ -386,21 +385,6 @@ def test_gessel_reconstruction_is_exact():
         for (i, j), g in expansion.gammas.items():
             rebuilt = rebuilt + g * gessel_basis_element(n, i, j)
         assert rebuilt == p
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_table_json_round_trip():
-    table = two_sided_from_recurrence(4)[3]
-    obj = table_to_obj(table)
-    assert obj["n"] == "4"
-    assert obj["A"][1] == ["0", "10", "1", "0"]
-    assert set(obj) == {"n", "A"}
-    # only half of each array is rendered; odd and even n
-    for table in two_sided_from_recurrence(9)[4:]:
-        assert table_to_obj(table)["A"] == [[str(c) for c in row] for row in table.entries]
 
 
 @pytest.mark.parametrize("cells", [[(2, 3)], [(2, 3), (3, 2)], [(3, 3)]])

@@ -274,6 +274,22 @@ def test_brute_force_checks_run_up_to_the_guard():
     assert lines[-1] == "suite all: 28/28 checks passed"
 
 
+@pytest.mark.parametrize("n_max", [1, 5, 7, 8])
+def test_the_monotonicity_line_names_the_range_it_checked(n_max):
+    # the documented first break is at n = 8; a smaller bound checks only
+    # n <= n_max and claims no more
+    code, out, _ = run_cli("verify", "--suite", "twosided", "--n-max", str(n_max))
+    assert code == 0
+    line = next(line for line in out.splitlines() if "diagonal monotonicity" in line)
+    if n_max < 8:
+        assert line == f"[PASS] diagonal monotonicity holds for n <= {n_max}"
+    else:
+        assert line == (
+            "[PASS] diagonal monotonicity holds through n=7 and first breaks at n=8 "
+            "as documented :: first violations at n=8: 126 > 84 and 1980 > 1773"
+        )
+
+
 ORBIT_SUMS = "orbit generating functions sum to the full distributions for n <= 7"
 
 
