@@ -21,7 +21,7 @@ decided from the arguments before any work, through common.check_budget,
 which --force lifts; Python's limit on int-to-str conversion is held the
 same way but cannot be lifted.
 
-Rendering happens here alone: the engines return ints, tuples and
+Rendering happens here alone: the engines return numbers, tuples and
 polynomials, and the emitters below turn them into text, CSV and JSON. All
 numbers inside JSON payloads are decimal strings, so the schema never
 changes shape when entries outgrow native integers and no consumer ever
@@ -34,19 +34,23 @@ join.
 The tables behind eulerian, two-sided, gamma and gessel come from one
 provider, _tables, behind one work budget shared with series (WORK_BUDGET).
 Unless --source brute is given, one recurrence run up to the largest n
-builds the tables. Before any output, _tables checks them on their ints:
-every row sums to n! and is palindromic, and every array totals n!, has
-both marginals equal to row n of the one-sided recurrence and equals its
-transpose and its antipodal image. On recurrence tables the symmetry checks
-hold by construction, since each recurrence computes one half of a row or
-one quarter of an array and mirrors the rest; they still catch a --source
-brute table that breaks a symmetry and any change to a table between its
-build and its print. gamma and gessel build every expansion
-before any output too, so a failed check leaves stdout empty. A command
-then holds the int tables and the text of one table at a time: it renders
-a table's entries to decimal as it writes them, once each and only the
-first half of a palindromic row or array at all. The triangle's one
-column width is read off the ints.
+builds the tables: in ints, except the rows the eulerian command prints,
+which the same recurrence builds as integral Decimals in a context that
+traps any rounding, since str() of a Decimal is linear in its digits and
+of an int quadratic. Before any output, _tables checks every table on the
+numbers it holds: every row sums to n! and is palindromic, and every array
+totals n!, has both marginals equal to row n of the one-sided recurrence
+and equals its transpose and its antipodal image. On recurrence tables the
+symmetry checks hold by construction, since each recurrence computes one
+half of a row or one quarter of an array and mirrors the rest; they still
+catch a --source brute table that breaks a symmetry and any change to a
+table between its build and its print. gamma and gessel build every
+expansion before any output too, and refuse one with a negative
+coefficient, so a failed check leaves stdout empty. A command then holds
+its tables and the text of one table at a time: it renders a table's
+entries to decimal as it writes them, once each and only the first half
+of a palindromic row or array at all. The triangle's one column width is
+read off its entries.
 
 Tables are always recomputed: nothing is cached. --cache DIR and
 $EULERIAN_WORKBENCH_CACHE are still accepted, so older invocations keep
@@ -56,7 +60,8 @@ warning line on stderr; nothing is read or created at that path.
 run may be called any number of times in one process. The argument parser
 is built once per process, on the first run, not at import, and every run
 parses with it. Only the verify command imports verify, and boxes with it,
-so no other command pays to load them.
+and only the eulerian command imports decimal, so no other command pays
+to load them.
 """
 
 from __future__ import annotations
@@ -70,6 +75,7 @@ import operator
 import os
 import sys
 import time
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from . import eulerian, hopping, twosided
@@ -97,8 +103,8 @@ SERIES_WINDOW_BUDGET = 10**6
 # n (K + 1), or n**2 (K + 1)**2 for the grid; gamma's peel adds n**2 / 4 per
 # row and Gessel's peel and rebuild about n**4 / 10 per array (counted at
 # n = 10..50). The largest calls it admits, as child processes on a 2-vCPU
-# host (median of 3): eulerian --n-max 584 0.83 s, gamma --n-max 233
-# 0.19 s, two-sided --n-max 118 0.28 s, gessel --n-max 47 0.29 s. The
+# host (median of 3, json): eulerian --n-max 584 0.68 s, gamma --n-max 233
+# 0.32 s, two-sided --n-max 118 0.46 s, gessel --n-max 47 0.53 s. The
 # recurrence and Gessel terms price work that has since become cheaper;
 # re-pricing them changes exit codes and is left for the second Gessel
 # route.
@@ -159,15 +165,12 @@ def _check_printable(command: str, n: int, step) -> None:
 
 def _tables(args, kind: str) -> dict:
     """n -> the Eulerian row ("eulerian") or the TwoSidedTable ("twosided"),
-    for the requested ns in ascending order.
+    for the requested ns in ascending order, certified by _certified.
 
     Brute force counts each S_n whole; --shards is only checked. Otherwise
-    one recurrence run up to the largest n gives every table. Whatever the
-    source, each row must sum to n! and be palindromic, and each array must
-    total n!, have both marginals equal to row n of the one-sided
-    recurrence and equal its transpose and its antipodal image, or
-    ConsistencyError is raised before anything is printed. A cache, if
-    named, is noted as ignored and never touched.
+    one recurrence run up to the largest n gives every table, in integral
+    Decimals for the eulerian command (_decimal_rows) and in ints for the
+    rest. A cache, if named, is noted as ignored and never touched.
     """
     if args.cache or os.environ.get(CACHE_ENV):
         print(f"warning: --cache and ${CACHE_ENV} are ignored; tables are always recomputed",
@@ -180,12 +183,22 @@ def _tables(args, kind: str) -> dict:
             else twosided.brute_force_tables
         )
         found = brute(ns, shards=args.shards or 1, force=args.force)
+    elif args.command == "eulerian":
+        return _decimal_rows(ns)
     else:
         computed = (
             eulerian.table_from_recurrence(ns[-1]).rows if kind == "eulerian"
             else twosided.two_sided_from_recurrence(ns[-1])
         )
         found = {n: computed[n - 1] for n in ns}
+    return _certified(kind, ns, found)
+
+
+def _certified(kind: str, ns: range, found: dict) -> dict:
+    """found, once each row sums to n! and is palindromic, or each array
+    totals n!, has both marginals equal to row n of the one-sided recurrence
+    and equals its transpose and its antipodal image; else ConsistencyError,
+    raised before anything is printed."""
     if kind == "eulerian":
         for n in ns:
             eulerian.check_row_sum(n, found[n])
@@ -196,6 +209,42 @@ def _tables(args, kind: str) -> dict:
             twosided.check_array_sums(found[n], triangle.row(n))
             twosided.check_symmetries(found[n])
     return found
+
+
+def _decimal_rows(ns: range) -> dict:
+    """n -> row n of the triangle as integral Decimals, certified, for the
+    eulerian command: str() of a Decimal is linear in its digits, of an int
+    quadratic.
+
+    The recurrence runs from row 1 = (Decimal(1),), or for a single n > 1
+    from int row n - 1, each mirrored pair converted once: the rows before
+    the one printed are built in ints, only the last of them kept, and
+    int-to-Decimal conversion is quadratic too, so converting that row costs
+    about what rendering it would. Every entry is an integer of exponent 0,
+    so no fraction can arise. The one context traps rounding, inexact and
+    invalid operations, at a precision far above the digits of n!, so a
+    trapped signal means arithmetic that was not exact: ConsistencyError.
+    """
+    import decimal  # only this command pays for importing decimal
+
+    context = decimal.Context(
+        prec=decimal.MAX_PREC, traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation]
+    )
+    try:
+        with decimal.localcontext(context):
+            if ns[0] == 1:
+                rows = eulerian.table_from_recurrence(ns[-1], one=decimal.Decimal(1)).rows
+            else:
+                seed = (1,)  # int rows 2..n - 1 in turn, only the last one kept
+                for seed in islice(eulerian.recurrence_rows(seed), ns[0] - 2):
+                    pass
+                seed = tuple(_mirrored(seed, decimal.Decimal))
+                rows = islice(eulerian.recurrence_rows(seed), len(ns))
+            return _certified("eulerian", ns, dict(zip(ns, rows)))
+    except decimal.DecimalException as exc:
+        raise ConsistencyError(
+            f"decimal arithmetic on the triangle was not exact: {type(exc).__name__}"
+        ) from None
 
 
 # bench/spans.py binds these two names; no command calls them.
@@ -315,12 +364,17 @@ def _emit_csv_triangle(top: int, rows) -> None:
 # rendering
 
 
-def _half_text(values) -> list[str]:
-    """values, a palindrome, as decimal strings, each mirrored pair rendered
-    once: only the first ceil(len/2) go through str() and the rest mirror
-    them. A row passes check_row_symmetry first, an array check_symmetries."""
-    half = [str(c) for c in values[: (len(values) + 1) // 2]]
+def _mirrored(values, convert) -> list:
+    """values, a palindrome, with each mirrored pair converted once: only the
+    first ceil(len/2) go through convert and the rest mirror them."""
+    half = [convert(c) for c in values[: (len(values) + 1) // 2]]
     return half + half[: len(values) // 2][::-1]
+
+
+def _half_text(values) -> list[str]:
+    """values, a palindrome, as decimal strings, by _mirrored. A row passes
+    check_row_symmetry first, an array check_symmetries."""
+    return _mirrored(values, str)
 
 
 def _array_text(table: twosided.TwoSidedTable) -> list[list[str]]:
@@ -436,12 +490,23 @@ def _cmd_two_sided(args) -> int:
     return EXIT_OK
 
 
+def _check_nonnegative(what: str, expanded: dict) -> None:
+    """Raise ConsistencyError at the first n whose expansion, a GammaVector or
+    GesselExpansion, has a negative coefficient. Both are theorems, for rows
+    (Foata and Strehl) and for arrays (Lin, Electron. J. Combin. 23, 2016),
+    so a negative coefficient is a fault, never a verdict to print."""
+    for n, e in expanded.items():
+        if not e.nonnegative:
+            raise ConsistencyError(f"n={n}: the {what} has a negative coefficient")
+
+
 def _cmd_gamma(args) -> int:
     rows = _tables(args, "eulerian")
-    gammas = {
-        n: eulerian.gamma_extract(eulerian.polynomial_from_row(row), n).gammas
-        for n, row in rows.items()
+    expanded = {
+        n: eulerian.gamma_extract(eulerian.polynomial_from_row(row), n) for n, row in rows.items()
     }
+    _check_nonnegative("gamma vector", expanded)
+    gammas = {n: e.gammas for n, e in expanded.items()}
     if args.format == "json":
         _emit_json_each(
             list(rows),
@@ -469,6 +534,7 @@ def _cmd_gessel(args) -> int:
         n: twosided.gessel_solve(twosided.polynomial_from_table(table), n)
         for n, table in tables.items()
     }
+    _check_nonnegative("Gessel expansion", expanded)
     if args.format == "json":
         _emit_json_each(
             list(tables),
@@ -494,8 +560,7 @@ def _cmd_gessel(args) -> int:
             body = " ".join(
                 f"gamma({i},{j})={e.gammas[(i, j)]}" for i, j in sorted(e.gammas)
             )
-            verdict = "NONNEGATIVE" if e.nonnegative else "NEGATIVE"
-            print(f"n={n}: {body} verdict={verdict}")
+            print(f"n={n}: {body} verdict=NONNEGATIVE")
     return EXIT_OK
 
 

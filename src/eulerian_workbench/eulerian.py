@@ -5,7 +5,8 @@ equivalently i increasing runs, for 1 <= i <= n. Routes implemented here:
 
 - brute force: count descents over S_n on the shared walk in perm;
 - the two-term recurrence
-  A(n, i) = i * A(n - 1, i) + (n + 1 - i) * A(n - 1, i - 1);
+  A(n, i) = i * A(n - 1, i) + (n + 1 - i) * A(n - 1, i - 1), as a
+  generator of rows in the number type of the row it starts from;
 - the power-sum series: A_n(t) / (1 - t)**(n + 1) has t**k coefficient k**n;
 - the Worpitzky identity k**n = sum_i A(n, i) * binomial(k + n - i, n);
 - the derivative recurrence
@@ -24,7 +25,9 @@ integers and demands a zero residual.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 from math import factorial
 
 from .common import ConsistencyError
@@ -63,28 +66,44 @@ def table_brute_force(n: int, shards: int = 1, force: bool = False) -> tuple[int
     return brute_force_rows([n], shards=shards, force=force)[n]
 
 
-def table_from_recurrence(n_max: int) -> EulerianTable:
-    """Rows 1..n_max from the two-term recurrence, exact integers.
+def recurrence_rows(row: tuple) -> Iterator[tuple]:
+    """Rows n + 1, n + 2, ... of the triangle from row n, which must be
+    palindromic, each in the number type of row's entries.
 
     A(n, i) = i A(n - 1, i) + (n + 1 - i) A(n - 1, i - 1) is computed for
     i <= ceil(n / 2) only, and the row is that half followed by its mirror,
-    A(n, i) = A(n, n + 1 - i), each mirrored entry the same int object. On
-    a palindromic row n - 1, which row 1 is and each row built here is, the
-    map i -> n + 1 - i swaps the recurrence's two terms, so a mirrored
-    entry is the same sum of the same integers as the one computed.
+    A(n, i) = A(n, n + 1 - i), each mirrored entry the same object. On a
+    palindromic row n - 1 the map i -> n + 1 - i swaps the recurrence's two
+    terms, so a mirrored entry is the same sum of the same numbers as the
+    one computed, and each row yielded is palindromic in turn. Decimal
+    rows are exact only under a context whose precision exceeds their
+    digits: the default 28 digits round row 28 on.
+
+    >>> from itertools import islice
+    >>> list(islice(recurrence_rows((1,)), 3))
+    [(1, 1), (1, 4, 1), (1, 11, 11, 1)]
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    rows: list[tuple[int, ...]] = [(1,)]
-    for n in range(2, n_max + 1):
-        prev = rows[-1]
+    prev = tuple(row)
+    n = len(prev)
+    while True:
+        n += 1
         # A(n - 1, i) and A(n - 1, i - 1) side by side, 0 before the start
         half = [
             i * a + ri * b
             for i, ri, a, b in zip(range(1, (n + 1) // 2 + 1), range(n, 0, -1), prev, (0,) + prev)
         ]
-        rows.append(tuple(half + half[n // 2 - 1 :: -1]))
-    return EulerianTable(n_max, tuple(rows))
+        prev = tuple(half + half[n // 2 - 1 :: -1])
+        yield prev
+
+
+def table_from_recurrence(n_max: int, one=1) -> EulerianTable:
+    """Rows 1..n_max from the two-term recurrence: row 1, (one,), and the
+    first n_max - 1 rows recurrence_rows builds from it, in one's number
+    type; exact integers by default."""
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    first = (one,)
+    return EulerianTable(n_max, (first, *islice(recurrence_rows(first), n_max - 1)))
 
 
 def check_row_sum(n: int, row: tuple[int, ...]) -> None:

@@ -166,6 +166,38 @@ def test_gessel_outputs():
     ]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("command", ["gamma", "gessel"])
+def test_a_negative_expansion_exits_one_with_nothing_printed(monkeypatch, command, fmt):
+    # a negative coefficient is a fault (Foata-Strehl for rows, Lin for
+    # arrays), so no verdict of it is printed
+    if command == "gamma":
+        real = eulerian.gamma_extract
+
+        def negated(p, n):
+            v = real(p, n)
+            return eulerian.GammaVector(n, (-v.gammas[0], *v.gammas[1:])) if n == 4 else v
+
+        monkeypatch.setattr(eulerian, "gamma_extract", negated)
+    else:
+        real = twosided.gessel_solve
+
+        def negated(p, n):
+            e = real(p, n)
+            if n != 4:
+                return e
+            return twosided.GesselExpansion(n, {**e.gammas, (1, 0): -1}, False)
+
+        monkeypatch.setattr(twosided, "gessel_solve", negated)
+    assert run_cli(command, "--n-max", "3", "--format", fmt)[0] == 0
+    for argv in (("--n", "4"), ("--n-max", "5")):
+        code, out, err = run_cli(command, *argv, "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == "verification failure: n=4: the " + (
+            "gamma vector" if command == "gamma" else "Gessel expansion"
+        ) + " has a negative coefficient\n"
+
+
 def test_orbit_json_contract():
     code, out, _ = run_cli("orbit", "863247159", "--format", "json")
     assert code == 0
@@ -346,8 +378,9 @@ def test_int_str_limit_is_decided_before_building(int_str_limit, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("an unprintable table was built")
 
-    for module, name in ((eulerian, "table_from_recurrence"), (eulerian, "brute_force_rows"),
-                         (twosided, "two_sided_from_recurrence"), (twosided, "brute_force_tables")):
+    for module, name in ((eulerian, "table_from_recurrence"), (eulerian, "recurrence_rows"),
+                         (eulerian, "brute_force_rows"), (twosided, "two_sided_from_recurrence"),
+                         (twosided, "brute_force_tables")):
         monkeypatch.setattr(module, name, never)
     for command in TABLE_BUDGET_EDGES:
         for listing in (0, 1):
@@ -396,8 +429,9 @@ def test_table_budget_is_decided_before_building(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("an over-budget table was built")
 
-    for module, name in ((eulerian, "table_from_recurrence"), (eulerian, "brute_force_rows"),
-                         (twosided, "two_sided_from_recurrence"), (twosided, "brute_force_tables")):
+    for module, name in ((eulerian, "table_from_recurrence"), (eulerian, "recurrence_rows"),
+                         (eulerian, "brute_force_rows"), (twosided, "two_sided_from_recurrence"),
+                         (twosided, "brute_force_tables")):
         monkeypatch.setattr(module, name, never)
     for command, (single, listing) in TABLE_BUDGET_EDGES.items():
         for argv in (("--n", str(single + 1)), ("--n-max", str(listing + 1)),
@@ -671,6 +705,7 @@ def test_exit_codes_follow_the_inputs(case):
     with pytest.MonkeyPatch.context() as patch:
         if want == 3:
             for module, name in ((eulerian, "table_from_recurrence"),
+                                 (eulerian, "recurrence_rows"),
                                  (twosided, "two_sided_from_recurrence"),
                                  (hopping, "orbit_of"), (perm, "enumerate_sn")):
                 patch.setattr(module, name, never)
@@ -781,28 +816,44 @@ def test_unwritable_cache_path_warns_once_and_prints_as_uncached(tmp_path, under
     assert blocker.read_text() == ""
 
 
+@pytest.mark.parametrize("argv", [("--n-max", "6"), ("--n", "6")])
 @pytest.mark.parametrize("command", ["eulerian", "gamma", "two-sided", "gessel"])
-def test_table_command_runs_one_recurrence_with_or_without_cache(tmp_path, monkeypatch, command):
-    # one run of the command's recurrence up to the largest n; an array
-    # command also runs the one-sided recurrence once, for the rows its
-    # marginals are checked against
-    calls = []
+def test_table_command_runs_one_recurrence_with_or_without_cache(tmp_path, monkeypatch, command, argv):
+    # each row 2..6 comes once from the one recurrence generator, through
+    # one table_from_recurrence run, beside one two-sided run for an array
+    # command's marginals; the eulerian command builds the rows it prints in
+    # Decimal, and for a single n runs the generator itself from row 1 in
+    # ints, switching to Decimal for row n alone
+    calls, built = [], []
+
+    def rows(row, generate=eulerian.recurrence_rows):
+        for out in generate(row):
+            built.append((len(out), type(out[0]).__name__))
+            yield out
+
+    monkeypatch.setattr(eulerian, "recurrence_rows", rows)
     for module, name in ((eulerian, "table_from_recurrence"), (twosided, "two_sided_from_recurrence")):
-        def counted(n_max, build=getattr(module, name), name=name):
+        def counted(n_max, build=getattr(module, name), name=name, **kwargs):
             calls.append((name, n_max))
-            return build(n_max)
+            return build(n_max, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
-    argv = (command, "--n-max", "6")
-    expected = [("table_from_recurrence", 6)]
+    expected, kinds = [("table_from_recurrence", 6)], ["int"] * 5
+    if command == "eulerian":
+        if argv[0] == "--n-max":
+            kinds = ["Decimal"] * 5
+        else:
+            expected, kinds = [], ["int"] * 4 + ["Decimal"]
     if command in ("two-sided", "gessel"):
         expected.insert(0, ("two_sided_from_recurrence", 6))
     for cache in ((), ("--cache", str(tmp_path))):
         calls.clear()
-        code, _, err = run_cli(*argv, *cache)
+        built.clear()
+        code, _, err = run_cli(command, *argv, *cache)
         assert code == 0
         assert one_cache_notice(err) if cache else err == ""
         assert calls == expected
+        assert built == list(zip(range(2, 7), kinds))
 
 
 # ---------------------------------------------------------------------------
@@ -945,6 +996,54 @@ def test_large_table_stdout_is_pinned_with_and_without_cache(tmp_path, label, fm
         assert hashlib.sha256(out.encode()).hexdigest() == LARGE_TABLE_DIGESTS[label, fmt]
 
 
+# sha256 of `eulerian --n-max 584 --format csv`, the largest triangle the
+# work budget allows, frozen from the release before the triangle was
+# printed from Decimal rows
+EULERIAN_584_CSV_DIGEST = "97f61ec5496acd47d81699575c7155cacf9c2b202f03e53926bc32093b863d9e"
+
+
+def test_the_largest_triangle_in_budget_is_pinned():
+    code, out, err = run_cli("eulerian", "--n-max", "584", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == EULERIAN_584_CSV_DIGEST
+
+
+@pytest.mark.parametrize("n", [1, 2, 13, 300])
+def test_a_single_row_prints_str_of_the_int_row_in_every_format(n):
+    row = eulerian.table_from_recurrence(n).row(n)
+    cells = [str(c) for c in row]
+    header = [str(i) for i in range(1, n + 1)]
+    width = max(len(str(max(row))), len("n\\i"), len(str(n)))
+    text = ["  ".join([label.ljust(width)] + [c.rjust(width) for c in rest])
+            for label, rest in (("n\\i", header), (str(n), cells))]
+    want = {
+        "text": "\n".join(text) + "\n",
+        "json": json.dumps({"n": str(n), "A": cells}, indent=2) + "\n",
+        "csv": ",".join(["n\\i", *header]) + "\n" + ",".join([str(n), *cells]) + "\n",
+    }
+    for fmt, expected in want.items():
+        assert run_cli("eulerian", "--n", str(n), "--format", fmt) == (0, expected, "")
+
+
+@pytest.mark.parametrize("argv", [("--n-max", "30"), ("--n", "30")])
+def test_inexact_decimal_arithmetic_exits_one_with_nothing_printed(monkeypatch, argv):
+    # the triangle's Decimal context takes decimal.MAX_PREC: row 30 sums to
+    # 30!, 33 digits with 7 trailing zeros, so 32 digits round it exactly
+    # and 31 inexactly; both signals are trapped
+    import decimal
+
+    want = run_cli("eulerian", *argv)
+    assert want[0] == 0
+    digits = len(str(math.factorial(30)))
+    monkeypatch.setattr(decimal, "MAX_PREC", digits)
+    assert run_cli("eulerian", *argv) == want
+    for prec, signal_name in ((digits - 1, "Rounded"), (digits - 2, "Inexact")):
+        monkeypatch.setattr(decimal, "MAX_PREC", prec)
+        assert run_cli("eulerian", *argv) == (
+            1, "", f"verification failure: decimal arithmetic on the triangle was not exact: {signal_name}\n"
+        )
+
+
 # the same pins for one table, --n 7: a single table's json payload is the
 # object itself, not a list of one; frozen from the release before the
 # streamed emitters
@@ -1017,8 +1116,9 @@ class Sink:
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 def test_a_table_command_holds_the_int_tables_and_one_table_of_text(fmt):
-    # the int triangle to n = 300 takes 7.7 MiB; with the text of every row
-    # held beside it the peak was 16.6 MiB in text and 44 MiB in json and csv
+    # the Decimal triangle to n = 300 takes 2.6 MiB, the int one 4.0 MiB;
+    # with the text of every row held beside the ints the peak was 16.6 MiB
+    # in text and 44 MiB in json and csv
     tracemalloc.start()
     try:
         with redirect_stdout(Sink()):

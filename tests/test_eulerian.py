@@ -1,5 +1,7 @@
 """The univariate engine: tables, series, identities, gamma vectors."""
 
+from decimal import MAX_PREC, Context, Decimal, Inexact, Rounded, localcontext
+from itertools import islice
 from math import comb, factorial
 
 import pytest
@@ -13,6 +15,7 @@ from eulerian_workbench.eulerian import (
     eulerian_polynomial,
     gamma_extract,
     check_unimodality,
+    recurrence_rows,
     table_brute_force,
     table_from_recurrence,
     verify_polynomial_recurrence,
@@ -67,6 +70,25 @@ def test_every_entry_reference_rows_are_palindromic_to_n_40():
 def test_mirrored_row_entries_are_the_computed_ints():
     for n, row in enumerate(table_from_recurrence(60).rows, 1):
         assert all(row[i] is row[n - 1 - i] for i in range(n))
+
+
+def test_table_from_recurrence_holds_only_ints():
+    assert {type(c) for row in table_from_recurrence(60).rows for c in row} == {int}
+
+
+def test_recurrence_rows_keep_the_number_type_of_the_row_they_start_from():
+    ints = table_from_recurrence(60).rows
+    # Decimal rows are exact only at a precision above their digits; the
+    # default 28 digits would round row 28 on, so trap that too
+    exact = Context(prec=MAX_PREC, traps=[Inexact, Rounded])
+    with localcontext(exact):
+        decimals = ((Decimal(1),), *islice(recurrence_rows((Decimal(1),)), 59))
+    with pytest.raises(Rounded), localcontext(Context(traps=[Rounded])):
+        tuple(islice(recurrence_rows((Decimal(1),)), 59))
+    assert decimals == ints
+    assert all(type(c) is Decimal and c.as_tuple().exponent == 0 for row in decimals for c in row)
+    # from any row n, the rows after it
+    assert tuple(islice(recurrence_rows(ints[29]), 30)) == ints[30:]
 
 
 def test_brute_force_reproduces_reference_table():

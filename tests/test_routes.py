@@ -128,7 +128,11 @@ ROUTES = {
         ("hopping", "orbit_census"),
     ],
     "oracles": sorted(key for key in PKG.defs if key[0] == "boxes" and key[1].startswith("oracle_")),
-    "recurrences": [("eulerian", "table_from_recurrence"), ("twosided", "two_sided_from_recurrence")],
+    "recurrences": [
+        ("eulerian", "recurrence_rows"),
+        ("eulerian", "table_from_recurrence"),
+        ("twosided", "two_sided_from_recurrence"),
+    ],
     "gamma extraction": [("eulerian", "gamma_extract")],
     "Gessel peel": [("twosided", "gessel_solve")],
     "Sturm": [("exactnum", "sturm_negative_root_count")],
@@ -217,7 +221,7 @@ def test_every_definition_is_reached_from_a_command_or_the_public_api():
 def test_importing_the_cli_loads_no_pool_no_rational_arithmetic_no_verify_and_no_boxes():
     # a fresh interpreter without site, whose imports may include typing:
     # what importing the CLI adds to sys.modules, then what running stats
-    # adds to that
+    # adds to that; only the eulerian command imports decimal
     code = (
         "import sys; before = set(sys.modules); import eulerian_workbench.cli as cli; "
         "print(*sorted(set(sys.modules) - before)); cli.run(['stats', '123']); "
@@ -235,5 +239,6 @@ def test_importing_the_cli_loads_no_pool_no_rational_arithmetic_no_verify_and_no
     assert profile == "des=0 ides=0 inv=0 asc=2 exc=0 run=1"
     loaded = after_stats.split()
     assert "eulerian_workbench.perm" in loaded
-    assert [m for m in loaded if m in ("eulerian_workbench.verify", "eulerian_workbench.boxes")] == []
+    assert [m for m in loaded if m in ("eulerian_workbench.verify", "eulerian_workbench.boxes",
+                                       "decimal", "_decimal")] == []
     assert "typing" not in loaded

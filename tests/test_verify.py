@@ -78,18 +78,21 @@ CLEAN_CHECK_COUNTS = {"eulerian": 9, "twosided": 7, "boxes": 5, "hopping": 6, "g
 
 
 def bump_triangle(monkeypatch, n, deltas):
-    """Every triangle the recurrence builds has A(n, i) + delta in place of
-    A(n, i), for each i: delta in deltas."""
-    build = eulerian.table_from_recurrence
+    """Every row n the recurrence yields, in ints for a table or in Decimal
+    for the eulerian command, has A(n, i) + delta in place of A(n, i), for
+    each i: delta in deltas; the rows after it are built from the true row."""
+    generate = eulerian.recurrence_rows
 
-    def corrupted(n_max):
-        table = build(n_max)
-        rows = [list(row) for row in table.rows]
-        for i, delta in deltas.items():
-            rows[n - 1][i - 1] += delta
-        return dataclasses.replace(table, rows=tuple(map(tuple, rows)))
+    def corrupted(row):
+        for out in generate(row):
+            if len(out) == n:
+                out = list(out)
+                for i, delta in deltas.items():
+                    out[i - 1] += delta
+                out = tuple(out)
+            yield out
 
-    monkeypatch.setattr(eulerian, "table_from_recurrence", corrupted)
+    monkeypatch.setattr(eulerian, "recurrence_rows", corrupted)
 
 
 def bump_array(monkeypatch, n, deltas):
