@@ -31,26 +31,33 @@ ascending. One writer, _json_text, produces stdout's indented JSON byte for
 byte as the json module would, writing a list of digit strings with one
 join.
 
-The tables behind eulerian, two-sided, gamma and gessel come from one
-provider, _tables, behind one work budget shared with series (WORK_BUDGET).
-Unless --source brute is given, one recurrence run up to the largest n
-builds the tables: in ints, except the rows the eulerian command prints,
-which the same recurrence builds as integral Decimals in a context that
-traps any rounding, since str() of a Decimal is linear in its digits and
-of an int quadratic. Before any output, _tables checks every table on the
-numbers it holds: every row sums to n! and is palindromic, and every array
-totals n!, has both marginals equal to row n of the one-sided recurrence
-and equals its transpose and its antipodal image. On recurrence tables the
-symmetry checks hold by construction, since each recurrence computes one
-half of a row or one quarter of an array and mirrors the rest; they still
-catch a --source brute table that breaks a symmetry and any change to a
-table between its build and its print. gamma and gessel build every
-expansion before any output too, and refuse one with a negative
-coefficient, so a failed check leaves stdout empty. A command then holds
-its tables and the text of one table at a time: it renders a table's
-entries to decimal as it writes them, once each and only the first half
-of a palindromic row or array at all. The triangle's one column width is
-read off its entries.
+eulerian, two-sided, gamma and gessel run one pipeline, _cmd_table, in one
+fixed sequence: the work budget, shared with series (WORK_BUDGET); then
+every table built and certified; then every table expanded; then the
+render. One record per command in TABLE_COMMANDS holds all that differs:
+its builder, _rows or _arrays; its budget exponent; its expansion, none,
+gamma or Gessel, with that expansion's work per n; and its renderer.
+Unless --source brute is given, the rows come from one row stream, the
+one-sided recurrence: a --n-max range from one run up to the largest n,
+and every single --n from int row n - 1, each row before it built in ints
+and only the last one kept. The rows are ints, except those the eulerian
+command prints, which the same stream builds as integral Decimals in a
+context that traps any rounding, since str() of a Decimal is linear in
+its digits and of an int quadratic. The arrays come from one two-sided
+recurrence run up to the largest n. Before any output, the builder checks
+every table on the numbers it holds: every row sums to n! and is
+palindromic, and every array totals n!, has both marginals equal to row n
+of the row stream and equals its transpose and its antipodal image. On
+recurrence tables the symmetry checks hold by construction, since each
+recurrence computes one half of a row or one quarter of an array and
+mirrors the rest; they still catch a --source brute table that breaks a
+symmetry and any change to a table between its build and its print. gamma
+and gessel build every expansion before any output too, and refuse one
+with a negative coefficient, so a failed check leaves stdout empty. A
+command then holds its tables and the text of one table at a time: it
+renders a table's entries to decimal as it writes them, once each and
+only the first half of a palindromic row or array at all. The triangle's
+one column width is read off its entries.
 
 Tables are always recomputed: nothing is cached. --cache DIR and
 $EULERIAN_WORKBENCH_CACHE are still accepted, so older invocations keep
@@ -67,6 +74,7 @@ to load them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -75,6 +83,7 @@ import operator
 import os
 import sys
 import time
+from collections.abc import Callable
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 
@@ -124,18 +133,17 @@ def _check_table_budget(command: str, ns: range, force: bool) -> None:
     """Refuse a table command past WORK_BUDGET unless forced, and past
     Python's int-to-str limit in any case.
 
-    Counts the recurrence up to the largest n, and for gamma and gessel the
-    expansion of every requested n, as WORK_BUDGET describes; it decides
-    from the arguments alone, before any table is built. Every entry is
-    below n!, so that is the number the limit is held against.
+    Counts the recurrence up to the largest n, at the exponent of the
+    command's record in TABLE_COMMANDS, and the record's expansion of every
+    requested n, as WORK_BUDGET describes; it decides from the arguments
+    alone, before any table is built. Every entry is below n!, so that is
+    the number the limit is held against.
     """
+    spec = TABLE_COMMANDS[command]
     top = ns[-1]
-    work = top ** (3 if command in ("eulerian", "gamma") else 4)
-    if work <= WORK_BUDGET:  # else top may be huge: no sum over ns
-        if command == "gamma":
-            work += sum(n**3 // 4 for n in ns)
-        elif command == "gessel":
-            work += sum(n**5 // 10 for n in ns)
+    work = top**spec.exponent
+    if spec.expand_work and work <= WORK_BUDGET:  # else top may be huge: no sum over ns
+        work += sum(map(spec.expand_work, ns))
     check_budget(f"weighted products for {command} up to n={top}", work, WORK_BUDGET, force)
     _check_printable(command, top, operator.mul)
 
@@ -163,88 +171,104 @@ def _check_printable(command: str, n: int, step) -> None:
             )
 
 
-def _tables(args, kind: str) -> dict:
-    """n -> the Eulerian row ("eulerian") or the TwoSidedTable ("twosided"),
-    for the requested ns in ascending order, certified by _certified.
+def _row_stream(ns: range, one=1) -> dict:
+    """n -> row n of the triangle by the recurrence, for the ns in
+    ascending order, in the number type of one.
 
-    Brute force counts each S_n whole; --shards is only checked. Otherwise
-    one recurrence run up to the largest n gives every table, in integral
-    Decimals for the eulerian command (_decimal_rows) and in ints for the
-    rest. A cache, if named, is noted as ignored and never touched.
+    Rows 1..n_max come from one table_from_recurrence run from row 1,
+    (one,). A single n > 1 streams from int row n - 1: rows 2..n - 1 are
+    built in ints, only the last of them kept, and that row alone is
+    converted, each mirrored pair once, since int-to-Decimal conversion is
+    quadratic too and converting a row costs about what rendering it would.
     """
-    if args.cache or os.environ.get(CACHE_ENV):
-        print(f"warning: --cache and ${CACHE_ENV} are ignored; tables are always recomputed",
-              file=sys.stderr)
-    ns = range(args.n, args.n + 1) if args.n else range(1, args.n_max + 1)
-    _check_table_budget(args.command, ns, args.force)
-    if args.source == "brute":
-        brute = (
-            eulerian.brute_force_rows if kind == "eulerian"
-            else twosided.brute_force_tables
-        )
-        found = brute(ns, shards=args.shards or 1, force=args.force)
-    elif args.command == "eulerian":
-        return _decimal_rows(ns)
-    else:
-        computed = (
-            eulerian.table_from_recurrence(ns[-1]).rows if kind == "eulerian"
-            else twosided.two_sided_from_recurrence(ns[-1])
-        )
-        found = {n: computed[n - 1] for n in ns}
-    return _certified(kind, ns, found)
+    if ns[0] == 1:
+        return dict(zip(ns, eulerian.table_from_recurrence(ns[-1], one=one).rows))
+    seed = (1,)  # int rows 2..n - 1 in turn, only the last one kept
+    for seed in islice(eulerian.recurrence_rows(seed), ns[0] - 2):
+        pass
+    return dict(zip(ns, eulerian.recurrence_rows(tuple(_mirrored(seed, type(one))))))
 
 
-def _certified(kind: str, ns: range, found: dict) -> dict:
-    """found, once each row sums to n! and is palindromic, or each array
-    totals n!, has both marginals equal to row n of the one-sided recurrence
-    and equals its transpose and its antipodal image; else ConsistencyError,
-    raised before anything is printed."""
-    if kind == "eulerian":
-        for n in ns:
-            eulerian.check_row_sum(n, found[n])
-            eulerian.check_row_symmetry(n, found[n])
-    else:
-        triangle = eulerian.table_from_recurrence(ns[-1])
-        for n in ns:
-            twosided.check_array_sums(found[n], triangle.row(n))
-            twosided.check_symmetries(found[n])
-    return found
+@contextlib.contextmanager
+def _exact_decimal():
+    """Decimal(1), under one context that traps rounding, inexact and
+    invalid operations, at a precision far above the digits of any n! a
+    command can print. Every entry of the triangle is an integer of
+    exponent 0, so no fraction can arise, and a trapped signal means
+    arithmetic that was not exact: ConsistencyError."""
+    import decimal  # only the eulerian command pays for importing decimal
 
-
-def _decimal_rows(ns: range) -> dict:
-    """n -> row n of the triangle as integral Decimals, certified, for the
-    eulerian command: str() of a Decimal is linear in its digits, of an int
-    quadratic.
-
-    The recurrence runs from row 1 = (Decimal(1),), or for a single n > 1
-    from int row n - 1, each mirrored pair converted once: the rows before
-    the one printed are built in ints, only the last of them kept, and
-    int-to-Decimal conversion is quadratic too, so converting that row costs
-    about what rendering it would. Every entry is an integer of exponent 0,
-    so no fraction can arise. The one context traps rounding, inexact and
-    invalid operations, at a precision far above the digits of n!, so a
-    trapped signal means arithmetic that was not exact: ConsistencyError.
-    """
-    import decimal  # only this command pays for importing decimal
-
-    context = decimal.Context(
-        prec=decimal.MAX_PREC, traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation]
-    )
+    traps = [decimal.Inexact, decimal.Rounded, decimal.InvalidOperation]
     try:
-        with decimal.localcontext(context):
-            if ns[0] == 1:
-                rows = eulerian.table_from_recurrence(ns[-1], one=decimal.Decimal(1)).rows
-            else:
-                seed = (1,)  # int rows 2..n - 1 in turn, only the last one kept
-                for seed in islice(eulerian.recurrence_rows(seed), ns[0] - 2):
-                    pass
-                seed = tuple(_mirrored(seed, decimal.Decimal))
-                rows = islice(eulerian.recurrence_rows(seed), len(ns))
-            return _certified("eulerian", ns, dict(zip(ns, rows)))
+        with decimal.localcontext(decimal.Context(prec=decimal.MAX_PREC, traps=traps)):
+            yield decimal.Decimal(1)
     except decimal.DecimalException as exc:
         raise ConsistencyError(
             f"decimal arithmetic on the triangle was not exact: {type(exc).__name__}"
         ) from None
+
+
+def _rows(args, ns: range, in_decimal: bool = False) -> dict:
+    """n -> row n of the triangle, for the ns in ascending order, once each
+    row sums to n! and is palindromic; else ConsistencyError, raised before
+    anything is printed.
+
+    Brute force counts each S_n whole; --shards is only checked. Otherwise
+    _row_stream builds the rows: in ints, or with in_decimal as integral
+    Decimals, built and certified under _exact_decimal's context, since
+    str() of a Decimal is linear in its digits and of an int quadratic.
+    """
+    with _exact_decimal() if in_decimal else contextlib.nullcontext(1) as one:
+        if args.source == "brute":
+            rows = eulerian.brute_force_rows(ns, shards=args.shards or 1, force=args.force)
+        else:
+            rows = _row_stream(ns, one)
+        for n in ns:
+            eulerian.check_row_sum(n, rows[n])
+            eulerian.check_row_symmetry(n, rows[n])
+    return rows
+
+
+def _arrays(args, ns: range) -> dict:
+    """n -> the TwoSidedTable of n, for the ns in ascending order, once each
+    array totals n!, has both marginals equal to row n of the one-sided
+    recurrence, in ints from _row_stream, and equals its transpose and its
+    antipodal image; else ConsistencyError, raised before anything is
+    printed.
+
+    Brute force counts each S_n whole; --shards is only checked. Otherwise
+    one two-sided recurrence run up to the largest n gives every array.
+    """
+    if args.source == "brute":
+        arrays = twosided.brute_force_tables(ns, shards=args.shards or 1, force=args.force)
+    else:
+        computed = twosided.two_sided_from_recurrence(ns[-1])
+        arrays = {n: computed[n - 1] for n in ns}
+    rows = _row_stream(ns)
+    for n in ns:
+        twosided.check_array_sums(arrays[n], rows[n])
+        twosided.check_symmetries(arrays[n])
+    return arrays
+
+
+def _nonnegative(what: str, n: int, expansion):
+    """expansion, a GammaVector or GesselExpansion of n, unless it has a
+    negative coefficient: then ConsistencyError. Both are theorems, for rows
+    (Foata and Strehl) and for arrays (Lin, Electron. J. Combin. 23, 2016),
+    so a negative coefficient is a fault, never a verdict to print."""
+    if not expansion.nonnegative:
+        raise ConsistencyError(f"n={n}: the {what} has a negative coefficient")
+    return expansion
+
+
+def _gamma(n: int, row: tuple):
+    polynomial = eulerian.polynomial_from_row(row)
+    return _nonnegative("gamma vector", n, eulerian.gamma_extract(polynomial, n))
+
+
+def _gessel(n: int, table: twosided.TwoSidedTable):
+    polynomial = twosided.polynomial_from_table(table)
+    return _nonnegative("Gessel expansion", n, twosided.gessel_solve(polynomial, n))
 
 
 # bench/spans.py binds these two names; no command calls them.
@@ -450,12 +474,11 @@ def _cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _cmd_eulerian(args) -> int:
-    rows = _tables(args, "eulerian")
+def _render_eulerian(fmt: str, rows: dict, expanded: None) -> None:
     n_top = max(rows)
-    if args.format == "json":
+    if fmt == "json":
         _emit_json_each(list(rows), lambda n: {"n": str(n), "A": _half_text(rows[n])})
-    elif args.format == "csv":
+    elif fmt == "csv":
         _emit_csv_triangle(n_top, ((n, _half_text(row)) for n, row in rows.items()))
     else:
         widest = max(map(max, rows.values()))
@@ -463,14 +486,12 @@ def _cmd_eulerian(args) -> int:
         print(_aligned("n\\i", [str(i) for i in range(1, n_top + 1)], width))
         for n, row in rows.items():
             print(_aligned(str(n), _half_text(row), width))
-    return EXIT_OK
 
 
-def _cmd_two_sided(args) -> int:
-    tables = _tables(args, "twosided")
-    if args.format == "json":
+def _render_two_sided(fmt: str, tables: dict, expanded: None) -> None:
+    if fmt == "json":
         _emit_json_each(list(tables), lambda n: {"n": str(n), "A": _array_text(tables[n])})
-    elif args.format == "csv":
+    elif fmt == "csv":
 
         def lines():
             for at, (n, table) in enumerate(tables.items()):
@@ -487,27 +508,11 @@ def _cmd_two_sided(args) -> int:
             if at:
                 print()
             print(_square_text(table))
-    return EXIT_OK
 
 
-def _check_nonnegative(what: str, expanded: dict) -> None:
-    """Raise ConsistencyError at the first n whose expansion, a GammaVector or
-    GesselExpansion, has a negative coefficient. Both are theorems, for rows
-    (Foata and Strehl) and for arrays (Lin, Electron. J. Combin. 23, 2016),
-    so a negative coefficient is a fault, never a verdict to print."""
-    for n, e in expanded.items():
-        if not e.nonnegative:
-            raise ConsistencyError(f"n={n}: the {what} has a negative coefficient")
-
-
-def _cmd_gamma(args) -> int:
-    rows = _tables(args, "eulerian")
-    expanded = {
-        n: eulerian.gamma_extract(eulerian.polynomial_from_row(row), n) for n, row in rows.items()
-    }
-    _check_nonnegative("gamma vector", expanded)
+def _render_gamma(fmt: str, rows: dict, expanded: dict) -> None:
     gammas = {n: e.gammas for n, e in expanded.items()}
-    if args.format == "json":
+    if fmt == "json":
         _emit_json_each(
             list(rows),
             lambda n: {
@@ -516,7 +521,7 @@ def _cmd_gamma(args) -> int:
                 "gamma": [str(g) for g in gammas[n]],
             },
         )
-    elif args.format == "csv":
+    elif fmt == "csv":
         _emit_csv_triangle(
             max(map(len, gammas.values())),
             ((n, [str(g) for g in gamma]) for n, gamma in gammas.items()),
@@ -525,17 +530,10 @@ def _cmd_gamma(args) -> int:
         for n, gamma in gammas.items():
             body = ", ".join(str(g) for g in gamma)
             print(f"n={n}: gamma = [{body}]")
-    return EXIT_OK
 
 
-def _cmd_gessel(args) -> int:
-    tables = _tables(args, "twosided")
-    expanded = {
-        n: twosided.gessel_solve(twosided.polynomial_from_table(table), n)
-        for n, table in tables.items()
-    }
-    _check_nonnegative("Gessel expansion", expanded)
-    if args.format == "json":
+def _render_gessel(fmt: str, tables: dict, expanded: dict) -> None:
+    if fmt == "json":
         _emit_json_each(
             list(tables),
             lambda n: {
@@ -548,7 +546,7 @@ def _cmd_gessel(args) -> int:
                 "gessel_nonnegative": expanded[n].nonnegative,
             },
         )
-    elif args.format == "csv":
+    elif fmt == "csv":
         _emit_csv([["n", "i", "j", "gamma"]])
         _emit_csv(
             [str(n), str(i), str(j), str(e.gammas[(i, j)])]
@@ -561,6 +559,51 @@ def _cmd_gessel(args) -> int:
                 f"gamma({i},{j})={e.gammas[(i, j)]}" for i, j in sorted(e.gammas)
             )
             print(f"n={n}: {body} verdict=NONNEGATIVE")
+
+
+@dataclasses.dataclass(frozen=True)
+class TableCommand:
+    """What one table command does that the others do not; _cmd_table runs
+    the rest, the same for all four."""
+
+    help: str
+    # (args, ns) -> n -> table, for the ns in ascending order, each certified
+    build: Callable
+    # the recurrence up to n costs n**exponent weighted products
+    exponent: int
+    # (fmt, tables, expanded) -> None, writing stdout
+    render: Callable
+    # (n, table) -> its expansion, checked nonnegative; None for no expansion
+    expand: Callable | None = None
+    # n -> the weighted products of one expansion
+    expand_work: Callable | None = None
+
+
+TABLE_COMMANDS = {
+    "eulerian": TableCommand("Eulerian triangle rows", functools.partial(_rows, in_decimal=True),
+                             3, _render_eulerian),
+    "two-sided": TableCommand("two-sided Eulerian arrays", _arrays, 4, _render_two_sided),
+    "gamma": TableCommand("gamma vectors of rows", _rows, 3, _render_gamma,
+                          expand=_gamma, expand_work=lambda n: n**3 // 4),
+    "gessel": TableCommand("Gessel-basis expansions and the verdict", _arrays, 4, _render_gessel,
+                           expand=_gessel, expand_work=lambda n: n**5 // 10),
+}
+
+
+def _cmd_table(args) -> int:
+    """Every table command, in one sequence: the budget, then every table
+    built and certified, then every table expanded, then the render. A
+    failed check anywhere before the render leaves stdout empty. A cache,
+    if named, is noted as ignored and never touched."""
+    spec = TABLE_COMMANDS[args.command]
+    if args.cache or os.environ.get(CACHE_ENV):
+        print(f"warning: --cache and ${CACHE_ENV} are ignored; tables are always recomputed",
+              file=sys.stderr)
+    ns = range(args.n, args.n + 1) if args.n else range(1, args.n_max + 1)
+    _check_table_budget(args.command, ns, args.force)
+    tables = spec.build(args, ns)
+    expanded = {n: spec.expand(n, table) for n, table in tables.items()} if spec.expand else None
+    spec.render(args.format, tables, expanded)
     return EXIT_OK
 
 
@@ -786,13 +829,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("permutation", nargs="+", help="one-line notation")
     p.set_defaults(handler=_cmd_stats)
 
-    for name, handler, text in (
-        ("eulerian", _cmd_eulerian, "Eulerian triangle rows"),
-        ("two-sided", _cmd_two_sided, "two-sided Eulerian arrays"),
-        ("gamma", _cmd_gamma, "gamma vectors of rows"),
-        ("gessel", _cmd_gessel, "Gessel-basis expansions and the verdict"),
-    ):
-        sub.add_parser(name, parents=[tables], help=text).set_defaults(handler=handler)
+    for name, spec in TABLE_COMMANDS.items():
+        sub.add_parser(name, parents=[tables], help=spec.help).set_defaults(handler=_cmd_table)
 
     p = sub.add_parser("orbit", parents=[guarded], help="hop orbit of a permutation")
     p.add_argument("permutation", help="one-line notation")

@@ -819,11 +819,11 @@ def test_unwritable_cache_path_warns_once_and_prints_as_uncached(tmp_path, under
 @pytest.mark.parametrize("argv", [("--n-max", "6"), ("--n", "6")])
 @pytest.mark.parametrize("command", ["eulerian", "gamma", "two-sided", "gessel"])
 def test_table_command_runs_one_recurrence_with_or_without_cache(tmp_path, monkeypatch, command, argv):
-    # each row 2..6 comes once from the one recurrence generator, through
-    # one table_from_recurrence run, beside one two-sided run for an array
-    # command's marginals; the eulerian command builds the rows it prints in
-    # Decimal, and for a single n runs the generator itself from row 1 in
-    # ints, switching to Decimal for row n alone
+    # each row 2..6 comes once from the one recurrence generator: through
+    # one table_from_recurrence run for --n-max, and for a single n straight
+    # from the generator, from row 1 in ints, with no table built; an array
+    # command reads its marginals so, beside one two-sided run; the eulerian
+    # command builds the rows it prints in Decimal, for a single n row n alone
     calls, built = [], []
 
     def rows(row, generate=eulerian.recurrence_rows):
@@ -838,12 +838,10 @@ def test_table_command_runs_one_recurrence_with_or_without_cache(tmp_path, monke
             return build(n_max, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
-    expected, kinds = [("table_from_recurrence", 6)], ["int"] * 5
+    expected = [("table_from_recurrence", 6)] if argv[0] == "--n-max" else []
+    kinds = ["int"] * 5
     if command == "eulerian":
-        if argv[0] == "--n-max":
-            kinds = ["Decimal"] * 5
-        else:
-            expected, kinds = [], ["int"] * 4 + ["Decimal"]
+        kinds = ["Decimal"] * 5 if argv[0] == "--n-max" else ["int"] * 4 + ["Decimal"]
     if command in ("two-sided", "gessel"):
         expected.insert(0, ("two_sided_from_recurrence", 6))
     for cache in ((), ("--cache", str(tmp_path))):

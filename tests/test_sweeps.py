@@ -148,8 +148,9 @@ def test_the_runner_runs_every_case_and_fails_on_an_exit_or_a_cap():
 
 def test_each_child_reads_its_own_peak_rss():
     code, lines = run_fresh(
-        # gamma holds the int triangle to 800; eulerian --n keeps one row
-        ("table", ("gamma", "--n", 800, "--force"), None, None),
+        # two-sided holds every array to 200; a single --n of eulerian or
+        # gamma streams its rows and keeps one
+        ("table", ("two-sided", "--n", 200, "--force"), None, None),
         ("barred_census", (2, 2), None, None),
     )
     assert code == 0

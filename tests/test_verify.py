@@ -95,30 +95,67 @@ def bump_triangle(monkeypatch, n, deltas):
     monkeypatch.setattr(eulerian, "recurrence_rows", corrupted)
 
 
+def bumped(table, deltas):
+    """table with entry (i, j) + delta in place of entry (i, j), for each
+    (i, j): delta in deltas."""
+    entries = [list(row) for row in table.entries]
+    for (i, j), delta in deltas.items():
+        entries[i - 1][j - 1] += delta
+    return dataclasses.replace(table, entries=tuple(map(tuple, entries)))
+
+
 def bump_array(monkeypatch, n, deltas):
-    """Every array n the recurrence builds has entry (i, j) + delta in
-    place of entry (i, j), for each (i, j): delta in deltas."""
+    """Every array n the recurrence builds is bumped by deltas."""
     build = twosided.two_sided_from_recurrence
 
     def corrupted(n_max):
         tables = build(n_max)
-        entries = [list(row) for row in tables[n - 1].entries]
-        for (i, j), delta in deltas.items():
-            entries[i - 1][j - 1] += delta
-        tables[n - 1] = dataclasses.replace(tables[n - 1], entries=tuple(map(tuple, entries)))
+        tables[n - 1] = bumped(tables[n - 1], deltas)
         return tables
 
     monkeypatch.setattr(twosided, "two_sided_from_recurrence", corrupted)
+
+
+def bump_brute_triangle(monkeypatch, n, deltas):
+    """Every row n brute force counts has A(n, i) + delta in place of
+    A(n, i), for each i: delta in deltas."""
+    count = eulerian.brute_force_rows
+
+    def corrupted(ns, *args, **kwargs):
+        rows = count(ns, *args, **kwargs)
+        if n in rows:
+            rows[n] = tuple(c + deltas.get(i, 0) for i, c in enumerate(rows[n], start=1))
+        return rows
+
+    monkeypatch.setattr(eulerian, "brute_force_rows", corrupted)
+
+
+def bump_brute_array(monkeypatch, n, deltas):
+    """Every array n brute force counts is bumped by deltas."""
+    count = twosided.brute_force_tables
+
+    def corrupted(ns, *args, **kwargs):
+        tables = count(ns, *args, **kwargs)
+        if n in tables:
+            tables[n] = bumped(tables[n], deltas)
+        return tables
+
+    monkeypatch.setattr(twosided, "brute_force_tables", corrupted)
 
 
 CORRUPTIONS = {
     "A(5,2)": (bump_triangle, 5, {2: 1}),
     "A(4,2)": (bump_triangle, 4, {2: 1}),
     "array6(2,3)": (bump_array, 6, {(2, 3): 1}),
-    # these two keep every symmetry: of a table command's checks, only the
-    # exact sums catch them
+    # these keep every symmetry: of a table command's checks, only the exact
+    # sums catch them; the brute ones bump what --source brute counts, and an
+    # array's marginals still come from the recurrence
     "A(5,2)A(5,4)": (bump_triangle, 5, {2: 1, 4: 1}),
     "array6(2,3)(3,2)(5,4)(4,5)": (bump_array, 6, {(2, 3): 1, (3, 2): 1, (5, 4): 1, (4, 5): 1}),
+    "brute A(5,2)A(5,4)": (bump_brute_triangle, 5, {2: 1, 4: 1}),
+    "brute array6(2,3)(3,2)(5,4)(4,5)": (
+        bump_brute_array, 6, {(2, 3): 1, (3, 2): 1, (5, 4): 1, (4, 5): 1}
+    ),
     # these two keep every sum, and the array keeps its marginals and its
     # transpose: only the palindromy checks catch them, the row's in
     # eulerian and gamma and the array's in two-sided and gessel (the array
@@ -170,8 +207,11 @@ def test_a_broken_table_is_reported_not_crashed(monkeypatch, corruption, suite):
 # once printed with exit 0 from every table command they reach (an array's
 # marginals are checked against the one-sided rows); the palindromic
 # corruptions sit in row and array 6, so a check made as each table is
-# written would print the tables for n <= 5 first
+# written would print the tables for n <= 5 first; a single --n names the
+# corrupted n, the row stream that gamma and the array marginals share with
+# eulerian; a brute corruption runs with --source brute
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("shape", ["--n-max", "--n"], ids=["n-max", "n"])
 @pytest.mark.parametrize(
     "command,corruption",
     [
@@ -187,6 +227,10 @@ def test_a_broken_table_is_reported_not_crashed(monkeypatch, corruption, suite):
         ("gessel", "A(5,2)A(5,4)"),
         ("two-sided", "array6(2,3)(3,2)(5,4)(4,5)"),
         ("gessel", "array6(2,3)(3,2)(5,4)(4,5)"),
+        ("eulerian", "brute A(5,2)A(5,4)"),
+        ("gamma", "brute A(5,2)A(5,4)"),
+        ("two-sided", "brute array6(2,3)(3,2)(5,4)(4,5)"),
+        ("gessel", "brute array6(2,3)(3,2)(5,4)(4,5)"),
         ("eulerian", "A(6,2)+1A(6,3)-1"),
         ("gamma", "A(6,2)+1A(6,3)-1"),
         ("two-sided", "A(6,2)+1A(6,3)-1"),
@@ -197,10 +241,12 @@ def test_a_broken_table_is_reported_not_crashed(monkeypatch, corruption, suite):
         ("gessel", "array6(1,2)(2,3)(3,1)+1(1,1)(2,2)(3,3)-1"),
     ],
 )
-def test_a_table_command_on_a_broken_table_exits_one(monkeypatch, command, corruption, fmt):
+def test_a_table_command_on_a_broken_table_exits_one(monkeypatch, command, corruption, shape, fmt):
     bump, n, deltas = CORRUPTIONS[corruption]
     bump(monkeypatch, n, deltas)
-    code, out, err = run_cli(command, "--n-max", "6", "--format", fmt)
+    source = ("--source", "brute") if corruption.startswith("brute") else ()
+    argv = (shape, "6" if shape == "--n-max" else str(n), *source, "--format", fmt)
+    code, out, err = run_cli(command, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("verification failure: ") and err.count("\n") == 1
 
