@@ -4,8 +4,8 @@ Subcommands: stats, eulerian, two-sided, gamma, gessel, orbit, orbits,
 series, verify. Data goes to stdout; progress, warnings, and timings go to
 stderr. Output is deterministic: the same invocation produces the same
 bytes, whatever the shard count. Brute force counts each S_n whole in
-this process; --shards is checked and accepted but splits nothing, and no
-command starts a child process.
+this process; --shards is accepted and ignored, and no command starts a
+child process.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 guard rail.
 Only argparse and the permutation text that stats and orbit parse give exit
@@ -43,8 +43,9 @@ and every single --n from int row n - 1, each row before it built in ints
 and only the last one kept. The rows are ints, except those the eulerian
 command prints, which the same stream builds as integral Decimals in a
 context that traps any rounding, since str() of a Decimal is linear in
-its digits and of an int quadratic. The arrays come from one two-sided
-recurrence run up to the largest n. Before any output, the builder checks
+its digits and of an int quadratic; series reads its one int row from
+the same stream. The arrays come from one two-sided recurrence run up
+to the largest n. Before any output, the builder checks
 every table on the numbers it holds: every row sums to n! and is
 palindromic, and every array totals n!, has both marginals equal to row n
 of the row stream and equals its transpose and its antipodal image. On
@@ -90,7 +91,6 @@ from json.encoder import encode_basestring_ascii
 from . import eulerian, hopping, twosided
 from .common import SUITE_ORDER, CheckReport, ConsistencyError, GuardRailError, check_budget
 from .perm import (
-    SHARD_BUDGET,
     StatProfile,
     descent_count,
     format_permutation,
@@ -213,14 +213,14 @@ def _rows(args, ns: range, in_decimal: bool = False) -> dict:
     row sums to n! and is palindromic; else ConsistencyError, raised before
     anything is printed.
 
-    Brute force counts each S_n whole; --shards is only checked. Otherwise
+    Brute force counts each S_n whole; --shards is ignored. Otherwise
     _row_stream builds the rows: in ints, or with in_decimal as integral
     Decimals, built and certified under _exact_decimal's context, since
     str() of a Decimal is linear in its digits and of an int quadratic.
     """
     with _exact_decimal() if in_decimal else contextlib.nullcontext(1) as one:
         if args.source == "brute":
-            rows = eulerian.brute_force_rows(ns, shards=args.shards or 1, force=args.force)
+            rows = eulerian.brute_force_rows(ns, force=args.force)
         else:
             rows = _row_stream(ns, one)
         for n in ns:
@@ -236,11 +236,11 @@ def _arrays(args, ns: range) -> dict:
     antipodal image; else ConsistencyError, raised before anything is
     printed.
 
-    Brute force counts each S_n whole; --shards is only checked. Otherwise
+    Brute force counts each S_n whole; --shards is ignored. Otherwise
     one two-sided recurrence run up to the largest n gives every array.
     """
     if args.source == "brute":
-        arrays = twosided.brute_force_tables(ns, shards=args.shards or 1, force=args.force)
+        arrays = twosided.brute_force_tables(ns, force=args.force)
     else:
         computed = twosided.two_sided_from_recurrence(ns[-1])
         arrays = {n: computed[n - 1] for n in ns}
@@ -725,7 +725,7 @@ def _cmd_series(args) -> int:
         table = [["k\\l"] + [str(l) for l in range(terms + 1)]]
         table += [[str(k)] + row for k, row in enumerate(cells)]
     else:
-        window = eulerian.power_sum_window(eulerian.table_from_recurrence(n).row(n), terms)
+        window = eulerian.power_sum_window(_row_stream(range(n, n + 1))[n], terms)
         ok = _passes(eulerian.check_power_sum_window, n, window)
         cells = [str(c) for c in window]
         lines = [" ".join(cells)]
@@ -821,8 +821,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tables.add_argument(
         "--shards", type=positive, metavar="N",
-        help="accepted; each S_n is counted whole, so N changes no output "
-        f"(default 1; past {SHARD_BUDGET} blocks over all n, --force)",
+        help="accepted and ignored: each S_n is counted whole, so N changes "
+        "no output",
     )
 
     p = sub.add_parser("stats", parents=[formatted], help="statistics of permutations")

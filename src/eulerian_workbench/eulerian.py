@@ -56,14 +56,18 @@ class EulerianTable:
 def brute_force_rows(
     ns: list[int], shards: int = 1, force: bool = False
 ) -> dict[int, tuple[int, ...]]:
-    """Brute-force descent histograms for several n, in one histogram call."""
-    counts = histogram(ns, descent_kernel, shards, force)
+    """Brute-force descent histograms for several n, in one histogram call.
+
+    shards is ignored: each S_n is counted whole. The slot stays because
+    bench/workloads.py passes a shard count positionally.
+    """
+    counts = histogram(ns, descent_kernel, force)
     return {n: tuple(counts[n][d] for d in range(n)) for n in ns}
 
 
-def table_brute_force(n: int, shards: int = 1, force: bool = False) -> tuple[int, ...]:
+def table_brute_force(n: int, force: bool = False) -> tuple[int, ...]:
     """Row n of the triangle by enumerating S_n and counting descents."""
-    return brute_force_rows([n], shards=shards, force=force)[n]
+    return brute_force_rows([n], force=force)[n]
 
 
 def recurrence_rows(row: tuple) -> Iterator[tuple]:

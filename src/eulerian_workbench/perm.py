@@ -17,11 +17,11 @@ that one stream, which is no Block and has no runs. histogram counts one
 statistic over each S_n whole, one kernel call per n. A kernel (des, the
 pair (ides, des) or the peaks of permutations with no double descents)
 takes the Block alone, reads n from it and counts it run by run from
-cached tables, as the comment above the kernels proves; a shard block
-has neither n nor runs, so a kernel fails on one rather than count part
-of S_n. One guard rail, BRUTE_FORCE_GUARD, covers every walk;
-SHARD_BUDGET bounds the shard count one histogram call accepts: past
-either, force is required.
+tables cached per tail length, all read off one walk of the tail
+patterns, as the comment above the kernels proves; a shard block has
+neither n nor runs, so a kernel fails on one rather than count part of
+S_n. One guard rail, BRUTE_FORCE_GUARD, covers every walk: past it,
+force is required.
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ Perm = tuple[int, ...]
 
 # 11! is 39.9 million permutations; walking past it needs an explicit override.
 BRUTE_FORCE_GUARD = 11
-
-# Shard blocks one histogram call accepts, summed over its ns. histogram
-# counts each S_n whole, so this only keeps the exit 3 of --shards past it.
-SHARD_BUDGET = 10**4
 
 # Runs walk itertools.permutations over their last min(n, SUFFIX) letters,
 # the tail.
@@ -296,35 +292,56 @@ class Block(itertools.permutations):
 # through mask and the census's also through fell = [y > z], and the
 # prefix's part is an offset. So a run, all m! patterns, adds the same
 # counts after every prefix with one boundary key: cut for des, (mask, cut)
-# for the pair and (cut, fell) for the census. Each kernel caches one table
-# of grouped pattern statistics per m, and from it one table per (m, key),
-# its counts already shifted by the boundary term, as (value, count) pairs
-# with the zero counts dropped, so no pair reaches past the tally; the
-# census table also holds the run's double descents. A kernel reads n from
-# its Block, scans each run's prefix once and adds the run from the table
-# of its key: at most 8 entries, or 64 to the pair grid.
+# for the pair and (cut, fell) for the census. One table of grouped pattern
+# statistics per m serves every kernel, and from it each kernel caches one
+# table per (m, key), its counts already shifted by the boundary term, as
+# (value, count) pairs with the zero counts dropped, so no pair reaches past
+# the tally; the census table also holds the run's double descents. A
+# kernel reads n from its Block, scans each run's prefix once and adds the
+# run from the table of its key: at most 8 entries, or 64 to the pair grid.
 #
-# The table builders spell the 7-letter statistics out once, for every m:
-# each pattern of range(m) is padded to 7 letters by m, ..., 6 in
+# That one table, _tail_table, spells the 7-letter statistics out once, for
+# every m: each pattern of range(m) is padded to 7 letters by m, ..., 6 in
 # increasing order. The padding stands last and rises from above every
 # pattern letter, so it adds no descent, no inverse descent (nor a mask
-# bit: mask has m - 1) and no double descent.
-
-
-def _padded_patterns(m: int, letters: list[int]) -> Iterator[tuple]:
-    """Each permutation of letters[:m] in lexicographic order, followed by
-    letters[m:] as they stand."""
-    pad = itertools.repeat(tuple(letters[m:]))
-    return map(operator.add, itertools.permutations(letters[:m]), pad)
+# bit: mask has m - 1) and no double descent. The census reads it whole;
+# des and the pair read its projection _pair_table, with the census's two
+# fields summed out, which each of up to 512 (mask, cut) pair tables scans.
 
 
 @functools.cache
-def _descent_table(m: int) -> tuple:
-    """(p0, des(p)) over the patterns p of range(m), grouped with counts."""
+def _tail_table(m: int) -> tuple:
+    """(p0, p0 > p1, des(p), ibits(p), inner) over the patterns p of range(m),
+    grouped with counts; inner when p has a double descent a > b > c of its
+    own.
+
+    A pattern is spelled in the powers 2**j of its letters j, which compare
+    as the letters do; s is the set read so far, and reading 2**x, bit x of
+    s >> 1 says x + 1 stood left of x.
+    """
+    pad = itertools.repeat(tuple(1 << j for j in range(m, SUFFIX)))
+    patterns = itertools.permutations([1 << j for j in range(m)])
     return tuple(Counter(
-        (a, (a > b) + (b > c) + (c > d) + (d > e) + (e > f) + (f > g))
-        for a, b, c, d, e, f, g in _padded_patterns(m, list(range(SUFFIX)))
+        (
+            a.bit_length() - 1,
+            a > b,
+            (a > b) + (b > c) + (c > d) + (d > e) + (e > f) + (f > g),
+            a >> 1 & b | (s := a | b) >> 1 & c | (s := s | c) >> 1 & d
+            | (s := s | d) >> 1 & e | (s := s | e) >> 1 & f | (s | f) >> 1 & g,
+            a > b > c or b > c > d or c > d > e or d > e > f or e > f > g,
+        )
+        for a, b, c, d, e, f, g in map(operator.add, patterns, pad)
     ).items())
+
+
+@functools.cache
+def _pair_table(m: int) -> tuple:
+    """(p0, des(p), ibits(p)) over the patterns p of range(m), grouped with
+    counts: _tail_table(m) with p0 > p1 and inner summed out."""
+    counts = Counter()
+    for (first, _, d, bits, _), count in _tail_table(m):
+        counts[first, d, bits] += count
+    return tuple(counts.items())
 
 
 @functools.cache
@@ -333,29 +350,9 @@ def _descent_run(m: int, cut: int) -> tuple:
     nonzero: a run's des counts past the prefix when cut tail letters lie
     below z."""
     counts = [0] * (SUFFIX + 1)
-    for (first, d), count in _descent_table(m):
+    for (first, d, _), count in _pair_table(m):
         counts[(first < cut) + d] += count
     return tuple([(d, c) for d, c in enumerate(counts) if c])
-
-
-@functools.cache
-def _pair_table(m: int) -> tuple:
-    """(p0, des(p), ibits(p)) over the patterns p of range(m), grouped with
-    counts.
-
-    A pattern is spelled in the powers 2**j of its letters j, which compare
-    as the letters do; s is the set read so far, and reading 2**x, bit x of
-    s >> 1 says x + 1 stood left of x.
-    """
-    return tuple(Counter(
-        (
-            a.bit_length() - 1,
-            (a > b) + (b > c) + (c > d) + (d > e) + (e > f) + (f > g),
-            a >> 1 & b | (s := a | b) >> 1 & c | (s := s | c) >> 1 & d
-            | (s := s | d) >> 1 & e | (s := s | e) >> 1 & f | (s | f) >> 1 & g,
-        )
-        for a, b, c, d, e, f, g in _padded_patterns(m, [1 << j for j in range(SUFFIX)])
-    ).items())
 
 
 @functools.cache
@@ -370,17 +367,6 @@ def _pair_run(m: int, mask: int, cut: int) -> tuple:
 
 
 @functools.cache
-def _census_table(m: int) -> tuple:
-    """Over the patterns p of range(m), None when p has a double descent
-    a > b > c of its own, else (p0, p0 > p1, des(p)); grouped with counts."""
-    return tuple(Counter(
-        None if a > b > c or b > c > d or c > d > e or d > e > f or e > f > g
-        else (a, a > b, (a > b) + (b > c) + (c > d) + (d > e) + (e > f) + (f > g))
-        for a, b, c, d, e, f, g in _padded_patterns(m, list(range(SUFFIX)))
-    ).items())
-
-
-@functools.cache
 def _census_run(m: int, cut: int, fell: bool) -> tuple:
     """(([p0 < cut] + des(p), count) pairs, counts nonzero; the double
     descents) over the patterns of range(m): a run's peak counts past a
@@ -388,13 +374,9 @@ def _census_run(m: int, cut: int, fell: bool) -> tuple:
     the letter before it when fell."""
     counts = [0] * (SUFFIX + 1)
     doubled = 0
-    for key, count in _census_table(m):
-        if key is None:
-            doubled += count
-            continue
-        first, falls, d = key
+    for (first, falls, d, _, inner), count in _tail_table(m):
         into = first < cut  # z > the tail's first letter
-        if into and (fell or falls):
+        if inner or into and (fell or falls):
             doubled += count
         else:
             counts[into + d] += count
@@ -477,23 +459,15 @@ def census_kernel(block: Block) -> Counter:
 
 
 def histogram(
-    ns: list[int],
-    kernel: Callable[[Block], Counter],
-    shards: int = 1,
-    force: bool = False,
+    ns: list[int], kernel: Callable[[Block], Counter], force: bool = False
 ) -> dict[int, Counter]:
     """Count a statistic over S_n for each n in ns, one kernel call per n.
 
     kernel(block) returns the Counter of its statistic over the words of
     block, the whole of S_n, reading it run by run: each run's prefix once,
-    then its tail words as one table of counts. Each S_n is counted whole, so
-    shards changes nothing counted: it is only checked, positive, and past
-    SHARD_BUDGET blocks over all of ns force is required, decided before
-    any count.
+    then its tail words as one table of counts. Every n is checked against
+    the guard rail before any count.
     """
     for n in ns:
         check_guard(n, force)
-    if shards < 1:
-        raise ValueError("shards must be positive")
-    check_budget("shard blocks over S_n", len(ns) * shards, SHARD_BUDGET, force)
     return {n: kernel(enumerate_sn(n, force=force)) for n in ns}

@@ -80,8 +80,12 @@ class TwoSidedTable:
 def brute_force_tables(
     ns: list[int], shards: int = 1, force: bool = False
 ) -> dict[int, TwoSidedTable]:
-    """Brute-force (ides, des) histograms for several n, in one histogram call."""
-    counts = histogram(ns, pair_kernel, shards, force)
+    """Brute-force (ides, des) histograms for several n, in one histogram call.
+
+    shards is ignored: each S_n is counted whole. The slot stays because
+    bench/workloads.py passes a shard count positionally.
+    """
+    counts = histogram(ns, pair_kernel, force)
     return {
         n: TwoSidedTable(
             n, tuple(tuple(counts[n][i, j] for j in range(n)) for i in range(n))
@@ -90,8 +94,8 @@ def brute_force_tables(
     }
 
 
-def two_sided_brute_force(n: int, shards: int = 1, force: bool = False) -> TwoSidedTable:
-    return brute_force_tables([n], shards=shards, force=force)[n]
+def two_sided_brute_force(n: int, force: bool = False) -> TwoSidedTable:
+    return brute_force_tables([n], force=force)[n]
 
 
 def two_sided_from_recurrence(n_max: int) -> list[TwoSidedTable]:
@@ -184,13 +188,14 @@ def check_array_sums(table: TwoSidedTable, row: tuple[int, ...]) -> None:
 
 
 def polynomial_from_table(table: TwoSidedTable) -> BiPoly:
-    return BiPoly.from_dict(
-        {
-            (i, j): table.entry(i, j)
-            for i in range(1, table.n + 1)
-            for j in range(1, table.n + 1)
-        }
-    )
+    """A(n, i, j) as the coefficient of s**i t**j; the entries, read row by
+    row, come in the sorted exponent order BiPoly keeps."""
+    return BiPoly(tuple(
+        (i, j, c)
+        for i, row in enumerate(table.entries, start=1)
+        for j, c in enumerate(row, start=1)
+        if c
+    ))
 
 
 def two_sided_polynomial(n: int) -> BiPoly:

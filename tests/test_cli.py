@@ -1,7 +1,6 @@
 """The command-line surface: formats, exit codes, the ignored cache flag, determinism."""
 
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -245,6 +244,17 @@ def test_series_univariate():
     assert obj["matches_closed_form"] is True
 
 
+def test_series_reads_its_row_from_the_row_stream_and_builds_no_triangle(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("series built a whole triangle")
+
+    monkeypatch.setattr(eulerian, "table_from_recurrence", never)
+    for n in (2, 3, 7, 40):
+        code, out, _ = run_cli("series", "--n", str(n), "--terms", "4", "--format", "csv")
+        assert code == 0
+        assert out.split() == ["k,coefficient"] + [f"{k},{k**n}" for k in range(5)]
+
+
 def test_series_bivariate():
     code, out, _ = run_cli(
         "series", "--n", "2", "--terms", "3", "--bivariate", "--format", "json"
@@ -256,16 +266,14 @@ def test_series_bivariate():
     assert obj["matches_closed_form"] is True
 
 
-def corrupt_the_recurrences(monkeypatch):
+def corrupt_the_recurrences(monkeypatch, n):
     """Make the recurrences behind series give row n and array n with one
     entry, A(n, 2) and A(n, 1, 2), one too large."""
-    triangle, arrays = eulerian.table_from_recurrence, twosided.two_sided_from_recurrence
+    generate, arrays = eulerian.recurrence_rows, twosided.two_sided_from_recurrence
 
-    def bad_triangle(n_max):
-        table = triangle(n_max)
-        row = list(table.rows[-1])
-        row[1] += 1
-        return dataclasses.replace(table, rows=(*table.rows[:-1], tuple(row)))
+    def bad_rows(row):
+        for out in generate(row):
+            yield (out[0], out[1] + 1, *out[2:]) if len(out) == n else out
 
     def bad_arrays(n_max):
         tables = arrays(n_max)
@@ -273,7 +281,7 @@ def corrupt_the_recurrences(monkeypatch):
         entries[0][1] += 1
         return [*tables[:-1], twosided.TwoSidedTable(n_max, tuple(map(tuple, entries)))]
 
-    monkeypatch.setattr(eulerian, "table_from_recurrence", bad_triangle)
+    monkeypatch.setattr(eulerian, "recurrence_rows", bad_rows)
     monkeypatch.setattr(twosided, "two_sided_from_recurrence", bad_arrays)
 
 
@@ -292,7 +300,7 @@ SERIES_MISMATCH_DIGESTS = {
 def test_series_prints_a_window_that_misses_its_closed_form_and_exits_one(
     monkeypatch, bivariate, fmt
 ):
-    corrupt_the_recurrences(monkeypatch)
+    corrupt_the_recurrences(monkeypatch, 3)
     extra = ("--bivariate",) if bivariate else ()
     code, out, err = run_cli("series", "--n", "3", "--terms", "4", *extra, "--format", fmt)
     assert (code, err) == (1, "")
@@ -888,18 +896,13 @@ def test_nonpositive_shards_exit_2():
             assert "--shards" in err
 
 
-def test_shards_past_the_budget_exit_3():
-    for command in ("eulerian", "two-sided"):
-        brute = (command, "--n-max", "2", "--source", "brute")
-        _, serial, _ = run_cli(*brute)
-        for shards in (perm.SHARD_BUDGET // 2 + 1, 10**12):
-            code, out, err = run_cli(*brute, "--shards", str(shards))
-            assert code == 3
-            assert out == ""
-            assert "shard blocks" in err and "--force" in err
-        code, out, _ = run_cli(*brute, "--shards", str(perm.SHARD_BUDGET // 2 + 1), "--force")
-        assert code == 0
-        assert out == serial
+@pytest.mark.parametrize("command", ["eulerian", "two-sided"])
+def test_any_shard_count_prints_the_bytes_of_one_shard(command):
+    # past 10**4 shard blocks over all n, with no --force, S_n is counted once
+    brute = (command, "--n-max", "2", "--source", "brute")
+    _, serial, _ = run_cli(*brute, "--shards", "1")
+    for shards in (5001, 10**12):
+        assert run_cli(*brute, "--shards", str(shards)) == (0, serial, "")
 
 
 def test_brute_force_starts_no_child_process(monkeypatch):

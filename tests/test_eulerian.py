@@ -100,12 +100,6 @@ def test_brute_force_matches_recurrence_past_the_table():
     assert table_brute_force(9) == table_from_recurrence(9).row(9)
 
 
-def test_brute_force_sharding_is_exact():
-    row = table_from_recurrence(8).row(8)
-    for shards in (2, 3, 5):
-        assert table_brute_force(8, shards=shards) == row
-
-
 def test_brute_force_guard_rail():
     with pytest.raises(GuardRailError):
         table_brute_force(12)

@@ -134,12 +134,6 @@ def test_brute_force_matches_recurrence_past_the_table():
     assert two_sided_brute_force(9).entries == two_sided_from_recurrence(9)[8].entries
 
 
-def test_brute_force_sharding_is_exact():
-    reference = TABLE2[7]
-    for shards in (2, 3, 5):
-        assert two_sided_brute_force(7, shards=shards).entries == reference
-
-
 def test_brute_force_guard_rail():
     with pytest.raises(GuardRailError):
         two_sided_brute_force(12)
@@ -338,6 +332,15 @@ def test_gessel_rejects_non_palindromic_input():
     p = BiPoly.monomial(1, 1)  # symmetric in s, t but centered wrong for n=3
     with pytest.raises(ValueError):
         gessel_solve(p, 3)
+
+
+def test_polynomial_from_table_keeps_every_nonzero_entry_in_sorted_order():
+    tables = [*two_sided_from_recurrence(12), TwoSidedTable(2, ((0, 3), (-1, 0)))]
+    for table in tables:
+        cells = {(i, j): table.entry(i, j) for i in range(1, table.n + 1)
+                 for j in range(1, table.n + 1)}
+        assert polynomial_from_table(table) == BiPoly.from_dict(cells), table.n
+    assert polynomial_from_table(tables[-1]).terms == ((1, 2, 3), (2, 1, -1))
 
 
 def test_gessel_nonnegative_through_n_14():
