@@ -37,15 +37,15 @@ every table built and certified; then every table expanded; then the
 render. One record per command in TABLE_COMMANDS holds all that differs:
 its builder, _rows or _arrays; its budget exponent; its expansion, none,
 gamma or Gessel, with that expansion's work per n; and its renderer.
-Unless --source brute is given, the rows come from one row stream, the
-one-sided recurrence: a --n-max range from one run up to the largest n,
-and every single --n from int row n - 1, each row before it built in ints
-and only the last one kept. The rows are ints, except those the eulerian
-command prints, which the same stream builds as integral Decimals in a
-context that traps any rounding, since str() of a Decimal is linear in
-its digits and of an int quadratic; series reads its one int row from
-the same stream. The arrays come from one two-sided recurrence run up
-to the largest n. Before any output, the builder checks
+Unless --source brute is given, the rows and the arrays come from one
+stream helper, _stream, over each table's recurrence: a --n-max range from
+one run of its list builder up to the largest n, and every single --n from
+table n - 1, each table before it built from table 1 and only the last one
+kept. The rows are ints, except those the eulerian command prints, which
+the same stream builds as integral Decimals in a context that traps any
+rounding, since str() of a Decimal is linear in its digits and of an int
+quadratic; series reads its one int row, or with --bivariate its one
+array, from the same streams. Before any output, the builder checks
 every table on the numbers it holds: every row sums to n! and is
 palindromic, and every array totals n!, has both marginals equal to row n
 of the row stream and equals its transpose and its antipodal image. On
@@ -58,7 +58,8 @@ with a negative coefficient, so a failed check leaves stdout empty. A
 command then holds its tables and the text of one table at a time: it
 renders a table's entries to decimal as it writes them, once each and
 only the first half of a palindromic row or array at all. The triangle's
-one column width is read off its entries.
+one column width is read off its entries, and so is each text square's,
+which is then written a line at a time.
 
 Tables are always recomputed: nothing is cached. --cache DIR and
 $EULERIAN_WORKBENCH_CACHE are still accepted, so older invocations keep
@@ -171,22 +172,33 @@ def _check_printable(command: str, n: int, step) -> None:
             )
 
 
+def _stream(ns: range, build, generate, first, convert=lambda table: table) -> dict:
+    """n -> table n of a recurrence, for the ns in ascending order.
+
+    A range from 1 comes from one run of build, the recurrence's list
+    builder, up to the largest n. A single n > 1 streams from table 1,
+    first, by generate, the recurrence's generator: tables 2..n - 1 are
+    built in turn, only the last of them kept, and that table alone goes
+    through convert before the step to n.
+    """
+    if ns[0] == 1:
+        return dict(zip(ns, build(ns[-1])))
+    seed = first  # tables 2..n - 1 in turn, only the last one kept
+    for seed in islice(generate(first), ns[0] - 2):
+        pass
+    return dict(zip(ns, generate(convert(seed))))
+
+
 def _row_stream(ns: range, one=1) -> dict:
-    """n -> row n of the triangle by the recurrence, for the ns in
-    ascending order, in the number type of one.
+    """n -> row n of the triangle by _stream, in the number type of one.
 
     Rows 1..n_max come from one table_from_recurrence run from row 1,
-    (one,). A single n > 1 streams from int row n - 1: rows 2..n - 1 are
-    built in ints, only the last of them kept, and that row alone is
+    (one,). A single n > 1 streams from int row 1, and row n - 1 alone is
     converted, each mirrored pair once, since int-to-Decimal conversion is
     quadratic too and converting a row costs about what rendering it would.
     """
-    if ns[0] == 1:
-        return dict(zip(ns, eulerian.table_from_recurrence(ns[-1], one=one).rows))
-    seed = (1,)  # int rows 2..n - 1 in turn, only the last one kept
-    for seed in islice(eulerian.recurrence_rows(seed), ns[0] - 2):
-        pass
-    return dict(zip(ns, eulerian.recurrence_rows(tuple(_mirrored(seed, type(one))))))
+    return _stream(ns, lambda top: eulerian.table_from_recurrence(top, one=one).rows,
+                   eulerian.recurrence_rows, (1,), lambda row: tuple(_mirrored(row, type(one))))
 
 
 @contextlib.contextmanager
@@ -229,6 +241,14 @@ def _rows(args, ns: range, in_decimal: bool = False) -> dict:
     return rows
 
 
+def _array_stream(ns: range) -> dict:
+    """n -> the TwoSidedTable of n by _stream: arrays 1..n_max from one
+    two_sided_from_recurrence run, and a single n > 1 from array 1 by
+    recurrence_arrays, array n - 1 the only one kept."""
+    return _stream(ns, twosided.two_sided_from_recurrence, twosided.recurrence_arrays,
+                   twosided.TwoSidedTable(1, ((1,),)))
+
+
 def _arrays(args, ns: range) -> dict:
     """n -> the TwoSidedTable of n, for the ns in ascending order, once each
     array totals n!, has both marginals equal to row n of the one-sided
@@ -237,13 +257,12 @@ def _arrays(args, ns: range) -> dict:
     printed.
 
     Brute force counts each S_n whole; --shards is ignored. Otherwise
-    one two-sided recurrence run up to the largest n gives every array.
+    _array_stream builds the arrays.
     """
     if args.source == "brute":
         arrays = twosided.brute_force_tables(ns, force=args.force)
     else:
-        computed = twosided.two_sided_from_recurrence(ns[-1])
-        arrays = {n: computed[n - 1] for n in ns}
+        arrays = _array_stream(ns)
     rows = _row_stream(ns)
     for n in ns:
         twosided.check_array_sums(arrays[n], rows[n])
@@ -420,14 +439,16 @@ def _aligned(label: str, cells, width: int) -> str:
     return "  ".join([label.ljust(width)] + [c.rjust(width) for c in cells]).rstrip()
 
 
-def _square_text(table: twosided.TwoSidedTable) -> str:
+def _square_lines(table: twosided.TwoSidedTable):
+    """The text square of the array, a line at a time, each with its line
+    break, the one column width read off every entry first."""
     n = table.n
     text = _array_text(table)
     width = max(max(len(c) for row in text for c in row), len("i\\j"), len(str(n)))
-    header = [str(j) for j in range(1, n + 1)]
-    lines = [f"n={n}", _aligned("i\\j", header, width)]
-    lines.extend(_aligned(str(i), row, width) for i, row in enumerate(text, start=1))
-    return "\n".join(lines)
+    yield f"n={n}\n"
+    yield _aligned("i\\j", [str(j) for j in range(1, n + 1)], width) + "\n"
+    for i, row in enumerate(text, start=1):
+        yield _aligned(str(i), row, width) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +528,7 @@ def _render_two_sided(fmt: str, tables: dict, expanded: None) -> None:
         for at, table in enumerate(tables.values()):
             if at:
                 print()
-            print(_square_text(table))
+            sys.stdout.writelines(_square_lines(table))
 
 
 def _render_gamma(fmt: str, rows: dict, expanded: dict) -> None:
@@ -716,7 +737,7 @@ def _cmd_series(args) -> int:
     n, terms = args.n, args.terms
     _check_series_budget(n, terms, args.bivariate, args.force)
     if args.bivariate:
-        grid = twosided.grid_window(twosided.two_sided_from_recurrence(n)[n - 1], terms)
+        grid = twosided.grid_window(_array_stream(range(n, n + 1))[n], terms)
         ok = _passes(twosided.check_grid_window, n, grid)
         cells = [[str(c) for c in row] for row in grid]
         lines = [" ".join(row) for row in cells]

@@ -25,9 +25,10 @@ binomial_row(m) is the row binomial(m, 0..m), built once per process by a
 running product and cached, so the gamma and Gessel peels, which read the
 same rows for every n they expand, never rebuild one. The cache holds every
 row asked for, at most about m**2 / 2 entries for the largest m, each
-below 2**m: far smaller than the Eulerian rows such a caller already holds.
-gamma --n 1558 --force, at the int-to-str limit, peaked 50 MiB higher with
-it (672 against 722 MiB as a child process on a 2-vCPU host).
+below 2**m. That is less than a --n-max range of Eulerian rows, but more
+than the one row a single --n streams: gamma --n 1558 --force, at the
+int-to-str limit, peaks at 109 MiB with the cache and 29 MiB without it,
+in the same 6.8 s (child process, 2-vCPU host, Python 3.11).
 
 Polynomials come in two shapes:
 

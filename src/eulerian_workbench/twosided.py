@@ -5,10 +5,11 @@ and j - 1 descents. Routes implemented here:
 
 - brute force over S_n histogramming both statistics on the shared walk
   in perm;
-- a four-term recurrence producing n * A(n, i, j) from row n - 1, computed
-  on a quarter of each array (i <= j <= n + 1 - i) with the divisibility by
-  n asserted on every entry computed, the rest mirrored by the symmetries
-  below, each mirrored entry the same sum of the same integers;
+- a four-term recurrence producing n * A(n, i, j) from array n - 1, as a
+  generator of arrays, computed on a quarter of each array
+  (i <= j <= n + 1 - i) with the divisibility by n asserted on every entry
+  computed, the rest mirrored by the symmetries below, each mirrored entry
+  the same sum of the same integers;
 - the grid series: A_n(s, t) / ((1 - s)**(n+1) (1 - t)**(n+1)) has
   s**k t**l coefficient binomial(k l + n - 1, n);
 - the two-sided Worpitzky identity
@@ -35,7 +36,9 @@ Gessel's conjecture, proved by Z. Lin (Electron. J. Combin. 23, 2016).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import count, islice
 from math import factorial
 
 from .common import ConsistencyError
@@ -98,82 +101,81 @@ def two_sided_brute_force(n: int, force: bool = False) -> TwoSidedTable:
     return brute_force_tables([n], force=force)[n]
 
 
-def two_sided_from_recurrence(n_max: int) -> list[TwoSidedTable]:
-    """Tables for n = 1..n_max from the four-term recurrence.
-
-    Each step computes only the fundamental domain of the array's symmetry
-    group and mirrors the rest (_two_sided_step); every computed sum must be
-    divisible by n, and a failure raises ConsistencyError because it can
-    only come from a broken table. Array 1 is symmetric, and a step from a
-    symmetric array builds a symmetric one, so no mirrored entry differs
-    from the sum that would have produced it.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    tables = [TwoSidedTable(1, ((1,),))]
-    for n in range(2, n_max + 1):
-        tables.append(TwoSidedTable(n, _two_sided_step(tables[-1].entries, n)))
-    return tables
-
-
-def _two_sided_step(
-    prev: tuple[tuple[int, ...], ...], n: int
-) -> tuple[tuple[int, ...], ...]:
-    """The array for n from the (n - 1)-by-(n - 1) array before it.
+def recurrence_arrays(table: TwoSidedTable) -> Iterator[TwoSidedTable]:
+    """Arrays n + 1, n + 2, ... from array n, which must be symmetric under
+    transpose and the antipode.
 
     n A(n, i, j) = (i j + n - 1) A(n - 1, i, j)
                  + (j (n + 1 - i) - n + 1) A(n - 1, i - 1, j)
                  + (i (n + 1 - j) - n + 1) A(n - 1, i, j - 1)
                  + ((n + 1 - i) (n + 1 - j) + n - 1) A(n - 1, i - 1, j - 1),
 
-    read off the top ceil(n / 2) rows of prev framed in zeros (a[i][j] is
-    A(n - 1, i, j), 0 outside 1..n - 1). Only the fundamental domain
-    i <= j <= n + 1 - i, in rows i <= ceil(n / 2), is computed, each sum
-    checked for divisibility by n on its own; the rest is mirrored from it
-    in the same pass, each mirrored entry the same int object:
+    read off the top ceil(n / 2) rows of the array before, framed in zeros
+    (a[i][j] is A(n - 1, i, j), 0 outside 1..n - 1). Only the fundamental
+    domain i <= j <= n + 1 - i, in rows i <= ceil(n / 2), is computed, each
+    sum checked for divisibility by n on its own, and a failure raises
+    ConsistencyError, since it can only come from a broken array. The rest
+    is mirrored from it in the same pass, each mirrored entry the same int
+    object:
 
     - j < i is column i of the earlier rows (transpose, A(i, j) = A(j, i));
     - j > n + 1 - i is column n + 1 - i of the earlier rows read in
       reverse (A(i, j) = A(n + 1 - j, n + 1 - i), antipode and transpose);
     - row n + 1 - i is row i reversed (antipode).
 
-    On a prev symmetric under both maps, which the builder always passes,
-    no check loses a value it could catch: a mirrored entry's sum is the
-    same sum of the same integers as its computed image. Transpose swaps
-    the cu and cl coefficient progressions together with their neighbours
-    A(n - 1, i - 1, j) and A(n - 1, i, j - 1), and fixes the other two
-    terms; the antipode (i, j) -> (n + 1 - i, n + 1 - j) swaps ch with cc
-    and cu with cl, together with their neighbours.
+    On a symmetric array before it no check loses a value it could catch: a
+    mirrored entry's sum is the same sum of the same integers as its
+    computed image. Transpose swaps the cu and cl coefficient progressions
+    together with their neighbours A(n - 1, i - 1, j) and A(n - 1, i, j - 1),
+    and fixes the other two terms; the antipode (i, j) -> (n + 1 - i,
+    n + 1 - j) swaps ch with cc and cu with cl, together with their
+    neighbours. Each array yielded is symmetric in turn.
+
+    >>> [t.entries for t in islice(recurrence_arrays(TwoSidedTable(1, ((1,),))), 2)]
+    [((1, 0), (0, 1)), ((1, 0, 0), (0, 4, 0), (0, 0, 1))]
     """
-    m = n - 1
-    half = (n + 1) // 2
-    zero = (0,) * (n + 1)
-    a = [zero] + [(0,) + row + (0,) for row in prev[:half]]
-    grid = []
-    for i in range(1, half + 1):
-        up, here = a[i - 1], a[i]
-        ri = n + 1 - i
-        row = [r[i - 1] for r in grid]  # j < i, by transpose
-        # the four coefficients, each an arithmetic progression in j = i..ri
-        for j, h, u, left, corner, ch, cu, cl, cc in zip(
-            range(i, ri + 1), here[i:], up[i:], here[i - 1 :], up[i - 1 :],
-            range(i * i + m, i * (ri + 1) + m, i),  # i j + m
-            range(ri * i - m, ri * (ri + 1) - m, ri),  # j (n + 1 - i) - m
-            range(i * ri - m, i * (i - 1) - m, -i),  # i (n + 1 - j) - m
-            range(ri * ri + m, ri * (i - 1) + m, -ri),  # (n + 1 - i) (n + 1 - j) + m
-        ):
-            total = ch * h + cu * u + cl * left + cc * corner
-            q, r = divmod(total, n)
-            if r:
-                raise ConsistencyError(
-                    f"recurrence sum {total} at (n={n}, i={i}, j={j}) "
-                    f"is not divisible by {n}"
-                )
-            row.append(q)
-        row += [r[ri - 1] for r in reversed(grid)]  # j > ri, by the antipode and transpose
-        grid.append(tuple(row))
-    grid += [row[::-1] for row in reversed(grid[: n // 2])]
-    return tuple(grid)
+    prev = table.entries
+    for n in count(table.n + 1):
+        m = n - 1
+        half = (n + 1) // 2
+        zero = (0,) * (n + 1)
+        a = [zero] + [(0,) + row + (0,) for row in prev[:half]]
+        grid = []
+        for i in range(1, half + 1):
+            up, here = a[i - 1], a[i]
+            ri = n + 1 - i
+            row = [r[i - 1] for r in grid]  # j < i, by transpose
+            # the four coefficients, each an arithmetic progression in j = i..ri
+            for j, h, u, left, corner, ch, cu, cl, cc in zip(
+                range(i, ri + 1), here[i:], up[i:], here[i - 1 :], up[i - 1 :],
+                range(i * i + m, i * (ri + 1) + m, i),  # i j + m
+                range(ri * i - m, ri * (ri + 1) - m, ri),  # j (n + 1 - i) - m
+                range(i * ri - m, i * (i - 1) - m, -i),  # i (n + 1 - j) - m
+                range(ri * ri + m, ri * (i - 1) + m, -ri),  # (n + 1 - i) (n + 1 - j) + m
+            ):
+                total = ch * h + cu * u + cl * left + cc * corner
+                q, r = divmod(total, n)
+                if r:
+                    raise ConsistencyError(
+                        f"recurrence sum {total} at (n={n}, i={i}, j={j}) "
+                        f"is not divisible by {n}"
+                    )
+                row.append(q)
+            row += [r[ri - 1] for r in reversed(grid)]  # j > ri, by the antipode and transpose
+            grid.append(tuple(row))
+        grid += [row[::-1] for row in reversed(grid[: n // 2])]
+        prev = tuple(grid)
+        yield TwoSidedTable(n, prev)
+
+
+def two_sided_from_recurrence(n_max: int) -> list[TwoSidedTable]:
+    """Arrays 1..n_max from the four-term recurrence: array 1 and the first
+    n_max - 1 arrays recurrence_arrays builds from it. Array 1 is symmetric,
+    so every step starts from a symmetric array."""
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    first = TwoSidedTable(1, ((1,),))
+    return [first, *islice(recurrence_arrays(first), n_max - 1)]
 
 
 def check_array_sums(table: TwoSidedTable, row: tuple[int, ...]) -> None:

@@ -9,6 +9,8 @@ import importlib.util
 import json
 import os
 import py_compile
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -160,3 +162,34 @@ def test_compares_two_summaries_seed_by_seed(tree, capsys):
     assert wall.split()[-2:] == ["10/10", "improved"]
     setup = next(line for line in lines if " setup_s " in line)
     assert setup.split()[-2:] == ["0/10", "unchanged"]
+
+
+def test_gives_no_verdict_on_summaries_that_share_no_seed(tree, capsys):
+    root, _, write = tree
+    for seed in range(1, 11):
+        write("cli-cache", seed, wall_s=0.28 + seed / 1000)
+    assert bench_summary.main(["--root", str(root), "--out", str(root / "base.json"), "--label", "b"]) == 0
+    for run in (root / "bench" / "out").glob("*.json"):
+        run.unlink()
+    for seed in range(101, 111):
+        write("cli-cache", seed, wall_s=0.22 + seed / 100000)
+    assert bench_summary.main(["--root", str(root), "--out", str(root / "new.json"), "--label", "n"]) == 0
+    capsys.readouterr()
+    assert bench_summary.main(["--compare", str(root / "base.json"), str(root / "new.json")]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split()[1] for row in rows] == ["peak_rss_mib", "setup_s", "wall_s"]
+    for row in rows:
+        assert row.endswith("  no shared seed")
+        assert not any(word in row for word in ("improved", "regressed", "unresolved", "unchanged", "/"))
+
+
+def test_compare_ends_quietly_when_its_reader_closes_stdout(tmp_path):
+    summary = {"label": "x", "meta": {"src_lines": 4}, "workloads": {}}
+    (tmp_path / "x.json").write_text(json.dumps(summary))
+    child = subprocess.Popen(
+        [sys.executable, bench_summary.__file__, "--compare", str(tmp_path / "x.json"), str(tmp_path / "x.json")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    child.stdout.close()  # before the child writes its first line
+    assert child.stderr.read() == b""
+    child.wait()

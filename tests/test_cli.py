@@ -255,6 +255,27 @@ def test_series_reads_its_row_from_the_row_stream_and_builds_no_triangle(monkeyp
         assert out.split() == ["k,coefficient"] + [f"{k},{k**n}" for k in range(5)]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_a_single_n_streams_its_array_and_builds_no_table(monkeypatch, fmt):
+    # two-sided, gessel and series --bivariate at one n > 1 read array n
+    # from recurrence_arrays and row n from recurrence_rows, and print the
+    # bytes they print when the list builders are there to call
+    calls = [(command, "--n", str(n), "--format", fmt) for n in (2, 3, 7, 13)
+             for command in ("two-sided", "gessel")]
+    calls += [("series", "--n", str(n), "--terms", "4", "--bivariate", "--format", fmt)
+              for n in (2, 3, 7, 13)]
+    expected = [run_cli(*argv) for argv in calls]
+
+    def never(*args, **kwargs):
+        raise AssertionError("a single n built a whole table")
+
+    monkeypatch.setattr(eulerian, "table_from_recurrence", never)
+    monkeypatch.setattr(twosided, "two_sided_from_recurrence", never)
+    for argv, want in zip(calls, expected):
+        assert want[0] == 0
+        assert run_cli(*argv) == want
+
+
 def test_series_bivariate():
     code, out, _ = run_cli(
         "series", "--n", "2", "--terms", "3", "--bivariate", "--format", "json"
@@ -269,20 +290,22 @@ def test_series_bivariate():
 def corrupt_the_recurrences(monkeypatch, n):
     """Make the recurrences behind series give row n and array n with one
     entry, A(n, 2) and A(n, 1, 2), one too large."""
-    generate, arrays = eulerian.recurrence_rows, twosided.two_sided_from_recurrence
+    generate, arrays = eulerian.recurrence_rows, twosided.recurrence_arrays
 
     def bad_rows(row):
         for out in generate(row):
             yield (out[0], out[1] + 1, *out[2:]) if len(out) == n else out
 
-    def bad_arrays(n_max):
-        tables = arrays(n_max)
-        entries = [list(row) for row in tables[-1].entries]
-        entries[0][1] += 1
-        return [*tables[:-1], twosided.TwoSidedTable(n_max, tuple(map(tuple, entries)))]
+    def bad_arrays(table):
+        for out in arrays(table):
+            if out.n == n:
+                entries = [list(row) for row in out.entries]
+                entries[0][1] += 1
+                out = twosided.TwoSidedTable(n, tuple(map(tuple, entries)))
+            yield out
 
     monkeypatch.setattr(eulerian, "recurrence_rows", bad_rows)
-    monkeypatch.setattr(twosided, "two_sided_from_recurrence", bad_arrays)
+    monkeypatch.setattr(twosided, "recurrence_arrays", bad_arrays)
 
 
 # sha256 of series --n 3 --terms 4 stdout from a corrupt row or array
@@ -388,7 +411,7 @@ def test_int_str_limit_is_decided_before_building(int_str_limit, monkeypatch):
 
     for module, name in ((eulerian, "table_from_recurrence"), (eulerian, "recurrence_rows"),
                          (eulerian, "brute_force_rows"), (twosided, "two_sided_from_recurrence"),
-                         (twosided, "brute_force_tables")):
+                         (twosided, "recurrence_arrays"), (twosided, "brute_force_tables")):
         monkeypatch.setattr(module, name, never)
     for command in TABLE_BUDGET_EDGES:
         for listing in (0, 1):
@@ -439,7 +462,7 @@ def test_table_budget_is_decided_before_building(monkeypatch):
 
     for module, name in ((eulerian, "table_from_recurrence"), (eulerian, "recurrence_rows"),
                          (eulerian, "brute_force_rows"), (twosided, "two_sided_from_recurrence"),
-                         (twosided, "brute_force_tables")):
+                         (twosided, "recurrence_arrays"), (twosided, "brute_force_tables")):
         monkeypatch.setattr(module, name, never)
     for command, (single, listing) in TABLE_BUDGET_EDGES.items():
         for argv in (("--n", str(single + 1)), ("--n-max", str(listing + 1)),
@@ -715,6 +738,7 @@ def test_exit_codes_follow_the_inputs(case):
             for module, name in ((eulerian, "table_from_recurrence"),
                                  (eulerian, "recurrence_rows"),
                                  (twosided, "two_sided_from_recurrence"),
+                                 (twosided, "recurrence_arrays"),
                                  (hopping, "orbit_of"), (perm, "enumerate_sn")):
                 patch.setattr(module, name, never)
         if broken:
@@ -827,19 +851,26 @@ def test_unwritable_cache_path_warns_once_and_prints_as_uncached(tmp_path, under
 @pytest.mark.parametrize("argv", [("--n-max", "6"), ("--n", "6")])
 @pytest.mark.parametrize("command", ["eulerian", "gamma", "two-sided", "gessel"])
 def test_table_command_runs_one_recurrence_with_or_without_cache(tmp_path, monkeypatch, command, argv):
-    # each row 2..6 comes once from the one recurrence generator: through
-    # one table_from_recurrence run for --n-max, and for a single n straight
-    # from the generator, from row 1 in ints, with no table built; an array
-    # command reads its marginals so, beside one two-sided run; the eulerian
-    # command builds the rows it prints in Decimal, for a single n row n alone
-    calls, built = [], []
+    # each row 2..6 comes once from the one-sided generator and each array
+    # 2..6 once from the two-sided one: through one list builder run for
+    # --n-max, and for a single n straight from the generator, from table 1
+    # in ints, with no table built; an array command reads its marginals
+    # so, beside its arrays; the eulerian command builds the rows it prints
+    # in Decimal, for a single n row n alone
+    calls, built, arrays = [], [], []
 
     def rows(row, generate=eulerian.recurrence_rows):
         for out in generate(row):
             built.append((len(out), type(out[0]).__name__))
             yield out
 
+    def tables(table, generate=twosided.recurrence_arrays):
+        for out in generate(table):
+            arrays.append(out.n)
+            yield out
+
     monkeypatch.setattr(eulerian, "recurrence_rows", rows)
+    monkeypatch.setattr(twosided, "recurrence_arrays", tables)
     for module, name in ((eulerian, "table_from_recurrence"), (twosided, "two_sided_from_recurrence")):
         def counted(n_max, build=getattr(module, name), name=name, **kwargs):
             calls.append((name, n_max))
@@ -850,16 +881,18 @@ def test_table_command_runs_one_recurrence_with_or_without_cache(tmp_path, monke
     kinds = ["int"] * 5
     if command == "eulerian":
         kinds = ["Decimal"] * 5 if argv[0] == "--n-max" else ["int"] * 4 + ["Decimal"]
-    if command in ("two-sided", "gessel"):
+    if command in ("two-sided", "gessel") and argv[0] == "--n-max":
         expected.insert(0, ("two_sided_from_recurrence", 6))
     for cache in ((), ("--cache", str(tmp_path))):
         calls.clear()
         built.clear()
+        arrays.clear()
         code, _, err = run_cli(command, *argv, *cache)
         assert code == 0
         assert one_cache_notice(err) if cache else err == ""
         assert calls == expected
         assert built == list(zip(range(2, 7), kinds))
+        assert arrays == (list(range(2, 7)) if command in ("two-sided", "gessel") else [])
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,7 @@ ROUTES = {
     "recurrences": [
         ("eulerian", "recurrence_rows"),
         ("eulerian", "table_from_recurrence"),
+        ("twosided", "recurrence_arrays"),
         ("twosided", "two_sided_from_recurrence"),
     ],
     "gamma extraction": [("eulerian", "gamma_extract")],

@@ -1,5 +1,6 @@
 """The two-sided engine: arrays, series, symmetries, the basis solve."""
 
+from itertools import islice
 from math import comb, factorial
 
 import pytest
@@ -11,13 +12,13 @@ from eulerian_workbench.eulerian import table_from_recurrence
 from eulerian_workbench.exactnum import BiPoly
 from eulerian_workbench.twosided import (
     TwoSidedTable,
-    _two_sided_step,
     check_array_sums,
     check_symmetries,
     diagonal_monotonicity_probe,
     gessel_basis_indices,
     gessel_solve,
     polynomial_from_table,
+    recurrence_arrays,
     two_sided_brute_force,
     two_sided_from_recurrence,
     two_sided_polynomial,
@@ -63,14 +64,22 @@ def test_recurrence_matches_the_double_alternating_sum_to_n_12():
 
 def test_recurrence_step_names_the_entry_a_corrupt_array_breaks():
     prev = two_sided_from_recurrence(6)[5].entries
-    assert _two_sided_step(prev, 7) == two_sided_from_recurrence(7)[6].entries
+    assert next(recurrence_arrays(TwoSidedTable(6, prev))) == two_sided_from_recurrence(7)[6]
     # A(6, 2, 3) + 1 moves the sum at (7, 2, 3) by 2 * 3 + 6 = 12, not 0 mod 7
     bad = [list(row) for row in prev]
     bad[1][2] += 1
     with pytest.raises(
         ConsistencyError, match=r"at \(n=7, i=2, j=3\) is not divisible by 7$"
     ):
-        _two_sided_step(tuple(map(tuple, bad)), 7)
+        next(recurrence_arrays(TwoSidedTable(6, tuple(map(tuple, bad)))))
+
+
+def test_recurrence_arrays_stream_the_builders_arrays_from_any_start():
+    tables = two_sided_from_recurrence(40)
+    for start in range(1, 40):
+        assert list(islice(recurrence_arrays(tables[start - 1]), 40 - start)) == tables[start:]
+    for table in islice(recurrence_arrays(tables[0]), max(TABLE2) - 1):
+        assert table.entries == TABLE2[table.n]
 
 
 def every_entry_step(prev, n):

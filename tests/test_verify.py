@@ -105,15 +105,15 @@ def bumped(table, deltas):
 
 
 def bump_array(monkeypatch, n, deltas):
-    """Every array n the recurrence builds is bumped by deltas."""
-    build = twosided.two_sided_from_recurrence
+    """Every array n the recurrence yields is bumped by deltas; the arrays
+    after it are built from the true array."""
+    generate = twosided.recurrence_arrays
 
-    def corrupted(n_max):
-        tables = build(n_max)
-        tables[n - 1] = bumped(tables[n - 1], deltas)
-        return tables
+    def corrupted(table):
+        for out in generate(table):
+            yield bumped(out, deltas) if out.n == n else out
 
-    monkeypatch.setattr(twosided, "two_sided_from_recurrence", corrupted)
+    monkeypatch.setattr(twosided, "recurrence_arrays", corrupted)
 
 
 def bump_brute_triangle(monkeypatch, n, deltas):
@@ -208,8 +208,9 @@ def test_a_broken_table_is_reported_not_crashed(monkeypatch, corruption, suite):
 # marginals are checked against the one-sided rows); the palindromic
 # corruptions sit in row and array 6, so a check made as each table is
 # written would print the tables for n <= 5 first; a single --n names the
-# corrupted n, the row stream that gamma and the array marginals share with
-# eulerian; a brute corruption runs with --source brute
+# corrupted n, which the row stream that gamma and the array marginals share
+# with eulerian, or the array stream, yields; a brute corruption runs with
+# --source brute
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 @pytest.mark.parametrize("shape", ["--n-max", "--n"], ids=["n-max", "n"])
 @pytest.mark.parametrize(

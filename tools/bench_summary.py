@@ -22,7 +22,7 @@ metric.
 
 The second form prints, per workload and end-to-end metric, BASE's and
 NEW's medians and the verdict bench/compare.py gives on the seeds the two
-summaries share.
+summaries share, or "no shared seed" when they share none.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -152,7 +153,8 @@ def summarise(root: Path, label: str | None = None) -> tuple[str, dict]:
 
 def compare(base: dict, new: dict) -> list[str]:
     """Lines of BASE against NEW: per workload and end-to-end metric, the
-    medians, quartiles and counts, the pairs NEW won and compare.py's verdict."""
+    medians, quartiles and counts, the pairs NEW won and compare.py's
+    verdict, or "no shared seed" in place of both when there are no pairs."""
     bounds = {m["name"]: m["bound"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     widest = max(bounds.values())
     lines = [f"base: {base['label']} (src {base['meta']['src_lines']} lines)",
@@ -162,12 +164,16 @@ def compare(base: dict, new: dict) -> list[str]:
         for key in sorted(set(b_all) & set(n_all), key=lambda k: (k not in bounds, k)):
             b, n = b_all[key], n_all[key]
             pairs = [(b["values"][s], n["values"][s]) for s in b["values"] if s in n["values"]]
-            result, wins = verdict(list(b["values"].values()), list(n["values"].values()), pairs,
-                                   bounds.get(key, widest))
+            if pairs:
+                result, wins = verdict(list(b["values"].values()), list(n["values"].values()), pairs,
+                                       bounds.get(key, widest))
+                result = f"{wins:>2}/{len(pairs):<2} {result}"
+            else:  # verdict gates only "improved" on pairs, and would call any move unchanged
+                result = "no shared seed"
             lines.append(
                 f"{name:<11} {key:<13} {b['median']:>9.4f} [{b['q1']:.4f}, {b['q3']:.4f}] ({b['n']:>2})"
                 f"  {n['median']:>9.4f} [{n['q1']:.4f}, {n['q3']:.4f}] ({n['n']:>2})"
-                f"  {n['median'] / b['median'] - 1:+7.1%}  {wins:>2}/{len(pairs):<2} {result}"
+                f"  {n['median'] / b['median'] - 1:+7.1%}  {result}"
                 + ("" if key in bounds else " (not gated)")
             )
     return lines
@@ -196,4 +202,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # a reader that closes stdout early, as head does, ends the process by
+    # SIGPIPE, as it ends any Unix filter, with no traceback
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())

@@ -181,7 +181,7 @@ CASES = [
     (table, ("gamma", "--n-max", 233, "--format", "json"), None, 120),
     (table, ("gessel", "--n-max", 47, "--format", "json"), None, 120),
     (table, ("gamma", "--n", 1000, "--force"), None, 80),
-    (table, ("two-sided", "--n", 200, "--force"), None, 160),
+    (table, ("two-sided", "--n", 200, "--force"), None, 48),
     (grid_census, (8, 3, 7), None, 64),
     (grid_census, (4, 10, 10), None, 64),
     (grid_census, (10, 4, 4), None, 85),
